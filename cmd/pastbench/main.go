@@ -66,34 +66,18 @@ type MemProbe struct {
 	PeakRSSMB    float64 `json:"peak_rss_mb,omitempty"`
 }
 
-// MatrixResult is one cell of the GOMAXPROCS × shards scaling matrix:
-// the same experiment, same seed (tables byte-identical by the sharded
-// engine's guarantee), timed under a different core budget and shard
-// count. On a one-core container the matrix records pure scheduler
-// overhead; on a multi-core host it records the sharded engine's actual
-// scaling, which earlier BENCH files never captured.
-type MatrixResult struct {
-	ID         string  `json:"id"`
-	Scale      string  `json:"scale"`
-	Seed       int64   `json:"seed"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	Shards     int     `json:"shards"`
-	WallMs     float64 `json:"wall_ms"`
-}
-
 // Report is the BENCH_<n>.json schema.
 type Report struct {
-	GoVersion   string         `json:"go_version"`
-	GOMAXPROCS  int            `json:"gomaxprocs"`
-	NumCPU      int            `json:"num_cpu"`
-	Shards      int            `json:"shards"`
-	UnixTime    int64          `json:"unix_time"`
-	Benchmarks  []BenchResult  `json:"benchmarks"`
-	Experiments []ExpResult    `json:"experiments"`
-	MemProbes   []MemProbe     `json:"mem_probes,omitempty"`
-	Matrix      []MatrixResult `json:"scaling_matrix,omitempty"`
-	MemoHits    uint64         `json:"verify_memo_hits"`
-	MemoMisses  uint64         `json:"verify_memo_misses"`
+	GoVersion   string        `json:"go_version"`
+	GOMAXPROCS  int           `json:"gomaxprocs"`
+	NumCPU      int           `json:"num_cpu"`
+	Shards      int           `json:"shards"`
+	UnixTime    int64         `json:"unix_time"`
+	Benchmarks  []BenchResult `json:"benchmarks"`
+	Experiments []ExpResult   `json:"experiments"`
+	MemProbes   []MemProbe    `json:"mem_probes,omitempty"`
+	MemoHits    uint64        `json:"verify_memo_hits"`
+	MemoMisses  uint64        `json:"verify_memo_misses"`
 }
 
 func benchNetwork(n int) *past.Network {
@@ -122,13 +106,7 @@ func main() {
 	out := flag.String("out", "BENCH_1.json", "output JSON path")
 	expIDs := flag.String("experiments", "E1,E4,E10,E15,E16,E17,E18,E19,E20,E21", "comma-separated experiment ids to time (empty disables)")
 	shards := flag.Int("shards", experiments.Shards,
-		"simulation shards for the phase experiments (byte-identical results; parallelism only)")
-	matrixExps := flag.String("matrix-exps", "E4,E9",
-		"experiments for the GOMAXPROCS x shards scaling matrix (empty disables)")
-	matrixCPUs := flag.String("matrix-cpus", "",
-		"comma-separated GOMAXPROCS values for the matrix (default: 1 and NumCPU)")
-	matrixShards := flag.String("matrix-shards", "1,2,4",
-		"comma-separated shard counts for the matrix")
+		"simulation shards for the experiments (byte-identical results; parallelism only)")
 	tierExps := flag.String("tier-exps", "E1@large,E4@large,E15@large,E1@huge",
 		"comma-separated id@scale probes for the bulk-built tiers (empty disables)")
 	memProbes := flag.String("mem-probes", "20000,100000",
@@ -158,24 +136,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	for _, idStr := range splitComma(*matrixExps) {
-		if !known[idStr] {
-			fmt.Fprintf(os.Stderr, "unknown matrix experiment %q (have %v)\n", idStr, experiments.IDs())
-			os.Exit(1)
-		}
-	}
-	matrixCPUList := parseInts(*matrixCPUs)
-	if len(matrixCPUList) == 0 {
-		matrixCPUList = []int{1}
-		if n := runtime.NumCPU(); n > 1 {
-			matrixCPUList = append(matrixCPUList, n)
-		}
-	}
-	matrixShardList := parseInts(*matrixShards)
-	if len(matrixShardList) == 0 {
-		matrixShardList = []int{1, 2, 4}
-	}
-
 	rep := Report{
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -316,40 +276,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mem probe %d done\n", n)
 	}
 
-	// GOMAXPROCS × shards scaling matrix. Cells run sequentially with the
-	// process core budget pinned per cell; tables are byte-identical
-	// across every cell (sharded-engine guarantee), so wall clock is the
-	// only variable. The phase experiments' worker pool sizes itself from
-	// GOMAXPROCS, so each cell exercises exactly the configuration a user
-	// with that many cores would get.
-	if *matrixExps != "" {
-		cpus := matrixCPUList
-		shardList := matrixShardList
-		oldProcs := runtime.GOMAXPROCS(0)
-		oldShards := experiments.Shards
-		for _, idStr := range splitComma(*matrixExps) {
-			for _, cpu := range cpus {
-				runtime.GOMAXPROCS(cpu)
-				for _, s := range shardList {
-					experiments.Shards = s
-					start := time.Now()
-					if _, err := experiments.Run(idStr, experiments.Small, 42); err != nil {
-						fmt.Fprintf(os.Stderr, "matrix %s cpus=%d shards=%d: %v\n", idStr, cpu, s, err)
-						os.Exit(1)
-					}
-					rep.Matrix = append(rep.Matrix, MatrixResult{
-						ID: idStr, Scale: "Small", Seed: 42,
-						GOMAXPROCS: cpu, Shards: s,
-						WallMs: float64(time.Since(start).Microseconds()) / 1000,
-					})
-					fmt.Fprintf(os.Stderr, "matrix %s cpus=%d shards=%d done\n", idStr, cpu, s)
-				}
-			}
-		}
-		runtime.GOMAXPROCS(oldProcs)
-		experiments.Shards = oldShards
-	}
-
 	// Chaos wall-clock probe: the partition+heal scenario end to end
 	// against a real 7-process cluster. benchguard watches its wall clock
 	// (exp:CHAOS-PH@real) so recovery-time regressions fail CI like any
@@ -396,19 +322,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s\n", *out)
-}
-
-func parseInts(s string) []int {
-	var out []int
-	for _, part := range splitComma(s) {
-		v, err := strconv.Atoi(part)
-		if err != nil || v < 1 {
-			fmt.Fprintf(os.Stderr, "bad integer list entry %q\n", part)
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
 }
 
 func splitComma(s string) []string {

@@ -27,7 +27,7 @@ func main() {
 		scaleFlag  = flag.String("scale", "small", "small (seconds), full (paper scale, minutes), large (20k nodes, bulk-built), or huge (100k nodes)")
 		seedFlag   = flag.Int64("seed", 42, "random seed; identical seeds reproduce identical tables")
 		shardsFlag = flag.Int("shards", experiments.Shards,
-			"simulation shards for the single-cluster phase experiments (E2-E5, E8, E9, E12-E17);\ntables are byte-identical for any value >= 1, so this only selects parallelism (default: core count)")
+			"shards of each simulated network (what lets a single-cluster phase experiment use several cores);\ntables are byte-identical for any value >= 1, so this only selects parallelism (default: core count)")
 		listFlag   = flag.Bool("list", false, "list experiment ids and exit")
 		seriesFlag = flag.String("series", "", "write per-window telemetry series (line protocol) for the instrumented experiments (E15, E18, E20) to this file")
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"past"
+	"past/internal/telemetry"
 )
 
 func newNet(t testing.TB, n int, seed int64) *past.Network {
@@ -142,6 +143,34 @@ func TestParseFileID(t *testing.T) {
 	}
 }
 
+// admit joins p to the network of members (members[0] is the seed) and
+// waits until every member, p included, holds all the others in its leaf
+// set. Peers are admitted one at a time because Join returns before its
+// announce traffic has propagated: a join routed through a peer that has
+// not heard the previous announce yet leaves the two newcomers unaware of
+// each other until a keep-alive round (seconds), and an operation racing
+// such a partial view is routed, or replicated, against a stale leaf set.
+func admit(t *testing.T, members []*past.Peer, p *past.Peer) {
+	t.Helper()
+	if err := p.Join(members[0].Addr()); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	all := append(append([]*past.Peer(nil), members...), p)
+	converged := func() bool {
+		for _, m := range all {
+			if m.KnownPeers() < len(all)-1 {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(10 * time.Second); !converged(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("membership did not converge after peer %d joined", len(members))
+		}
+	}
+}
+
 // TestTCPPeersEndToEnd runs a real five-node TCP cluster on loopback and
 // pushes a file through it.
 func TestTCPPeersEndToEnd(t *testing.T) {
@@ -175,27 +204,7 @@ func TestTCPPeersEndToEnd(t *testing.T) {
 	}
 	peers[0].Bootstrap()
 	for i := 1; i < 5; i++ {
-		if err := peers[i].Join(peers[0].Addr()); err != nil {
-			t.Fatalf("peer %d join: %v", i, err)
-		}
-	}
-	// Join returns before announce traffic has propagated; an insert that
-	// races it can be replicated against a stale leaf-set view (leaving a
-	// harmless extra copy that would trip the exact-count check below).
-	// Wait for every peer to see all four others.
-	converged := func() bool {
-		for _, p := range peers {
-			if p.KnownPeers() < 4 {
-				return false
-			}
-		}
-		return true
-	}
-	for wait := 0; !converged() && wait < 200; wait++ {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !converged() {
-		t.Fatal("membership did not converge")
+		admit(t, peers[:i], peers[i])
 	}
 	data := []byte("over real TCP")
 	ins, err := peers[1].Insert(nil, "tcp.txt", data, 3)
@@ -249,6 +258,47 @@ func TestNetworkRestartRecovers(t *testing.T) {
 	// And the file is still at (or above) full replication.
 	if got := len(nw.ReplicaHolders(ins.FileID)); got < 3 {
 		t.Fatalf("replication fell to %d", got)
+	}
+}
+
+// TestNetworkTelemetryTicks attaches a recorder to a facade Network: the
+// simulator ticks it at window barriers, so RunFor closes one window per
+// virtual second and the series see the crash and the repair traffic.
+func TestNetworkTelemetryTicks(t *testing.T) {
+	nw, err := past.NewNetwork(past.NetworkConfig{
+		N: 16, Seed: 11,
+		KeepAlive:   500 * time.Millisecond,
+		FailTimeout: 1500 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, err := nw.Insert(0, nil, "watched", make([]byte, 512), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := telemetry.New(telemetry.Config{Window: time.Second})
+	nw.RegisterTelemetry(rec)
+	nw.RunFor(3 * time.Second)
+	nw.Crash(nw.ReplicaHolders(ins.FileID)[0])
+	nw.RunFor(5 * time.Second)
+
+	live := rec.Points("live_nodes")
+	if len(live) < 7 {
+		t.Fatalf("%d windows closed over 8 virtual seconds", len(live))
+	}
+	if first, last := live[0].Vals[0], live[len(live)-1].Vals[0]; first != 16 || last != 15 {
+		t.Fatalf("live_nodes went %v -> %v, want 16 -> 15", first, last)
+	}
+	var events, replications float64
+	for _, p := range rec.Points("net_events") {
+		events += p.Vals[0]
+	}
+	for _, p := range rec.Points("past") {
+		replications += p.Vals[2]
+	}
+	if events == 0 || replications == 0 {
+		t.Fatalf("series saw %v deliveries and %v re-replications", events, replications)
 	}
 }
 
@@ -311,12 +361,8 @@ func TestPeerLookupMissAndReclaimByNonOwner(t *testing.T) {
 	}
 	a, b, c := mk(), mk(), mk()
 	a.Bootstrap()
-	if err := b.Join(a.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Join(a.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	admit(t, []*past.Peer{a}, b)
+	admit(t, []*past.Peer{a, b}, c)
 	// Lookup of a nonexistent file over TCP returns not-found.
 	var missing past.FileID
 	copy(missing[:], bytes.Repeat([]byte{0x42}, len(missing)))

@@ -324,10 +324,10 @@ type Stats struct {
 
 // Driver replays a Trace onto a running cluster. All work happens on the
 // coordinating goroutine between simulation runs: the driver advances
-// the simulated network to each event's time (to window barriers, under
-// the sharded engine) and applies the membership change there, so a
-// replay is byte-identical at any shard count for a fixed seed — churn
-// rides the same determinism argument as the sharded engine itself.
+// the simulated network to each event's time (a window barrier) and
+// applies the membership change there, so a replay is byte-identical at
+// any shard count for a fixed seed — churn rides the same determinism
+// argument as the simulator itself.
 type Driver struct {
 	C     *cluster.Cluster
 	Trace *Trace

@@ -11,8 +11,6 @@ import (
 	"past/internal/id"
 	"past/internal/past"
 	"past/internal/pastry"
-	"past/internal/seccrypt"
-	"past/internal/simnet"
 )
 
 func testConfig(initial int) churn.Config {
@@ -92,31 +90,11 @@ func TestParetoSessionsHeavyTail(t *testing.T) {
 	}
 }
 
-// harness is a PAST cluster whose smartcards and storage nodes grow on
-// demand, so churn arrivals can join mid-run. It deliberately mirrors
-// churnPAST in internal/experiments/churnexp.go (same card-seed
-// derivation, same verification) rather than importing it, so this
-// package's tests cannot be skewed by experiment-harness changes — keep
-// the card derivation in the two in sync.
+// harness is a PAST cluster under the churn experiments' configuration:
+// keep-alive failure detection, probes installed, caching off.
 type harness struct {
-	*cluster.Cluster
-	broker *seccrypt.Broker
-	cfg    past.Config
-	seed   int64
-	cards  []*seccrypt.Smartcard
-	pnodes []*past.Node
-}
-
-func (h *harness) card(i int) *seccrypt.Smartcard {
-	for len(h.cards) <= i {
-		j := len(h.cards)
-		c, err := h.broker.IssueCard(1<<50, h.cfg.Capacity, 0, seccrypt.DetRand(uint64(h.seed)<<20+uint64(j)+7))
-		if err != nil {
-			panic(err)
-		}
-		h.cards = append(h.cards, c)
-	}
-	return h.cards[i]
+	*cluster.PAST
+	k int
 }
 
 func buildHarness(t testing.TB, n int, seed int64, shards int) *harness {
@@ -126,63 +104,24 @@ func buildHarness(t testing.TB, n int, seed int64, shards int) *harness {
 	cfg.Capacity = 1 << 20
 	cfg.Caching = false
 	cfg.RequestTimeout = 5 * time.Second
-	broker, err := seccrypt.NewBroker(seccrypt.DetRand(uint64(seed) + 1))
-	if err != nil {
-		t.Fatalf("NewBroker: %v", err)
-	}
-	h := &harness{broker: broker, cfg: cfg, seed: seed}
 	pcfg := pastry.DefaultConfig()
 	pcfg.KeepAlive = 500 * time.Millisecond
 	pcfg.FailTimeout = 1500 * time.Millisecond
-	c, err := cluster.Build(cluster.Options{
-		N:      n,
-		Pastry: pcfg,
-		Seed:   seed,
-		Shards: shards,
-		NodeID: func(i int) id.Node { return h.card(i).NodeID() },
-		AppFactory: func(i int, nd *pastry.Node, ep *simnet.Endpoint) pastry.App {
-			for len(h.pnodes) <= i {
-				h.pnodes = append(h.pnodes, nil)
-			}
-			h.pnodes[i] = past.NewNode(cfg, nd, h.card(i), broker.PublicKey())
-			return h.pnodes[i]
-		},
-	})
+	c, err := cluster.BuildPAST(cluster.Options{N: n, Pastry: pcfg, Seed: seed, Shards: shards}, cfg, nil, 0)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	c.EnableProbes()
-	h.Cluster = c
-	return h
+	return &harness{PAST: c, k: cfg.K}
 }
 
 func (h *harness) insert(t testing.TB, node int, name string, data []byte) id.File {
 	t.Helper()
-	var res *past.InsertResult
-	h.pnodes[node].Insert(h.card(node), name, data, h.cfg.K, func(r past.InsertResult) { res = &r })
-	h.Net.RunUntil(func() bool { return res != nil }, 50_000_000)
-	if res == nil || res.Err != nil {
+	res := h.Insert(node, nil, name, data, 0)
+	if res.Err != nil {
 		t.Fatalf("insert %s: %+v", name, res)
 	}
 	return res.FileID
-}
-
-// liveVerifiedCopies counts live nodes holding a content-verified copy.
-func (h *harness) liveVerifiedCopies(f id.File) int {
-	n := 0
-	for i, pn := range h.pnodes {
-		if pn == nil || h.Down(i) {
-			continue
-		}
-		it, err := pn.Store().Get(f)
-		if err != nil {
-			continue
-		}
-		if seccrypt.VerifyContent(&it.Cert, it.Data) == nil {
-			n++
-		}
-	}
-	return n
 }
 
 // TestChurnStorageInvariant is the churn determinism + persistence test:
@@ -224,9 +163,9 @@ func TestChurnStorageInvariant(t *testing.T) {
 		var b strings.Builder
 		fmt.Fprintf(&b, "stats=%+v live=%d\n", d.Stats, h.LiveCount())
 		for i, f := range files {
-			copies := h.liveVerifiedCopies(f)
-			if copies > 0 && copies < h.cfg.K {
-				t.Errorf("shards=%d: file %d has %d live verified copies, want >= %d", shards, i, copies, h.cfg.K)
+			copies := h.LiveVerifiedCopies(f)
+			if copies > 0 && copies < h.k {
+				t.Errorf("shards=%d: file %d has %d live verified copies, want >= %d", shards, i, copies, h.k)
 			}
 			if copies == 0 {
 				t.Logf("shards=%d: file %d lost (all holders departed before repair)", shards, i)
@@ -278,17 +217,6 @@ func TestDriverSkipsAndFloors(t *testing.T) {
 	if h.LiveCount() != 7 {
 		t.Fatalf("LiveCount = %d, want 7", h.LiveCount())
 	}
-}
-
-func (h *harness) lookup(t testing.TB, node int, f id.File) past.LookupResult {
-	t.Helper()
-	var res *past.LookupResult
-	h.pnodes[node].Lookup(f, func(r past.LookupResult) { res = &r })
-	h.Net.RunUntil(func() bool { return res != nil }, 50_000_000)
-	if res == nil {
-		t.Fatalf("lookup %v never completed", f)
-	}
-	return *res
 }
 
 // TestAsyncJoinsDuringWorkload pins churn-join fidelity: with
@@ -343,7 +271,7 @@ func TestAsyncJoinsDuringWorkload(t *testing.T) {
 	// Foreground workload proceeds while the join is in flight.
 	files = append(files, h.insert(t, 5, "mid-join", make([]byte, 1024)))
 	for i, f := range files {
-		if lr := h.lookup(t, liveNode(i+7), f); lr.Err != nil {
+		if lr := h.Lookup(liveNode(i+7), f); lr.Err != nil {
 			t.Fatalf("lookup %d during pending join: %v", i, lr.Err)
 		}
 	}
@@ -353,7 +281,7 @@ func TestAsyncJoinsDuringWorkload(t *testing.T) {
 	for at := 2 * time.Second; at <= 5*time.Second; at += time.Second {
 		d.Advance(at)
 		for i, f := range files {
-			if lr := h.lookup(t, liveNode(int(at/time.Second)+i), f); lr.Err != nil {
+			if lr := h.Lookup(liveNode(int(at/time.Second)+i), f); lr.Err != nil {
 				t.Fatalf("lookup %d at t=%s: %v", i, at, lr.Err)
 			}
 		}
@@ -379,7 +307,7 @@ func TestAsyncJoinsDuringWorkload(t *testing.T) {
 		if h.Down(newcomer) {
 			t.Fatalf("node %d still down after its async join resolved", newcomer)
 		}
-		if lr := h.lookup(t, newcomer, files[0]); lr.Err != nil {
+		if lr := h.Lookup(newcomer, files[0]); lr.Err != nil {
 			t.Fatalf("lookup from joined node %d: %v", newcomer, lr.Err)
 		}
 	}

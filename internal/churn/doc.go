@@ -17,10 +17,10 @@
 //   - Replay (Driver): applies a trace onto a running cluster. Every
 //     membership change executes on the coordinating goroutine between
 //     simulation runs — the driver advances the network to the event's
-//     virtual time (a window barrier, under the sharded engine) and
-//     calls cluster.AddNode / Leave / Crash there. Because nothing
-//     churn-related ever runs inside a window, replays inherit the
-//     sharded engine's guarantee: byte-identical results at any shard
+//     virtual time (a window barrier) and calls cluster.AddNode /
+//     Leave / Crash there. Because nothing churn-related ever runs
+//     inside a window, replays inherit the simulator's guarantee:
+//     byte-identical results at any shard
 //     count for a fixed seed (see ARCHITECTURE.md, "Churn engine").
 //
 // Experiments E15–E17 build on this package: lookup availability vs

@@ -197,3 +197,27 @@ func TestQuarantineSlotReuse(t *testing.T) {
 		t.Fatalf("LiveCount=%d, want 5", c.LiveCount())
 	}
 }
+
+// TestShardCountIndependence pins what Build wires for every cluster: the
+// topology's regions and lookahead go to the simulator whatever the shard
+// count, so a protocol-built network — joins, probes, virtual time and
+// message counts — is identical at the default (zero, one shard inline),
+// at one shard and at several.
+func TestShardCountIndependence(t *testing.T) {
+	run := func(shards int) string {
+		c, recs := buildPair(t, 48, 17, false, shards)
+		s := fmt.Sprint("built: ", c.Net.Now(), c.Net.Messages(), "\n")
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 40; i++ {
+			d, ok := probeOnce(c, recs, rng.Intn(48), id.Rand(uint64(1000+i)), uint64(i))
+			s += fmt.Sprint(i, ok, d.NodeIndex, d.Routed.Hops, d.Routed.Distance, c.Net.Now(), c.Net.Messages(), "\n")
+		}
+		return s
+	}
+	base := run(0)
+	for _, shards := range []int{1, 3} {
+		if got := run(shards); got != base {
+			t.Fatalf("shards=%d differs from the default:\n--- default:\n%s--- shards=%d:\n%s", shards, base, shards, got)
+		}
+	}
+}

@@ -36,15 +36,13 @@ type Options struct {
 	// NodeID, when non-nil, overrides the identifier for node i
 	// (PAST harnesses derive ids from smartcards).
 	NodeID func(i int) id.Node
-	// Shards, when positive, routes the build and every subsequent run
-	// through simnet's sharded conservative-window engine with this many
-	// shards: nodes are partitioned by transit domain and one simulation
-	// uses up to Shards cores. Results are byte-identical for any
-	// positive value, so Shards only selects parallelism. Zero keeps the
-	// legacy single-threaded engine.
+	// Shards is the number of simulator shards (zero means one): nodes
+	// are partitioned by transit domain and one simulation uses up to
+	// Shards cores. Results are byte-identical for any value, so Shards
+	// only selects parallelism.
 	Shards int
-	// WindowWorkers overrides the sharded engine's persistent worker
-	// pool size (simnet.Config.Workers): zero picks
+	// WindowWorkers overrides the simulator's persistent worker pool
+	// size (simnet.Config.Workers): zero picks
 	// min(GOMAXPROCS, shards), 1 forces sequential inline windows, and
 	// values above 1 force a pool even on one core (used by the
 	// determinism tests to exercise the phased barrier under -race).
@@ -105,23 +103,21 @@ func Build(opts Options) (*Cluster, error) {
 	}
 	netCfg := opts.Net
 	netCfg.Seed = opts.Seed + 1
-	if opts.Shards > 0 {
-		// Shard by transit domain: the topology's config bounds guarantee
-		// a latency floor between domains, which is exactly the lookahead
-		// the conservative scheduler needs — and it is placement- and
-		// shard-count-independent, so tables stay byte-identical at any
-		// shard count.
-		// More shards than transit domains would leave the extras
-		// permanently empty (shard = transit % Shards), so clamp.
-		netCfg.Shards = min(opts.Shards, opts.Topology.Transits)
-		netCfg.RegionOf = topo.Transit
-		netCfg.Lookahead = topo.LookaheadBound()
-		netCfg.Workers = opts.WindowWorkers
-		if netCfg.Lookahead <= 0 {
-			// Zero latency floors give the conservative scheduler no
-			// lookahead; report it here rather than panicking in simnet.
-			return nil, fmt.Errorf("cluster: sharding needs a positive inter-domain latency floor (TransitMin/UplinkMin/StubMin all zero?)")
-		}
+	// Shard by transit domain: the topology's config bounds guarantee a
+	// latency floor between domains, which is exactly the lookahead the
+	// conservative scheduler needs — and it is placement- and
+	// shard-count-independent, so tables stay byte-identical at any shard
+	// count, the default of one included.
+	// More shards than transit domains would leave the extras permanently
+	// empty (shard = transit % Shards), so clamp.
+	netCfg.Shards = max(1, min(opts.Shards, opts.Topology.Transits))
+	netCfg.RegionOf = topo.Transit
+	netCfg.Lookahead = topo.LookaheadBound()
+	netCfg.Workers = opts.WindowWorkers
+	if netCfg.Shards > 1 && netCfg.Lookahead <= 0 {
+		// Zero latency floors give the conservative scheduler no
+		// lookahead; report it here rather than panicking in simnet.
+		return nil, fmt.Errorf("cluster: sharding needs a positive inter-domain latency floor (TransitMin/UplinkMin/StubMin all zero?)")
 	}
 	net := simnet.New(netCfg, topo.Distance)
 
@@ -171,9 +167,8 @@ func (c *Cluster) newNode(i int) *pastry.Node {
 	}
 	pcfg := c.Opts.Pastry
 	pcfg.Seed = c.Opts.Seed + int64(i)*7919
-	// Each node runs on its endpoint's clock so that, under the sharded
-	// engine, its timers fire on (and are keyed by) the shard that owns
-	// it. On the legacy engine ep.Clock() is the net clock.
+	// Each node runs on its endpoint's clock so that its timers fire on
+	// (and are keyed by) the shard that owns it.
 	nd := pastry.New(pcfg, nid, ep, ep.Clock(), nil)
 	var app pastry.App
 	if c.Opts.AppFactory != nil {
@@ -207,8 +202,8 @@ func (c *Cluster) takeSlot() int {
 
 // quarantine takes a failed joiner off the network and releases its slot
 // for the next arrival. Before the free list existed every failed join
-// leaked its endpoint (and, under the sharded engine, its shard slot)
-// forever — harmless at hundreds of nodes, fatal at 20k+ under churn.
+// leaked its endpoint (and its shard slot) forever — harmless at hundreds
+// of nodes, fatal at 20k+ under churn.
 func (c *Cluster) quarantine(i int) {
 	if i >= len(c.Nodes) {
 		return
@@ -232,7 +227,7 @@ func (c *Cluster) addNode(i int) error {
 		joinErr = err
 		done = true
 	})
-	if !c.Net.RunUntil(func() bool { return done }, 100_000_000) {
+	if !c.Net.RunUntil(func() bool { return done }, EventBudget) {
 		return fmt.Errorf("cluster: join of node %d did not complete", i)
 	}
 	if joinErr != nil {
@@ -251,9 +246,9 @@ func (c *Cluster) addNode(i int) error {
 }
 
 // AddNode joins one brand-new node into a running cluster — the churn
-// engine's arrival path. The node is placed on the topology (and, under
-// the sharded engine, assigned to the shard owning its transit domain),
-// built through the same Options the cluster was built with, and joined
+// engine's arrival path. The node is placed on the topology (and
+// assigned to the shard owning its transit domain), built through the
+// same Options the cluster was built with, and joined
 // via a proximally nearby live node. AddNode must only be called from
 // the coordinating goroutine between simulation runs (as all Cluster
 // mutators must); it advances virtual time until the join completes and
@@ -536,12 +531,12 @@ func (c *Cluster) Rand() *rand.Rand { return c.rng }
 // keep-alive and repair traffic run.
 func (c *Cluster) RunSettle(d time.Duration) { c.Net.RunFor(d) }
 
-// AttachTelemetry ticks rec at every window barrier of the sharded
-// engine and registers the cluster-level series: live_nodes (overlay
-// membership as churn sees it) and net_events (message deliveries per
-// window, with a per-second rate). All samples are pure reads taken at
-// barriers, so the series inherit the engine's shard-count determinism.
-// Call once per recorder, after Build; requires Shards >= 1.
+// AttachTelemetry ticks rec at every window barrier of the simulator and
+// registers the cluster-level series: live_nodes (overlay membership as
+// churn sees it) and net_events (message deliveries per window, with a
+// per-second rate). All samples are pure reads taken at barriers, so the
+// series inherit the simulator's shard-count determinism. Call once per
+// recorder, after Build.
 func (c *Cluster) AttachTelemetry(rec *telemetry.Recorder) {
 	rec.Gauge("live_nodes", func() float64 { return float64(c.LiveCount()) })
 	var prevMsgs uint64

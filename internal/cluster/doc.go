@@ -13,11 +13,17 @@
 // for transport-level failure detection), and deterministic randomness
 // shared by a whole experiment run.
 //
-// Options.Shards routes a build — and every run on the resulting network
-// — through simnet's sharded conservative-window engine: nodes are
-// partitioned by transit domain, the topology's latency floor between
-// transit domains becomes the scheduler's lookahead, and each node runs
-// on its own endpoint's clock so its timers fire on its shard. Results
-// are byte-identical for any positive shard count; see
-// internal/simnet/shard.go for the argument.
+// Every build wires simnet's conservative-window scheduler the same way:
+// nodes are partitioned by transit domain over Options.Shards shards (one
+// by default), the topology's latency floor between transit domains
+// becomes the scheduler's lookahead, and each node runs on its own
+// endpoint's clock so its timers fire on its shard. Results are
+// byte-identical for any shard count; see internal/simnet/shard.go for
+// the argument.
+//
+// BuildPAST (past.go) is the one builder of simulated PAST networks: the
+// deterministic broker and smartcard identities, one past.Node per
+// overlay node, and the synchronous Insert/Lookup/Reclaim drivers that
+// the facade, the experiments, the conformance harness and the tests
+// share.
 package cluster

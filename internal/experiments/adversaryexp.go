@@ -7,7 +7,7 @@ package experiments
 // receipt verification and storage audits — plus two correlated-stress
 // scenarios: a regional (transit-domain) outage and a flash crowd.
 //
-// All four are phase experiments on the sharded engine. Adversarial
+// All four are phase experiments. Adversarial
 // decisions are pure functions of (seed, node index) plus each node's
 // own traffic (package adversary), the coordinator draws from the
 // cluster RNG, and churn traces are pure functions of their seed, so
@@ -20,6 +20,7 @@ import (
 
 	"past/internal/adversary"
 	"past/internal/churn"
+	"past/internal/cluster"
 	"past/internal/id"
 	"past/internal/metrics"
 	"past/internal/past"
@@ -50,11 +51,11 @@ const (
 // advPopulate inserts files 4 KiB files from random honest nodes and
 // returns their ids. Adversaries are installed after population, so the
 // stored state is clean and only the measured workload sees them.
-func advPopulate(pc *pastCluster, files int, prefix string) []id.File {
+func advPopulate(pc *cluster.PAST, files int, prefix string) []id.File {
 	var ids []id.File
 	for f := 0; len(ids) < files && f < 2*files; f++ {
-		i := pc.Rand().Intn(len(pc.PAST))
-		res := pc.insert(i, pc.Cards[i], fmt.Sprintf("%s-%d", prefix, f), make([]byte, 4096), 0)
+		i := pc.Rand().Intn(len(pc.PASTNodes()))
+		res := pc.Insert(i, pc.Card(i), fmt.Sprintf("%s-%d", prefix, f), make([]byte, 4096), 0)
 		if res.Err == nil {
 			ids = append(ids, res.FileID)
 		}
@@ -79,12 +80,12 @@ func honestNodes(n int, bad []int) []int {
 
 // advLookups runs count lookups of random files from random honest
 // clients and reports successes and the hop summary of the successes.
-func advLookups(pc *pastCluster, honest []int, ids []id.File, count int, es *expSeries) (ok int, hops metrics.Summary) {
+func advLookups(pc *cluster.PAST, honest []int, ids []id.File, count int, es *expSeries) (ok int, hops metrics.Summary) {
 	for l := 0; l < count; l++ {
 		client := honest[pc.Rand().Intn(len(honest))]
 		f := ids[pc.Rand().Intn(len(ids))]
 		t0 := es.now()
-		lr := pc.lookup(client, f)
+		lr := pc.Lookup(client, f)
 		es.lookup(es.now()-t0, lr.Hops, lr.Err)
 		if lr.Err == nil {
 			ok++
@@ -124,28 +125,28 @@ func E18AdversarialLookups(scale Scale, seed int64) Result {
 	tbl := &metrics.Table{Header: []string{"policy", "malicious", "success (no retry)", "hops", "success (retry)", "hops", "retries", "aborts"}}
 	var series strings.Builder
 	for _, r := range rows {
-		pc := mustPAST(n, seed, cfg, nil, sharded)
+		pc := mustPAST(n, seed, cfg, nil, nil)
 		ids := advPopulate(pc, files, "adv")
 		bad := adversary.Pick(seed+101, n, r.frac)
 		for _, i := range bad {
-			adversary.Install(r.policy, seed+102, pc.Eps[i], pc.PAST[i], 1)
+			adversary.Install(r.policy, seed+102, pc.Eps[i], pc.Node(i), 1)
 		}
 		honest := honestNodes(n, bad)
 		// One recorder per row; the defense phase flip shows up as a step
 		// in lookup_ok and the past series' lookup_retries deltas.
-		es := newExpSeries(pc.Cluster, func() []*past.Node { return pc.PAST }, &series,
+		es := newExpSeries(pc, &series,
 			[2]string{"exp", "E18"}, [2]string{"policy", r.policy.String()},
 			[2]string{"frac", fmt.Sprintf("%.2f", r.frac)}, [2]string{"scale", scale.String()})
 		// Phase 1: defenses off (the build config has LookupRetries=0).
 		offOK, offHops := advLookups(pc, honest, ids, lookups, es)
 		// Phase 2: same overlay, same adversaries, defenses on.
-		for _, pn := range pc.PAST {
+		for _, pn := range pc.PASTNodes() {
 			pn.SetResilience(advRetries, advBackoff, advHopBudget)
 		}
 		onOK, onHops := advLookups(pc, honest, ids, lookups, es)
 		es.finish()
 		var retries, aborts int
-		for _, pn := range pc.PAST {
+		for _, pn := range pc.PASTNodes() {
 			st := pn.Stats()
 			retries += st.LookupRetries
 			aborts += st.RouteAborts
@@ -190,12 +191,12 @@ func E19ReceiptContainment(scale Scale, seed int64) Result {
 	}
 	tbl := &metrics.Table{Header: []string{"policy", "malicious", "inserts ok", "forged rcpts dropped", "diversion retries", "cheats flagged", "false alarms", "lookup success"}}
 	for _, r := range rows {
-		pc := mustPAST(n, seed, cfg, nil, sharded)
+		pc := mustPAST(n, seed, cfg, nil, nil)
 		bad := adversary.Pick(seed+201, n, r.frac)
 		isBad := make(map[int]bool, len(bad))
 		for _, i := range bad {
 			isBad[i] = true
-			adversary.Install(r.policy, seed+202, pc.Eps[i], pc.PAST[i], 1)
+			adversary.Install(r.policy, seed+202, pc.Eps[i], pc.Node(i), 1)
 		}
 		honest := honestNodes(n, bad)
 		// Inserts from honest clients, against cheating storage nodes.
@@ -203,7 +204,7 @@ func E19ReceiptContainment(scale Scale, seed int64) Result {
 		var stored []past.InsertResult
 		for f := 0; f < files; f++ {
 			i := honest[pc.Rand().Intn(len(honest))]
-			res := pc.insert(i, pc.Cards[i], fmt.Sprintf("rc-%d", f), make([]byte, 4096), 0)
+			res := pc.Insert(i, pc.Card(i), fmt.Sprintf("rc-%d", f), make([]byte, 4096), 0)
 			divRetries += res.Retries
 			if res.Err == nil {
 				insertsOK++
@@ -212,7 +213,7 @@ func E19ReceiptContainment(scale Scale, seed int64) Result {
 		}
 		forged := 0
 		for _, i := range honest {
-			forged += pc.PAST[i].Stats().ForgedReceiptsDropped
+			forged += pc.Node(i).Stats().ForgedReceiptsDropped
 		}
 		// Audit sweep: an honest holder of each file challenges every other
 		// node the client holds a receipt from. A failed audit of a cheat is
@@ -223,7 +224,7 @@ func E19ReceiptContainment(scale Scale, seed int64) Result {
 			for _, rc := range res.Receipts {
 				i := pc.IndexByID(rc.StoredBy.ID)
 				if i >= 0 && !isBad[i] {
-					if _, err := pc.PAST[i].Store().Get(res.FileID); err == nil {
+					if _, err := pc.Node(i).Store().Get(res.FileID); err == nil {
 						auditor = i
 						break
 					}
@@ -276,13 +277,12 @@ func E19ReceiptContainment(scale Scale, seed int64) Result {
 }
 
 // syncAudit drives one content audit to completion.
-func syncAudit(pc *pastCluster, auditor int, peer wire.NodeRef, f id.File) (bool, error) {
+func syncAudit(pc *cluster.PAST, auditor int, peer wire.NodeRef, f id.File) (bool, error) {
 	var res *bool
-	if err := pc.PAST[auditor].AuditPeer(peer, f, func(ok bool) { res = &ok }); err != nil {
+	if err := pc.Node(auditor).AuditPeer(peer, f, func(ok bool) { res = &ok }); err != nil {
 		return false, err
 	}
-	pc.Net.RunUntil(func() bool { return res != nil }, 10_000_000)
-	if res == nil {
+	if !pc.Await(func() bool { return res != nil }) {
 		return false, past.ErrTimeout
 	}
 	return *res, nil
@@ -300,10 +300,10 @@ func E20RegionalOutage(scale Scale, seed int64) Result {
 	}
 	outageAt, healAt, horizon := 5*time.Second, 25*time.Second, 45*time.Second
 	cfg := churnPASTConfig()
-	cp := buildChurnPAST(n, seed, cfg)
+	cp := buildChurnPAST(n, seed, cfg, nil)
 	var ids []id.File
 	for f := 0; len(ids) < files && f < 2*files; f++ {
-		res := cp.insert(cp.Rand().Intn(n), fmt.Sprintf("out-%d", f), make([]byte, 1024))
+		res := cp.Insert(cp.Rand().Intn(n), nil, fmt.Sprintf("out-%d", f), make([]byte, 1024), 0)
 		if res.Err == nil {
 			ids = append(ids, res.FileID)
 		}
@@ -313,7 +313,7 @@ func E20RegionalOutage(scale Scale, seed int64) Result {
 	cp.RunSettle(3 * time.Second)
 	countHealthy := func() (atLeast1, atLeastK int) {
 		for _, f := range ids {
-			c := cp.liveVerifiedCopies(f)
+			c := cp.LiveVerifiedCopies(f)
 			if c >= 1 {
 				atLeast1++
 			}
@@ -327,7 +327,7 @@ func E20RegionalOutage(scale Scale, seed int64) Result {
 	// outage dip (live_nodes, lookup_ok, replicas ge_k) and the post-heal
 	// recovery window by window.
 	var series strings.Builder
-	es := newExpSeries(cp.Cluster, func() []*past.Node { return cp.nodes }, &series,
+	es := newExpSeries(cp, &series,
 		[2]string{"exp", "E20"}, [2]string{"scale", scale.String()})
 	es.trackReplicas(func() (int, int) { return countHealthy() }, func() int { return len(ids) })
 	dom := cp.Topo.Transit(0)
@@ -376,7 +376,7 @@ func E20RegionalOutage(scale Scale, seed int64) Result {
 			for l := 0; l < 2; l++ {
 				f := ids[cp.Rand().Intn(len(ids))]
 				t0 := es.now()
-				lr := cp.lookup(cp.RandomLiveNode(), f)
+				lr := cp.Lookup(cp.RandomLiveNode(), f)
 				es.lookup(es.now()-t0, lr.Hops, lr.Err)
 				total++
 				if lr.Err == nil {
@@ -421,7 +421,7 @@ func E21FlashCrowd(scale Scale, seed int64) Result {
 	for _, caching := range []bool{false, true} {
 		cfg := defaultPASTConfig()
 		cfg.Caching = caching
-		pc := mustPAST(n, seed, cfg, nil, sharded)
+		pc := mustPAST(n, seed, cfg, nil, nil)
 		ids := advPopulate(pc, files, "fc")
 		viral := len(ids) - 1 // an unpopular file until the crowd arrives
 		fcw := workload.NewFlashCrowd(seed+31, 1.2, len(ids), viral)
@@ -429,7 +429,7 @@ func E21FlashCrowd(scale Scale, seed int64) Result {
 		var hops metrics.Summary
 		for l := 0; l < reqs; l++ {
 			client := pc.Rand().Intn(n)
-			lr := pc.lookup(client, ids[fcw.Draw()])
+			lr := pc.Lookup(client, ids[fcw.Draw()])
 			if lr.Err == nil {
 				ok++
 				hops.Add(float64(lr.Hops))
@@ -439,7 +439,7 @@ func E21FlashCrowd(scale Scale, seed int64) Result {
 			}
 		}
 		pushes, served, maxServed := 0, 0, 0
-		for _, pn := range pc.PAST {
+		for _, pn := range pc.PASTNodes() {
 			st := pn.Stats()
 			pushes += st.CachePushes
 			served += st.LookupsServed

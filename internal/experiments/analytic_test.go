@@ -26,12 +26,8 @@ func TestAnalyticReplicaPlacement(t *testing.T) {
 	cfg.K = k
 	cfg.Caching = false
 
-	build := func(analytic bool) *pastCluster {
-		pc, err := buildPAST(n, seed, cfg, nil, func(o *cluster.Options) { o.Analytic = analytic })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pc
+	build := func(analytic bool) *cluster.PAST {
+		return mustPAST(n, seed, cfg, nil, func(o *cluster.Options) { o.Analytic = analytic })
 	}
 	pp := build(false)
 	pa := build(true)
@@ -45,8 +41,8 @@ func TestAnalyticReplicaPlacement(t *testing.T) {
 		// same fileIds → placements are directly comparable.
 		const entry = 0
 		data := make([]byte, 256)
-		rp := pp.insert(entry, pp.Cards[0], name, data, k)
-		ra := pa.insert(entry, pa.Cards[0], name, data, k)
+		rp := pp.Insert(entry, pp.Card(0), name, data, k)
+		ra := pa.Insert(entry, pa.Card(0), name, data, k)
 		if rp.Err != nil || ra.Err != nil {
 			t.Fatalf("file %d: insert errs protocol=%v analytic=%v", i, rp.Err, ra.Err)
 		}
@@ -55,10 +51,10 @@ func TestAnalyticReplicaPlacement(t *testing.T) {
 		}
 		var hp, ha []int
 		for j := 0; j < n; j++ {
-			if pp.PAST[j].Store().Has(rp.FileID) {
+			if pp.Node(j).Store().Has(rp.FileID) {
 				hp = append(hp, j)
 			}
-			if pa.PAST[j].Store().Has(ra.FileID) {
+			if pa.Node(j).Store().Has(ra.FileID) {
 				ha = append(ha, j)
 			}
 		}

@@ -2,8 +2,8 @@ package experiments
 
 // Churn experiments E15-E17: the paper's "Persistence" claim (section
 // 2.1) exercised under continuous membership change. All three are
-// phase experiments on the sharded engine; the churn schedule itself
-// comes from internal/churn, whose traces are a pure function of their
+// phase experiments; the churn schedule itself comes from
+// internal/churn, whose traces are a pure function of their
 // seed, so tables stay byte-identical at any shard count.
 
 import (
@@ -17,8 +17,6 @@ import (
 	"past/internal/metrics"
 	"past/internal/past"
 	"past/internal/pastry"
-	"past/internal/seccrypt"
-	"past/internal/simnet"
 )
 
 // ChurnKnobs are the shared parameters of the churn experiments,
@@ -62,87 +60,17 @@ func churnPastryConfig() pastry.Config {
 	return cfg
 }
 
-// churnPAST is a PAST cluster whose smartcards and storage nodes grow on
-// demand so churn arrivals can join mid-run.
-type churnPAST struct {
-	*cluster.Cluster
-	Broker *seccrypt.Broker
-	cfg    past.Config
-	seed   int64
-	cards  []*seccrypt.Smartcard
-	nodes  []*past.Node
-}
-
-func (cp *churnPAST) card(i int) *seccrypt.Smartcard {
-	for len(cp.cards) <= i {
-		j := len(cp.cards)
-		c, err := cp.Broker.IssueCard(1<<50, cp.cfg.Capacity, 0, seccrypt.DetRand(uint64(cp.seed)<<20+uint64(j)+7))
-		if err != nil {
-			panic(err)
-		}
-		cp.cards = append(cp.cards, c)
-	}
-	return cp.cards[i]
-}
-
 // buildChurnPAST constructs an n-node PAST network ready for mid-run
-// membership changes (growable cards/apps, probes installed).
-func buildChurnPAST(n int, seed int64, cfg past.Config, mut ...func(*cluster.Options)) *churnPAST {
-	broker, err := seccrypt.NewBroker(seccrypt.DetRand(uint64(seed) + 1))
-	if err != nil {
-		panic(err)
-	}
-	cp := &churnPAST{Broker: broker, cfg: cfg, seed: seed}
-	opts := cluster.Options{
-		N:      n,
-		Pastry: churnPastryConfig(),
-		Seed:   seed,
-		NodeID: func(i int) id.Node { return cp.card(i).NodeID() },
-		AppFactory: func(i int, nd *pastry.Node, ep *simnet.Endpoint) pastry.App {
-			for len(cp.nodes) <= i {
-				cp.nodes = append(cp.nodes, nil)
-			}
-			cp.nodes[i] = past.NewNode(cfg, nd, cp.card(i), broker.PublicKey())
-			return cp.nodes[i]
-		},
-	}
-	sharded(&opts)
-	for _, m := range mut {
-		m(&opts)
-	}
-	c, err := cluster.Build(opts)
-	if err != nil {
-		panic(err)
-	}
-	c.EnableProbes()
-	cp.Cluster = c
+// membership changes (keep-alive failure detection, probes installed).
+func buildChurnPAST(n int, seed int64, cfg past.Config, mut func(*cluster.Options)) *cluster.PAST {
+	cp := mustPAST(n, seed, cfg, nil, func(o *cluster.Options) {
+		o.Pastry = churnPastryConfig()
+		if mut != nil {
+			mut(o)
+		}
+	})
+	cp.EnableProbes()
 	return cp
-}
-
-func (cp *churnPAST) insert(node int, name string, data []byte) past.InsertResult {
-	return syncInsert(cp.Cluster, cp.nodes[node], cp.card(node), name, data, cp.cfg.K)
-}
-
-func (cp *churnPAST) lookup(node int, f id.File) past.LookupResult {
-	return syncLookup(cp.Cluster, cp.nodes[node], f)
-}
-
-// liveVerifiedCopies counts live nodes holding a content-verified copy.
-func (cp *churnPAST) liveVerifiedCopies(f id.File) int {
-	n := 0
-	for i, pn := range cp.nodes {
-		if pn == nil || cp.Down(i) {
-			continue
-		}
-		it, err := pn.Store().Get(f)
-		if err != nil {
-			continue
-		}
-		if seccrypt.VerifyContent(&it.Cert, it.Data) == nil {
-			n++
-		}
-	}
-	return n
 }
 
 // churnTrace derives one experiment's trace from the shared knobs.
@@ -165,7 +93,7 @@ func churnTrace(seed int64, initial int, rate float64, session, horizon time.Dur
 func E15ChurnAvailability(scale Scale, seed int64) Result {
 	n, files, horizon := 40, 24, 40*time.Second
 	rates := []float64{0, 0.1, 0.25, 0.5} // arrivals per virtual second
-	var tier []func(*cluster.Options)
+	var tier func(*cluster.Options)
 	var notes []string
 	switch scale {
 	case Full:
@@ -177,13 +105,13 @@ func E15ChurnAvailability(scale Scale, seed int64) Result {
 		// measures the detector, not availability under churn.
 		n, files, horizon = 20000, 60, 15*time.Second
 		rates = []float64{0, 0.25}
-		tier = append(tier, func(o *cluster.Options) {
+		tier = func(o *cluster.Options) {
 			largeTier(o)
 			// Slow the detector to keep the heartbeat load proportionate
 			// to the shorter tier horizon.
 			o.Pastry.KeepAlive = time.Second
 			o.Pastry.FailTimeout = 3 * time.Second
-		})
+		}
 		if scale == Huge {
 			notes = append(notes, "huge tier runs the large (20k) churn sizing: keep-alive heartbeat load dominates beyond it")
 		}
@@ -193,23 +121,23 @@ func E15ChurnAvailability(scale Scale, seed int64) Result {
 	var events uint64
 	var series strings.Builder
 	for _, rate := range rates {
-		cp := buildChurnPAST(n, seed, cfg, tier...)
+		cp := buildChurnPAST(n, seed, cfg, tier)
 		var ids []id.File
 		for f := 0; len(ids) < files && f < 2*files; f++ {
-			res := cp.insert(cp.Rand().Intn(n), fmt.Sprintf("a-%d", f), make([]byte, 1024))
+			res := cp.Insert(cp.Rand().Intn(n), nil, fmt.Sprintf("a-%d", f), make([]byte, 1024), 0)
 			if res.Err == nil {
 				ids = append(ids, res.FileID)
 			}
 		}
 		// Telemetry attaches after population so the series opens on the
 		// steady state; the churn dip then stands out per window.
-		es := newExpSeries(cp.Cluster, func() []*past.Node { return cp.nodes }, &series,
+		es := newExpSeries(cp, &series,
 			[2]string{"exp", "E15"}, [2]string{"rate", fmt.Sprintf("%.2f", rate)},
 			[2]string{"scale", scale.String()})
 		if scale == Small || scale == Full {
 			// Replica health sweeps every live node's store per tracked
 			// file — fine here, skipped on the 20k-node tiers.
-			es.trackReplicas(healthCounter(&ids, cfg.K, cp.liveVerifiedCopies))
+			es.trackReplicas(healthCounter(&ids, cfg.K, cp.LiveVerifiedCopies))
 		}
 		d := churn.NewDriver(cp.Cluster, churnTrace(seed+21, n, rate, Churn.MedianSession, horizon))
 		d.MinLive = n / 2
@@ -220,7 +148,7 @@ func E15ChurnAvailability(scale Scale, seed int64) Result {
 			for l := 0; l < 2; l++ {
 				f := ids[cp.Rand().Intn(len(ids))]
 				t0 := es.now()
-				lr := cp.lookup(cp.RandomLiveNode(), f)
+				lr := cp.Lookup(cp.RandomLiveNode(), f)
 				es.lookup(es.now()-t0, lr.Hops, lr.Err)
 				total++
 				if lr.Err == nil {
@@ -263,10 +191,10 @@ func E16MaintenanceBandwidth(scale Scale, seed int64) Result {
 	for _, legacy := range []bool{false, true} {
 		cfg := churnPASTConfig()
 		cfg.LegacyPushReplication = legacy
-		cp := buildChurnPAST(n, seed, cfg)
+		cp := buildChurnPAST(n, seed, cfg, nil)
 		var ids []id.File
 		for f := 0; len(ids) < files && f < 2*files; f++ {
-			res := cp.insert(cp.Rand().Intn(n), fmt.Sprintf("m-%d", f), make([]byte, 2048))
+			res := cp.Insert(cp.Rand().Intn(n), nil, fmt.Sprintf("m-%d", f), make([]byte, 2048), 0)
 			if res.Err == nil {
 				ids = append(ids, res.FileID)
 			}
@@ -276,7 +204,7 @@ func E16MaintenanceBandwidth(scale Scale, seed int64) Result {
 		d.Advance(horizon)
 		cp.RunSettle(10 * time.Second)
 		var agg past.Stats
-		for _, pn := range cp.nodes {
+		for _, pn := range cp.PASTNodes() {
 			if pn == nil {
 				continue
 			}
@@ -289,7 +217,7 @@ func E16MaintenanceBandwidth(scale Scale, seed int64) Result {
 		}
 		healthy := 0
 		for _, f := range ids {
-			if cp.liveVerifiedCopies(f) >= cfg.K {
+			if cp.LiveVerifiedCopies(f) >= cfg.K {
 				healthy++
 			}
 		}
@@ -323,10 +251,10 @@ func E17ReplicaDurability(scale Scale, seed int64) Result {
 		n, files, horizon = 160, 150, 600*time.Second
 	}
 	cfg := churnPASTConfig()
-	cp := buildChurnPAST(n, seed, cfg)
+	cp := buildChurnPAST(n, seed, cfg, nil)
 	var ids []id.File
 	for f := 0; len(ids) < files && f < 2*files; f++ {
-		res := cp.insert(cp.Rand().Intn(n), fmt.Sprintf("d-%d", f), make([]byte, 1024))
+		res := cp.Insert(cp.Rand().Intn(n), nil, fmt.Sprintf("d-%d", f), make([]byte, 1024), 0)
 		if res.Err == nil {
 			ids = append(ids, res.FileID)
 		}
@@ -341,7 +269,7 @@ func E17ReplicaDurability(scale Scale, seed int64) Result {
 	var h metrics.Hist
 	atLeastK, lost := 0, 0
 	for _, f := range ids {
-		c := cp.liveVerifiedCopies(f)
+		c := cp.LiveVerifiedCopies(f)
 		h.Add(c)
 		if c >= cfg.K {
 			atLeastK++

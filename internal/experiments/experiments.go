@@ -17,8 +17,6 @@ import (
 	"past/internal/metrics"
 	"past/internal/past"
 	"past/internal/pastry"
-	"past/internal/seccrypt"
-	"past/internal/simnet"
 )
 
 // Scale selects experiment sizing.
@@ -152,18 +150,23 @@ func Run(idStr string, scale Scale, seed int64) (Result, error) {
 // ---------------------------------------------------------------------------
 // Shared harness helpers
 
-// routingCluster builds an N-node overlay with recorder apps.
-func routingCluster(n int, seed int64, mut func(*cluster.Options)) (*cluster.Cluster, []*cluster.Recorder, error) {
-	factory, recs := cluster.RecorderFactory(n)
-	opts := cluster.Options{
-		N:          n,
-		Pastry:     pastry.DefaultConfig(),
-		Seed:       seed,
-		AppFactory: factory,
-	}
+// clusterOptions is how every experiment configures its simulated
+// network: the default overlay parameters and the package-level shard and
+// worker counts (which select parallelism only, never results), then the
+// experiment's own mutator.
+func clusterOptions(n int, seed int64, mut func(*cluster.Options)) cluster.Options {
+	opts := cluster.Options{N: n, Pastry: pastry.DefaultConfig(), Seed: seed, Shards: Shards, WindowWorkers: WindowWorkers}
 	if mut != nil {
 		mut(&opts)
 	}
+	return opts
+}
+
+// routingCluster builds an N-node overlay with recorder apps.
+func routingCluster(n int, seed int64, mut func(*cluster.Options)) (*cluster.Cluster, []*cluster.Recorder, error) {
+	factory, recs := cluster.RecorderFactory(n)
+	opts := clusterOptions(n, seed, mut)
+	opts.AppFactory = factory
 	c, err := cluster.Build(opts)
 	return c, recs, err
 }
@@ -206,14 +209,12 @@ func probeRoute(c *cluster.Cluster, recs []*cluster.Recorder, from int, key id.N
 }
 
 // largeTier configures a bulk-constructed tier cluster: analytic ring
-// seeding instead of protocol joins, compact per-node randomness, and the
-// sharded engine. Only the Large/Huge tiers use it — their output is new,
-// so the stream changes CompactRand implies are admissible there and
-// nowhere else.
+// seeding instead of protocol joins and compact per-node randomness.
+// Only the Large/Huge tiers use it — their output is new, so the stream
+// changes CompactRand implies are admissible there and nowhere else.
 func largeTier(o *cluster.Options) {
 	o.Analytic = true
 	o.Pastry.CompactRand = true
-	sharded(o)
 }
 
 // probeRouteTo sends one probe whose correct destination is already known
@@ -236,109 +237,12 @@ func probeRouteTo(c *cluster.Cluster, recs []*cluster.Recorder, from, dest int, 
 	return *got, true
 }
 
-// pastCluster bundles PAST nodes with their smartcards.
-type pastCluster struct {
-	*cluster.Cluster
-	Broker *seccrypt.Broker
-	Cards  []*seccrypt.Smartcard
-	PAST   []*past.Node
-}
-
-// buildPAST constructs a PAST network. capacities may be nil (uniform
-// cfg.Capacity) or provide per-node capacities.
-func buildPAST(n int, seed int64, cfg past.Config, capacities func(i int) int64, mut func(*cluster.Options)) (*pastCluster, error) {
-	broker, err := seccrypt.NewBroker(seccrypt.DetRand(uint64(seed) + 1))
-	if err != nil {
-		return nil, err
-	}
-	cards := make([]*seccrypt.Smartcard, n)
-	caps := make([]int64, n)
-	for i := range cards {
-		caps[i] = cfg.Capacity
-		if capacities != nil {
-			caps[i] = capacities(i)
-		}
-		cards[i], err = broker.IssueCard(1<<50, caps[i], 0, seccrypt.DetRand(uint64(seed)<<20+uint64(i)+7))
-		if err != nil {
-			return nil, err
-		}
-	}
-	pnodes := make([]*past.Node, n)
-	opts := cluster.Options{
-		N:      n,
-		Pastry: pastry.DefaultConfig(),
-		Seed:   seed,
-		NodeID: func(i int) id.Node { return cards[i].NodeID() },
-		AppFactory: func(i int, nd *pastry.Node, ep *simnet.Endpoint) pastry.App {
-			nodeCfg := cfg
-			nodeCfg.Capacity = caps[i]
-			pnodes[i] = past.NewNode(nodeCfg, nd, cards[i], broker.PublicKey())
-			return pnodes[i]
-		},
-	}
-	if mut != nil {
-		mut(&opts)
-	}
-	c, err := cluster.Build(opts)
-	if err != nil {
-		return nil, err
-	}
-	return &pastCluster{Cluster: c, Broker: broker, Cards: cards, PAST: pnodes}, nil
-}
-
-func mustPAST(n int, seed int64, cfg past.Config, capacities func(i int) int64, mut func(*cluster.Options)) *pastCluster {
-	pc, err := buildPAST(n, seed, cfg, capacities, mut)
+// mustPAST builds a PAST network. capacities may be nil (uniform cfg.Capacity) or provide per-node
+// capacities. A failed build is a bug, as in mustRoutingCluster.
+func mustPAST(n int, seed int64, cfg past.Config, capacities func(i int) int64, mut func(*cluster.Options)) *cluster.PAST {
+	pc, err := cluster.BuildPAST(clusterOptions(n, seed, mut), cfg, capacities, 0)
 	if err != nil {
 		panic(err)
 	}
 	return pc
-}
-
-// syncInsert drives one insert on pn to completion (shared by the static
-// and churn harnesses).
-func syncInsert(c *cluster.Cluster, pn *past.Node, card *seccrypt.Smartcard, name string, data []byte, k int) past.InsertResult {
-	var res *past.InsertResult
-	pn.Insert(card, name, data, k, func(r past.InsertResult) { res = &r })
-	c.Net.RunUntil(func() bool { return res != nil }, 50_000_000)
-	if res == nil {
-		return past.InsertResult{Err: past.ErrTimeout}
-	}
-	return *res
-}
-
-// syncLookup drives one lookup on pn to completion.
-func syncLookup(c *cluster.Cluster, pn *past.Node, f id.File) past.LookupResult {
-	var res *past.LookupResult
-	pn.Lookup(f, func(r past.LookupResult) { res = &r })
-	c.Net.RunUntil(func() bool { return res != nil }, 50_000_000)
-	if res == nil {
-		return past.LookupResult{Err: past.ErrTimeout}
-	}
-	return *res
-}
-
-// insert runs one synchronous insert.
-func (pc *pastCluster) insert(node int, card *seccrypt.Smartcard, name string, data []byte, k int) past.InsertResult {
-	return syncInsert(pc.Cluster, pc.PAST[node], card, name, data, k)
-}
-
-// lookup runs one synchronous lookup.
-func (pc *pastCluster) lookup(node int, f id.File) past.LookupResult {
-	return syncLookup(pc.Cluster, pc.PAST[node], f)
-}
-
-// globalUtilization sums used/capacity over live nodes.
-func (pc *pastCluster) globalUtilization() float64 {
-	var used, capTotal int64
-	for i, pn := range pc.PAST {
-		if pc.Down(i) {
-			continue
-		}
-		used += pn.Store().Used()
-		capTotal += pn.Store().Capacity()
-	}
-	if capTotal == 0 {
-		return 0
-	}
-	return float64(used) / float64(capTotal)
 }

@@ -14,9 +14,9 @@ package experiments
 // per (seed, point), not per schedule.
 //
 // Experiments that drive one long-lived cluster through phases (E2-E5,
-// E8, E9, E12-E17) cannot fan out across points; they instead run on
-// simnet's sharded conservative-window engine, which parallelizes inside
-// the single simulation. See sharded.go.
+// E8, E9, E12-E21) cannot fan out across points; they instead rely on
+// simnet's shards, which parallelize inside the single simulation. See
+// sharded.go.
 
 import (
 	"runtime"

@@ -98,7 +98,7 @@ func E2HopDistribution(scale Scale, seed int64) Result {
 	if scale == Full {
 		n, trials = 10000, 10000
 	}
-	c, recs := mustRoutingCluster(n, seed, sharded)
+	c, recs := mustRoutingCluster(n, seed, nil)
 	var h metrics.Hist
 	for t := 0; t < trials; t++ {
 		key := id.Rand(uint64(seed)<<32 + uint64(t))
@@ -129,7 +129,7 @@ func E3Locality(scale Scale, seed int64) Result {
 	if scale == Full {
 		n, trials = 5000, 2000
 	}
-	c, recs := mustRoutingCluster(n, seed, sharded)
+	c, recs := mustRoutingCluster(n, seed, nil)
 	var ratios, routeD, directD metrics.Summary
 	for t := 0; t < trials; t++ {
 		key := id.Rand(uint64(seed)<<32 + uint64(t))
@@ -166,7 +166,7 @@ func E3Locality(scale Scale, seed int64) Result {
 // the time and one of the two nearest ~92%.
 func E4ReplicaProximity(scale Scale, seed int64) Result {
 	n, files, lookups := 256, 40, 300
-	mut := sharded
+	var mut func(*cluster.Options)
 	switch scale {
 	case Full:
 		n, files, lookups = 5000, 200, 2000
@@ -189,12 +189,12 @@ func E4ReplicaProximity(scale Scale, seed int64) Result {
 	}
 	var pop []stored
 	for i := 0; i < files; i++ {
-		res := pc.insert(pc.Rand().Intn(n), pc.Cards[0], fmt.Sprintf("file-%d", i), make([]byte, 1024), 5)
+		res := pc.Insert(pc.Rand().Intn(n), pc.Card(0), fmt.Sprintf("file-%d", i), make([]byte, 1024), 5)
 		if res.Err != nil {
 			continue
 		}
 		var holders []int
-		for j, pn := range pc.PAST {
+		for j, pn := range pc.PASTNodes() {
 			if pn.Store().Has(res.FileID) {
 				holders = append(holders, j)
 			}
@@ -212,7 +212,7 @@ func E4ReplicaProximity(scale Scale, seed int64) Result {
 			// population folded onto entry nodes.
 			client = mux.EntryNode(mux.Client(uint64(t)), n)
 		}
-		lr := pc.lookup(client, s.f)
+		lr := pc.Lookup(client, s.f)
 		if lr.Err != nil {
 			continue
 		}
@@ -265,7 +265,7 @@ func E5FailureRouting(scale Scale, seed int64) Result {
 	if scale == Full {
 		n, trials = 5000, 1500
 	}
-	c, recs := mustRoutingCluster(n, seed, sharded)
+	c, recs := mustRoutingCluster(n, seed, nil)
 	phase := func(label string) (delivered int, hops metrics.Summary) {
 		for t := 0; t < trials; t++ {
 			key := id.Rand(uint64(seed)<<32 + uint64(t) + uint64(len(label))<<48)
@@ -468,7 +468,7 @@ func E13ChordComparison(scale Scale, seed int64) Result {
 	if scale == Full {
 		n, trials = 5000, 2000
 	}
-	c, recs := mustRoutingCluster(n, seed, sharded)
+	c, recs := mustRoutingCluster(n, seed, nil)
 	ids := make([]id.Node, n)
 	idxs := make([]int, n)
 	for i, nd := range c.Nodes {
@@ -574,7 +574,7 @@ func E14ReplicaDiversity(scale Scale, seed int64) Result {
 		n, files = 4000, 1000
 	}
 	k := 5
-	c, _ := mustRoutingCluster(n, seed, sharded)
+	c, _ := mustRoutingCluster(n, seed, nil)
 	var stubs, transits metrics.Summary
 	sameStubPairs, pairs := 0, 0
 	stubsPerTransit := c.Opts.Topology.StubsPerTransit

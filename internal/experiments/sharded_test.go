@@ -7,7 +7,7 @@ import (
 )
 
 // render flattens a result into the bytes a report would show: table plus
-// notes. Byte equality here is the acceptance bar for the sharded engine.
+// notes. Byte equality here is the acceptance bar for the simulator.
 func render(r Result) string {
 	var b strings.Builder
 	b.WriteString(r.Table.String())
@@ -18,30 +18,39 @@ func render(r Result) string {
 	return b.String()
 }
 
-// TestShardedDeterminismE4 asserts the tentpole guarantee end to end: a
+// TestShardedDeterminism asserts the simulator's guarantee end to end: a
 // phase experiment (E4, replica proximity — inserts, lookups, replica
-// ranking on one 256-node cluster) produces byte-identical tables at
-// shards=1, 2 and 4 for a fixed seed. Run under -race in CI, this also
-// proves the cross-shard handoff is properly synchronized.
-func TestShardedDeterminismE4(t *testing.T) {
+// ranking on one 256-node cluster) and one grid experiment of each family
+// (E1 on recorder overlays, E10 on PAST networks, their points fanned out
+// by forEachPoint) produce byte-identical tables at shards=1, 2 and 4 for
+// a fixed seed. Run under -race in CI, this also proves the cross-shard
+// handoff is properly synchronized.
+func TestShardedDeterminism(t *testing.T) {
 	defer func(old int) { Shards = old }(Shards)
 
-	var base string
-	for _, shards := range []int{1, 2, 4} {
-		Shards = shards
-		res, err := Run("E4", Small, 42)
-		if err != nil {
-			t.Fatalf("E4 at shards=%d: %v", shards, err)
-		}
-		got := render(res)
-		if shards == 1 {
-			base = got
-			continue
-		}
-		if got != base {
-			t.Fatalf("E4 tables diverge between shards=1 and shards=%d:\n--- shards=1:\n%s\n--- shards=%d:\n%s",
-				shards, base, shards, got)
-		}
+	for _, exp := range []string{"E4", "E1", "E10"} {
+		t.Run(exp, func(t *testing.T) {
+			if exp != "E4" && testing.Short() {
+				t.Skip("short mode")
+			}
+			var base string
+			for _, shards := range []int{1, 2, 4} {
+				Shards = shards
+				res, err := Run(exp, Small, 42)
+				if err != nil {
+					t.Fatalf("%s at shards=%d: %v", exp, shards, err)
+				}
+				got := render(res)
+				if shards == 1 {
+					base = got
+					continue
+				}
+				if got != base {
+					t.Fatalf("%s tables diverge between shards=1 and shards=%d:\n--- shards=1:\n%s\n--- shards=%d:\n%s",
+						exp, shards, base, shards, got)
+				}
+			}
+		})
 	}
 }
 
@@ -150,7 +159,7 @@ func TestAntiEntropySavesBandwidth(t *testing.T) {
 
 // TestShardedDeterminismE12 covers a second phase experiment shape — the
 // quota walkthrough drives inserts, a reclaim and broker accounting
-// through the sharded engine — at a different cluster size.
+// — at a different cluster size.
 func TestShardedDeterminismE12(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

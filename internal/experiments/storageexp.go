@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"past/internal/cluster"
 	"past/internal/id"
 	"past/internal/metrics"
 	"past/internal/past"
@@ -111,15 +112,15 @@ func (r *storageRun) record(util float64, size int64, res past.InsertResult) {
 
 // driveToSaturation inserts drawn files until `stopAfter` consecutive
 // rejections or maxInserts attempts.
-func driveToSaturation(pc *pastCluster, sizes *workload.SizeDist, k, maxInserts, stopAfter int) *storageRun {
+func driveToSaturation(pc *cluster.PAST, sizes *workload.SizeDist, k, maxInserts, stopAfter int) *storageRun {
 	run := newStorageRun()
 	consecutive := 0
-	n := len(pc.PAST)
+	n := len(pc.PASTNodes())
 	for i := 0; i < maxInserts && consecutive < stopAfter; i++ {
 		size := sizes.Draw()
-		util := pc.globalUtilization()
+		util := pc.Utilization()
 		node := pc.Rand().Intn(n)
-		res := pc.insert(node, pc.Cards[node], fmt.Sprintf("w-%d", i), make([]byte, size), k)
+		res := pc.Insert(node, pc.Card(node), fmt.Sprintf("w-%d", i), make([]byte, size), k)
 		run.record(util, size, res)
 		if res.Err != nil {
 			consecutive++
@@ -127,7 +128,7 @@ func driveToSaturation(pc *pastCluster, sizes *workload.SizeDist, k, maxInserts,
 			consecutive = 0
 		}
 	}
-	run.finalUtil = pc.globalUtilization()
+	run.finalUtil = pc.Utilization()
 	return run
 }
 
@@ -142,7 +143,7 @@ func E8Utilization(scale Scale, seed int64) Result {
 	cfg := defaultPASTConfig()
 	caps := workload.DefaultCapacities(seed+3, cfg.Capacity)
 	sizes := experimentSizes(seed+4, cfg.Capacity)
-	pc := mustPAST(n, seed, cfg, func(int) int64 { return caps.Draw() }, sharded)
+	pc := mustPAST(n, seed, cfg, func(int) int64 { return caps.Draw() }, nil)
 	run := driveToSaturation(pc, sizes, cfg.K, maxInserts, 15)
 
 	tbl := &metrics.Table{Header: []string{"utilization band", "attempts", "rejects", "reject rate"}}
@@ -195,7 +196,7 @@ func E9RejectionBias(scale Scale, seed int64) Result {
 	}
 	cfg := defaultPASTConfig()
 	sizes := experimentSizes(seed+4, cfg.Capacity)
-	pc := mustPAST(n, seed, cfg, nil, sharded)
+	pc := mustPAST(n, seed, cfg, nil, nil)
 	run := driveToSaturation(pc, sizes, cfg.K, maxInserts, 15)
 
 	tbl := &metrics.Table{Header: []string{"file size", "attempts", "rejects", "reject rate"}}
@@ -256,7 +257,7 @@ func E10Caching(scale Scale, seed int64) Result {
 		var ids []pastInsert
 		for f := 0; f < files; f++ {
 			node := pc.Rand().Intn(n)
-			res := pc.insert(node, pc.Cards[node], fmt.Sprintf("pop-%d", f), make([]byte, sizes.Draw()), cfg.K)
+			res := pc.Insert(node, pc.Card(node), fmt.Sprintf("pop-%d", f), make([]byte, sizes.Draw()), cfg.K)
 			if res.Err == nil {
 				ids = append(ids, pastInsert{res.FileID, res.Cert.Size})
 			}
@@ -268,7 +269,7 @@ func E10Caching(scale Scale, seed int64) Result {
 		z := workload.NewZipf(seed+6, 1.1, len(ids))
 		for t := 0; t < lookups; t++ {
 			f := ids[z.Draw()]
-			lr := pc.lookup(pc.Rand().Intn(n), f.id)
+			lr := pc.Lookup(pc.Rand().Intn(n), f.id)
 			if lr.Err != nil {
 				continue
 			}
@@ -312,25 +313,23 @@ func E12Quota(scale Scale, seed int64) Result {
 		n = 64
 	}
 	cfg := defaultPASTConfig()
-	pc := mustPAST(n, seed, cfg, nil, sharded)
+	pc := mustPAST(n, seed, cfg, nil, nil)
 	user, err := pc.Broker.IssueCard(100<<10, 0, 0, seccrypt.DetRand(uint64(seed)+99))
 	if err != nil {
 		panic(err)
 	}
 	tbl := &metrics.Table{Header: []string{"step", "outcome", "remaining quota"}}
 	// 1: insert within quota: 20 KiB × 3 = 60 KiB.
-	res1 := pc.insert(0, user, "a.bin", make([]byte, 20<<10), 3)
+	res1 := pc.Insert(0, user, "a.bin", make([]byte, 20<<10), 3)
 	tbl.AddRow("insert 20KiB k=3", errLabel(res1.Err), user.RemainingQuota())
 	// 2: second insert would need 60 KiB > 40 KiB left: card refuses.
-	res2 := pc.insert(0, user, "b.bin", make([]byte, 20<<10), 3)
+	res2 := pc.Insert(0, user, "b.bin", make([]byte, 20<<10), 3)
 	tbl.AddRow("insert 20KiB k=3 again", errLabel(res2.Err), user.RemainingQuota())
 	// 3: reclaim the first file: quota restored.
-	var rr *past.ReclaimResult
-	pc.PAST[0].Reclaim(user, res1.FileID, func(r past.ReclaimResult) { rr = &r })
-	pc.Net.RunUntil(func() bool { return rr != nil }, 20_000_000)
-	tbl.AddRow("reclaim first file", errLabel(errOf(rr)), user.RemainingQuota())
+	rr := pc.Reclaim(0, user, res1.FileID)
+	tbl.AddRow("reclaim first file", errLabel(rr.Err), user.RemainingQuota())
 	// 4: the insert now fits.
-	res4 := pc.insert(0, user, "c.bin", make([]byte, 20<<10), 3)
+	res4 := pc.Insert(0, user, "c.bin", make([]byte, 20<<10), 3)
 	tbl.AddRow("insert 20KiB k=3 after reclaim", errLabel(res4.Err), user.RemainingQuota())
 	demand, supply := pc.Broker.Balance()
 	return Result{
@@ -349,13 +348,6 @@ func errLabel(err error) string {
 		return "ok"
 	}
 	return "refused"
-}
-
-func errOf(rr *past.ReclaimResult) error {
-	if rr == nil {
-		return past.ErrTimeout
-	}
-	return rr.Err
 }
 
 // A2DiversionAblation toggles the two storage-management mechanisms of

@@ -6,7 +6,6 @@ import (
 
 	"past/internal/cluster"
 	"past/internal/id"
-	"past/internal/past"
 	"past/internal/telemetry"
 )
 
@@ -36,10 +35,10 @@ type expSeries struct {
 }
 
 // newExpSeries attaches a recorder to c: cluster series (live_nodes,
-// net_events), storage-layer deltas over nodes(), and the lookup driver
-// series. tags label every emitted point; finish() appends the line
-// protocol to out.
-func newExpSeries(c *cluster.Cluster, nodes func() []*past.Node, out *strings.Builder, tags ...[2]string) *expSeries {
+// net_events), storage-layer deltas over its PAST nodes, and the lookup
+// driver series. tags label every emitted point; finish() appends the
+// line protocol to out.
+func newExpSeries(c *cluster.PAST, out *strings.Builder, tags ...[2]string) *expSeries {
 	if !CollectSeries {
 		return nil
 	}
@@ -48,7 +47,6 @@ func newExpSeries(c *cluster.Cluster, nodes func() []*past.Node, out *strings.Bu
 		rec.SetTag(t[0], t[1])
 	}
 	c.AttachTelemetry(rec)
-	past.RegisterTelemetry(rec, nodes)
 	return &expSeries{
 		rec:      rec,
 		lookups:  rec.Counter("lookups"),
@@ -56,7 +54,7 @@ func newExpSeries(c *cluster.Cluster, nodes func() []*past.Node, out *strings.Bu
 		hops:     rec.Dist("lookup_hops"),
 		latMs:    rec.Dist("lookup_latency_ms"),
 		out:      out,
-		c:        c,
+		c:        c.Cluster,
 	}
 }
 

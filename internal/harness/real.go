@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"past"
+	"past/internal/cluster"
 	"past/internal/seccrypt"
 )
 
@@ -28,9 +29,8 @@ type ClusterOptions struct {
 }
 
 // RealCluster is a set of pastnode processes on loopback sharing one
-// deterministic identity scheme with RunSim: broker det:(seed+1), node i
-// holding card DetRand(seed<<20+i+7) — so node i's nodeId equals
-// simulator node i's.
+// deterministic identity scheme with RunSim (cluster.BrokerSeed,
+// cluster.CardSeed) — so node i's nodeId equals simulator node i's.
 type RealCluster struct {
 	Spec      *Spec
 	Dir       string
@@ -41,10 +41,8 @@ type RealCluster struct {
 
 // BrokerSeed returns the -broker-seed string all members share.
 func (rc *RealCluster) BrokerSeed() string {
-	return "det:" + strconv.FormatUint(uint64(rc.Spec.Seed)+1, 10)
+	return "det:" + strconv.FormatUint(cluster.BrokerSeed(rc.Spec.Seed), 10)
 }
-
-func cardSeed(seed int64, i int) uint64 { return uint64(seed)<<20 + uint64(i) + 7 }
 
 // nodeArgs assembles the pastnode flags for node i. joinAddr empty means
 // -bootstrap (node 0).
@@ -56,7 +54,7 @@ func (rc *RealCluster) nodeArgs(i int, joinAddr string) []string {
 	args := []string{
 		"-listen", listen,
 		"-broker-seed", rc.BrokerSeed(),
-		"-id-seed", strconv.FormatUint(cardSeed(rc.Spec.Seed, i), 10),
+		"-id-seed", strconv.FormatUint(cluster.CardSeed(rc.Spec.Seed, i), 10),
 		"-data", filepath.Join(rc.Dir, fmt.Sprintf("n%d", i)),
 		"-capacity", strconv.FormatInt(rc.Spec.Capacity, 10),
 		"-k", strconv.Itoa(rc.Spec.K),
@@ -176,7 +174,7 @@ func (rc *RealCluster) NewClientOpts(opTimeout time.Duration, mutate func(*past.
 	if err != nil {
 		return nil, nil, err
 	}
-	card, err := broker.IssueCard(1<<50, 0, 0, seccrypt.DetRand(cardSeed(rc.Spec.Seed, rc.Spec.ClientIndex())))
+	card, err := broker.IssueCard(1<<50, 0, 0, seccrypt.DetRand(cluster.CardSeed(rc.Spec.Seed, rc.Spec.ClientIndex())))
 	if err != nil {
 		return nil, nil, err
 	}

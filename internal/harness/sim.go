@@ -7,8 +7,6 @@ import (
 	"past/internal/id"
 	pastcore "past/internal/past"
 	"past/internal/pastry"
-	"past/internal/seccrypt"
-	"past/internal/simnet"
 	"past/internal/wire"
 )
 
@@ -25,57 +23,31 @@ func simConfig(spec *Spec) pastcore.Config {
 
 // RunSim drives the Spec through a simulated cluster of Nodes storage
 // nodes plus one capacity-zero client (the same membership the real
-// cluster gets), using the deterministic identity derivation the
-// experiments use: broker from DetRand(seed+1), card i from
-// DetRand(seed<<20+i+7). It returns the protocol Outcome plus the
+// cluster gets), using the simulator's deterministic identity derivation
+// (cluster.BuildPAST). It returns the protocol Outcome plus the
 // store-level holders map (fileId → sorted nodeIds) for the k-replica
 // invariant check.
 func RunSim(spec *Spec) (Outcome, map[string][]string, error) {
 	out := Outcome{Placement: map[string][]string{}}
-	broker, err := seccrypt.NewBroker(seccrypt.DetRand(uint64(spec.Seed) + 1))
-	if err != nil {
-		return out, nil, err
-	}
-	n := spec.Nodes + 1
-	cards := make([]*seccrypt.Smartcard, n)
-	for i := range cards {
-		capi := spec.Capacity
-		if i == spec.ClientIndex() {
-			capi = 0
-		}
-		cards[i], err = broker.IssueCard(1<<50, capi, 0, seccrypt.DetRand(uint64(spec.Seed)<<20+uint64(i)+7))
-		if err != nil {
-			return out, nil, err
-		}
-	}
-	cfg := simConfig(spec)
-	pnodes := make([]*pastcore.Node, n)
-	c, err := cluster.Build(cluster.Options{
-		N:      n,
-		Pastry: pastry.DefaultConfig(),
-		Seed:   spec.Seed,
-		NodeID: func(i int) id.Node { return cards[i].NodeID() },
-		AppFactory: func(i int, nd *pastry.Node, ep *simnet.Endpoint) pastry.App {
-			nodeCfg := cfg
-			if i == spec.ClientIndex() {
-				nodeCfg.Capacity = 0
+	client := spec.ClientIndex()
+	c, err := cluster.BuildPAST(
+		cluster.Options{N: spec.Nodes + 1, Pastry: pastry.DefaultConfig(), Seed: spec.Seed},
+		simConfig(spec),
+		func(i int) int64 {
+			if i == client {
+				return 0
 			}
-			pnodes[i] = pastcore.NewNode(nodeCfg, nd, cards[i], broker.PublicKey())
-			return pnodes[i]
-		},
-	})
+			return spec.Capacity
+		}, 0)
 	if err != nil {
 		return out, nil, err
 	}
-	client, card := pnodes[spec.ClientIndex()], cards[spec.ClientIndex()]
 
 	fileIDs := make([]id.File, len(spec.Items))
 	ok := make([]bool, len(spec.Items))
 	for i, it := range spec.Items {
-		var res *pastcore.InsertResult
-		client.InsertSalted(card, it.Name, it.Data, spec.K, it.Salt, func(r pastcore.InsertResult) { res = &r })
-		c.Net.RunUntil(func() bool { return res != nil }, 50_000_000)
-		if res == nil || res.Err != nil {
+		res := c.InsertSalted(client, nil, it.Name, it.Data, spec.K, it.Salt)
+		if res.Err != nil {
 			continue
 		}
 		out.Delivered++
@@ -87,10 +59,8 @@ func RunSim(spec *Spec) (Outcome, map[string][]string, error) {
 			out.Hops = append(out.Hops, -1)
 			continue
 		}
-		var res *pastcore.LookupResult
-		client.Lookup(fileIDs[i], func(r pastcore.LookupResult) { res = &r })
-		c.Net.RunUntil(func() bool { return res != nil }, 50_000_000)
-		if res == nil || res.Err != nil {
+		res := c.Lookup(client, fileIDs[i])
+		if res.Err != nil {
 			out.Hops = append(out.Hops, -1)
 			continue
 		}
@@ -100,8 +70,8 @@ func RunSim(spec *Spec) (Outcome, map[string][]string, error) {
 
 	holders := make(map[string][]string)
 	for i := 0; i < spec.Nodes; i++ {
-		nodeID := pnodes[i].Pastry().Ref().ID.String()
-		for _, f := range pnodes[i].Store().Files() {
+		nodeID := c.Nodes[i].Ref().ID.String()
+		for _, f := range c.Node(i).Store().Files() {
 			holders[f.String()] = append(holders[f.String()], nodeID)
 		}
 	}

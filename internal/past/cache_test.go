@@ -17,7 +17,7 @@ func TestSyncCacheYieldsToPrimaryStore(t *testing.T) {
 
 	check := func(when string) {
 		t.Helper()
-		for i, pn := range pc.PAST {
+		for i, pn := range pc.PASTNodes() {
 			if got, want := pn.Cache().Capacity(), pn.Store().Free(); got != want {
 				t.Fatalf("%s: node %d cache capacity %d != store free %d", when, i, got, want)
 			}
@@ -30,15 +30,15 @@ func TestSyncCacheYieldsToPrimaryStore(t *testing.T) {
 	check("empty network")
 
 	var free int64
-	for _, pn := range pc.PAST {
+	for _, pn := range pc.PASTNodes() {
 		free += pn.Store().Free()
 	}
 	for f := 0; f < 24; f++ {
-		pc.insert(t, f%16, pc.Cards[f%16], fmt.Sprintf("fill-%d", f), make([]byte, 4096), 3)
+		pc.Insert(f%16, pc.Card(f%16), fmt.Sprintf("fill-%d", f), make([]byte, 4096), 3)
 	}
 	check("after inserts")
 	var freeNow int64
-	for _, pn := range pc.PAST {
+	for _, pn := range pc.PASTNodes() {
 		freeNow += pn.Store().Free()
 	}
 	if freeNow >= free {
@@ -53,8 +53,8 @@ func TestSyncCacheDisabledIsZero(t *testing.T) {
 	cfg := defaultCfg()
 	cfg.Caching = false
 	pc := buildPAST(t, 8, 132, cfg, nil)
-	pc.insert(t, 0, pc.Cards[0], "a.bin", make([]byte, 1024), 3)
-	for i, pn := range pc.PAST {
+	pc.Insert(0, pc.Card(0), "a.bin", make([]byte, 1024), 3)
+	for i, pn := range pc.PASTNodes() {
 		if pn.Cache().Capacity() != 0 || pn.Cache().Used() != 0 {
 			t.Fatalf("node %d cache capacity=%d used=%d with caching disabled",
 				i, pn.Cache().Capacity(), pn.Cache().Used())
@@ -70,12 +70,12 @@ func TestForwardServesMidRouteFromCache(t *testing.T) {
 	cfg := defaultCfg()
 	cfg.Caching = true
 	pc := buildPAST(t, 40, 133, cfg, nil)
-	res := pc.insert(t, 0, pc.Cards[0], "hot.bin", make([]byte, 256), 3)
+	res := pc.Insert(0, pc.Card(0), "hot.bin", make([]byte, 256), 3)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	for i := 0; i < 12; i++ {
-		lr := pc.lookup(t, 29, res.FileID)
+		lr := pc.Lookup(29, res.FileID)
 		if lr.Err != nil {
 			t.Fatalf("lookup %d: %v", i, lr.Err)
 		}
@@ -86,10 +86,10 @@ func TestForwardServesMidRouteFromCache(t *testing.T) {
 		if server < 0 {
 			t.Fatalf("cached reply from unknown node %s", lr.From.ID.Short())
 		}
-		if _, err := pc.PAST[server].Store().Get(res.FileID); err == nil {
+		if _, err := pc.Node(server).Store().Get(res.FileID); err == nil {
 			t.Fatalf("cached reply came from node %d which holds a replica; expected a pure cache copy", server)
 		}
-		if !pc.PAST[server].Cache().Has(res.FileID) {
+		if !pc.Node(server).Cache().Has(res.FileID) {
 			t.Fatalf("node %d served Cached=true but its cache does not hold the file", server)
 		}
 		return

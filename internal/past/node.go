@@ -524,6 +524,17 @@ func (n *Node) handleReplicaStore(m wire.ReplicaStore) {
 		return
 	}
 	if n.store.Has(m.Cert.FileID) {
+		if m.Diverted {
+			if held, err := n.store.Get(m.Cert.FileID); err == nil && held.Primary.ID != m.Primary.ID {
+				// Already held on behalf of another primary of the same
+				// k-set. A second receipt with this node as StoredBy would
+				// not count as a second replica (the client drops it and
+				// the insert stalls), so have the primary try its next
+				// candidate.
+				n.pn.Send(m.Primary, wire.DivertReject{FileID: m.Cert.FileID, ReqID: m.ReqID, From: n.pn.Ref()})
+				return
+			}
+		}
 		// Idempotent: already stored (e.g. re-sent during recovery);
 		// re-issue the receipt so the client can complete.
 		n.sendReceipt(m)

@@ -13,80 +13,18 @@ import (
 	"past/internal/simnet"
 )
 
-// pastCluster bundles a simulated network of PAST nodes with their cards.
-type pastCluster struct {
-	*cluster.Cluster
-	Broker *seccrypt.Broker
-	Cards  []*seccrypt.Smartcard
-	PAST   []*past.Node
-}
-
-func buildPAST(t testing.TB, n int, seed int64, cfg past.Config, mut func(*cluster.Options)) *pastCluster {
+// buildPAST builds a simulated network of PAST nodes with their cards.
+func buildPAST(t testing.TB, n int, seed int64, cfg past.Config, mut func(*cluster.Options)) *cluster.PAST {
 	t.Helper()
-	broker, err := seccrypt.NewBroker(seccrypt.DetRand(uint64(seed) + 1))
-	if err != nil {
-		t.Fatalf("NewBroker: %v", err)
-	}
-	cards := make([]*seccrypt.Smartcard, n)
-	for i := range cards {
-		cards[i], err = broker.IssueCard(1<<40, cfg.Capacity, 0, seccrypt.DetRand(uint64(seed)<<20+uint64(i)+7))
-		if err != nil {
-			t.Fatalf("IssueCard: %v", err)
-		}
-	}
-	pnodes := make([]*past.Node, n)
-	opts := cluster.Options{
-		N:      n,
-		Pastry: pastry.DefaultConfig(),
-		Seed:   seed,
-		NodeID: func(i int) id.Node { return cards[i].NodeID() },
-		AppFactory: func(i int, nd *pastry.Node, ep *simnet.Endpoint) pastry.App {
-			pnodes[i] = past.NewNode(cfg, nd, cards[i], broker.PublicKey())
-			return pnodes[i]
-		},
-	}
+	opts := cluster.Options{N: n, Pastry: pastry.DefaultConfig(), Seed: seed}
 	if mut != nil {
 		mut(&opts)
 	}
-	c, err := cluster.Build(opts)
+	pc, err := cluster.BuildPAST(opts, cfg, nil, 0)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	return &pastCluster{Cluster: c, Broker: broker, Cards: cards, PAST: pnodes}
-}
-
-// insert runs a synchronous insert through the simulator.
-func (pc *pastCluster) insert(t testing.TB, node int, card *seccrypt.Smartcard, name string, data []byte, k int) past.InsertResult {
-	t.Helper()
-	var res *past.InsertResult
-	pc.PAST[node].Insert(card, name, data, k, func(r past.InsertResult) { res = &r })
-	pc.Net.RunUntil(func() bool { return res != nil }, 50_000_000)
-	if res == nil {
-		t.Fatal("insert never completed")
-	}
-	return *res
-}
-
-func (pc *pastCluster) lookup(t testing.TB, node int, f id.File) past.LookupResult {
-	t.Helper()
-	var res *past.LookupResult
-	pc.PAST[node].Lookup(f, func(r past.LookupResult) { res = &r })
-	pc.Net.RunUntil(func() bool { return res != nil }, 50_000_000)
-	if res == nil {
-		t.Fatal("lookup never completed")
-	}
-	return *res
-}
-
-func (pc *pastCluster) reclaim(t testing.TB, node int, card *seccrypt.Smartcard, f id.File) past.ReclaimResult {
-	t.Helper()
-	var res *past.ReclaimResult
-	pc.PAST[node].Reclaim(card, f, func(r past.ReclaimResult) { res = &r })
-	pc.Net.RunUntil(func() bool { return res != nil }, 50_000_000)
-	if res == nil {
-		t.Fatal("reclaim never completed")
-	}
-	return *res
+	return pc
 }
 
 func defaultCfg() past.Config {
@@ -99,7 +37,7 @@ func defaultCfg() past.Config {
 func TestInsertAndLookup(t *testing.T) {
 	pc := buildPAST(t, 24, 100, defaultCfg(), nil)
 	data := []byte("PAST stores this file with k replicas")
-	res := pc.insert(t, 0, pc.Cards[0], "doc.txt", data, 3)
+	res := pc.Insert(0, pc.Card(0), "doc.txt", data, 3)
 	if res.Err != nil {
 		t.Fatalf("insert: %v", res.Err)
 	}
@@ -107,7 +45,7 @@ func TestInsertAndLookup(t *testing.T) {
 		t.Fatalf("got %d receipts, want 3", len(res.Receipts))
 	}
 	// Lookup from a different node.
-	lr := pc.lookup(t, 17, res.FileID)
+	lr := pc.Lookup(17, res.FileID)
 	if lr.Err != nil {
 		t.Fatalf("lookup: %v", lr.Err)
 	}
@@ -118,7 +56,7 @@ func TestInsertAndLookup(t *testing.T) {
 
 func TestReplicasLandOnKClosestNodes(t *testing.T) {
 	pc := buildPAST(t, 32, 101, defaultCfg(), nil)
-	res := pc.insert(t, 5, pc.Cards[5], "placement.bin", make([]byte, 2048), 3)
+	res := pc.Insert(5, pc.Card(5), "placement.bin", make([]byte, 2048), 3)
 	if res.Err != nil {
 		t.Fatalf("insert: %v", res.Err)
 	}
@@ -128,7 +66,7 @@ func TestReplicasLandOnKClosestNodes(t *testing.T) {
 		wantSet[w.ID] = true
 	}
 	stored := 0
-	for i, pn := range pc.PAST {
+	for i, pn := range pc.PASTNodes() {
 		if pn.Store().Has(res.FileID) {
 			if !wantSet[pc.Nodes[i].ID()] {
 				t.Errorf("replica on node %s not among 3 closest", pc.Nodes[i].ID().Short())
@@ -150,7 +88,7 @@ func TestReplicasLandOnKClosestNodes(t *testing.T) {
 
 func TestLookupVerifiesAuthenticity(t *testing.T) {
 	pc := buildPAST(t, 16, 102, defaultCfg(), nil)
-	res := pc.insert(t, 0, pc.Cards[0], "auth.txt", []byte("authentic content"), 3)
+	res := pc.Insert(0, pc.Card(0), "auth.txt", []byte("authentic content"), 3)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -160,7 +98,7 @@ func TestLookupVerifiesAuthenticity(t *testing.T) {
 	// bytes in place (an even number of in-place flips would cancel out).
 	corrupted := append([]byte(nil), []byte("authentic content")...)
 	corrupted[0] ^= 0xFF
-	for _, pn := range pc.PAST {
+	for _, pn := range pc.PASTNodes() {
 		if pn.Store().Has(res.FileID) {
 			it, _ := pn.Store().Get(res.FileID)
 			it.Data = append([]byte(nil), corrupted...)
@@ -169,7 +107,7 @@ func TestLookupVerifiesAuthenticity(t *testing.T) {
 		}
 		pn.Cache().Invalidate(res.FileID)
 	}
-	lr := pc.lookup(t, 9, res.FileID)
+	lr := pc.Lookup(9, res.FileID)
 	if lr.Err == nil {
 		t.Fatal("corrupted content passed client verification")
 	}
@@ -177,7 +115,7 @@ func TestLookupVerifiesAuthenticity(t *testing.T) {
 
 func TestLookupMiss(t *testing.T) {
 	pc := buildPAST(t, 12, 103, defaultCfg(), nil)
-	lr := pc.lookup(t, 2, id.RandFile(987654))
+	lr := pc.Lookup(2, id.RandFile(987654))
 	if !errors.Is(lr.Err, past.ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", lr.Err)
 	}
@@ -188,16 +126,16 @@ func TestImmutabilityDuplicateFileID(t *testing.T) {
 	// salt per attempt so re-inserting the same name yields a distinct
 	// fileId (files are immutable; nothing is overwritten).
 	pc := buildPAST(t, 16, 104, defaultCfg(), nil)
-	r1 := pc.insert(t, 0, pc.Cards[0], "same-name", []byte("v1"), 3)
-	r2 := pc.insert(t, 0, pc.Cards[0], "same-name", []byte("v2"), 3)
+	r1 := pc.Insert(0, pc.Card(0), "same-name", []byte("v1"), 3)
+	r2 := pc.Insert(0, pc.Card(0), "same-name", []byte("v2"), 3)
 	if r1.Err != nil || r2.Err != nil {
 		t.Fatalf("inserts failed: %v %v", r1.Err, r2.Err)
 	}
 	if r1.FileID == r2.FileID {
 		t.Fatal("re-insert reused fileId")
 	}
-	a := pc.lookup(t, 3, r1.FileID)
-	b := pc.lookup(t, 3, r2.FileID)
+	a := pc.Lookup(3, r1.FileID)
+	b := pc.Lookup(3, r2.FileID)
 	if string(a.Data) != "v1" || string(b.Data) != "v2" {
 		t.Fatal("versions confused")
 	}
@@ -206,15 +144,15 @@ func TestImmutabilityDuplicateFileID(t *testing.T) {
 func TestReclaimFreesAndCredits(t *testing.T) {
 	pc := buildPAST(t, 20, 105, defaultCfg(), nil)
 	data := make([]byte, 4096)
-	quotaBefore := pc.Cards[0].RemainingQuota()
-	res := pc.insert(t, 0, pc.Cards[0], "temp.bin", data, 3)
+	quotaBefore := pc.Card(0).RemainingQuota()
+	res := pc.Insert(0, pc.Card(0), "temp.bin", data, 3)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if pc.Cards[0].RemainingQuota() != quotaBefore-3*4096 {
-		t.Fatalf("quota not debited correctly: %d", quotaBefore-pc.Cards[0].RemainingQuota())
+	if pc.Card(0).RemainingQuota() != quotaBefore-3*4096 {
+		t.Fatalf("quota not debited correctly: %d", quotaBefore-pc.Card(0).RemainingQuota())
 	}
-	rr := pc.reclaim(t, 0, pc.Cards[0], res.FileID)
+	rr := pc.Reclaim(0, pc.Card(0), res.FileID)
 	if rr.Err != nil {
 		t.Fatalf("reclaim: %v", rr.Err)
 	}
@@ -222,28 +160,28 @@ func TestReclaimFreesAndCredits(t *testing.T) {
 		t.Fatal("no storage freed")
 	}
 	// All replicas gone.
-	for i, pn := range pc.PAST {
+	for i, pn := range pc.PASTNodes() {
 		if pn.Store().Has(res.FileID) {
 			t.Errorf("node %d still stores reclaimed file", i)
 		}
 	}
 	// Quota credited for each freed replica.
-	if pc.Cards[0].RemainingQuota() != quotaBefore-3*4096+rr.Freed {
-		t.Fatalf("quota after reclaim: %d, freed %d", pc.Cards[0].RemainingQuota(), rr.Freed)
+	if pc.Card(0).RemainingQuota() != quotaBefore-3*4096+rr.Freed {
+		t.Fatalf("quota after reclaim: %d, freed %d", pc.Card(0).RemainingQuota(), rr.Freed)
 	}
 }
 
 func TestReclaimByNonOwnerIgnored(t *testing.T) {
 	pc := buildPAST(t, 20, 106, defaultCfg(), nil)
-	res := pc.insert(t, 0, pc.Cards[0], "mine.bin", make([]byte, 1024), 3)
+	res := pc.Insert(0, pc.Card(0), "mine.bin", make([]byte, 1024), 3)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	rr := pc.reclaim(t, 4, pc.Cards[4], res.FileID)
+	rr := pc.Reclaim(4, pc.Card(4), res.FileID)
 	if rr.Err == nil {
 		t.Fatal("non-owner reclaim produced receipts")
 	}
-	lr := pc.lookup(t, 8, res.FileID)
+	lr := pc.Lookup(8, res.FileID)
 	if lr.Err != nil {
 		t.Fatalf("file should survive unauthorized reclaim: %v", lr.Err)
 	}
@@ -258,7 +196,7 @@ func TestQuotaEnforcedEndToEnd(t *testing.T) {
 	}
 	// 400 bytes × 3 replicas = 1200 > 1000: the card must refuse.
 	var res *past.InsertResult
-	pc.PAST[0].Insert(small, "big.bin", make([]byte, 400), 3, func(r past.InsertResult) { res = &r })
+	pc.Node(0).Insert(small, "big.bin", make([]byte, 400), 3, func(r past.InsertResult) { res = &r })
 	pc.Net.RunUntil(func() bool { return res != nil }, 10_000_000)
 	if res == nil || res.Err == nil {
 		t.Fatal("over-quota insert succeeded")
@@ -267,7 +205,7 @@ func TestQuotaEnforcedEndToEnd(t *testing.T) {
 		t.Fatalf("want quota error, got %v", res.Err)
 	}
 	// 300 × 3 = 900 fits.
-	ok := pc.insert(t, 0, small, "ok.bin", make([]byte, 300), 3)
+	ok := pc.Insert(0, small, "ok.bin", make([]byte, 300), 3)
 	if ok.Err != nil {
 		t.Fatalf("within-quota insert failed: %v", ok.Err)
 	}
@@ -283,14 +221,14 @@ func TestPersistenceAfterFailures(t *testing.T) {
 		o.Pastry.FailTimeout = 1_500_000_000
 	})
 	pc.EnableProbes()
-	res := pc.insert(t, 0, pc.Cards[0], "precious.bin", []byte("survive me"), 3)
+	res := pc.Insert(0, pc.Card(0), "precious.bin", []byte("survive me"), 3)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	// Kill one replica holder; the file must stay available immediately
 	// (k-1 copies remain reachable along the route).
 	killed := 0
-	for i, pn := range pc.PAST {
+	for i, pn := range pc.PASTNodes() {
 		if pn.Store().Has(res.FileID) {
 			pc.Crash(i)
 			killed++
@@ -300,7 +238,7 @@ func TestPersistenceAfterFailures(t *testing.T) {
 	if killed == 0 {
 		t.Fatal("no replica holder found")
 	}
-	lr := pc.lookup(t, 11, res.FileID)
+	lr := pc.Lookup(11, res.FileID)
 	if lr.Err != nil {
 		t.Fatalf("file unavailable after one failure: %v", lr.Err)
 	}
@@ -308,7 +246,7 @@ func TestPersistenceAfterFailures(t *testing.T) {
 	// replicas must exist again.
 	pc.RunSettle(20_000_000_000) // 20s virtual
 	live := 0
-	for i, pn := range pc.PAST {
+	for i, pn := range pc.PASTNodes() {
 		if !pc.Down(i) && pn.Store().Has(res.FileID) {
 			live++
 		}
@@ -321,7 +259,7 @@ func TestPersistenceAfterFailures(t *testing.T) {
 func TestNewNodeReceivesReplicasForItsKeyspace(t *testing.T) {
 	cfg := defaultCfg()
 	pc := buildPAST(t, 20, 109, cfg, nil)
-	res := pc.insert(t, 0, pc.Cards[0], "adopt.bin", make([]byte, 512), 3)
+	res := pc.Insert(0, pc.Card(0), "adopt.bin", make([]byte, 512), 3)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -345,13 +283,13 @@ func TestNewNodeReceivesReplicasForItsKeyspace(t *testing.T) {
 
 func TestAuditPeer(t *testing.T) {
 	pc := buildPAST(t, 16, 110, defaultCfg(), nil)
-	res := pc.insert(t, 0, pc.Cards[0], "audited.bin", []byte("prove you store me"), 3)
+	res := pc.Insert(0, pc.Card(0), "audited.bin", []byte("prove you store me"), 3)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	// Find two holders: one audits the other.
 	var holders []int
-	for i, pn := range pc.PAST {
+	for i, pn := range pc.PASTNodes() {
 		if pn.Store().Has(res.FileID) {
 			holders = append(holders, i)
 		}
@@ -361,7 +299,7 @@ func TestAuditPeer(t *testing.T) {
 	}
 	auditor, target := holders[0], holders[1]
 	var verdict *bool
-	err := pc.PAST[auditor].AuditPeer(pc.Nodes[target].Ref(), res.FileID, func(ok bool) { verdict = &ok })
+	err := pc.Node(auditor).AuditPeer(pc.Nodes[target].Ref(), res.FileID, func(ok bool) { verdict = &ok })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,10 +308,10 @@ func TestAuditPeer(t *testing.T) {
 		t.Fatal("honest holder failed audit")
 	}
 	// A cheating node (discarded the file) fails the audit.
-	pc.PAST[target].Store().Delete(res.FileID)
-	pc.PAST[target].Cache().Invalidate(res.FileID)
+	pc.Node(target).Store().Delete(res.FileID)
+	pc.Node(target).Cache().Invalidate(res.FileID)
 	verdict = nil
-	if err := pc.PAST[auditor].AuditPeer(pc.Nodes[target].Ref(), res.FileID, func(ok bool) { verdict = &ok }); err != nil {
+	if err := pc.Node(auditor).AuditPeer(pc.Nodes[target].Ref(), res.FileID, func(ok bool) { verdict = &ok }); err != nil {
 		t.Fatal(err)
 	}
 	pc.Net.RunUntil(func() bool { return verdict != nil }, 10_000_000)
@@ -386,14 +324,14 @@ func TestCachingServesFromCloser(t *testing.T) {
 	cfg := defaultCfg()
 	cfg.Caching = true
 	pc := buildPAST(t, 40, 111, cfg, nil)
-	res := pc.insert(t, 0, pc.Cards[0], "popular.bin", make([]byte, 256), 3)
+	res := pc.Insert(0, pc.Card(0), "popular.bin", make([]byte, 256), 3)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	// Repeated lookups from the same client should eventually hit caches.
 	cachedSeen := false
 	for i := 0; i < 10; i++ {
-		lr := pc.lookup(t, 33, res.FileID)
+		lr := pc.Lookup(33, res.FileID)
 		if lr.Err != nil {
 			t.Fatalf("lookup %d: %v", i, lr.Err)
 		}
@@ -411,12 +349,12 @@ func TestCachingDisabled(t *testing.T) {
 	cfg := defaultCfg()
 	cfg.Caching = false
 	pc := buildPAST(t, 20, 112, cfg, nil)
-	res := pc.insert(t, 0, pc.Cards[0], "cold.bin", make([]byte, 256), 3)
+	res := pc.Insert(0, pc.Card(0), "cold.bin", make([]byte, 256), 3)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	for i := 0; i < 5; i++ {
-		lr := pc.lookup(t, 13, res.FileID)
+		lr := pc.Lookup(13, res.FileID)
 		if lr.Err != nil {
 			t.Fatal(lr.Err)
 		}
@@ -424,7 +362,7 @@ func TestCachingDisabled(t *testing.T) {
 			t.Fatal("cache hit despite caching disabled")
 		}
 	}
-	for _, pn := range pc.PAST {
+	for _, pn := range pc.PASTNodes() {
 		if pn.Cache().Len() != 0 {
 			t.Fatal("cache populated despite caching disabled")
 		}
@@ -441,14 +379,14 @@ func TestReplicaDiversionWhenNodeFull(t *testing.T) {
 	// Fill the network until some primaries must divert.
 	diverted := 0
 	for i := 0; i < 60; i++ {
-		res := pc.insert(t, i%24, pc.Cards[i%24], fmt.Sprintf("fill-%d", i), make([]byte, 1024), 3)
+		res := pc.Insert(i%24, pc.Card(i%24), fmt.Sprintf("fill-%d", i), make([]byte, 1024), 3)
 		if res.Err != nil {
 			continue
 		}
 		diverted += res.Diverted
 	}
 	totalDiverted := 0
-	for _, pn := range pc.PAST {
+	for _, pn := range pc.PASTNodes() {
 		totalDiverted += pn.Stats().DivertedStores
 	}
 	if totalDiverted == 0 {
@@ -469,7 +407,7 @@ func TestDivertedFileRetrievable(t *testing.T) {
 	pc := buildPAST(t, 24, 114, cfg, nil)
 	var divertedFile *id.File
 	for i := 0; i < 80 && divertedFile == nil; i++ {
-		res := pc.insert(t, i%24, pc.Cards[i%24], fmt.Sprintf("d-%d", i), make([]byte, 1024), 3)
+		res := pc.Insert(i%24, pc.Card(i%24), fmt.Sprintf("d-%d", i), make([]byte, 1024), 3)
 		if res.Err == nil && res.Diverted > 0 {
 			f := res.FileID
 			divertedFile = &f
@@ -478,7 +416,7 @@ func TestDivertedFileRetrievable(t *testing.T) {
 	if divertedFile == nil {
 		t.Skip("no diverted insert produced in this run")
 	}
-	lr := pc.lookup(t, 7, *divertedFile)
+	lr := pc.Lookup(7, *divertedFile)
 	if lr.Err != nil {
 		t.Fatalf("diverted file not retrievable: %v", lr.Err)
 	}
@@ -496,13 +434,13 @@ func TestFileDiversionRetries(t *testing.T) {
 	pc := buildPAST(t, 16, 115, cfg, nil)
 	// Fill most nodes almost completely so first attempts often fail.
 	for i := 0; i < 40; i++ {
-		pc.insert(t, i%16, pc.Cards[i%16], fmt.Sprintf("fill-%d", i), make([]byte, 3<<10), 1)
+		pc.Insert(i%16, pc.Card(i%16), fmt.Sprintf("fill-%d", i), make([]byte, 3<<10), 1)
 	}
 	// Now a 2 KiB file may be rejected at full roots and succeed after
 	// re-salting toward an emptier region.
 	retried := false
 	for i := 0; i < 20 && !retried; i++ {
-		res := pc.insert(t, 3, pc.Cards[3], fmt.Sprintf("retry-%d", i), make([]byte, 2<<10), 1)
+		res := pc.Insert(3, pc.Card(3), fmt.Sprintf("retry-%d", i), make([]byte, 2<<10), 1)
 		if res.Err == nil && res.Retries > 0 {
 			retried = true
 		}
@@ -520,29 +458,29 @@ func TestInsertRejectAfterRetriesRefundsQuota(t *testing.T) {
 	cfg.MaxRetries = 2
 	cfg.RequestTimeout = 5_000_000_000
 	pc := buildPAST(t, 8, 116, cfg, nil)
-	quotaBefore := pc.Cards[0].RemainingQuota()
+	quotaBefore := pc.Card(0).RemainingQuota()
 	// A file bigger than any node's capacity can never be stored.
-	res := pc.insert(t, 0, pc.Cards[0], "whale.bin", make([]byte, 4<<10), 3)
+	res := pc.Insert(0, pc.Card(0), "whale.bin", make([]byte, 4<<10), 3)
 	if res.Err == nil {
 		t.Fatal("impossible insert succeeded")
 	}
 	if res.Retries != 2 {
 		t.Fatalf("retries = %d, want 2", res.Retries)
 	}
-	if pc.Cards[0].RemainingQuota() != quotaBefore {
-		t.Fatalf("quota leaked: %d != %d", pc.Cards[0].RemainingQuota(), quotaBefore)
+	if pc.Card(0).RemainingQuota() != quotaBefore {
+		t.Fatalf("quota leaked: %d != %d", pc.Card(0).RemainingQuota(), quotaBefore)
 	}
 }
 
 func TestStatsAccumulate(t *testing.T) {
 	pc := buildPAST(t, 16, 117, defaultCfg(), nil)
-	res := pc.insert(t, 0, pc.Cards[0], "s.bin", make([]byte, 128), 3)
+	res := pc.Insert(0, pc.Card(0), "s.bin", make([]byte, 128), 3)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	pc.lookup(t, 9, res.FileID)
+	pc.Lookup(9, res.FileID)
 	primaries, served := 0, 0
-	for _, pn := range pc.PAST {
+	for _, pn := range pc.PASTNodes() {
 		st := pn.Stats()
 		primaries += st.PrimaryStores
 		served += st.LookupsServed
@@ -561,7 +499,7 @@ func TestVariableReplicationFactors(t *testing.T) {
 	// files."
 	pc := buildPAST(t, 24, 118, defaultCfg(), nil)
 	for _, k := range []int{1, 2, 5} {
-		res := pc.insert(t, 0, pc.Cards[0], fmt.Sprintf("k%d.bin", k), make([]byte, 512), k)
+		res := pc.Insert(0, pc.Card(0), fmt.Sprintf("k%d.bin", k), make([]byte, 512), k)
 		if res.Err != nil {
 			t.Fatalf("k=%d insert: %v", k, res.Err)
 		}
@@ -569,7 +507,7 @@ func TestVariableReplicationFactors(t *testing.T) {
 			t.Fatalf("k=%d: got %d receipts", k, len(res.Receipts))
 		}
 		stored := 0
-		for _, pn := range pc.PAST {
+		for _, pn := range pc.PASTNodes() {
 			if pn.Store().Has(res.FileID) {
 				stored++
 			}
@@ -621,5 +559,79 @@ func TestZeroCapacityClientNode(t *testing.T) {
 	}
 	if string(lr.Data) != "client data" {
 		t.Fatal("wrong data")
+	}
+}
+
+// TestTwoDivertingPrimariesInOneReplicaSet pins replica diversion when two
+// ring-adjacent members of a file's k-set both have no space: their leaf
+// sets nearly coincide, so both divert to the same neighbour first. That
+// neighbour must refuse the second copy (it cannot count as a second
+// replica) so that primary moves on; answering with its existing receipt
+// left the client one distinct receipt short until RequestTimeout.
+func TestTwoDivertingPrimariesInOneReplicaSet(t *testing.T) {
+	const n, seed, k = 16, 131, 3
+	// Identities are a function of the seed alone: find two ring-adjacent
+	// nodes before building, so they can be given zero capacity.
+	broker, err := seccrypt.NewBroker(seccrypt.DetRand(cluster.BrokerSeed(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]id.Node, n)
+	for i := range ids {
+		card, err := broker.IssueCard(0, 0, 0, seccrypt.DetRand(cluster.CardSeed(seed, i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = card.NodeID()
+	}
+	a, b := 0, -1
+	for i := 1; i < n; i++ {
+		if ids[a].Less(ids[i]) && (b < 0 || ids[i].Less(ids[b])) {
+			b = i // the successor of node 0 on the ring
+		}
+	}
+	if b < 0 {
+		t.Skip("node 0 has the largest id at this seed")
+	}
+	cfg := defaultCfg()
+	cfg.FileDiversion = false // a stalled attempt must fail, not be retried under a new fileId
+	opts := cluster.Options{N: n, Pastry: pastry.DefaultConfig(), Seed: seed}
+	pc, err := cluster.BuildPAST(opts, cfg, func(i int) int64 {
+		if i == a || i == b {
+			return 0
+		}
+		return cfg.Capacity
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := 0
+	for i := 0; i < 60; i++ {
+		res := pc.Insert(5, nil, fmt.Sprintf("pair-%d", i), make([]byte, 512), k)
+		if res.Err != nil {
+			t.Fatalf("insert %d: %v", i, res.Err)
+		}
+		holders := map[id.Node]bool{}
+		for _, r := range res.Receipts {
+			holders[r.StoredBy.ID] = true
+		}
+		if len(holders) != k {
+			t.Fatalf("insert %d: %d distinct holders in %d receipts, want %d", i, len(holders), len(res.Receipts), k)
+		}
+		inSet := 0
+		for _, r := range pc.KClosest(res.FileID.Key(), k) {
+			if r.ID == ids[a] || r.ID == ids[b] {
+				inSet++
+			}
+		}
+		if inSet == 2 {
+			both++
+			if res.Diverted != 2 {
+				t.Fatalf("insert %d: %d diverted receipts, want 2", i, res.Diverted)
+			}
+		}
+	}
+	if both == 0 {
+		t.Fatal("no fileId had both zero-capacity nodes in its replica set")
 	}
 }

@@ -1,6 +1,6 @@
 package simnet
 
-// Conservative event-window scheduler (the "sharded engine").
+// Conservative event-window scheduler.
 //
 // Endpoints are partitioned into shards by topological region. Each shard
 // owns an event heap, an event pool and a private clock, and is advanced
@@ -15,8 +15,9 @@ package simnet
 // processed in a window has at >= minNext, and a message between shards
 // crosses regions, so its latency is at least Lookahead; its arrival is
 // therefore >= minNext + Lookahead = horizon, i.e. in a later window.
-// Arrivals are parked in a mutex-guarded inbox during the window and
-// merged at the barrier.
+// While shards run on several goroutines, arrivals are parked in a
+// mutex-guarded inbox and merged at the barrier; a window that runs on
+// the coordinator alone pushes them straight into the target's heap.
 //
 // Determinism at any shard count: same-timestamp events are ordered by
 // (creating endpoint, per-endpoint counter) rather than global creation
@@ -45,10 +46,10 @@ const forever = time.Duration(math.MaxInt64)
 // ---------------------------------------------------------------------------
 // Persistent worker pool
 //
-// The first sharded engine spawned one goroutine per busy shard per
-// window and joined them with a WaitGroup — up to ~10% pure coordination
-// overhead on timer-heavy runs with short windows (E9, see ROADMAP).
-// The pool below replaces that with workers that persist across windows
+// Spawning one goroutine per busy shard per window and joining them with
+// a WaitGroup cost up to ~10% pure coordination overhead on timer-heavy
+// runs with short windows (E9). The pool below has workers that persist
+// across windows
 // of one run session (RunFor / RunUntil / RunUntilIdle): between windows
 // they park on a channel receive; each window the coordinator publishes
 // one immutable windowJob and wakes only as many workers as there are
@@ -60,8 +61,8 @@ const forever = time.Duration(math.MaxInt64)
 // Idle shards never cause a wakeup: the coordinator trims the busy list
 // first, runs a single busy shard inline, and on a single-core host
 // (or Workers == 1) runs every busy shard inline sequentially — shards
-// within a window are mutually independent (cross-shard sends park in
-// inboxes until the barrier), so sequential execution is just the
+// within a window are mutually independent (a cross-shard send cannot
+// arrive before the horizon), so sequential execution is just the
 // parallel schedule with one worker, and results are byte-identical
 // either way.
 //
@@ -102,13 +103,13 @@ type windowPool struct {
 	wg      sync.WaitGroup
 }
 
-// acquireWorkers starts the pool if this Net can use one: sharded
-// engine, more than one shard, and more than one usable core (or an
-// explicit Config.Workers override). Run loops call it once per
-// session; nested sessions share via refcount.
+// acquireWorkers starts the pool if this Net can use one: more than one
+// shard and more than one usable core (or an explicit Config.Workers
+// override). Run loops call it once per session; nested sessions share
+// via refcount.
 func (n *Net) acquireWorkers() {
 	n.poolDepth++
-	if n.poolDepth != 1 || n.pool != nil || !n.windowed || len(n.shards) < 2 {
+	if n.poolDepth != 1 || n.pool != nil || len(n.shards) < 2 {
 		return
 	}
 	w := n.cfg.Workers
@@ -251,13 +252,9 @@ func (s *shard) deliver(target *Endpoint, from string, m wire.Msg) {
 	s.byKind[m.Kind()]++
 	n := s.net
 	if n.TraceFn != nil {
-		if n.windowed && len(n.shards) > 1 {
-			n.traceMu.Lock()
-			n.TraceFn(s.now, from, target.addr, m)
-			n.traceMu.Unlock()
-		} else {
-			n.TraceFn(s.now, from, target.addr, m)
-		}
+		n.traceMu.Lock()
+		n.TraceFn(s.now, from, target.addr, m)
+		n.traceMu.Unlock()
 	}
 	target.handler(from, m)
 }
@@ -265,9 +262,7 @@ func (s *shard) deliver(target *Endpoint, from string, m wire.Msg) {
 // exec executes one popped, live event: advances the shard clock and
 // dispatches to message delivery or the timer callback. The event is
 // released BEFORE its payload runs so that a stale Stop from inside the
-// callback is a no-op on the recycled slot (generation check). Both
-// engines — the legacy Step loop and the windowed runTo loop — execute
-// events only through here, so they cannot diverge.
+// callback is a no-op on the recycled slot (generation check).
 func (s *shard) exec(ev *event) {
 	s.now = ev.at
 	if ev.target != nil {
@@ -351,22 +346,17 @@ func (n *Net) windowStep(limit time.Duration) (processed uint64, more bool) {
 		inclusive = true
 	}
 	// A shard with nothing scheduled this window needs no worker — and no
-	// wakeup: it can only receive inbox pushes, which are merged at the
-	// barrier anyway.
+	// wakeup: it can only receive cross-shard arrivals, which land at or
+	// after the horizon anyway.
 	busy := n.busyScratch[:0]
 	for _, s := range n.shards {
 		if s.events.Len() > 0 && (s.events.peek().at < horizon || (inclusive && s.events.peek().at == horizon)) {
 			busy = append(busy, s)
 		} else {
-			s.processed = 0
 			s.now = horizon
 		}
 	}
-	n.running = true
-	switch {
-	case len(busy) == 1:
-		busy[0].runTo(horizon, inclusive)
-	case n.pool != nil:
+	if n.pool != nil && len(busy) > 1 {
 		// Phased barrier on the persistent pool: publish one immutable
 		// job, wake only the helpers this window can use, claim shards
 		// alongside them, then block on the single completion signal.
@@ -379,27 +369,33 @@ func (n *Net) windowStep(limit time.Duration) (processed uint64, more bool) {
 			done:      make(chan struct{}, 1),
 		}
 		job.remaining.Store(int32(len(busy)))
+		n.running = true
 		wake := min(n.pool.workers, len(busy)-1)
 		for i := 0; i < wake; i++ {
 			n.pool.work <- job
 		}
 		job.run()
 		<-job.done
-	default:
-		// No pool (single core, Workers == 1, or a bare Step outside a
-		// run session): run the busy shards sequentially inline. Shards
-		// are independent within a window, so this is the same schedule
-		// with one worker and costs no coordination at all.
+		n.running = false
+		for _, s := range n.shards {
+			s.flushInbox()
+		}
+	} else {
+		// One busy shard, or no pool (one shard, a single core,
+		// Workers == 1, or a bare Step outside a run session): run the
+		// busy shards sequentially inline. Shards are independent within a
+		// window, so this is the same schedule with one worker; with only
+		// this goroutine running, cross-shard sends go straight into the
+		// target's heap (see Endpoint.Send) and it costs no coordination
+		// at all.
 		for _, s := range busy {
 			s.runTo(horizon, inclusive)
 		}
 	}
-	n.running = false
-	n.busyScratch = busy[:0]
-	for _, s := range n.shards {
-		s.flushInbox()
+	for _, s := range busy {
 		processed += s.processed
 	}
+	n.busyScratch = busy[:0]
 	n.now = horizon
 	if n.barrierHook != nil {
 		n.barrierHook(horizon)

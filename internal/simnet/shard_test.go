@@ -99,12 +99,14 @@ func TestShardedWindowInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedLookaheadRequired pins the configuration contract: the
-// conservative scheduler cannot make progress with a zero window bound.
+// TestShardedLookaheadRequired pins the configuration contract: with
+// more than one shard the window bound is what keeps cross-shard arrivals
+// out of a shard's past, so it must be given; one shard needs none.
 func TestShardedLookaheadRequired(t *testing.T) {
+	New(Config{Shards: 1}, nil)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Shards>=1 with Lookahead<=0 should panic")
+			t.Fatal("Shards>1 with Lookahead<=0 should panic")
 		}
 	}()
 	New(Config{Shards: 2}, nil)

@@ -7,25 +7,14 @@
 // per-node drop filters (for the malicious-node experiment of section
 // 2.2, "Fault-tolerance") and partition-style unreachability.
 //
-// The simulator has two execution engines selected by Config.Shards:
-//
-//   - Legacy engine (Shards == 0): strictly single-threaded. All handlers
-//     and timer callbacks run on the goroutine that calls
-//     Run/RunFor/RunUntilIdle, in timestamp order with a global
-//     creation-order tiebreak. This is the engine the microbenchmarks and
-//     the grid experiments use; its event ordering is bit-compatible with
-//     earlier versions of this package.
-//
-//   - Sharded engine (Shards >= 1): endpoints are partitioned into
-//     per-region shards (Config.RegionOf) and driven by a conservative
-//     event-window scheduler (see shard.go). One large simulation then
-//     uses all cores, and — because event ordering, tiebreaks and
-//     randomness are all derived per endpoint rather than from global
-//     scheduling order — a run is byte-identical for a fixed seed at ANY
-//     shard count, including Shards == 1.
-//
-// Under both engines every experiment is exactly reproducible from its
-// seed.
+// Endpoints are partitioned into per-region shards (Config.RegionOf) and
+// driven by a conservative event-window scheduler (see shard.go). With
+// one shard — the default — every window runs inline on the goroutine
+// that calls Step/RunFor/RunUntil/RunUntilIdle; with more, one large
+// simulation uses several cores. Event ordering, tiebreaks and randomness
+// are all derived per endpoint rather than from global scheduling order,
+// so a run is exactly reproducible from its seed and byte-identical at
+// ANY shard count.
 package simnet
 
 import (
@@ -50,23 +39,23 @@ type Config struct {
 	// MinLatency is a floor on delivery latency (e.g. local processing).
 	MinLatency time.Duration
 
-	// Shards selects the sharded conservative-window engine and its shard
-	// count. Zero selects the legacy single-threaded engine. Results under
-	// the sharded engine are byte-identical for any Shards >= 1, so the
-	// value only chooses how many cores one simulation may use.
+	// Shards is the number of event-loop shards; zero means one. Results
+	// are byte-identical for any value (given the same Lookahead), so it
+	// only chooses how many cores one simulation may use.
 	Shards int
 	// RegionOf maps an endpoint index to its topological region (for
 	// cluster networks, the transit domain). Endpoints are assigned to
 	// shard RegionOf(i) % Shards, so endpoints in different shards are
 	// always in different regions. Nil places every endpoint in region 0
-	// (a single populated shard). Only consulted when Shards >= 1, at
-	// NewEndpoint time.
+	// (a single populated shard). Consulted at NewEndpoint time.
 	RegionOf func(i int) int
-	// Lookahead is a strictly positive lower bound on the delivery latency
-	// between any two endpoints in different regions; it bounds the
-	// conservative event window (see shard.go). Required when Shards >= 1.
-	// It must be derived from shard-count-independent data (e.g. topology
-	// latency bounds) or determinism across shard counts is lost.
+	// Lookahead is the length of the conservative event window (see
+	// shard.go). With more than one shard it is required and must be a
+	// strictly positive lower bound on the delivery latency between any
+	// two endpoints in different regions. One shard needs no safety bound,
+	// so zero then means defaultLookahead. For results that are identical
+	// across shard counts it must be derived from shard-count-independent
+	// data (e.g. topology latency bounds).
 	Lookahead time.Duration
 	// Workers sizes the persistent window-worker pool (see shard.go).
 	// Zero picks min(GOMAXPROCS, Shards); 1 forces sequential inline
@@ -84,7 +73,6 @@ type Distance func(a, b int) float64
 // Net is a simulated network.
 type Net struct {
 	cfg    Config
-	rng    *rand.Rand // legacy engine's shared jitter/loss stream
 	now    time.Duration
 	netSeq uint64 // sequence counter for source-0 (net-level) events
 	shards []*shard
@@ -95,14 +83,13 @@ type Net struct {
 	// session; poolDepth refcounts nested run loops (see shard.go).
 	pool      *windowPool
 	poolDepth int
-	windowed  bool
-	running   bool // a conservative window is executing on shard workers
+	running   bool // a window is executing on several goroutines: cross-shard sends park in inboxes
 	eps       []*Endpoint
 	dist      Distance
 	traceMu   sync.Mutex
-	// TraceFn, if set, observes every delivered message. Under the sharded
-	// engine with more than one shard, calls are serialized by a mutex but
-	// their interleaving ACROSS shards depends on scheduling; per-endpoint
+	// TraceFn, if set, observes every delivered message. Calls are
+	// serialized by a mutex, but with more than one shard their
+	// interleaving ACROSS shards depends on scheduling; per-endpoint
 	// observation order is still deterministic.
 	TraceFn func(at time.Duration, from, to string, m wire.Msg)
 	// barrierHook, if set, runs on the coordinator at the end of every
@@ -114,25 +101,26 @@ type Net struct {
 	barrierHook func(now time.Duration)
 }
 
-// New creates a simulated network whose latency comes from dist.
+// defaultLookahead is the window length of a single-shard Net whose
+// Config leaves Lookahead zero: the default unit distance, so a window
+// there holds the events of one message hop.
+const defaultLookahead = time.Millisecond
+
+// New creates a simulated network whose latency comes from dist (nil
+// means 1 ms between any two endpoints).
 func New(cfg Config, dist Distance) *Net {
 	if dist == nil {
 		dist = func(a, b int) float64 { return 1 }
 	}
-	n := &Net{
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		dist:     dist,
-		windowed: cfg.Shards >= 1,
-	}
-	nShards := 1
-	if n.windowed {
-		if cfg.Lookahead <= 0 {
-			panic("simnet: sharded engine requires Config.Lookahead > 0")
+	cfg.Shards = max(1, cfg.Shards)
+	if cfg.Lookahead <= 0 {
+		if cfg.Shards > 1 {
+			panic("simnet: more than one shard requires Config.Lookahead > 0")
 		}
-		nShards = cfg.Shards
+		cfg.Lookahead = defaultLookahead
 	}
-	n.shards = make([]*shard, nShards)
+	n := &Net{cfg: cfg, dist: dist}
+	n.shards = make([]*shard, cfg.Shards)
 	for i := range n.shards {
 		n.shards[i] = &shard{net: n, byKind: make(map[string]uint64)}
 	}
@@ -158,12 +146,12 @@ func Index(addr string) (int, error) {
 
 // NewEndpoint creates the next endpoint. Endpoints are identified by dense
 // indices that must correspond to the node indices used by the Distance
-// function. Under the sharded engine the endpoint's region — and through
-// it, its shard — is fixed here, so RegionOf must already know index i.
+// function. The endpoint's region — and through it, its shard — is fixed
+// here, so RegionOf must already know index i.
 func (n *Net) NewEndpoint() *Endpoint {
 	idx := len(n.eps)
 	s := n.shards[0]
-	if n.windowed && n.cfg.RegionOf != nil {
+	if n.cfg.RegionOf != nil {
 		s = n.shards[n.cfg.RegionOf(idx)%len(n.shards)]
 	}
 	ep := &Endpoint{net: n, shard: s, idx: idx, addr: Addr(idx), up: true}
@@ -177,14 +165,13 @@ func (n *Net) Endpoint(i int) *Endpoint { return n.eps[i] }
 // NumEndpoints returns the number of endpoints created so far.
 func (n *Net) NumEndpoints() int { return len(n.eps) }
 
-// Now returns the current virtual time. Under the sharded engine this is
-// the time of the last window barrier; per-endpoint clocks may be ahead
-// of it while a window executes.
+// Now returns the current virtual time: the time of the last window
+// barrier. Per-endpoint clocks are ahead of it while a window executes,
+// so node code reads its endpoint's Clock instead.
 func (n *Net) Now() time.Duration { return n.now }
 
 // SetBarrierHook installs fn to run on the coordinator at every window
-// barrier of the sharded engine (and after RunFor deadline jumps). The
-// legacy single-queue engine never calls it. fn must only read network
+// barrier (and after RunFor deadline jumps). fn must only read network
 // state; set nil to detach. Not safe to call while a run is in progress.
 func (n *Net) SetBarrierHook(fn func(now time.Duration)) { n.barrierHook = fn }
 
@@ -216,51 +203,38 @@ func (n *Net) ResetCounters() {
 	}
 }
 
-// stamp keys a freshly allocated event with its ordering tiebreak. The
-// legacy engine orders same-time events by global creation order; the
-// sharded engine keys them by (creating endpoint, per-endpoint counter)
-// so the order is independent of which shard — and therefore which
-// schedule — created them.
-func (n *Net) stampNetLevel(ev *event) {
-	ev.src = 0
-	ev.seq = n.netSeq
-	n.netSeq++
-}
-
+// stamp keys a freshly allocated event with its ordering tiebreak:
+// same-time events are ordered by (creating endpoint, per-endpoint
+// counter), so the order is independent of which shard — and therefore
+// which schedule — created them.
 func (e *Endpoint) stamp(ev *event) {
-	if e.net.windowed {
-		ev.src = int32(e.idx) + 1
-		ev.seq = e.seq
-		e.seq++
-		return
-	}
-	e.net.stampNetLevel(ev)
+	ev.src = int32(e.idx) + 1
+	ev.seq = e.seq
+	e.seq++
 }
 
 // AfterFunc implements clock scheduling on the virtual timeline at net
-// level (source 0, shard 0). Under the sharded engine it must only be
+// level (source 0, shard 0). With more than one shard it must only be
 // called between runs (from the coordinating goroutine); node code should
 // use its endpoint's Clock instead.
 func (n *Net) AfterFunc(d time.Duration, f func()) transport.Timer {
 	s := n.shards[0]
-	at := n.now + d
-	if n.windowed {
-		at = s.now + d
-	}
-	ev := s.newEvent(at)
-	n.stampNetLevel(ev)
+	ev := s.newEvent(s.now + d)
+	ev.src = 0
+	ev.seq = n.netSeq
+	n.netSeq++
 	ev.fn = f
 	s.events.push(ev)
 	return s.newTimerHandle(ev)
 }
 
-// Clock returns a net-level virtual clock (see AfterFunc for its sharded
-// caveat).
+// Clock returns the net-level virtual clock: shard 0's timeline (see
+// AfterFunc for the caveat with more than one shard).
 func (n *Net) Clock() transport.Clock { return simClock{n} }
 
 type simClock struct{ n *Net }
 
-func (c simClock) Now() time.Duration { return c.n.now }
+func (c simClock) Now() time.Duration { return c.n.shards[0].now }
 func (c simClock) AfterFunc(d time.Duration, f func()) transport.Timer {
 	return c.n.AfterFunc(d, f)
 }
@@ -299,36 +273,18 @@ func (t *simTimer) Release() {
 	t.s.freeTimers = append(t.s.freeTimers, t)
 }
 
-// Step executes the next pending event (legacy engine) or the next
-// conservative window (sharded engine). It reports false when the queue
-// is empty.
+// Step executes the next conservative window. It reports false when no
+// event is pending.
 func (n *Net) Step() bool {
-	if n.windowed {
-		_, more := n.windowStep(forever)
-		return more
-	}
-	s := n.shards[0]
-	for s.events.Len() > 0 {
-		ev := s.events.pop()
-		if ev.cancelled {
-			s.release(ev)
-			continue
-		}
-		n.now = ev.at
-		s.exec(ev)
-		return true
-	}
-	return false
+	_, more := n.windowStep(forever)
+	return more
 }
 
 // RunUntilIdle processes events until none remain. Protocols with periodic
-// timers never go idle; use RunFor for those. Step dispatches to the
-// engine in use, so this drains legacy and sharded nets alike.
+// timers never go idle; use RunFor for those.
 func (n *Net) RunUntilIdle() {
-	if n.windowed {
-		n.acquireWorkers()
-		defer n.releaseWorkers()
-	}
+	n.acquireWorkers()
+	defer n.releaseWorkers()
 	for n.Step() {
 	}
 }
@@ -337,69 +293,41 @@ func (n *Net) RunUntilIdle() {
 // scheduled at later times remain queued.
 func (n *Net) RunFor(d time.Duration) {
 	deadline := n.now + d
-	if n.windowed {
-		n.acquireWorkers()
-		defer n.releaseWorkers()
-		for {
-			if _, more := n.windowStep(deadline); !more {
-				break
-			}
-		}
-		n.advanceAll(deadline)
-		if n.barrierHook != nil {
-			n.barrierHook(n.now)
-		}
-		return
-	}
-	s := n.shards[0]
-	for s.events.Len() > 0 {
-		next := s.events.peek()
-		if next.cancelled {
-			s.release(s.events.pop())
-			continue
-		}
-		if next.at > deadline {
+	n.acquireWorkers()
+	defer n.releaseWorkers()
+	for {
+		if _, more := n.windowStep(deadline); !more {
 			break
 		}
-		n.Step()
 	}
-	n.now = deadline
-	s.now = deadline
+	n.advanceAll(deadline)
+	if n.barrierHook != nil {
+		n.barrierHook(n.now)
+	}
 }
 
 // RunUntil processes events while cond stays false, up to a safety cap of
-// maxEvents. It reports whether cond became true. Under the sharded
-// engine cond is evaluated at window barriers (where all shards are
-// quiescent), so the points at which it can stop — like everything else —
-// are independent of the shard count.
+// maxEvents. It reports whether cond became true. cond is evaluated at
+// window barriers (where all shards are quiescent), so the points at
+// which it can stop — like everything else — are independent of the shard
+// count.
 func (n *Net) RunUntil(cond func() bool, maxEvents int) bool {
-	if n.windowed {
+	if cond() {
+		return true
+	}
+	n.acquireWorkers()
+	defer n.releaseWorkers()
+	var total uint64
+	for {
+		processed, more := n.windowStep(forever)
+		total += processed
 		if cond() {
 			return true
 		}
-		n.acquireWorkers()
-		defer n.releaseWorkers()
-		var total uint64
-		for {
-			processed, more := n.windowStep(forever)
-			total += processed
-			if cond() {
-				return true
-			}
-			if !more || total >= uint64(maxEvents) {
-				return cond()
-			}
+		if !more || total >= uint64(maxEvents) {
+			return false
 		}
 	}
-	for i := 0; i < maxEvents; i++ {
-		if cond() {
-			return true
-		}
-		if !n.Step() {
-			return cond()
-		}
-	}
-	return cond()
 }
 
 // Latency returns the (jittered) delivery latency between endpoints,
@@ -446,7 +374,7 @@ type Endpoint struct {
 	// set, can redirect or replace them after the filter passes.
 	sendFilter DropFilter
 	rewrite    RewriteFilter
-	// seq counts events created by this endpoint (sharded engine ordering
+	// seq counts events created by this endpoint (the same-time ordering
 	// key); rng is its private jitter/loss stream, created on first use.
 	// Both make the endpoint's observable behaviour a function of its own
 	// delivery history only, never of cross-shard scheduling.
@@ -481,16 +409,7 @@ func (e *Endpoint) Crash() { e.up = false }
 // Restart brings a crashed node back.
 func (e *Endpoint) Restart() { e.up = true }
 
-// nowLocal is the virtual time as this endpoint observes it: its shard's
-// clock under the sharded engine, the global clock under the legacy one.
-func (e *Endpoint) nowLocal() time.Duration {
-	if e.net.windowed {
-		return e.shard.now
-	}
-	return e.net.now
-}
-
-// rand returns the endpoint's private random stream (sharded engine).
+// rand returns the endpoint's private random stream.
 func (e *Endpoint) rand() *rand.Rand {
 	if e.rng == nil {
 		e.rng = rand.New(rand.NewSource(int64(uint64(e.net.cfg.Seed) ^ 0x9E3779B97F4A7C15*uint64(e.idx+1))))
@@ -499,20 +418,19 @@ func (e *Endpoint) rand() *rand.Rand {
 }
 
 // Clock returns a clock that schedules onto this endpoint's shard. Node
-// code built on a sharded Net must use its own endpoint's clock (package
-// cluster does); timers then fire on the shard that owns the node, and
-// their ordering keys come from the endpoint itself. On a legacy Net it
-// behaves exactly like the net-level Clock.
+// code must use its own endpoint's clock (package cluster does): timers
+// then fire on the shard that owns the node, their ordering keys come
+// from the endpoint itself, and they are suppressed while it is crashed.
 func (e *Endpoint) Clock() transport.Clock { return epClock{e} }
 
 type epClock struct{ e *Endpoint }
 
-func (c epClock) Now() time.Duration { return c.e.nowLocal() }
+func (c epClock) Now() time.Duration { return c.e.shard.now }
 
 func (c epClock) AfterFunc(d time.Duration, f func()) transport.Timer {
 	e := c.e
 	s := e.shard
-	ev := s.newEvent(e.nowLocal() + d)
+	ev := s.newEvent(s.now + d)
 	e.stamp(ev)
 	ev.fn = f
 	ev.owner = e
@@ -550,10 +468,7 @@ func (e *Endpoint) Send(to string, m wire.Msg) error {
 	// produces no observable behaviour.
 	var rng *rand.Rand
 	if n.cfg.DropProb > 0 || n.cfg.JitterFrac > 0 {
-		rng = n.rng
-		if n.windowed {
-			rng = e.rand()
-		}
+		rng = e.rand()
 	}
 	if n.cfg.DropProb > 0 && rng.Float64() < n.cfg.DropProb {
 		return nil
@@ -562,7 +477,7 @@ func (e *Endpoint) Send(to string, m wire.Msg) error {
 	// The event is drawn from the SENDER's shard pool (the shard running
 	// this handler owns that pool) and keyed by the sender, then routed to
 	// the TARGET's shard for delivery.
-	ev := e.shard.newEvent(e.nowLocal() + n.latency(e.idx, dst, rng))
+	ev := e.shard.newEvent(e.shard.now + n.latency(e.idx, dst, rng))
 	e.stamp(ev)
 	ev.target = target
 	ev.from = e.addr
@@ -598,9 +513,8 @@ func (e *Endpoint) Close() error {
 // event is one scheduled occurrence: either a timer callback (fn set) or
 // a message delivery (target set). Events are pooled per shard; gen
 // counts recycles so stale timer handles cannot cancel a reused slot.
-// (src, seq) is the same-timestamp tiebreak: (0, global counter) under
-// the legacy engine, (creating endpoint + 1, per-endpoint counter) under
-// the sharded one.
+// (src, seq) is the same-timestamp tiebreak: (creating endpoint + 1,
+// per-endpoint counter), or (0, net-level counter) for Net.AfterFunc.
 type event struct {
 	at        time.Duration
 	src       int32

@@ -35,12 +35,16 @@ func TestDeliveryOrderAndLatency(t *testing.T) {
 	c := n.NewEndpoint()
 	var got []int
 	var at []time.Duration
-	sink := func(from string, m wire.Msg) {
-		got = append(got, m.(testMsg).N)
-		at = append(at, n.Now())
+	// A handler reads its own endpoint's clock: Net.Now is the last window
+	// barrier, which trails the event being delivered.
+	sink := func(e *Endpoint) func(string, wire.Msg) {
+		return func(from string, m wire.Msg) {
+			got = append(got, m.(testMsg).N)
+			at = append(at, e.Clock().Now())
+		}
 	}
-	b.SetHandler(sink)
-	c.SetHandler(sink)
+	b.SetHandler(sink(b))
+	c.SetHandler(sink(c))
 	// a->c (2ms) sent first, a->b (1ms) second: b must deliver first.
 	if err := a.Send(c.Addr(), testMsg{2}); err != nil {
 		t.Fatal(err)
@@ -129,7 +133,8 @@ func TestTimersAndStop(t *testing.T) {
 	n := New(Config{Seed: 1}, nil)
 	clk := n.Clock()
 	fired := []string{}
-	clk.AfterFunc(3*time.Millisecond, func() { fired = append(fired, "c") })
+	var lastAt time.Duration
+	clk.AfterFunc(3*time.Millisecond, func() { fired = append(fired, "c"); lastAt = clk.Now() })
 	clk.AfterFunc(time.Millisecond, func() { fired = append(fired, "a") })
 	tm := clk.AfterFunc(2*time.Millisecond, func() { fired = append(fired, "b") })
 	if !tm.Stop() {
@@ -142,8 +147,12 @@ func TestTimersAndStop(t *testing.T) {
 	if len(fired) != 2 || fired[0] != "a" || fired[1] != "c" {
 		t.Fatalf("fired %v", fired)
 	}
-	if clk.Now() != 3*time.Millisecond {
-		t.Fatalf("clock at %v", clk.Now())
+	if lastAt != 3*time.Millisecond {
+		t.Fatalf("last timer fired at %v", lastAt)
+	}
+	// Going idle leaves the clock at the end of the last window.
+	if clk.Now() != n.Now() || n.Now() < lastAt || n.Now() > lastAt+defaultLookahead {
+		t.Fatalf("clock at %v, net at %v", clk.Now(), n.Now())
 	}
 }
 
@@ -166,21 +175,61 @@ func TestRunFor(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	n := New(Config{Seed: 1}, nil)
+// pingPong bounces one message between two endpoints forever, one hop
+// (one window) per delivery, and returns the delivery counter.
+func pingPong(n *Net) *int {
 	a := n.NewEndpoint()
 	b := n.NewEndpoint()
-	got := 0
-	b.SetHandler(func(string, wire.Msg) { got++ })
-	for i := 0; i < 10; i++ {
-		a.Send(b.Addr(), testMsg{i})
+	got := new(int)
+	a.SetHandler(func(string, wire.Msg) { *got++; a.Send(b.Addr(), testMsg{*got}) })
+	b.SetHandler(func(string, wire.Msg) { *got++; b.Send(a.Addr(), testMsg{*got}) })
+	a.Send(b.Addr(), testMsg{0})
+	return got
+}
+
+func TestRunUntil(t *testing.T) {
+	n := New(Config{Seed: 1}, nil)
+	got := pingPong(n)
+	ok := n.RunUntil(func() bool { return *got >= 3 }, 1000)
+	if !ok || *got < 3 {
+		t.Fatalf("RunUntil: ok=%v got=%d", ok, *got)
 	}
-	ok := n.RunUntil(func() bool { return got >= 3 }, 1000)
-	if !ok || got < 3 {
-		t.Fatalf("RunUntil: ok=%v got=%d", ok, got)
-	}
-	if got >= 10 {
+	if *got >= 10 {
 		t.Fatal("RunUntil should stop early")
+	}
+}
+
+// TestZeroConfig drives a Net built from the zero Config with no distance
+// function — one shard, default window — through each run loop.
+func TestZeroConfig(t *testing.T) {
+	n := New(Config{}, nil)
+	if n.Step() {
+		t.Fatal("Step on an empty net reported work")
+	}
+	got := pingPong(n)
+	if !n.Step() || *got != 1 {
+		t.Fatalf("after one Step delivered %d, want 1", *got)
+	}
+	fired := 0
+	n.AfterFunc(5*time.Millisecond, func() { fired++ })
+	n.RunFor(10 * time.Millisecond)
+	if fired != 1 || *got < 10 {
+		t.Fatalf("RunFor(10ms): timer fired %d times, %d deliveries", fired, *got)
+	}
+	// The workload never goes idle and the condition never holds: the
+	// event cap is what returns.
+	before := *got
+	if n.RunUntil(func() bool { return false }, 50) {
+		t.Fatal("RunUntil reported a condition that never held")
+	}
+	if d := *got - before; d < 50 || d > 60 {
+		t.Fatalf("RunUntil with a cap of 50 events processed %d", d)
+	}
+	ticks := 0
+	n.SetBarrierHook(func(time.Duration) { ticks++ })
+	n.RunFor(10 * time.Millisecond)
+	if ticks < 10 {
+		t.Fatalf("barrier hook ran %d times over ten windows", ticks)
 	}
 }
 

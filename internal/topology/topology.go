@@ -122,8 +122,8 @@ func (t *Topology) PlaceAt(stub int) int {
 // Stub returns the stub domain of node i.
 func (t *Topology) Stub(i int) int { return t.nodeStub[i] }
 
-// Transit returns the transit domain of node i. The simulator's sharded
-// engine partitions nodes into shards by transit domain, because the
+// Transit returns the transit domain of node i. The simulator
+// partitions nodes into shards by transit domain, because the
 // config bounds guarantee a latency floor between nodes in different
 // transit domains (see LookaheadBound).
 func (t *Topology) Transit(i int) int { return t.stubOf[t.nodeStub[i]] }
@@ -133,7 +133,7 @@ func (t *Topology) Transit(i int) int { return t.stubOf[t.nodeStub[i]] }
 // config bounds: two intra-stub hops, two uplinks and one transit link at
 // their configured minimums. It depends only on the Config — never on
 // node placement — so it is identical at any shard count, which the
-// sharded engine's determinism guarantee requires.
+// simulator's determinism guarantee requires.
 func (t *Topology) LookaheadBound() time.Duration {
 	ms := t.cfg.TransitMin + 2*t.cfg.UplinkMin + 2*t.cfg.StubMin
 	return time.Duration(ms * float64(time.Millisecond))

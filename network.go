@@ -5,11 +5,9 @@ import (
 	"time"
 
 	"past/internal/cluster"
-	"past/internal/id"
 	pastcore "past/internal/past"
 	"past/internal/pastry"
-	"past/internal/seccrypt"
-	"past/internal/simnet"
+	"past/internal/telemetry"
 	"past/internal/wire"
 )
 
@@ -47,11 +45,7 @@ type NetworkConfig struct {
 // routing, replication, receipts) and block until the simulation delivers
 // a result.
 type Network struct {
-	cfg    NetworkConfig
-	clu    *cluster.Cluster
-	broker *seccrypt.Broker
-	cards  []*seccrypt.Smartcard
-	nodes  []*pastcore.Node
+	clu *cluster.PAST
 }
 
 // NewNetwork builds and joins an N-node simulated PAST network.
@@ -63,21 +57,6 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	if storage.K == 0 {
 		storage = DefaultStorageConfig()
 		storage.K = 3
-	}
-	quota := cfg.UserQuota
-	if quota <= 0 {
-		quota = 1 << 50
-	}
-	broker, err := seccrypt.NewBroker(seccrypt.DetRand(uint64(cfg.Seed) + 1))
-	if err != nil {
-		return nil, err
-	}
-	cards := make([]*seccrypt.Smartcard, cfg.N)
-	for i := range cards {
-		cards[i], err = broker.IssueCard(quota, storage.Capacity, 0, seccrypt.DetRand(uint64(cfg.Seed)<<20+uint64(i)+7))
-		if err != nil {
-			return nil, err
-		}
 	}
 	pcfg := pastry.DefaultConfig()
 	if cfg.RoutingB > 0 {
@@ -93,85 +72,46 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		}
 	}
 	pcfg.Randomize = cfg.RandomizedRouting
-	nodes := make([]*pastcore.Node, cfg.N)
-	clu, err := cluster.Build(cluster.Options{
-		N:      cfg.N,
-		Pastry: pcfg,
-		Seed:   cfg.Seed,
-		NodeID: func(i int) id.Node { return cards[i].NodeID() },
-		AppFactory: func(i int, nd *pastry.Node, ep *simnet.Endpoint) pastry.App {
-			nodes[i] = pastcore.NewNode(storage, nd, cards[i], broker.PublicKey())
-			return nodes[i]
-		},
-	})
+	clu, err := cluster.BuildPAST(cluster.Options{N: cfg.N, Pastry: pcfg, Seed: cfg.Seed}, storage, nil, cfg.UserQuota)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.KeepAlive > 0 {
 		clu.EnableProbes()
 	}
-	return &Network{cfg: cfg, clu: clu, broker: broker, cards: cards, nodes: nodes}, nil
+	return &Network{clu: clu}, nil
 }
 
 // Len returns the number of nodes (live and crashed).
-func (nw *Network) Len() int { return len(nw.nodes) }
+func (nw *Network) Len() int { return len(nw.clu.PASTNodes()) }
 
 // Broker returns the network's smartcard issuer.
-func (nw *Network) Broker() *Broker { return nw.broker }
+func (nw *Network) Broker() *Broker { return nw.clu.Broker }
 
 // Card returns node i's smartcard (also usable as a client identity).
-func (nw *Network) Card(i int) *Smartcard { return nw.cards[i] }
+func (nw *Network) Card(i int) *Smartcard { return nw.clu.Card(i) }
 
 // NodeRef returns node i's overlay identity.
 func (nw *Network) NodeRef(i int) NodeRef { return nw.clu.Nodes[i].Ref() }
-
-// run drives the simulator until done or the event budget is exhausted.
-func (nw *Network) run(done *bool) error {
-	if !nw.clu.Net.RunUntil(func() bool { return *done }, 100_000_000) {
-		return ErrTimeout
-	}
-	return nil
-}
 
 // Insert stores data via node `node` using card (nil uses the node's own
 // card), replicated k times (0 = default). It blocks until the insert
 // completes or fails.
 func (nw *Network) Insert(node int, card *Smartcard, name string, data []byte, k int) (InsertResult, error) {
-	if card == nil {
-		card = nw.cards[node]
-	}
-	var res InsertResult
-	done := false
-	nw.nodes[node].Insert(card, name, data, k, func(r InsertResult) { res = r; done = true })
-	if err := nw.run(&done); err != nil {
-		return InsertResult{}, err
-	}
+	res := nw.clu.Insert(node, card, name, data, k)
 	return res, res.Err
 }
 
 // Lookup retrieves a file via node `node`.
 func (nw *Network) Lookup(node int, f FileID) (LookupResult, error) {
-	var res LookupResult
-	done := false
-	nw.nodes[node].Lookup(f, func(r LookupResult) { res = r; done = true })
-	if err := nw.run(&done); err != nil {
-		return LookupResult{}, err
-	}
+	res := nw.clu.Lookup(node, f)
 	return res, res.Err
 }
 
 // Reclaim frees a file's storage via node `node` with the owner's card
 // (nil uses the node's own card).
 func (nw *Network) Reclaim(node int, card *Smartcard, f FileID) (ReclaimResult, error) {
-	if card == nil {
-		card = nw.cards[node]
-	}
-	var res ReclaimResult
-	done := false
-	nw.nodes[node].Reclaim(card, f, func(r ReclaimResult) { res = r; done = true })
-	if err := nw.run(&done); err != nil {
-		return ReclaimResult{}, err
-	}
+	res := nw.clu.Reclaim(node, card, f)
 	return res, res.Err
 }
 
@@ -191,34 +131,28 @@ func (nw *Network) Restart(i int) { nw.clu.Restart(i) }
 // repair and re-replication traffic proceed.
 func (nw *Network) RunFor(d time.Duration) { nw.clu.Net.RunFor(d) }
 
+// RegisterTelemetry registers the network's series on rec — live_nodes,
+// net_events and the storage layer's per-window deltas summed over all
+// nodes, the names a Peer's recorder uses — and ticks rec at every
+// simulator window barrier, so windows close as RunFor and the client
+// operations advance virtual time.
+func (nw *Network) RegisterTelemetry(rec *telemetry.Recorder) { nw.clu.AttachTelemetry(rec) }
+
 // Holds reports whether node i currently stores a replica of f.
-func (nw *Network) Holds(i int, f FileID) bool { return nw.nodes[i].Store().Has(f) }
+func (nw *Network) Holds(i int, f FileID) bool { return nw.clu.Node(i).Store().Has(f) }
 
 // Utilization returns the global storage utilization across live nodes.
-func (nw *Network) Utilization() float64 {
-	var used, capTotal int64
-	for i, n := range nw.nodes {
-		if nw.clu.Down(i) {
-			continue
-		}
-		used += n.Store().Used()
-		capTotal += n.Store().Capacity()
-	}
-	if capTotal == 0 {
-		return 0
-	}
-	return float64(used) / float64(capTotal)
-}
+func (nw *Network) Utilization() float64 { return nw.clu.Utilization() }
 
 // AuditPeer makes node `auditor` challenge `target` to prove it stores f.
 func (nw *Network) AuditPeer(auditor int, target NodeRef, f FileID) (bool, error) {
 	var verdict bool
 	done := false
-	if err := nw.nodes[auditor].AuditPeer(target, f, func(ok bool) { verdict = ok; done = true }); err != nil {
+	if err := nw.clu.Node(auditor).AuditPeer(target, f, func(ok bool) { verdict = ok; done = true }); err != nil {
 		return false, err
 	}
-	if err := nw.run(&done); err != nil {
-		return false, err
+	if !nw.clu.Await(func() bool { return done }) {
+		return false, ErrTimeout
 	}
 	return verdict, nil
 }
@@ -230,7 +164,7 @@ func (nw *Network) Messages() uint64 { return nw.clu.Net.Messages() }
 // ReplicaHolders lists the indexes of live nodes storing f.
 func (nw *Network) ReplicaHolders(f FileID) []int {
 	var out []int
-	for i, n := range nw.nodes {
+	for i, n := range nw.clu.PASTNodes() {
 		if !nw.clu.Down(i) && n.Store().Has(f) {
 			out = append(out, i)
 		}
@@ -242,11 +176,11 @@ func (nw *Network) ReplicaHolders(f FileID) []int {
 type NodeStats = pastcore.Stats
 
 // NodeStats returns node i's counters (stores, diversions, cache serves).
-func (nw *Network) NodeStats(i int) NodeStats { return nw.nodes[i].Stats() }
+func (nw *Network) NodeStats(i int) NodeStats { return nw.clu.Node(i).Stats() }
 
 // CacheStats returns node i's cache hit/miss counters.
 func (nw *Network) CacheStats(i int) (hits, misses uint64) {
-	return nw.nodes[i].Cache().Stats()
+	return nw.clu.Node(i).Cache().Stats()
 }
 
 // SetMalicious turns node i into the attacker of section 2.2

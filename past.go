@@ -54,6 +54,7 @@ import (
 	"strconv"
 	"strings"
 
+	"past/internal/cluster"
 	"past/internal/id"
 	pastcore "past/internal/past"
 	"past/internal/seccrypt"
@@ -128,7 +129,7 @@ func DeriveBroker(seed string) (*Broker, error) {
 // card i of a seed-s deployment, matching the simulator's derivation so a
 // real node can reproduce the nodeId the simulator assigns node i.
 func DetCardRand(seed int64, i int) io.Reader {
-	return seccrypt.DetRand(uint64(seed)<<20 + uint64(i) + 7)
+	return seccrypt.DetRand(cluster.CardSeed(seed, i))
 }
 
 // StoreReceipt proves a node stored a replica.
