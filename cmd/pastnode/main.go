@@ -259,8 +259,8 @@ func main() {
 		fmt.Printf("pastnode: %s (uptime %s)\n", label, time.Since(start).Round(time.Second))
 		fmt.Printf("pastnode: disk: recovered %d, quarantined %d\n", recovered, quarantined)
 		ts := peer.TransportStats()
-		fmt.Printf("pastnode: transport: dials %d (failed %d), breaker opens %d, sends suppressed %d\n",
-			ts.Dials, ts.DialFailures, ts.BreakerOpens, ts.Suppressed)
+		fmt.Printf("pastnode: transport: dials %d (failed %d), breaker opens %d, sends suppressed %d, queue drops %d, decode errors %d\n",
+			ts.Dials, ts.DialFailures, ts.BreakerOpens, ts.Suppressed, ts.QueueDrops, ts.DecodeErrors)
 		for _, st := range run.Statuses() {
 			fmt.Printf("pastnode: task %s\n", st)
 		}

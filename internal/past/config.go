@@ -100,7 +100,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		K:                5,
-		Capacity:         64 << 20,
+		Capacity:         256 << 20, // pastnode's -capacity default
 		TPri:             0.1,
 		TDiv:             0.05,
 		ReplicaDiversion: true,

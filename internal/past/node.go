@@ -864,7 +864,7 @@ func (n *Node) handleReclaimForward(m wire.ReclaimForward) {
 // Re-replication and audits
 
 // Approximate wire sizes for maintenance accounting. The simulator never
-// serializes, so these model what the gob/TCP transport would move:
+// serializes, so these model what the TCP transport would move:
 // fixed-width fields at their width, byte slices at their length, and a
 // NodeRef as id plus a short address.
 const refApproxBytes = id.NodeBytes + 12

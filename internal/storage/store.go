@@ -28,9 +28,10 @@ var (
 // the bytes as immutable from then on — the same rule package wire
 // imposes on message payloads ("immutable after Send"). In the simulator
 // every replica of one insert therefore aliases a single backing array;
-// over the TCP transport the gob codec naturally materializes a fresh
-// copy per process. Content authenticity never depends on this: every
-// node re-checks Data against Cert.ContentHash before serving it.
+// over the TCP transport each process's copy is the frame buffer the
+// bytes arrived in, which the decoded message aliases. Content
+// authenticity never depends on this: every node re-checks Data against
+// Cert.ContentHash before serving it.
 type Item struct {
 	Cert wire.FileCertificate
 	Data []byte

@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -15,15 +13,6 @@ import (
 
 	"past/internal/wire"
 )
-
-func init() { wire.RegisterAll() }
-
-// frame is the unit the TCP transport exchanges: the sender's address (so
-// replies can flow without a handshake) plus one message.
-type frame struct {
-	From string
-	Msg  wire.Msg
-}
 
 // TCPOptions tune the TCP transport. The zero value gives the defaults.
 type TCPOptions struct {
@@ -65,18 +54,27 @@ type TCPStats struct {
 	// BreakerOpens counts open transitions (including re-opens after a
 	// failed half-open probe).
 	BreakerOpens int64
+	// QueueDrops counts sends dropped because the peer's send queue was
+	// full: the writer could not keep up with the sender.
+	QueueDrops int64
+	// DecodeErrors counts inbound frames that were well framed but did
+	// not decode; each one also cost its connection.
+	DecodeErrors int64
 }
 
 // TCP is a transport.Transport over real TCP connections. One listener
 // accepts inbound peers; outbound connections are cached per destination.
 // Each frame travels as a 4-byte big-endian length prefix followed by a
-// self-contained gob encoding, so the reader can reject oversized frames
-// before allocating and detect truncation (a peer dying mid-frame) as a
-// short read rather than a corrupted stream. Send never blocks on the
-// network: dialing happens on a connector goroutine per peer (a slow or
-// dead destination never stalls sends to healthy ones), and each peer
-// connection has a writer goroutine fed by a bounded queue whose overflow
-// drops (UDP-like semantics, matching the simulator).
+// self-contained body — the sender's address (so replies can flow without
+// a handshake) and one message in package wire's frame encoding — so the
+// reader can reject oversized frames before allocating and detect
+// truncation (a peer dying mid-frame) as a short read rather than a
+// corrupted stream. Prefix and body leave in one Write. Send never blocks
+// on the network: dialing happens on a connector goroutine per peer (a
+// slow or dead destination never stalls sends to healthy ones), and each
+// peer connection has a writer goroutine fed by a bounded queue whose
+// overflow drops (UDP-like semantics, matching the simulator), plus a
+// watcher goroutine that notices the peer hanging up.
 type TCP struct {
 	addr        string
 	ln          net.Listener
@@ -96,19 +94,23 @@ type TCP struct {
 	proxMu sync.Mutex
 	prox   map[string]float64
 
-	dials, dialFailures, suppressed atomic.Int64
+	dials, dialFailures, suppressed, queueDrops, decodeErrors atomic.Int64
 
 	wg sync.WaitGroup
 }
 
 // tcpPeer is one outbound destination: a bounded send queue plus a done
-// channel closed exactly once (by Close) to stop its writer. The entry is
+// channel that stops its writer, closed once by whoever gets there first:
+// Close, or the connection's watcher when the peer hangs up. The entry is
 // installed in the peer map before the dial completes, so concurrent
 // senders share one connection attempt instead of racing to dial.
 type tcpPeer struct {
-	out  chan frame
+	out  chan wire.Msg
 	done chan struct{}
+	once sync.Once
 }
+
+func (p *tcpPeer) stop() { p.once.Do(func() { close(p.done) }) }
 
 // ListenTCP starts a transport listening on the given address
 // ("127.0.0.1:0" picks a free port) with default options.
@@ -173,6 +175,8 @@ func (t *TCP) Stats() TCPStats {
 		DialFailures: t.dialFailures.Load(),
 		Suppressed:   t.suppressed.Load(),
 		BreakerOpens: t.breaker.Opens(),
+		QueueDrops:   t.queueDrops.Load(),
+		DecodeErrors: t.decodeErrors.Load(),
 	}
 }
 
@@ -196,40 +200,21 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
-// writeFrame encodes f into buf and writes it length-prefixed. A frame
-// that encodes beyond maxFrame is refused locally — better to drop one
-// message than to ship something every receiver will kill the connection
-// over.
-func writeFrame(w io.Writer, buf *bytes.Buffer, f *frame, maxFrame int) error {
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(f); err != nil {
-		return err
-	}
-	if buf.Len() > maxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", buf.Len(), maxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-// readFrame reads one length-prefixed frame. It errors on a zero or
-// oversized announced length (before allocating), on truncation (peer
-// closed mid-frame), and on undecodable payload.
-func readFrame(r io.Reader, maxFrame int) (frame, error) {
-	payload, err := ReadRawFrame(r, maxFrame)
+// encodeFrame overwrites buf with one whole frame: length prefix, sender
+// address, message. A frame that encodes beyond maxFrame is refused here,
+// before any byte reaches the connection: better to drop one message than
+// to ship something every receiver will kill the connection over.
+func encodeFrame(buf []byte, from string, m wire.Msg, maxFrame int) ([]byte, error) {
+	out, err := wire.AppendFrame(append(buf[:0], 0, 0, 0, 0), from, m)
 	if err != nil {
-		return frame{}, err
+		return buf, err
 	}
-	var f frame
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&f); err != nil {
-		return frame{}, err
+	n := len(out) - 4
+	if n > maxFrame {
+		return buf, fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, maxFrame)
 	}
-	return f, nil
+	binary.BigEndian.PutUint32(out, uint32(n))
+	return out, nil
 }
 
 // ReadRawFrame reads one length-prefixed frame and returns its payload
@@ -358,15 +343,22 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	for {
-		f, err := readFrame(conn, t.maxFrame)
+		// One fresh buffer per frame, never pooled: the decoded message's
+		// byte fields alias it and outlive this loop iteration.
+		body, err := ReadRawFrame(conn, t.maxFrame)
 		if err != nil {
-			return // EOF, truncated frame, oversized frame, or garbage: drop the connection
+			return // EOF, truncated or oversized frame: drop the connection
+		}
+		from, m, err := wire.DecodeFrame(body)
+		if err != nil {
+			t.decodeErrors.Add(1)
+			return // garbage: drop the connection
 		}
 		t.handlerM.RLock()
 		h := t.handler
 		t.handlerM.RUnlock()
 		if h != nil {
-			h(f.From, f.Msg)
+			h(from, m)
 		}
 	}
 }
@@ -389,18 +381,18 @@ func (t *TCP) Send(to string, m wire.Msg) error {
 			t.suppressed.Add(1)
 			return nil // breaker open: drop without hammering the dead peer
 		}
-		p = &tcpPeer{out: make(chan frame, 256), done: make(chan struct{})}
+		p = &tcpPeer{out: make(chan wire.Msg, 256), done: make(chan struct{})}
 		t.peers[to] = p
 		t.wg.Add(1)
 		go t.connect(to, p)
 	}
 	t.mu.Unlock()
 	select {
-	case p.out <- frame{From: t.addr, Msg: m}:
+	case p.out <- m:
 	case <-p.done:
-		// Transport shut down while enqueueing.
+		// Transport shut down, or the peer hung up, while enqueueing.
 	default:
-		// Queue full: drop.
+		t.queueDrops.Add(1) // queue full: drop
 	}
 	return nil
 }
@@ -424,25 +416,50 @@ func (t *TCP) connect(to string, p *tcpPeer) {
 		return
 	default:
 	}
-	t.wg.Add(1)
+	t.wg.Add(2)
 	go t.writeLoop(to, p, conn)
+	go t.watch(to, p, conn)
 }
 
+// writeLoop drains the peer's queue onto conn, one Write per frame out of
+// one reused buffer. A frame that cannot be encoded (oversized, or not a
+// wire message) is dropped alone; a failed Write means the connection
+// broke, so the peer is forgotten and the next Send redials fresh.
 func (t *TCP) writeLoop(to string, p *tcpPeer, conn net.Conn) {
 	defer t.wg.Done()
-	defer conn.Close()
-	var buf bytes.Buffer
+	defer conn.Close() // also ends the watcher's Read
+	var buf []byte
 	for {
 		select {
 		case <-p.done:
 			return
-		case f := <-p.out:
-			if err := writeFrame(conn, &buf, &f, t.maxFrame); err != nil {
-				// Connection broke (or the frame was locally oversized):
-				// forget the peer so the next Send redials fresh.
+		case m := <-p.out:
+			var err error
+			if buf, err = encodeFrame(buf, t.addr, m, t.maxFrame); err != nil {
+				continue
+			}
+			if _, err := conn.Write(buf); err != nil {
 				t.forget(to, p)
 				return
 			}
+		}
+	}
+}
+
+// watch blocks reading the outbound connection, which the peer never
+// writes to, so Read returns only when the connection dies. A write alone
+// cannot tell: the first frame written after the peer closed still
+// succeeds locally, and with one Write per frame that frame would be lost
+// without anyone noticing. On EOF or error the peer is forgotten and its
+// writer stopped at once, so the next Send redials.
+func (t *TCP) watch(to string, p *tcpPeer, conn net.Conn) {
+	defer t.wg.Done()
+	var b [1]byte
+	for {
+		if _, err := conn.Read(b[:]); err != nil {
+			t.forget(to, p)
+			p.stop()
+			return
 		}
 	}
 }
@@ -539,7 +556,7 @@ func (t *TCP) Close() error {
 	}
 	t.closed = true
 	for to, p := range t.peers {
-		close(p.done)
+		p.stop()
 		delete(t.peers, to)
 	}
 	for to, timer := range t.probes {
@@ -548,7 +565,7 @@ func (t *TCP) Close() error {
 		}
 		delete(t.probes, to)
 	}
-	// Unblock inbound readers: their Decode returns once the conn closes.
+	// Unblock inbound readers: their Read returns once the conn closes.
 	for conn := range t.inbound {
 		conn.Close()
 	}

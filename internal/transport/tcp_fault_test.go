@@ -104,8 +104,9 @@ func TestTCPOversizedFrameRejected(t *testing.T) {
 }
 
 // TestTCPOversizedSendRefusedLocally verifies the sender side: a message
-// that encodes past MaxFrame is dropped locally and the next Send redials
-// a fresh connection rather than poisoning the stream.
+// that encodes past MaxFrame is refused before any byte is written and
+// only that frame is lost — the connection stays up (no redial) and a
+// frame queued right behind it arrives.
 func TestTCPOversizedSendRefusedLocally(t *testing.T) {
 	a, err := ListenTCPOpts("127.0.0.1:0", TCPOptions{MaxFrame: 1 << 10})
 	if err != nil {
@@ -116,18 +117,97 @@ func TestTCPOversizedSendRefusedLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close(); b.Close() })
-	got := countHandler(b)
+	var mu sync.Mutex
+	var got []wire.Msg
+	b.SetHandler(func(_ string, m wire.Msg) {
+		mu.Lock()
+		got = append(got, m)
+		mu.Unlock()
+	})
 
 	big := wire.ReplicaStore{Data: make([]byte, 1<<20)}
 	if err := a.Send(b.Addr(), big); err != nil {
 		t.Fatalf("oversized send must be silent local loss, got %v", err)
 	}
-	// Give the writer a moment to refuse and tear down, then prove the
-	// path still works for normal traffic.
+	a.Send(b.Addr(), wire.Ping{Nonce: 2})
+	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(got) == 1 })
+	mu.Lock()
+	defer mu.Unlock()
+	if p, ok := got[0].(wire.Ping); !ok || p.Nonce != 2 {
+		t.Fatalf("got %#v, want the ping queued behind the oversized frame", got[0])
+	}
+	if d := a.Stats().Dials; d != 1 {
+		t.Fatalf("%d dials: the oversized frame cost the connection", d)
+	}
+}
+
+// TestTCPPeerCloseNoticedWithoutSend restarts the receiver on the same
+// address. Nobody sends in between: the sender's watcher must notice the
+// old connection die on its own and forget the peer, so the very first
+// Send after the restart redials and is delivered.
+func TestTCPPeerCloseNoticedWithoutSend(t *testing.T) {
+	a, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	b1, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := b1.Addr()
+	got1 := countHandler(b1)
+	a.Send(addr, wire.Ping{Nonce: 1})
+	waitFor(t, func() bool { return got1() == 1 })
+
+	b1.Close()
+	var b2 *TCP
 	waitFor(t, func() bool {
-		a.Send(b.Addr(), wire.Ping{Nonce: 2})
-		return got() >= 1
+		b2, err = ListenTCP(addr)
+		return err == nil
 	})
+	t.Cleanup(func() { b2.Close() })
+	got2 := countHandler(b2)
+	waitFor(t, func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return a.peers[addr] == nil
+	})
+
+	a.Send(addr, wire.Ping{Nonce: 2})
+	waitFor(t, func() bool { return got2() == 1 })
+	if d := a.Stats().Dials; d != 2 {
+		t.Fatalf("%d dials, want one per incarnation of the peer", d)
+	}
+}
+
+// TestTCPQueueDropsCounted fills a peer's send queue while its dial is
+// still pending (a via proxy that accepts and never acks): the queue
+// holds 256 messages and every send past that is dropped and counted.
+func TestTCPQueueDropsCounted(t *testing.T) {
+	stall, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stall.Close()
+	a, err := ListenTCPOpts("127.0.0.1:0", TCPOptions{DialVia: stall.Addr().String(), DialTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sends, queue = 300, 256
+	for i := 0; i < sends; i++ {
+		a.Send("127.0.0.1:9", wire.Ping{Nonce: uint64(i)})
+	}
+	if d := a.Stats().QueueDrops; d != sends-queue {
+		t.Fatalf("QueueDrops = %d, want %d", d, sends-queue)
+	}
+	// Hang up on the pending dial so Close need not wait out DialTimeout.
+	conn, err := stall.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	a.Close()
 }
 
 // TestTCPReconnectAfterRestart restarts the receiving node on the SAME
@@ -203,7 +283,7 @@ func TestTCPGarbagePayloadDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	payload := []byte("this is not gob")
+	payload := []byte("this is not a frame")
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 	conn.Write(hdr[:])
@@ -214,5 +294,8 @@ func TestTCPGarbagePayloadDropped(t *testing.T) {
 	}
 	if got() != 0 {
 		t.Fatal("garbage delivered to handler")
+	}
+	if n := b.Stats().DecodeErrors; n != 1 {
+		t.Fatalf("DecodeErrors = %d, want 1", n)
 	}
 }

@@ -1,0 +1,632 @@
+package wire
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+
+	"past/internal/id"
+)
+
+// The frame codec: the one encoder (AppendFrame) and the one decoder
+// (DecodeFrame) for what the TCP transport puts behind its 4-byte length
+// prefix. A frame body is the sender's address followed by one message:
+//
+//	body    = str(From) msg
+//	msg     = tag(1) fields...           tag identifies the message type
+//	int, int64, uint64 = 8 bytes big-endian (two's complement)
+//	float64 = 8 bytes big-endian IEEE 754 bits
+//	bool    = 1 byte, 0 or 1
+//	id.Node = 16 bytes, id.File = 20 bytes, [32]byte = 32 bytes
+//	str, []byte = u32 length, then the bytes
+//	[]T     = u32 count, then the elements
+//	NodeRef = id.Node str(Addr)
+//
+// Fields follow in struct declaration order. Routed carries its payload
+// inline as another msg, which must not itself be a Routed. Every frame is
+// self-contained: there is no handshake and no per-connection state, so a
+// proxy may drop, delay or reorder individual frames. The encoding is
+// canonical — a body that decodes re-encodes to the same bytes.
+
+// Message tags. The values are the wire format: append, never renumber.
+const (
+	tagRouted byte = 1 + iota
+	tagJoinRequest
+	tagRouteRows
+	tagLeafSetReply
+	tagLeafSetRequest
+	tagNeighborhoodReply
+	tagAnnounce
+	tagHeartbeat
+	tagPing
+	tagPong
+	tagRTRepairRequest
+	tagRTRepairReply
+	tagFileCertificate
+	tagReclaimCertificate
+	tagInsertRequest
+	tagReplicaStore
+	tagStoreReceipt
+	tagInsertReject
+	tagDivertReject
+	tagLookupRequest
+	tagLookupReply
+	tagLookupMiss
+	tagLookupAbort
+	tagReclaimRequest
+	tagReclaimForward
+	tagReclaimReceipt
+	tagReplicate
+	tagSyncOffer
+	tagSyncRequest
+	tagDepart
+	tagCacheCopy
+	tagFetchRequest
+	tagAuditChallenge
+	tagAuditResponse
+)
+
+// Smallest encodings of the variable-size slice elements, used to reject
+// a count larger than the bytes that remain before allocating for it.
+const (
+	minRefBytes = id.NodeBytes + 4 // id + empty Addr
+	minRowBytes = 4                // empty row
+)
+
+var errTruncated = errors.New("wire: truncated frame")
+
+// AppendFrame appends the frame body for message m sent by from to dst and
+// returns the extended slice. It fails, leaving dst's contents unchanged,
+// on a message type outside this package's vocabulary, a Routed whose
+// payload is absent or itself a Routed, or a field too long for its prefix.
+func AppendFrame(dst []byte, from string, m Msg) ([]byte, error) {
+	e := encoder{b: dst}
+	e.str(from)
+	e.msg(m, false)
+	if e.err != nil {
+		return dst, e.err
+	}
+	return e.b, nil
+}
+
+// DecodeFrame decodes one frame body. Byte-slice fields of the returned
+// message (Data, signatures, keys, salts) alias b rather than copying it,
+// each capped to its own length: the caller hands b over and must never
+// write to or reuse it, exactly as for any sent payload (see the package
+// doc). Truncated, trailing, oversized-count and unknown-tag input is an
+// error, never a panic.
+func DecodeFrame(b []byte) (from string, m Msg, err error) {
+	d := decoder{b: b}
+	from = d.str()
+	m = d.msg(false)
+	if d.err == nil && len(d.b) != 0 {
+		d.err = fmt.Errorf("wire: %d trailing bytes after %s", len(d.b), m.Kind())
+	}
+	if d.err != nil {
+		return "", nil, d.err
+	}
+	return from, m, nil
+}
+
+// encoder appends fields to b; the first error sticks.
+type encoder struct {
+	b   []byte
+	err error
+}
+
+func (e *encoder) u8(v byte)      { e.b = append(e.b, v) }
+func (e *encoder) u64(v uint64)   { e.b = binary.BigEndian.AppendUint64(e.b, v) }
+func (e *encoder) i64(v int64)    { e.u64(uint64(v)) }
+func (e *encoder) f64(v float64)  { e.u64(math.Float64bits(v)) }
+func (e *encoder) node(v id.Node) { e.b = append(e.b, v[:]...) }
+func (e *encoder) file(v id.File) { e.b = append(e.b, v[:]...) }
+func (e *encoder) hash(v [32]byte) {
+	e.b = append(e.b, v[:]...)
+}
+
+func (e *encoder) bool(v bool) {
+	if v {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
+}
+
+func (e *encoder) count(n int) {
+	if n > math.MaxUint32 {
+		e.fail(fmt.Errorf("wire: field of %d elements exceeds the u32 prefix", n))
+	}
+	e.b = binary.BigEndian.AppendUint32(e.b, uint32(n))
+}
+
+func (e *encoder) bytes(v []byte) {
+	e.count(len(v))
+	e.b = append(e.b, v...)
+}
+
+func (e *encoder) str(v string) {
+	e.count(len(v))
+	e.b = append(e.b, v...)
+}
+
+func (e *encoder) ref(r NodeRef) {
+	e.node(r.ID)
+	e.str(r.Addr)
+}
+
+func (e *encoder) refs(rs []NodeRef) {
+	e.count(len(rs))
+	for i := range rs {
+		e.ref(rs[i])
+	}
+}
+
+func (e *encoder) files(fs []id.File) {
+	e.count(len(fs))
+	for i := range fs {
+		e.file(fs[i])
+	}
+}
+
+func (e *encoder) cert(c *FileCertificate) {
+	e.file(c.FileID)
+	e.hash(c.ContentHash)
+	e.i64(c.Size)
+	e.i64(int64(c.Replicas))
+	e.bytes(c.Salt)
+	e.i64(c.Issued)
+	e.bytes(c.OwnerPub)
+	e.bytes(c.CardCert)
+	e.bytes(c.Sig)
+}
+
+func (e *encoder) reclaimCert(c *ReclaimCertificate) {
+	e.file(c.FileID)
+	e.i64(c.Issued)
+	e.bytes(c.OwnerPub)
+	e.bytes(c.CardCert)
+	e.bytes(c.Sig)
+}
+
+// msg appends m's tag and fields. nested is set for a Routed's payload.
+func (e *encoder) msg(m Msg, nested bool) {
+	switch m := m.(type) {
+	case Routed:
+		if nested || m.Payload == nil {
+			e.fail(errors.New("wire: Routed payload must be a non-Routed message"))
+			return
+		}
+		e.u8(tagRouted)
+		e.node(m.Key)
+		e.msg(m.Payload, true)
+		e.ref(m.Origin)
+		e.i64(int64(m.Hops))
+		e.f64(m.Distance)
+		e.u64(m.Nonce)
+	case JoinRequest:
+		e.u8(tagJoinRequest)
+		e.ref(m.New)
+	case RouteRows:
+		e.u8(tagRouteRows)
+		e.ref(m.From)
+		e.i64(int64(m.FirstRow))
+		e.count(len(m.Rows))
+		for _, row := range m.Rows {
+			e.refs(row)
+		}
+	case LeafSetReply:
+		e.u8(tagLeafSetReply)
+		e.ref(m.From)
+		e.refs(m.Leaves)
+		e.bool(m.Terminal)
+	case LeafSetRequest:
+		e.u8(tagLeafSetRequest)
+		e.ref(m.From)
+	case NeighborhoodReply:
+		e.u8(tagNeighborhoodReply)
+		e.ref(m.From)
+		e.refs(m.Neighbors)
+	case Announce:
+		e.u8(tagAnnounce)
+		e.ref(m.From)
+	case Heartbeat:
+		e.u8(tagHeartbeat)
+		e.ref(m.From)
+	case Ping:
+		e.u8(tagPing)
+		e.ref(m.From)
+		e.u64(m.Nonce)
+	case Pong:
+		e.u8(tagPong)
+		e.ref(m.From)
+		e.u64(m.Nonce)
+	case RTRepairRequest:
+		e.u8(tagRTRepairRequest)
+		e.ref(m.From)
+		e.i64(int64(m.Row))
+		e.i64(int64(m.Col))
+	case RTRepairReply:
+		e.u8(tagRTRepairReply)
+		e.ref(m.From)
+		e.i64(int64(m.Row))
+		e.i64(int64(m.Col))
+		e.ref(m.Entry)
+	case FileCertificate:
+		e.u8(tagFileCertificate)
+		e.cert(&m)
+	case ReclaimCertificate:
+		e.u8(tagReclaimCertificate)
+		e.reclaimCert(&m)
+	case InsertRequest:
+		e.u8(tagInsertRequest)
+		e.cert(&m.Cert)
+		e.bytes(m.Data)
+		e.ref(m.Client)
+		e.u64(m.ReqID)
+	case ReplicaStore:
+		e.u8(tagReplicaStore)
+		e.cert(&m.Cert)
+		e.bytes(m.Data)
+		e.ref(m.Client)
+		e.u64(m.ReqID)
+		e.ref(m.Primary)
+		e.bool(m.Diverted)
+	case StoreReceipt:
+		e.u8(tagStoreReceipt)
+		e.file(m.FileID)
+		e.ref(m.StoredBy)
+		e.ref(m.OnBehalfOf)
+		e.bool(m.Diverted)
+		e.i64(m.Size)
+		e.bytes(m.NodePub)
+		e.bytes(m.Sig)
+		e.u64(m.ReqID)
+	case InsertReject:
+		e.u8(tagInsertReject)
+		e.file(m.FileID)
+		e.u64(m.ReqID)
+		e.str(m.Reason)
+	case DivertReject:
+		e.u8(tagDivertReject)
+		e.file(m.FileID)
+		e.u64(m.ReqID)
+		e.ref(m.From)
+	case LookupRequest:
+		e.u8(tagLookupRequest)
+		e.file(m.FileID)
+		e.ref(m.Client)
+		e.u64(m.ReqID)
+		e.ref(m.PrevHop)
+		e.bool(m.Redirected)
+	case LookupReply:
+		e.u8(tagLookupReply)
+		e.cert(&m.Cert)
+		e.bytes(m.Data)
+		e.ref(m.From)
+		e.u64(m.ReqID)
+		e.i64(int64(m.Hops))
+		e.f64(m.Distance)
+		e.bool(m.Cached)
+	case LookupMiss:
+		e.u8(tagLookupMiss)
+		e.file(m.FileID)
+		e.u64(m.ReqID)
+	case LookupAbort:
+		e.u8(tagLookupAbort)
+		e.file(m.FileID)
+		e.u64(m.ReqID)
+		e.i64(int64(m.Hops))
+		e.ref(m.From)
+	case ReclaimRequest:
+		e.u8(tagReclaimRequest)
+		e.reclaimCert(&m.Cert)
+		e.ref(m.Client)
+		e.u64(m.ReqID)
+	case ReclaimForward:
+		e.u8(tagReclaimForward)
+		e.reclaimCert(&m.Cert)
+		e.ref(m.Client)
+		e.u64(m.ReqID)
+	case ReclaimReceipt:
+		e.u8(tagReclaimReceipt)
+		e.file(m.FileID)
+		e.i64(m.Freed)
+		e.ref(m.By)
+		e.bytes(m.NodePub)
+		e.bytes(m.Sig)
+		e.u64(m.ReqID)
+	case Replicate:
+		e.u8(tagReplicate)
+		e.cert(&m.Cert)
+		e.bytes(m.Data)
+		e.ref(m.From)
+	case SyncOffer:
+		e.u8(tagSyncOffer)
+		e.ref(m.From)
+		e.files(m.Files)
+		e.count(len(m.Sizes))
+		for _, s := range m.Sizes {
+			e.i64(s)
+		}
+	case SyncRequest:
+		e.u8(tagSyncRequest)
+		e.ref(m.From)
+		e.files(m.Files)
+	case Depart:
+		e.u8(tagDepart)
+		e.ref(m.From)
+	case CacheCopy:
+		e.u8(tagCacheCopy)
+		e.cert(&m.Cert)
+		e.bytes(m.Data)
+	case FetchRequest:
+		e.u8(tagFetchRequest)
+		e.file(m.FileID)
+		e.ref(m.Client)
+		e.u64(m.ReqID)
+	case AuditChallenge:
+		e.u8(tagAuditChallenge)
+		e.file(m.FileID)
+		e.u64(m.Nonce)
+		e.ref(m.From)
+		e.u64(m.ReqID)
+	case AuditResponse:
+		e.u8(tagAuditResponse)
+		e.file(m.FileID)
+		e.hash(m.Proof)
+		e.ref(m.From)
+		e.u64(m.ReqID)
+		e.bool(m.Held)
+	default:
+		e.fail(fmt.Errorf("wire: cannot encode message of type %T", m))
+	}
+}
+
+func (e *encoder) fail(err error) {
+	if e.err == nil {
+		e.err = err
+	}
+}
+
+// decoder consumes fields from the front of b. The first error sticks and
+// every later read returns a zero value, so message decoding is written
+// straight-line and checked once at the end.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.b = nil
+}
+
+// take returns the next n bytes, capped so an append by the holder cannot
+// run into the bytes that follow.
+func (d *decoder) take(n int) []byte {
+	if n > len(d.b) {
+		d.fail(errTruncated)
+		return nil
+	}
+	p := d.b[:n:n]
+	d.b = d.b[n:]
+	return p
+}
+
+func (d *decoder) u8() byte {
+	if p := d.take(1); p != nil {
+		return p[0]
+	}
+	return 0
+}
+
+func (d *decoder) u64() uint64 {
+	if p := d.take(8); p != nil {
+		return binary.BigEndian.Uint64(p)
+	}
+	return 0
+}
+
+func (d *decoder) i64() int64   { return int64(d.u64()) }
+func (d *decoder) int() int     { return int(d.i64()) }
+func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
+
+func (d *decoder) bool() bool {
+	v := d.u8()
+	if v > 1 {
+		d.fail(fmt.Errorf("wire: bool byte %d", v))
+	}
+	return v == 1
+}
+
+func (d *decoder) node() (v id.Node) {
+	copy(v[:], d.take(len(v)))
+	return v
+}
+
+func (d *decoder) file() (v id.File) {
+	copy(v[:], d.take(len(v)))
+	return v
+}
+
+func (d *decoder) hash() (v [32]byte) {
+	copy(v[:], d.take(len(v)))
+	return v
+}
+
+// count reads a u32 element count and rejects one that the remaining
+// bytes cannot hold at elem bytes per element, before anything is
+// allocated for it.
+func (d *decoder) count(elem int) int {
+	p := d.take(4)
+	if p == nil {
+		return 0
+	}
+	n := uint64(binary.BigEndian.Uint32(p))
+	if n*uint64(elem) > uint64(len(d.b)) {
+		d.fail(fmt.Errorf("wire: count %d exceeds the %d bytes remaining", n, len(d.b)))
+		return 0
+	}
+	return int(n)
+}
+
+// bytes aliases the frame. An empty field decodes as nil.
+func (d *decoder) bytes() []byte {
+	n := d.count(1)
+	if n == 0 {
+		return nil
+	}
+	return d.take(n)
+}
+
+func (d *decoder) str() string { return string(d.take(d.count(1))) }
+
+func (d *decoder) ref() NodeRef { return NodeRef{ID: d.node(), Addr: d.str()} }
+
+func (d *decoder) refs() []NodeRef {
+	n := d.count(minRefBytes)
+	if n == 0 {
+		return nil
+	}
+	rs := make([]NodeRef, n)
+	for i := range rs {
+		rs[i] = d.ref()
+	}
+	return rs
+}
+
+func (d *decoder) files() []id.File {
+	n := d.count(id.FileBytes)
+	if n == 0 {
+		return nil
+	}
+	fs := make([]id.File, n)
+	for i := range fs {
+		fs[i] = d.file()
+	}
+	return fs
+}
+
+func (d *decoder) cert() FileCertificate {
+	return FileCertificate{
+		FileID:      d.file(),
+		ContentHash: d.hash(),
+		Size:        d.i64(),
+		Replicas:    d.int(),
+		Salt:        d.bytes(),
+		Issued:      d.i64(),
+		OwnerPub:    d.bytes(),
+		CardCert:    d.bytes(),
+		Sig:         d.bytes(),
+	}
+}
+
+func (d *decoder) reclaimCert() ReclaimCertificate {
+	return ReclaimCertificate{
+		FileID:   d.file(),
+		Issued:   d.i64(),
+		OwnerPub: d.bytes(),
+		CardCert: d.bytes(),
+		Sig:      d.bytes(),
+	}
+}
+
+// msg reads one tag and that message's fields; composite-literal fields
+// are evaluated in the order written, which is the wire order. nested is
+// set for a Routed's payload. After an error the result is meaningless.
+func (d *decoder) msg(nested bool) Msg {
+	switch tag := d.u8(); tag {
+	case tagRouted:
+		if nested {
+			d.fail(errors.New("wire: Routed nested in a Routed"))
+			return nil
+		}
+		return Routed{Key: d.node(), Payload: d.msg(true), Origin: d.ref(), Hops: d.int(), Distance: d.f64(), Nonce: d.u64()}
+	case tagJoinRequest:
+		return JoinRequest{New: d.ref()}
+	case tagRouteRows:
+		m := RouteRows{From: d.ref(), FirstRow: d.int()}
+		if n := d.count(minRowBytes); n > 0 {
+			m.Rows = make([][]NodeRef, n)
+			for i := range m.Rows {
+				m.Rows[i] = d.refs()
+			}
+		}
+		return m
+	case tagLeafSetReply:
+		return LeafSetReply{From: d.ref(), Leaves: d.refs(), Terminal: d.bool()}
+	case tagLeafSetRequest:
+		return LeafSetRequest{From: d.ref()}
+	case tagNeighborhoodReply:
+		return NeighborhoodReply{From: d.ref(), Neighbors: d.refs()}
+	case tagAnnounce:
+		return Announce{From: d.ref()}
+	case tagHeartbeat:
+		return Heartbeat{From: d.ref()}
+	case tagPing:
+		return Ping{From: d.ref(), Nonce: d.u64()}
+	case tagPong:
+		return Pong{From: d.ref(), Nonce: d.u64()}
+	case tagRTRepairRequest:
+		return RTRepairRequest{From: d.ref(), Row: d.int(), Col: d.int()}
+	case tagRTRepairReply:
+		return RTRepairReply{From: d.ref(), Row: d.int(), Col: d.int(), Entry: d.ref()}
+	case tagFileCertificate:
+		return d.cert()
+	case tagReclaimCertificate:
+		return d.reclaimCert()
+	case tagInsertRequest:
+		return InsertRequest{Cert: d.cert(), Data: d.bytes(), Client: d.ref(), ReqID: d.u64()}
+	case tagReplicaStore:
+		return ReplicaStore{Cert: d.cert(), Data: d.bytes(), Client: d.ref(), ReqID: d.u64(), Primary: d.ref(), Diverted: d.bool()}
+	case tagStoreReceipt:
+		return StoreReceipt{FileID: d.file(), StoredBy: d.ref(), OnBehalfOf: d.ref(), Diverted: d.bool(), Size: d.i64(), NodePub: d.bytes(), Sig: d.bytes(), ReqID: d.u64()}
+	case tagInsertReject:
+		return InsertReject{FileID: d.file(), ReqID: d.u64(), Reason: d.str()}
+	case tagDivertReject:
+		return DivertReject{FileID: d.file(), ReqID: d.u64(), From: d.ref()}
+	case tagLookupRequest:
+		return LookupRequest{FileID: d.file(), Client: d.ref(), ReqID: d.u64(), PrevHop: d.ref(), Redirected: d.bool()}
+	case tagLookupReply:
+		return LookupReply{Cert: d.cert(), Data: d.bytes(), From: d.ref(), ReqID: d.u64(), Hops: d.int(), Distance: d.f64(), Cached: d.bool()}
+	case tagLookupMiss:
+		return LookupMiss{FileID: d.file(), ReqID: d.u64()}
+	case tagLookupAbort:
+		return LookupAbort{FileID: d.file(), ReqID: d.u64(), Hops: d.int(), From: d.ref()}
+	case tagReclaimRequest:
+		return ReclaimRequest{Cert: d.reclaimCert(), Client: d.ref(), ReqID: d.u64()}
+	case tagReclaimForward:
+		return ReclaimForward{Cert: d.reclaimCert(), Client: d.ref(), ReqID: d.u64()}
+	case tagReclaimReceipt:
+		return ReclaimReceipt{FileID: d.file(), Freed: d.i64(), By: d.ref(), NodePub: d.bytes(), Sig: d.bytes(), ReqID: d.u64()}
+	case tagReplicate:
+		return Replicate{Cert: d.cert(), Data: d.bytes(), From: d.ref()}
+	case tagSyncOffer:
+		m := SyncOffer{From: d.ref(), Files: d.files()}
+		if n := d.count(8); n > 0 {
+			m.Sizes = make([]int64, n)
+			for i := range m.Sizes {
+				m.Sizes[i] = d.i64()
+			}
+		}
+		return m
+	case tagSyncRequest:
+		return SyncRequest{From: d.ref(), Files: d.files()}
+	case tagDepart:
+		return Depart{From: d.ref()}
+	case tagCacheCopy:
+		return CacheCopy{Cert: d.cert(), Data: d.bytes()}
+	case tagFetchRequest:
+		return FetchRequest{FileID: d.file(), Client: d.ref(), ReqID: d.u64()}
+	case tagAuditChallenge:
+		return AuditChallenge{FileID: d.file(), Nonce: d.u64(), From: d.ref(), ReqID: d.u64()}
+	case tagAuditResponse:
+		return AuditResponse{FileID: d.file(), Proof: d.hash(), From: d.ref(), ReqID: d.u64(), Held: d.bool()}
+	default:
+		d.fail(fmt.Errorf("wire: unknown message tag %d", tag)) // no-op after an earlier error
+		return nil
+	}
+}

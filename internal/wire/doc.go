@@ -6,9 +6,10 @@
 // the paper.
 //
 // Messages are plain data structs. The same values travel in-process
-// inside the discrete-event simulator and as gob-encoded frames over the
-// TCP transport; RegisterAll installs the concrete types with
-// encoding/gob.
+// inside the discrete-event simulator and, over the TCP transport, as
+// frames in this package's own binary encoding (codec.go: AppendFrame and
+// DecodeFrame, one tag byte per message type, fixed-width big-endian
+// scalars, length-prefixed byte strings; every frame self-contained).
 //
 // # Immutable after Send
 //
@@ -19,4 +20,9 @@
 // is what makes replication zero-copy (see the package past doc comment).
 // Every node still re-checks content hashes before serving, so a violated
 // contract is detected rather than silently propagated.
+//
+// The rule covers received messages too: DecodeFrame does not copy byte
+// fields (Data, signatures, keys) but slices them out of the frame buffer
+// it was handed, so that buffer belongs to the message from then on — it
+// is never written to, pooled or reused.
 package wire

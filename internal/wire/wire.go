@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"past/internal/id"
@@ -413,42 +412,3 @@ type AuditResponse struct {
 }
 
 func (AuditResponse) Kind() string { return "audit-response" }
-
-// RegisterAll installs every message type with encoding/gob so the TCP
-// transport can marshal Msg interface values.
-func RegisterAll() {
-	gob.Register(Routed{})
-	gob.Register(JoinRequest{})
-	gob.Register(RouteRows{})
-	gob.Register(LeafSetReply{})
-	gob.Register(LeafSetRequest{})
-	gob.Register(NeighborhoodReply{})
-	gob.Register(Announce{})
-	gob.Register(Heartbeat{})
-	gob.Register(Ping{})
-	gob.Register(Pong{})
-	gob.Register(RTRepairRequest{})
-	gob.Register(RTRepairReply{})
-	gob.Register(FileCertificate{})
-	gob.Register(ReclaimCertificate{})
-	gob.Register(InsertRequest{})
-	gob.Register(ReplicaStore{})
-	gob.Register(StoreReceipt{})
-	gob.Register(InsertReject{})
-	gob.Register(DivertReject{})
-	gob.Register(LookupRequest{})
-	gob.Register(LookupReply{})
-	gob.Register(LookupMiss{})
-	gob.Register(LookupAbort{})
-	gob.Register(ReclaimRequest{})
-	gob.Register(ReclaimForward{})
-	gob.Register(ReclaimReceipt{})
-	gob.Register(Replicate{})
-	gob.Register(SyncOffer{})
-	gob.Register(SyncRequest{})
-	gob.Register(Depart{})
-	gob.Register(CacheCopy{})
-	gob.Register(FetchRequest{})
-	gob.Register(AuditChallenge{})
-	gob.Register(AuditResponse{})
-}

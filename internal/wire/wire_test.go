@@ -1,12 +1,24 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"past/internal/id"
 )
+
+// allMsgs is the one table of every message type in the package; the
+// codec tests, the benchmark seeds and the fuzz corpus all start from it,
+// and TestTableIsComplete fails when a type with a Kind method is missing.
+var allMsgs = []Msg{
+	Routed{}, JoinRequest{}, RouteRows{}, LeafSetReply{}, LeafSetRequest{},
+	NeighborhoodReply{}, Announce{}, Heartbeat{}, Ping{}, Pong{},
+	RTRepairRequest{}, RTRepairReply{}, FileCertificate{}, ReclaimCertificate{},
+	InsertRequest{}, ReplicaStore{}, StoreReceipt{}, InsertReject{}, DivertReject{},
+	LookupRequest{}, LookupReply{}, LookupMiss{}, LookupAbort{},
+	ReclaimRequest{}, ReclaimForward{}, ReclaimReceipt{}, Replicate{},
+	SyncOffer{}, SyncRequest{}, Depart{}, CacheCopy{}, FetchRequest{},
+	AuditChallenge{}, AuditResponse{},
+}
 
 func TestNodeRef(t *testing.T) {
 	var zero NodeRef
@@ -23,17 +35,8 @@ func TestNodeRef(t *testing.T) {
 }
 
 func TestKindsAreUniqueAndStable(t *testing.T) {
-	msgs := []Msg{
-		Routed{}, JoinRequest{}, RouteRows{}, LeafSetReply{}, LeafSetRequest{},
-		NeighborhoodReply{}, Announce{}, Heartbeat{}, Ping{}, Pong{},
-		RTRepairRequest{}, RTRepairReply{}, FileCertificate{}, ReclaimCertificate{},
-		InsertRequest{}, ReplicaStore{}, StoreReceipt{}, InsertReject{}, DivertReject{},
-		LookupRequest{}, LookupReply{}, LookupMiss{}, ReclaimRequest{}, ReclaimForward{},
-		ReclaimReceipt{}, Replicate{}, CacheCopy{}, FetchRequest{},
-		AuditChallenge{}, AuditResponse{},
-	}
 	seen := map[string]bool{}
-	for _, m := range msgs {
+	for _, m := range allMsgs {
 		k := m.Kind()
 		if k == "" {
 			t.Fatalf("%T has empty Kind", m)
@@ -42,81 +45,5 @@ func TestKindsAreUniqueAndStable(t *testing.T) {
 			t.Fatalf("duplicate kind %q", k)
 		}
 		seen[k] = true
-	}
-}
-
-// encodeDecode round-trips a message through gob as an interface value,
-// exactly as the TCP transport does.
-func encodeDecode(t *testing.T, m Msg) Msg {
-	t.Helper()
-	RegisterAll()
-	type box struct{ M Msg }
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(box{m}); err != nil {
-		t.Fatalf("encode %T: %v", m, err)
-	}
-	var out box
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatalf("decode %T: %v", m, err)
-	}
-	return out.M
-}
-
-func TestGobRoundTripRouted(t *testing.T) {
-	m := Routed{
-		Key:      id.Rand(1),
-		Origin:   NodeRef{ID: id.Rand(2), Addr: "10.0.0.1:99"},
-		Hops:     4,
-		Distance: 123.5,
-		Nonce:    42,
-		Payload: LookupRequest{
-			FileID:     id.RandFile(3),
-			Client:     NodeRef{ID: id.Rand(4), Addr: "c"},
-			ReqID:      7,
-			Redirected: true,
-		},
-	}
-	got := encodeDecode(t, m).(Routed)
-	if got.Key != m.Key || got.Hops != 4 || got.Distance != 123.5 {
-		t.Fatal("routed fields corrupted")
-	}
-	lr, ok := got.Payload.(LookupRequest)
-	if !ok || lr.ReqID != 7 || !lr.Redirected || lr.FileID != id.RandFile(3) {
-		t.Fatalf("payload corrupted: %#v", got.Payload)
-	}
-}
-
-func TestGobRoundTripCertificates(t *testing.T) {
-	cert := FileCertificate{
-		FileID:      id.RandFile(1),
-		ContentHash: [32]byte{1, 2, 3},
-		Size:        4096,
-		Replicas:    5,
-		Salt:        []byte{9, 8, 7},
-		Issued:      1234,
-		OwnerPub:    []byte{1, 2},
-		CardCert:    []byte{3, 4},
-		Sig:         []byte{5, 6},
-	}
-	got := encodeDecode(t, cert).(FileCertificate)
-	if got.Size != 4096 || got.Replicas != 5 || got.ContentHash != cert.ContentHash ||
-		string(got.Salt) != string(cert.Salt) || string(got.Sig) != string(cert.Sig) {
-		t.Fatal("certificate corrupted")
-	}
-}
-
-func TestGobRoundTripRows(t *testing.T) {
-	m := RouteRows{
-		From:     NodeRef{ID: id.Rand(1), Addr: "a"},
-		FirstRow: 2,
-		Rows: [][]NodeRef{
-			{{ID: id.Rand(2), Addr: "b"}},
-			nil,
-			{{ID: id.Rand(3), Addr: "c"}, {ID: id.Rand(4), Addr: "d"}},
-		},
-	}
-	got := encodeDecode(t, m).(RouteRows)
-	if len(got.Rows) != 3 || len(got.Rows[2]) != 2 || got.Rows[2][1].Addr != "d" {
-		t.Fatalf("rows corrupted: %#v", got.Rows)
 	}
 }

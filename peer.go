@@ -349,7 +349,8 @@ func (p *Peer) StoredFiles() int { return p.past.Store().Len() }
 func (p *Peer) Stats() NodeStats { return p.past.Stats() }
 
 // TransportStats returns the TCP transport's counters: dials, dial
-// failures, breaker opens, and sends suppressed by an open breaker.
+// failures, breaker opens, sends suppressed by an open breaker, sends
+// dropped on a full peer queue, and inbound frames that did not decode.
 func (p *Peer) TransportStats() TransportStats { return p.tr.Stats() }
 
 // RegisterTelemetry registers this peer's series on rec: the storage
