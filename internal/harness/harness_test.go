@@ -192,7 +192,7 @@ func TestCrashRecovery(t *testing.T) {
 			victim, most = i, n
 		}
 	}
-	preCrash := len(mustDir(t, dirs[rc.Nodes[victim].NodeID()])) / 2 // .bin + .json per file
+	preCrash := len(mustDir(t, dirs[rc.Nodes[victim].NodeID()])) // one record per replica
 	if preCrash == 0 {
 		t.Fatal("victim holds nothing; workload too small")
 	}

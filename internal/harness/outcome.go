@@ -98,9 +98,11 @@ func CheckKReplica(holders map[string][]string, k int) error {
 }
 
 // DiskHolders scans pastnode data directories and maps each fileId to the
-// sorted holder identifiers (one per directory storing its .bin). It is
-// the on-disk ground truth the receipts are checked against, and what the
-// crash-recovery test polls while anti-entropy restores the invariant.
+// sorted holder identifiers (one per directory storing its record: the
+// entry named by the bare fileId — temp and quarantined files carry an
+// extension). It is the on-disk ground truth the receipts are checked
+// against, and what the crash-recovery test polls while anti-entropy
+// restores the invariant.
 func DiskHolders(dirs map[string]string) (map[string][]string, error) {
 	holders := make(map[string][]string)
 	for holder, dir := range dirs {
@@ -109,11 +111,10 @@ func DiskHolders(dirs map[string]string) (map[string][]string, error) {
 			return nil, err
 		}
 		for _, e := range entries {
-			if filepath.Ext(e.Name()) != ".bin" {
+			if filepath.Ext(e.Name()) != "" {
 				continue
 			}
-			f := strings.TrimSuffix(e.Name(), ".bin")
-			holders[f] = append(holders[f], holder)
+			holders[e.Name()] = append(holders[e.Name()], holder)
 		}
 	}
 	for f := range holders {

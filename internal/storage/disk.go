@@ -1,10 +1,11 @@
 package storage
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"past/internal/id"
 	"past/internal/wire"
@@ -14,19 +15,41 @@ import (
 // node can restart without losing its replicas (the paper's storage nodes
 // are long-lived disks; the simulator uses the in-memory Store).
 //
-// Layout: one <fileId>.bin per file plus a <fileId>.json sidecar holding
-// the certificate and diversion metadata. Writes go through a temp file +
-// rename so a crash mid-write never leaves a half-visible file.
+// Layout: a flat directory with one record per replica, named by the
+// fileId in hex (no extension). A record is self-describing — certificate,
+// diversion metadata and content in one file:
+//
+//	record = format(1) frame
+//	format = 1                                  recordV1, the only format
+//	frame  = wire frame body of a ReplicaStore{Cert, Data, Primary,
+//	         Diverted} with From, Client and ReqID empty
+//
+// so the certificate on disk is encoded and parsed by the same canonical,
+// length-checked codec as on the wire (wire.AppendFrame / DecodeFrame).
+// A record is written once: one write into <fileId>.tmp, one rename. A
+// crash leaves either the whole record or a .tmp that the next open
+// sweeps; Delete is one unlink. Nothing is fsynced (ROADMAP item 4b).
 type DiskStore struct {
 	dir string
 	mem *Store // capacity accounting and index over the on-disk set
 }
 
-type diskMeta struct {
-	Cert     wire.FileCertificate `json:"cert"`
-	Diverted bool                 `json:"diverted"`
-	Primary  wire.NodeRef         `json:"primary"`
-}
+// recordV1 is the format byte every record starts with. A new layout —
+// which includes any change to ReplicaStore's wire encoding — gets a new
+// value; there is no reader for any other.
+const recordV1 byte = 1
+
+// ErrOldLayout is returned when a data directory still holds the
+// <fileId>.bin + <fileId>.json pairs written before the one-record
+// layout. There is no reader for them: empty the directory and let
+// anti-entropy bring the replicas back.
+var ErrOldLayout = errors.New("storage: data dir holds the old .bin/.json pair layout, which is no longer read")
+
+// recordBufs recycles encode buffers so a put leaves no garbage the size
+// of its body. They are write buffers — nothing keeps a reference past
+// the write — unlike read buffers, which Data aliases and which are
+// therefore never reused.
+var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // VerifyFunc re-checks one entry recovered from disk before it is served
 // again. Returning an error quarantines the entry. The hook keeps this
@@ -42,19 +65,21 @@ type RecoveryReport struct {
 
 // OpenDiskStore opens (creating if needed) a disk store rooted at dir with
 // the given capacity. Existing contents are indexed and count against the
-// capacity; corrupt entries are skipped.
+// capacity; corrupt entries are quarantined.
 func OpenDiskStore(dir string, capacity int64) (*DiskStore, error) {
 	ds, _, err := OpenDiskStoreVerify(dir, capacity, nil)
 	return ds, err
 }
 
-// OpenDiskStoreVerify is OpenDiskStore with crash recovery: every entry on
-// disk is reloaded, size-checked, and passed through verify (when
-// non-nil) before being served again. Entries that fail — truncated by a
-// crash, bit-rotted, or with a certificate that no longer checks out —
-// are quarantined by renaming them with a .corrupt suffix so they stop
-// being served but remain on disk for inspection. Half-written .tmp files
-// left by a crash mid-write are removed.
+// OpenDiskStoreVerify is OpenDiskStore with crash recovery: every record
+// on disk is read back, decoded, checked against its own file name and
+// certificate size, and passed through verify (when non-nil) before being
+// served again. A record that fails — torn, bit-rotted, misnamed, or with
+// a certificate that no longer checks out — is quarantined by renaming it
+// with a .corrupt suffix so it stops being served but remains on disk for
+// inspection. Half-written .tmp files left by a crash mid-write are
+// removed. A directory holding the old .bin/.json layout fails with
+// ErrOldLayout before anything in it is touched.
 func OpenDiskStoreVerify(dir string, capacity int64, verify VerifyFunc) (*DiskStore, RecoveryReport, error) {
 	var rep RecoveryReport
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -66,38 +91,33 @@ func OpenDiskStoreVerify(dir string, capacity int64, verify VerifyFunc) (*DiskSt
 		return nil, rep, fmt.Errorf("storage: scan disk store: %w", err)
 	}
 	for _, e := range entries {
+		if ext := filepath.Ext(e.Name()); ext == ".json" || ext == ".bin" {
+			return nil, rep, fmt.Errorf("%w: found %s", ErrOldLayout, filepath.Join(dir, e.Name()))
+		}
+	}
+	for _, e := range entries {
 		name := e.Name()
-		if filepath.Ext(name) == ".tmp" {
-			os.Remove(filepath.Join(dir, name)) //nolint:errcheck // crash debris
-			continue
+		path := filepath.Join(dir, name)
+		if ext := filepath.Ext(name); ext != "" { // a record's name is the bare fileId
+			if ext == ".tmp" {
+				os.Remove(path) //nolint:errcheck // crash debris
+			}
+			continue // .corrupt: quarantined by an earlier open
 		}
-		if filepath.Ext(name) != ".json" {
-			continue
-		}
-		base := name[:len(name)-len(".json")]
-		meta, data, err := ds.load(base)
+		item, err := loadRecord(path, name)
 		if err == nil && verify != nil {
-			err = verify(meta.Cert, data)
+			err = verify(item.Cert, item.Data)
 		}
 		if err != nil {
-			ds.quarantine(base)
+			os.Rename(path, path+".corrupt") //nolint:errcheck // best-effort; kept for post-mortem, never loaded again
 			rep.Quarantined++
 			continue
 		}
-		if ds.mem.Put(Item{Cert: meta.Cert, Data: data, Diverted: meta.Diverted, Primary: meta.Primary}) == nil {
+		if ds.mem.Put(item) == nil {
 			rep.Recovered++
 		}
 	}
 	return ds, rep, nil
-}
-
-// quarantine renames base's .bin/.json pair with a .corrupt suffix so the
-// entry is no longer loaded but stays available for post-mortem.
-func (ds *DiskStore) quarantine(base string) {
-	for _, ext := range []string{".bin", ".json"} {
-		p := filepath.Join(ds.dir, base+ext)
-		os.Rename(p, p+".corrupt") //nolint:errcheck // best-effort; a missing half is already unservable
-	}
 }
 
 // Dir returns the store's root directory.
@@ -107,10 +127,7 @@ func (ds *DiskStore) Dir() string { return ds.dir }
 // against it; its contents mirror the directory).
 func (ds *DiskStore) Mem() *Store { return ds.mem }
 
-func (ds *DiskStore) paths(f id.File) (bin, meta string) {
-	name := f.String()
-	return filepath.Join(ds.dir, name+".bin"), filepath.Join(ds.dir, name+".json")
-}
+func (ds *DiskStore) path(f id.File) string { return filepath.Join(ds.dir, f.String()) }
 
 // Put stores an item durably, then indexes it.
 func (ds *DiskStore) Put(item Item) error {
@@ -124,43 +141,64 @@ func (ds *DiskStore) Put(item Item) error {
 	return nil
 }
 
+// persist writes item's record: one write into a temp file, one rename.
 func (ds *DiskStore) persist(item Item) error {
-	bin, meta := ds.paths(item.Cert.FileID)
-	if err := atomicWrite(bin, item.Data); err != nil {
-		return err
-	}
-	m, err := json.Marshal(diskMeta{Cert: item.Cert, Diverted: item.Diverted, Primary: item.Primary})
+	buf := recordBufs.Get().(*[]byte)
+	defer recordBufs.Put(buf)
+	rec, err := appendRecord((*buf)[:0], item)
 	if err != nil {
 		return err
 	}
-	return atomicWrite(meta, m)
-}
-
-func atomicWrite(path string, data []byte) error {
+	*buf = rec // keep what the encoder grew
+	path := ds.path(item.Cert.FileID)
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := os.WriteFile(tmp, rec, 0o644); err != nil {
 		return fmt.Errorf("storage: write %s: %w", path, err)
 	}
 	return os.Rename(tmp, path)
 }
 
-func (ds *DiskStore) load(name string) (diskMeta, []byte, error) {
-	var meta diskMeta
-	mb, err := os.ReadFile(filepath.Join(ds.dir, name+".json"))
+// appendRecord appends item's on-disk record to dst.
+func appendRecord(dst []byte, item Item) ([]byte, error) {
+	return wire.AppendFrame(append(dst, recordV1), "", wire.ReplicaStore{
+		Cert: item.Cert, Data: item.Data, Primary: item.Primary, Diverted: item.Diverted,
+	})
+}
+
+// decodeRecord parses one record. The item's byte fields (Data, the
+// certificate's signature and keys) alias b, each capped to its own
+// length, so b belongs to the item from here on. Whatever decodes
+// re-encodes through appendRecord to exactly b.
+func decodeRecord(b []byte) (Item, error) {
+	if len(b) == 0 || b[0] != recordV1 {
+		return Item{}, errors.New("storage: unknown record format")
+	}
+	from, m, err := wire.DecodeFrame(b[1:])
 	if err != nil {
-		return meta, nil, err
+		return Item{}, err
 	}
-	if err := json.Unmarshal(mb, &meta); err != nil {
-		return meta, nil, err
+	rs, ok := m.(wire.ReplicaStore)
+	if !ok || from != "" || !rs.Client.IsZero() || rs.ReqID != 0 {
+		return Item{}, errors.New("storage: record is not a bare replica")
 	}
-	data, err := os.ReadFile(filepath.Join(ds.dir, name+".bin"))
+	if int64(len(rs.Data)) != rs.Cert.Size {
+		return Item{}, fmt.Errorf("storage: record holds %d bytes, certificate says %d", len(rs.Data), rs.Cert.Size)
+	}
+	return Item{Cert: rs.Cert, Data: rs.Data, Diverted: rs.Diverted, Primary: rs.Primary}, nil
+}
+
+// loadRecord reads the record at path with one ReadFile and checks that
+// it describes the file it is named after.
+func loadRecord(path, name string) (Item, error) {
+	b, err := os.ReadFile(path)
 	if err != nil {
-		return meta, nil, err
+		return Item{}, err
 	}
-	if int64(len(data)) != meta.Cert.Size {
-		return meta, nil, fmt.Errorf("storage: %s: size mismatch", name)
+	item, err := decodeRecord(b)
+	if err == nil && item.Cert.FileID.String() != name {
+		err = fmt.Errorf("storage: record %s holds a certificate for %s", name, item.Cert.FileID)
 	}
-	return meta, data, nil
+	return item, err
 }
 
 // Get returns the stored item for f (served from the in-memory index).
@@ -175,9 +213,7 @@ func (ds *DiskStore) Delete(f id.File) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	bin, meta := ds.paths(f)
-	os.Remove(bin)  //nolint:errcheck // removal is best-effort after de-indexing
-	os.Remove(meta) //nolint:errcheck
+	os.Remove(ds.path(f)) //nolint:errcheck // removal is best-effort after de-indexing
 	return freed, nil
 }
 

@@ -1,7 +1,9 @@
 // Package storage provides the per-node storage backends used by PAST: a
-// capacity-accounted content store for primary and diverted replicas, and
-// a GreedyDual-Size cache that soaks up the node's unused capacity
-// (section 2.3 of the paper; policies follow the companion SOSP'01 paper).
+// capacity-accounted content store for primary and diverted replicas, a
+// GreedyDual-Size cache that soaks up the node's unused capacity
+// (section 2.3 of the paper; policies follow the companion SOSP'01 paper),
+// and DiskStore, which keeps the content store's replicas on disk as one
+// self-describing record per file and re-proves each one at boot.
 package storage
 
 import (
@@ -29,7 +31,8 @@ var (
 // imposes on message payloads ("immutable after Send"). In the simulator
 // every replica of one insert therefore aliases a single backing array;
 // over the TCP transport each process's copy is the frame buffer the
-// bytes arrived in, which the decoded message aliases. Content
+// bytes arrived in, which the decoded message aliases; after a restart
+// it is the buffer the replica's disk record was read into. Content
 // authenticity never depends on this: every node re-checks Data against
 // Cert.ContentHash before serving it.
 type Item struct {
@@ -117,13 +120,14 @@ func (s *Store) Put(item Item) error {
 	return nil
 }
 
-// Get returns the stored item for f.
+// Get returns the stored item for f, or ErrNotFound itself (unwrapped:
+// every lookup hop that holds no replica takes this path).
 func (s *Store) Get(f id.File) (Item, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	it, ok := s.files[f]
 	if !ok {
-		return Item{}, fmt.Errorf("%w: %s", ErrNotFound, f.Short())
+		return Item{}, ErrNotFound
 	}
 	return *it, nil
 }
@@ -136,13 +140,13 @@ func (s *Store) Has(f id.File) bool {
 	return ok
 }
 
-// Delete removes f and returns the freed byte count.
+// Delete removes f and returns the freed byte count, or ErrNotFound itself.
 func (s *Store) Delete(f id.File) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	it, ok := s.files[f]
 	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, f.Short())
+		return 0, ErrNotFound
 	}
 	size := int64(len(it.Data))
 	delete(s.files, f)

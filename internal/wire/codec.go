@@ -11,7 +11,10 @@ import (
 
 // The frame codec: the one encoder (AppendFrame) and the one decoder
 // (DecodeFrame) for what the TCP transport puts behind its 4-byte length
-// prefix. A frame body is the sender's address followed by one message:
+// prefix, and for what storage.DiskStore puts behind its format byte (a
+// replica's disk record is a ReplicaStore frame body, so tags and field
+// layouts are a disk format too: append, never renumber or reorder). A
+// frame body is the sender's address followed by one message:
 //
 //	body    = str(From) msg
 //	msg     = tag(1) fields...           tag identifies the message type
