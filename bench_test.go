@@ -1,128 +1,18 @@
-// Benchmarks regenerating every table and figure of the paper (E1–E13,
-// A1–A2; see ARCHITECTURE.md) plus microbenchmarks of the core operations.
+// Microbenchmarks of the core operations on a prebuilt simulated network:
 //
-// Each BenchmarkE* runs the corresponding experiment at Small scale once
-// per iteration and reports its key number as a custom metric, so
+//	go test -run='^$' -bench=. -benchmem
 //
-//	go test -bench=. -benchmem
-//
-// regenerates the whole evaluation. Full-scale runs (paper-sized
-// networks) are produced by cmd/pastsim.
+// The paper's tables and figures are regenerated by cmd/pastsim and
+// asserted by internal/experiments' claim tests; the gated end-to-end
+// benchmark is bench/ (bash bench/run.sh).
 package past_test
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"testing"
 
 	"past"
-	"past/internal/experiments"
 )
-
-// runExperiment executes one experiment per benchmark iteration.
-func runExperiment(b *testing.B, id string, metric func(experiments.Result) (float64, string)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, experiments.Small, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 && metric != nil {
-			v, unit := metric(res)
-			b.ReportMetric(v, unit)
-		}
-	}
-}
-
-// cell extracts table cell [row][col] as float64 (tolerating % suffixes).
-func cell(res experiments.Result, row, col int) float64 {
-	s := strings.TrimSuffix(res.Table.Rows[row][col], "%")
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return -1
-	}
-	return v
-}
-
-func BenchmarkE1RoutingHops(b *testing.B) {
-	runExperiment(b, "E1", func(r experiments.Result) (float64, string) {
-		return cell(r, len(r.Table.Rows)-1, 2), "hops/lookup"
-	})
-}
-
-func BenchmarkE2HopDistribution(b *testing.B) {
-	runExperiment(b, "E2", nil)
-}
-
-func BenchmarkE3Locality(b *testing.B) {
-	runExperiment(b, "E3", func(r experiments.Result) (float64, string) {
-		return cell(r, 3, 1), "route/direct-ratio"
-	})
-}
-
-func BenchmarkE4ReplicaProximity(b *testing.B) {
-	runExperiment(b, "E4", func(r experiments.Result) (float64, string) {
-		return cell(r, 0, 1), "nearest-replica-frac"
-	})
-}
-
-func BenchmarkE5FailureRouting(b *testing.B) {
-	runExperiment(b, "E5", nil)
-}
-
-func BenchmarkE6TableSize(b *testing.B) {
-	runExperiment(b, "E6", func(r experiments.Result) (float64, string) {
-		return cell(r, len(r.Table.Rows)-1, 1), "rt-entries"
-	})
-}
-
-func BenchmarkE7JoinCost(b *testing.B) {
-	runExperiment(b, "E7", func(r experiments.Result) (float64, string) {
-		return cell(r, len(r.Table.Rows)-1, 1), "msgs/join"
-	})
-}
-
-func BenchmarkE8Utilization(b *testing.B) {
-	runExperiment(b, "E8", func(r experiments.Result) (float64, string) {
-		return cell(r, len(r.Table.Rows)-1, 3), "reject-rate"
-	})
-}
-
-func BenchmarkE9RejectionBias(b *testing.B) {
-	runExperiment(b, "E9", nil)
-}
-
-func BenchmarkE10Caching(b *testing.B) {
-	runExperiment(b, "E10", func(r experiments.Result) (float64, string) {
-		return cell(r, 0, 2), "cache-hit-frac"
-	})
-}
-
-func BenchmarkE11MaliciousRouting(b *testing.B) {
-	runExperiment(b, "E11", nil)
-}
-
-func BenchmarkE12Quota(b *testing.B) {
-	runExperiment(b, "E12", nil)
-}
-
-func BenchmarkE13ChordComparison(b *testing.B) {
-	runExperiment(b, "E13", func(r experiments.Result) (float64, string) {
-		return cell(r, 1, 2) / cell(r, 0, 2), "chord/pastry-distance"
-	})
-}
-
-func BenchmarkA1ParameterAblation(b *testing.B) {
-	runExperiment(b, "A1", nil)
-}
-
-func BenchmarkA2DiversionAblation(b *testing.B) {
-	runExperiment(b, "A2", nil)
-}
-
-// ---------------------------------------------------------------------------
-// Core-operation microbenchmarks on a prebuilt simulated network.
 
 func benchNetwork(b *testing.B, n int) *past.Network {
 	b.Helper()
@@ -186,10 +76,4 @@ func BenchmarkNetworkBuild64(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkE14ReplicaDiversity(b *testing.B) {
-	runExperiment(b, "E14", func(r experiments.Result) (float64, string) {
-		return cell(r, 0, 1), "distinct-stubs"
-	})
 }

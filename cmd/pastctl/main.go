@@ -3,7 +3,7 @@
 // operations.
 //
 //	pastctl -join 127.0.0.1:7001 -broker-seed demo -card me.card insert report.pdf
-//	pastctl -join 127.0.0.1:7001 -broker-seed demo get <fileId> -o report.pdf
+//	pastctl -join 127.0.0.1:7001 -broker-seed demo -o report.pdf get <fileId>
 //	pastctl -join 127.0.0.1:7001 -broker-seed demo -card me.card reclaim <fileId>
 //
 // The -card file persists the client's smartcard (identity + quota ledger)
@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -21,7 +23,11 @@ import (
 	"past/internal/seccrypt"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command; every exit goes through its return so the
+// deferred peer.Close runs on error paths too.
+func run() int {
 	var (
 		join       = flag.String("join", "", "address of a PAST node to join via (required)")
 		brokerSeed = flag.String("broker-seed", "", "the network's shared broker seed (required)")
@@ -32,16 +38,20 @@ func main() {
 	)
 	flag.Parse()
 	args := flag.Args()
-	if *join == "" || *brokerSeed == "" || len(args) < 1 {
-		usage()
+	if *join == "" || *brokerSeed == "" || len(args) != 2 {
+		return usage()
 	}
-	broker, err := deriveBroker(*brokerSeed)
+	op, arg := args[0], args[1]
+	if op != "insert" && op != "get" && op != "reclaim" {
+		return usage()
+	}
+	broker, err := past.DeriveBroker(*brokerSeed)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	card, save, err := loadOrCreateCard(broker, *cardFile, *quota)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	// The client joins as a node contributing no storage — per the paper,
 	// nodes "optionally contribute storage" and pure clients need none.
@@ -55,71 +65,67 @@ func main() {
 		Storage:   scfg,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer peer.Close()
 	if err := peer.Join(*join); err != nil {
-		fatal(fmt.Errorf("join via %s: %w", *join, err))
+		return fail(fmt.Errorf("join via %s: %w", *join, err))
 	}
+	if err := do(peer, card, op, arg, *k, *out); err != nil {
+		return fail(err)
+	}
+	if err := save(); err != nil {
+		return fail(err)
+	}
+	return 0
+}
 
-	switch args[0] {
+// do performs one operation through the joined peer.
+func do(peer *past.Peer, card *past.Smartcard, op, arg string, k int, out string) error {
+	switch op {
 	case "insert":
-		if len(args) != 2 {
-			usage()
-		}
-		data, err := os.ReadFile(args[1])
+		data, err := os.ReadFile(arg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		res, err := peer.Insert(card, filepath.Base(args[1]), data, *k)
+		res, err := peer.Insert(card, filepath.Base(arg), data, k)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("fileId: %s\nreceipts: %d (diverted %d, retries %d)\nremaining quota: %d bytes\n",
 			res.FileID, len(res.Receipts), res.Diverted, res.Retries, card.RemainingQuota())
 	case "get":
-		if len(args) != 2 {
-			usage()
-		}
-		f, err := past.ParseFileID(args[1])
+		f, err := past.ParseFileID(arg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		res, err := peer.Lookup(f)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if *out == "" {
-			os.Stdout.Write(res.Data)
-		} else if err := os.WriteFile(*out, res.Data, 0o644); err != nil {
-			fatal(err)
+		if out == "" {
+			_, err = os.Stdout.Write(res.Data)
+		} else {
+			err = os.WriteFile(out, res.Data, 0o644)
+		}
+		if err != nil {
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "retrieved %d bytes in %d hops (cached=%v) from %s\n",
 			len(res.Data), res.Hops, res.Cached, res.From.ID)
 	case "reclaim":
-		if len(args) != 2 {
-			usage()
-		}
-		f, err := past.ParseFileID(args[1])
+		f, err := past.ParseFileID(arg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		res, err := peer.Reclaim(card, f)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("freed %d bytes across %d receipts\nremaining quota: %d bytes\n",
 			res.Freed, len(res.Receipts), card.RemainingQuota())
-	default:
-		usage()
 	}
-	if err := save(); err != nil {
-		fatal(err)
-	}
-}
-
-func deriveBroker(seed string) (*past.Broker, error) {
-	return past.DeriveBroker(seed)
+	return nil
 }
 
 // loadOrCreateCard returns the client card plus a function persisting its
@@ -130,29 +136,34 @@ func loadOrCreateCard(broker *past.Broker, path string, quota int64) (*past.Smar
 		card, err := broker.IssueCard(quota, 0, 0, nil)
 		return card, noSave, err
 	}
-	if data, err := os.ReadFile(path); err == nil {
-		card, err := seccrypt.ImportCard(data)
-		if err != nil {
+	var card *past.Smartcard
+	data, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		if card, err = seccrypt.ImportCard(data); err != nil {
 			return nil, nil, fmt.Errorf("card file %s: %w", path, err)
 		}
-		return card, func() error { return os.WriteFile(path, card.Export(), 0o600) }, nil
-	}
-	card, err := broker.IssueCard(quota, 0, 0, nil)
-	if err != nil {
+	case errors.Is(err, fs.ErrNotExist):
+		if card, err = broker.IssueCard(quota, 0, 0, nil); err != nil {
+			return nil, nil, err
+		}
+	default:
+		// Unreadable is not absent: issuing a fresh identity here would
+		// overwrite the card that owns every file inserted so far.
 		return nil, nil, err
 	}
 	return card, func() error { return os.WriteFile(path, card.Export(), 0o600) }, nil
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+func usage() int {
+	fmt.Fprintln(os.Stderr, `usage (flags come before the subcommand):
   pastctl -join <addr> -broker-seed <seed> [-card <file>] insert <path>
-  pastctl -join <addr> -broker-seed <seed> get <fileId> [-o <path>]
+  pastctl -join <addr> -broker-seed <seed> [-o <path>] get <fileId>
   pastctl -join <addr> -broker-seed <seed> -card <file> reclaim <fileId>`)
-	os.Exit(2)
+	return 2
 }
 
-func fatal(err error) {
+func fail(err error) int {
 	fmt.Fprintf(os.Stderr, "pastctl: %v\n", err)
-	os.Exit(1)
+	return 1
 }

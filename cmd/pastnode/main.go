@@ -20,8 +20,8 @@
 //	pastnode -listen 127.0.0.1:7003 -broker-seed demo -join-file seeds.txt
 //
 // Then use pastctl to insert and fetch files. Stop a node with SIGINT or
-// SIGTERM; with -data it announces its departure, flushes, and restarts
-// later with its replicas intact.
+// SIGTERM: it leaves silently (its peers time it out, as after a crash)
+// and, with -data, restarts later with its replicas intact.
 package main
 
 import (
@@ -281,7 +281,7 @@ func main() {
 		fmt.Println("pastnode: background tasks did not drain in time")
 	}
 	snapshot("final telemetry snapshot")
-	// peer.Close (deferred) announces departure and closes the transport.
+	// peer.Close (deferred) leaves silently and closes the transport.
 }
 
 // bootstrapSeeds merges the -join list and the -join-file contents.

@@ -83,8 +83,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pastsim: %v\n", err)
 			os.Exit(1)
 		}
+		secs := time.Since(start).Seconds()
 		fmt.Println(res.String())
-		fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
+		timing := fmt.Sprintf("(%s in %.1fs", id, secs)
+		if res.Nodes > 0 {
+			timing += fmt.Sprintf(", %d nodes", res.Nodes)
+		}
+		if res.Events > 0 {
+			timing += fmt.Sprintf(", %d events, %.0f events/s", res.Events, float64(res.Events)/secs)
+		}
+		fmt.Printf("%s)\n\n", timing)
 		if seriesOut != nil && res.SeriesLP != "" {
 			if _, err := seriesOut.WriteString(res.SeriesLP); err != nil {
 				fmt.Fprintf(os.Stderr, "pastsim: write %s: %v\n", *seriesFlag, err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"past/internal/id"
@@ -219,5 +220,32 @@ func TestShardCountIndependence(t *testing.T) {
 		if got := run(shards); got != base {
 			t.Fatalf("shards=%d differs from the default:\n--- default:\n%s--- shards=%d:\n%s", shards, base, shards, got)
 		}
+	}
+}
+
+// TestAnalyticHeapPerNode bounds what one node of a bulk-built network
+// keeps live on the heap — the number the Large (20k) and Huge (100k)
+// tiers' memory budget is engineered against (ARCHITECTURE §8). The
+// build is deterministic, so the figure is a count, not a timing: 7,102
+// B/node when the bound was set; the bar leaves 30 % for toolchain drift.
+func TestAnalyticHeapPerNode(t *testing.T) {
+	const (
+		n       = 20000
+		maxNode = 9236 // bytes
+	)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := Build(Options{N: n, Pastry: pastry.DefaultConfig(), Seed: 42, Analytic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perNode := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	runtime.KeepAlive(c)
+	t.Logf("analytic build of %d nodes: %.1f heap B/node", n, perNode)
+	if perNode > maxNode {
+		t.Fatalf("analytic build keeps %.1f heap B/node live, bound %d", perNode, maxNode)
 	}
 }

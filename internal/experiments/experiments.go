@@ -74,15 +74,15 @@ type Result struct {
 	Table      *metrics.Table
 	Notes      []string
 	// Nodes and Events, when nonzero, report the largest network built
-	// and the total simulated messages delivered, so benchmark tooling
-	// (cmd/pastbench) can derive events/sec and bytes-per-node without
-	// parsing tables. They do not appear in String() output.
+	// and the total simulated messages delivered. They do not appear in
+	// String() output: pastsim prints them (and events/sec) on its timing
+	// line, and bench/ reads Events for sim.e15_*.
 	Nodes  int
 	Events uint64
 	// SeriesLP holds the experiment's per-window telemetry in line
 	// protocol when CollectSeries is on (experiments that instrument
-	// series: E15, E18, E20). Not part of String() output; pastsim and
-	// pastbench persist it via -series.
+	// series: E15, E18, E20). Not part of String() output; pastsim
+	// persists it via -series.
 	SeriesLP string
 }
 

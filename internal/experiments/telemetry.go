@@ -13,7 +13,7 @@ import (
 // instrument it (E15, E18, E20). Off by default: the recorded tables
 // must not depend on whether series were collected, so instrumentation
 // only ever samples state — it never drives the cluster RNG or the
-// schedule. pastsim/pastbench set it for -series.
+// schedule. pastsim sets it for -series.
 var CollectSeries bool
 
 // seriesWindow is the aggregation window for experiment series. One

@@ -13,8 +13,7 @@ import (
 	"past/internal/chaos"
 )
 
-// Chaos scenario parameters shared by the partition+heal test and the
-// pastbench wall-clock probe (exp:CHAOS-PH@real in the BENCH files).
+// Partition+heal scenario parameters.
 const (
 	phSeed      = 42
 	phNodes     = 7
@@ -40,8 +39,6 @@ type PartitionHealReport struct {
 	// KnownPeers is a majority node's known_peers telemetry series: full
 	// membership, the partition dip, and the recovery.
 	KnownPeers []float64
-	// FaultLog is the proxy's deterministic fault log.
-	FaultLog string
 }
 
 // chaosExtraArgs are the daemon knobs every chaos scenario switches on:
@@ -85,12 +82,9 @@ func CorruptEntries(dirs map[string]string) ([]string, error) {
 // seconds while inserting, assert the majority side keeps serving, heal,
 // and assert the self-healing daemons converge every file back to >= k
 // disk replicas with no corruption and no operator action. It returns an
-// error naming the first violated invariant. logf (nil ok) receives
-// progress lines; pastbench times the whole call as exp:CHAOS-PH@real.
+// error naming the first violated invariant. logf receives progress
+// lines.
 func RunPartitionHeal(bin, dir string, logf func(format string, args ...any)) (*PartitionHealReport, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	t0 := time.Now()
 	prog := func(format string, args ...any) {
 		logf("[%6.1fs] "+format, append([]any{time.Since(t0).Seconds()}, args...)...)
@@ -295,7 +289,6 @@ func RunPartitionHeal(bin, dir string, logf func(format string, args ...any)) (*
 		time.Sleep(500 * time.Millisecond)
 	}
 	prog("chaos: known_peers series shows full membership, dip, recovery: %v", rep.KnownPeers)
-	rep.FaultLog = proxy.FaultLog()
 	return rep, nil
 }
 

@@ -1,20 +1,26 @@
 package harness
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
 	"past"
+	"past/internal/id"
+	"past/internal/seccrypt"
 )
 
-// pastnodeBin is built once for the whole package (TestMain) and shared
-// by every multi-process test.
-var pastnodeBin string
+// pastnodeBin and pastctlBin are built once for the whole package
+// (TestMain) and shared by every multi-process test.
+var pastnodeBin, pastctlBin string
 
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "pastnode-bin-*")
@@ -23,13 +29,14 @@ func TestMain(m *testing.M) {
 		os.Exit(1)
 	}
 	defer os.RemoveAll(dir)
-	bin, err := BuildPastnode(dir)
+	if pastnodeBin, err = BuildCmd(dir, "pastnode"); err == nil {
+		pastctlBin, err = BuildCmd(dir, "pastctl")
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.RemoveAll(dir)
 		os.Exit(1)
 	}
-	pastnodeBin = bin
 	code := m.Run()
 	os.RemoveAll(dir)
 	os.Exit(code)
@@ -261,10 +268,11 @@ func mustDir(t *testing.T, dir string) []os.DirEntry {
 	return entries
 }
 
-// TestE2ERoundTrip is the pastctl round-trip against a 5-process
+// TestE2ERoundTrip is the client round-trip against a 5-process
 // cluster: insert → lookup (content-verified) → reclaim → lookup fails
-// and the bytes leave every disk. CI runs it under -race with a
-// wall-clock timeout.
+// and the bytes leave every disk, through the library; then insert → get
+// through the pastctl binary. CI runs it under -race with a wall-clock
+// timeout.
 func TestE2ERoundTrip(t *testing.T) {
 	spec := NewSpec(44, 5, 3, 1)
 	rc := startCluster(t, spec)
@@ -315,11 +323,92 @@ func TestE2ERoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(holders[ins.FileID.String()]) == 0 {
-			return
+			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("file still on %d disks after reclaim", len(holders[ins.FileID.String()]))
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
+
+	pastctlRoundTrip(t, rc, it.Data)
+}
+
+// pastctlRoundTrip drives the pastctl binary: insert, then get, two
+// processes back to back under one card, so the second joins under the
+// nodeId the first abandoned a moment ago while every peer still lists
+// the first. (Reclaim stays with the library leg: it always waits out the
+// whole RequestTimeout.)
+func pastctlRoundTrip(t *testing.T, rc *RealCluster, data []byte) {
+	dir := t.TempDir()
+	src, out, cardPath := filepath.Join(dir, "report.bin"), filepath.Join(dir, "out.bin"), filepath.Join(dir, "me.card")
+	if err := os.WriteFile(src, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pastctl := func(args ...string) (string, error) {
+		args = append([]string{"-join", rc.Nodes[0].Addr(), "-broker-seed", rc.BrokerSeed(), "-card", cardPath}, args...)
+		start := time.Now()
+		b, err := exec.Command(pastctlBin, args...).CombinedOutput()
+		if err != nil {
+			err = fmt.Errorf("pastctl %v after %v: %w", args, time.Since(start).Round(time.Millisecond), err)
+		}
+		return string(b), err
+	}
+	insOut, err := pastctl("insert", src)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, insOut)
+	}
+	m := regexp.MustCompile(`fileId: ([0-9a-f]+)`).FindStringSubmatch(insOut)
+	if m == nil {
+		t.Fatalf("pastctl insert printed no fileId:\n%s", insOut)
+	}
+	f, err := id.ParseFile(m[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(cardPath)
+	if err != nil {
+		t.Fatalf("card file after insert: %v", err)
+	}
+	card, err := seccrypt.ImportCard(saved)
+	if err != nil {
+		t.Fatalf("card file does not re-import: %v", err)
+	}
+	if card.RemainingQuota() >= 1<<30 {
+		t.Fatalf("saved card carries no debit for the insert: %d bytes left", card.RemainingQuota())
+	}
+
+	getOut, err := pastctl("-o", out, "get", m[1])
+	if err != nil && rootedAt(t, rc, f, card.NodeID()) && strings.Contains(getOut, past.ErrNotFound.Error()) {
+		// A client is an overlay node, and when its nodeId is the closest
+		// to the fileId it is the file's root: it diverts its replica and
+		// keeps only a pointer, which dies with the process, so the next
+		// process's lookup misses at its own root (ROADMAP item 4: pointers
+		// are memory-only). The join under test still went through — the
+		// lookup ran and was answered — so this is that gap, not a failure.
+		t.Logf("fileId %s is rooted at the pastctl client itself: %s", m[1], strings.TrimSpace(getOut))
+		return
+	}
+	if err != nil {
+		t.Fatalf("%v\n%s", err, getOut)
+	}
+	if b, err := os.ReadFile(out); err != nil || !bytes.Equal(b, data) {
+		t.Fatalf("pastctl get wrote %d bytes (err %v), inserted %d", len(b), err, len(data))
+	}
+}
+
+// rootedAt reports whether client is numerically closer to f than every
+// storage node of rc.
+func rootedAt(t *testing.T, rc *RealCluster, f id.File, client id.Node) bool {
+	t.Helper()
+	for _, p := range rc.Nodes {
+		n, err := id.ParseNode(p.NodeID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id.Closer(f.Key(), n, client) {
+			return false
+		}
+	}
+	return true
 }

@@ -26,15 +26,15 @@ import (
 	"past/internal/telemetry"
 )
 
-// BuildPastnode compiles cmd/pastnode once into dir and returns the
-// binary path. It must run with the repo as working directory tree (tests
-// run in their package directory, which is inside the module).
-func BuildPastnode(dir string) (string, error) {
-	bin := filepath.Join(dir, "pastnode")
-	cmd := exec.Command("go", "build", "-o", bin, "past/cmd/pastnode")
+// BuildCmd compiles cmd/<name> (pastnode, pastctl) once into dir and
+// returns the binary path. It must run with the repo as working directory
+// tree (tests run in their package directory, which is inside the module).
+func BuildCmd(dir, name string) (string, error) {
+	bin := filepath.Join(dir, name)
+	cmd := exec.Command("go", "build", "-o", bin, "past/cmd/"+name)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		return "", fmt.Errorf("harness: build pastnode: %v\n%s", err, out)
+		return "", fmt.Errorf("harness: build %s: %v\n%s", name, err, out)
 	}
 	return bin, nil
 }

@@ -385,6 +385,56 @@ func TestJoinTimeout(t *testing.T) {
 	}
 }
 
+func TestRejoinBeforeFailTimeout(t *testing.T) {
+	// A node that left silently joins again under the same id from a new
+	// address (pastctl run twice with one card, a killed daemon restarted)
+	// while its peers still hold the previous process's entry. The join
+	// must not be forwarded into that entry.
+	c, _ := buildCluster(t, 8, 21, func(o *cluster.Options) {
+		o.Pastry.KeepAlive = time.Second
+		o.Pastry.FailTimeout = 30 * time.Second
+		o.Pastry.JoinTimeout = 5 * time.Second
+	})
+	xid := id.Rand(271828)
+	join := func() (*pastry.Node, error) {
+		c.Topo.Place()
+		nd := pastry.New(c.Opts.Pastry, xid, c.Net.NewEndpoint(), c.Net.Clock(), nil)
+		var joinErr error
+		done := false
+		nd.Join(simnet.Addr(0), func(err error) { joinErr = err; done = true })
+		if !c.Net.RunUntil(func() bool { return done }, 1_000_000) {
+			t.Fatal("join callback never ran")
+		}
+		return nd, joinErr
+	}
+	first, err := join()
+	if err != nil {
+		t.Fatalf("first join: %v", err)
+	}
+	c.RunSettle(2 * time.Second) // the announce reaches every peer
+	known := 0
+	for _, nd := range c.Nodes {
+		for _, m := range nd.LeafMembers() {
+			if m.ID == xid {
+				known++
+			}
+		}
+	}
+	if known != len(c.Nodes) {
+		t.Fatalf("%d of %d peers list the first process before it leaves", known, len(c.Nodes))
+	}
+	first.Leave()
+	before := c.Net.Clock().Now()
+	if _, err := join(); err != nil {
+		t.Fatalf("re-join %v after a silent leave: %v", c.Net.Clock().Now()-before, err)
+	}
+	for _, m := range c.Nodes[0].LeafMembers() {
+		if m.ID == xid && m.Addr == first.Ref().Addr {
+			t.Fatalf("seed still lists the previous process at %s", m.Addr)
+		}
+	}
+}
+
 func TestMessageCountPerJoinLogarithmic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -507,8 +507,7 @@ func (n *Node) considerLocked(ref wire.NodeRef) bool {
 // returns the single deferred upcall (or nil).
 func (n *Node) handleRouted(from string, r wire.Routed) func() {
 	if jr, ok := r.Payload.(wire.JoinRequest); ok {
-		n.handleJoinRouted(from, r, jr)
-		return nil
+		return n.handleJoinRouted(from, r, jr)
 	}
 	next, deliver := n.nextHop(r.Key)
 	if deliver {
@@ -718,11 +717,11 @@ func (n *Node) failedPeer(ref wire.NodeRef) {
 // handleJoinRouted processes a JoinRequest travelling toward the joining
 // node's id. Every node on the path contributes routing rows; the first
 // node contributes its neighborhood set; the final node contributes its
-// leaf set. Lock held.
-func (n *Node) handleJoinRouted(from string, r wire.Routed, jr wire.JoinRequest) {
+// leaf set. Lock held; returns the single deferred upcall (or nil).
+func (n *Node) handleJoinRouted(from string, r wire.Routed, jr wire.JoinRequest) func() {
 	x := jr.New
 	if x.ID == n.ref.ID {
-		return // own join echoed back; ignore
+		return nil // own join echoed back; ignore
 	}
 	// Contribute routing rows 0..p where p is the shared prefix length:
 	// row i of this node's table is valid as row i for X whenever the ids
@@ -742,15 +741,27 @@ func (n *Node) handleJoinRouted(from string, r wire.Routed, jr wire.JoinRequest)
 		n.tr.Send(x.Addr, wire.NeighborhoodReply{From: n.ref, Neighbors: n.nbhd.Members()})
 	}
 	next, deliver := n.nextHop(x.ID)
+	var act func()
+	if !deliver && next.ID == x.ID {
+		// X cannot be its own next hop. An entry under X's id is what X's
+		// previous process left behind (a silent Leave or a kill tells
+		// nobody), and a join forwarded into it is lost: drop the entry
+		// and pick again.
+		if n.removeDeadLocked(x.ID) {
+			act = n.app.LeafSetChanged
+		}
+		next, deliver = n.nextHop(x.ID)
+	}
 	if deliver {
 		// This is node Z, numerically closest to X: contribute the leaf set.
 		n.tr.Send(x.Addr, wire.LeafSetReply{From: n.ref, Leaves: n.leaf.Members(), Terminal: true})
-		return
+		return act
 	}
 	fwd := r
 	fwd.Hops++
 	fwd.Distance += n.tr.Proximity(next.Addr)
 	n.tr.Send(next.Addr, fwd)
+	return act
 }
 
 // handleRouteRows folds received rows into the joining node's state. Lock
