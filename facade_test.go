@@ -225,6 +225,28 @@ func TestTCPPeersEndToEnd(t *testing.T) {
 	if total != 3 {
 		t.Fatalf("replicas stored = %d, want 3", total)
 	}
+	// Over sockets every frame has its own buffer, so the one a reader
+	// gets back is shared with nothing but that peer's cache: writing to
+	// it (forbidden) must surface as an error on the next lookup through
+	// the same peer, which its own cache answers.
+	for _, p := range peers {
+		if p.StoredFiles() != 0 {
+			continue
+		}
+		first, err := p.Lookup(ins.FileID)
+		if err != nil {
+			t.Fatalf("lookup via a peer without a replica: %v", err)
+		}
+		first.Data[0] ^= 0xff
+		again, err := p.Lookup(ins.FileID)
+		if err == nil {
+			t.Fatalf("rewritten reply buffer served as %q without error", again.Data)
+		}
+		if !again.Cached || again.Hops != 0 {
+			t.Fatalf("second lookup: cached %v after %d hops (%v); the peer's own cache should have answered", again.Cached, again.Hops, err)
+		}
+		break
+	}
 }
 
 func TestNetworkRestartRecovers(t *testing.T) {

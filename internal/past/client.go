@@ -649,6 +649,10 @@ func (n *Node) handleLookupReply(m wire.LookupReply) {
 		res.Err = err
 	} else if err := seccrypt.VerifyContentFresh(&m.Cert, m.Data); err != nil {
 		res.Err = err
+	} else if m.From.ID != n.pn.ID() {
+		// The reply is also the cache push (replyLookup): keep the copy
+		// just proven, so the cache and res.Data share these bytes.
+		n.admitToCache(&m.Cert, m.Data, true)
 	}
 	op.lookupCB(res)
 }

@@ -1,0 +1,7 @@
+package past
+
+// Unexported routing decisions, opened to the external test package.
+var (
+	ReplicaSet    = (*Node).replicaSet
+	NearestHolder = (*Node).nearestHolder
+)

@@ -47,7 +47,10 @@ type Node struct {
 	stats Stats
 }
 
-// Stats aggregates per-node storage-management counters.
+// Stats aggregates per-node storage-management counters. CachePushes
+// counts copies this node, as responder, pushed one hop toward the client,
+// in either frame: a CacheCopy to an intermediate hop, or the LookupReply
+// itself when that hop is the client.
 type Stats struct {
 	PrimaryStores   int
 	DivertedStores  int
@@ -210,6 +213,30 @@ func (n *Node) syncCache() {
 	n.cache.Resize(n.store.Free())
 }
 
+// admitToCache is the only way into the cache: every copy this node did
+// not store as a replica — seen on an insert's route, pushed in a
+// CacheCopy, or returned to it as a client — enters here, and only with
+// its certificate's signature and its content hash both proven, so a
+// cached copy is as authentic as a replica. Cheap refusals come first.
+// proven says the caller has just run both checks on these very bytes
+// (the lookup reply path, which must run them anyway); the cache takes
+// ownership of data either way.
+func (n *Node) admitToCache(cert *wire.FileCertificate, data []byte, proven bool) {
+	if !n.cfg.Caching || int64(len(data)) > n.store.Free() {
+		return
+	}
+	if !proven {
+		if seccrypt.VerifyFileCertificate(n.brokerPub, cert, n.nowUnix()) != nil {
+			return
+		}
+		if seccrypt.VerifyContent(cert, data) != nil {
+			return
+		}
+	}
+	n.syncCache()
+	n.cache.Put(storage.Item{Cert: *cert, Data: data}, 1)
+}
+
 // ---------------------------------------------------------------------------
 // pastry.App implementation
 
@@ -271,9 +298,7 @@ func (n *Node) Forward(r *wire.Routed, next wire.NodeRef) bool {
 		r.Payload = m
 	case wire.InsertRequest:
 		// Cache along the insert path.
-		if n.cfg.Caching && seccrypt.VerifyContent(&m.Cert, m.Data) == nil {
-			n.cache.Put(storage.Item{Cert: m.Cert, Data: m.Data}, 1)
-		}
+		n.admitToCache(&m.Cert, m.Data, false)
 	}
 	return true
 }
@@ -308,7 +333,7 @@ func (n *Node) HandleDirect(from wire.NodeRef, m wire.Msg) bool {
 	case wire.SyncRequest:
 		n.handleSyncRequest(msg)
 	case wire.CacheCopy:
-		n.handleCacheCopy(msg)
+		n.admitToCache(&msg.Cert, msg.Data, false)
 	case wire.AuditChallenge:
 		n.handleAuditChallenge(msg)
 	case wire.AuditResponse:
@@ -370,36 +395,11 @@ func (n *Node) Sweep() {
 
 // replicaSet returns the k nodes (including possibly this one) that should
 // hold replicas of key: the numerically closest among this node and its
-// leaf set. id.Closer is a total order (ring distance, ties by id), so
-// the partial selection below returns exactly what a full sort would —
-// but with one ring-distance computation per candidate instead of two
-// per comparison, which matters because every insert and reclaim runs
-// this over the whole leaf set.
+// leaf set, in id.Closer's total order. Every insert, reclaim, forwarded
+// lookup and anti-entropy pass runs this, so the selection happens inside
+// the leaf set, over its halves, and allocates only the result.
 func (n *Node) replicaSet(key id.Node, k int) []wire.NodeRef {
-	cands := append([]wire.NodeRef{n.pn.Ref()}, n.pn.LeafMembers()...)
-	if k > len(cands) {
-		k = len(cands)
-	}
-	dists := make([]id.Node, len(cands))
-	for i := range cands {
-		dists[i] = cands[i].ID.Dist(key)
-	}
-	for i := 0; i < k; i++ {
-		m := i
-		for j := i + 1; j < len(cands); j++ {
-			switch dists[j].Cmp(dists[m]) {
-			case -1:
-				m = j
-			case 0:
-				if cands[j].ID.Cmp(cands[m].ID) < 0 {
-					m = j
-				}
-			}
-		}
-		cands[i], cands[m] = cands[m], cands[i]
-		dists[i], dists[m] = dists[m], dists[i]
-	}
-	return cands[:k]
+	return n.pn.ClosestK(key, k)
 }
 
 // nearestHolder decides whether a lookup being forwarded to next is
@@ -740,12 +740,16 @@ func (n *Node) replyLookup(r *wire.Routed, m wire.LookupRequest, it storage.Item
 		n.pn.Send(m.Client, reply)
 	}
 	// Push a cached copy one hop back toward the client, caching "close
-	// to interested clients" (sections 1 and 2.3).
+	// to interested clients" (sections 1 and 2.3). When that hop is the
+	// client itself the reply just sent is the push — the client admits
+	// what it verifies (handleLookupReply) — and the file moves once.
 	if n.cfg.Caching && !m.PrevHop.IsZero() && m.PrevHop.ID != n.pn.ID() {
 		n.mu.Lock()
 		n.stats.CachePushes++
 		n.mu.Unlock()
-		n.pn.Send(m.PrevHop, wire.CacheCopy{Cert: it.Cert, Data: it.Data})
+		if m.PrevHop.ID != m.Client.ID {
+			n.pn.Send(m.PrevHop, wire.CacheCopy{Cert: it.Cert, Data: it.Data})
+		}
 	}
 }
 
@@ -781,22 +785,6 @@ func (n *Node) handleFetch(m wire.FetchRequest) {
 	n.pn.Send(m.Client, wire.LookupReply{
 		Cert: it.Cert, Data: it.Data, From: n.pn.Ref(), ReqID: m.ReqID,
 	})
-}
-
-// handleCacheCopy stores an unsolicited cached copy if it verifies and
-// fits in spare capacity.
-func (n *Node) handleCacheCopy(m wire.CacheCopy) {
-	if !n.cfg.Caching {
-		return
-	}
-	if seccrypt.VerifyFileCertificate(n.brokerPub, &m.Cert, n.nowUnix()) != nil {
-		return
-	}
-	if seccrypt.VerifyContent(&m.Cert, m.Data) != nil {
-		return
-	}
-	n.syncCache()
-	n.cache.Put(storage.Item{Cert: m.Cert, Data: m.Data}, 1)
 }
 
 // ---------------------------------------------------------------------------

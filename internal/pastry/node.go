@@ -361,6 +361,15 @@ func (n *Node) LeafMembers() []wire.NodeRef {
 	return n.leaf.Members()
 }
 
+// ClosestK returns the k nodes numerically closest to key among this node
+// and its leaf set, closest first (LeafSet.ClosestK): the replica set of
+// section 2 as this node sees it.
+func (n *Node) ClosestK(key id.Node, k int) []wire.NodeRef {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.leaf.ClosestK(n.ref, key, k)
+}
+
 // LeafSmaller returns the counter-clockwise leaf half, closest first.
 func (n *Node) LeafSmaller() []wire.NodeRef {
 	n.mu.Lock()

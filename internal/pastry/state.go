@@ -202,6 +202,12 @@ func (t *RoutingTable) ForEach(f func(wire.NodeRef)) {
 // LeafSet holds the l/2 numerically closest smaller and l/2 closest larger
 // nodeIds (section 2.2). In networks with fewer than l nodes the two
 // halves may contain the same nodes (the ring wraps).
+//
+// Sort invariant, which Closest, Members and Len rely on: each half is
+// duplicate-free, never holds the owner, and is strictly ascending in its
+// ring offset from the owner — owner.CW(m) for larger, owner.CCW(m) for
+// smaller. Consider keeps it by insertion; SeedLeafHalves requires it of
+// its caller. Only a smaller entry can repeat a larger one.
 type LeafSet struct {
 	owner   id.Node
 	half    int
@@ -230,21 +236,32 @@ func (s *LeafSet) Consider(ref wire.NodeRef) bool {
 	return a || b
 }
 
+// offset returns n's ring offset from the owner in one half's direction.
+func (s *LeafSet) offset(n id.Node, clockwise bool) id.Node {
+	if clockwise {
+		return s.owner.CW(n)
+	}
+	return s.owner.CCW(n)
+}
+
+// holds reports whether node n is in list.
+func holds(list []wire.NodeRef, n id.Node) bool {
+	for i := range list {
+		if list[i].ID == n {
+			return true
+		}
+	}
+	return false
+}
+
 func (s *LeafSet) considerSide(side *[]wire.NodeRef, ref wire.NodeRef, clockwise bool) bool {
-	dist := func(n id.Node) id.Node {
-		if clockwise {
-			return s.owner.CW(n)
-		}
-		return s.owner.CCW(n)
-	}
 	list := *side
-	for _, m := range list {
-		if m.ID == ref.ID {
-			return false
-		}
+	if holds(list, ref.ID) {
+		return false
 	}
+	off := s.offset(ref.ID, clockwise)
 	pos := sort.Search(len(list), func(i int) bool {
-		return dist(ref.ID).Cmp(dist(list[i].ID)) < 0
+		return off.Cmp(s.offset(list[i].ID, clockwise)) < 0
 	})
 	if pos >= s.half {
 		return false
@@ -277,33 +294,31 @@ func (s *LeafSet) Remove(n id.Node) bool {
 
 // Contains reports whether node n is a member.
 func (s *LeafSet) Contains(n id.Node) bool {
-	for _, m := range s.smaller {
-		if m.ID == n {
-			return true
-		}
+	return holds(s.smaller, n) || holds(s.larger, n)
+}
+
+// wraps reports whether the halves can share a member: the ring is small
+// enough that the larger half reaches as far clockwise as the smaller
+// half's farthest member sits.
+func (s *LeafSet) wraps() bool {
+	if len(s.larger) == 0 || len(s.smaller) == 0 {
+		return false
 	}
-	for _, m := range s.larger {
-		if m.ID == n {
-			return true
-		}
-	}
-	return false
+	reach := s.owner.CW(s.larger[len(s.larger)-1].ID)
+	return reach.Cmp(s.owner.CW(s.smaller[len(s.smaller)-1].ID)) >= 0
 }
 
 // Members returns the deduplicated membership (a node can sit in both
-// halves in small rings).
+// halves in small rings): the larger half, then the smaller-half members
+// not already listed, each closest first.
 func (s *LeafSet) Members() []wire.NodeRef {
 	out := make([]wire.NodeRef, 0, len(s.smaller)+len(s.larger))
-	seen := make(map[id.Node]bool, len(s.smaller)+len(s.larger))
-	for _, m := range s.larger {
-		if !seen[m.ID] {
-			seen[m.ID] = true
-			out = append(out, m)
-		}
+	out = append(out, s.larger...)
+	if !s.wraps() {
+		return append(out, s.smaller...)
 	}
 	for _, m := range s.smaller {
-		if !seen[m.ID] {
-			seen[m.ID] = true
+		if !holds(s.larger, m.ID) {
 			out = append(out, m)
 		}
 	}
@@ -311,7 +326,17 @@ func (s *LeafSet) Members() []wire.NodeRef {
 }
 
 // Len returns the number of distinct members.
-func (s *LeafSet) Len() int { return len(s.Members()) }
+func (s *LeafSet) Len() int {
+	n := len(s.larger) + len(s.smaller)
+	if s.wraps() {
+		for _, m := range s.smaller {
+			if holds(s.larger, m.ID) {
+				n--
+			}
+		}
+	}
+	return n
+}
 
 // ForEach visits every member without allocating. A node present in both
 // halves (small rings) is visited twice; callers that need distinctness
@@ -346,20 +371,87 @@ func (s *LeafSet) InRange(key id.Node) bool {
 
 // Closest returns the member numerically closest to key, considering the
 // owner as well; selfBest reports whether the owner itself is closest.
-// It scans the halves directly (duplicates cannot win against
-// themselves), avoiding the Members() allocation on the routing fast
-// path.
+// Within a half, the member closest to key is one of the two whose ring
+// offsets bracket the key's: any other is farther than one of those by the
+// direct arc, or farther than the owner by the arc through the owner. So a
+// binary search per half leaves at most four members to measure against
+// the owner, one ring distance each, and the answer is the one a scan of
+// every slot under id.Closer gives (larger before smaller, ties by id).
 func (s *LeafSet) Closest(key id.Node) (best wire.NodeRef, selfBest bool) {
-	bestID := s.owner
+	bestID, bestDist := s.owner, s.owner.Dist(key)
 	selfBest = true
-	s.ForEach(func(m wire.NodeRef) {
-		if id.Closer(key, m.ID, bestID) {
-			bestID = m.ID
-			best = m
-			selfBest = false
+	for _, clockwise := range [2]bool{true, false} {
+		half := s.smaller
+		if clockwise {
+			half = s.larger
 		}
-	})
+		off := s.offset(key, clockwise)
+		lo, hi := 0, len(half) // first member at or past the key's offset
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if s.offset(half[mid].ID, clockwise).Cmp(off) < 0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		for i := max(lo-1, 0); i <= lo && i < len(half); i++ {
+			d := half[i].ID.Dist(key)
+			if c := d.Cmp(bestDist); c < 0 || c == 0 && half[i].ID.Less(bestID) {
+				best, bestID, bestDist, selfBest = half[i], half[i].ID, d, false
+			}
+		}
+	}
 	return best, selfBest
+}
+
+// ClosestK returns the k nodes numerically closest to key among self (the
+// owner's reference) and the members, closest first: exactly the k first
+// of a full sort under id.Closer's total order, at one ring distance per
+// slot and with nothing allocated but the result (while k <= 8). A node in
+// both halves is listed once, by its larger-half entry.
+func (s *LeafSet) ClosestK(self wire.NodeRef, key id.Node, k int) []wire.NodeRef {
+	k = min(k, 1+len(s.larger)+len(s.smaller))
+	if k <= 0 {
+		return nil
+	}
+	out := make([]wire.NodeRef, 0, k)
+	dists := make([]id.Node, 0, 8) // dists[i] is out[i]'s; on the stack for the usual k
+	offer := func(c *wire.NodeRef) {
+		d := c.ID.Dist(key)
+		pos := len(out)
+		for pos > 0 {
+			cmp := d.Cmp(dists[pos-1])
+			if cmp == 0 {
+				cmp = c.ID.Cmp(out[pos-1].ID)
+			}
+			if cmp == 0 {
+				return // the smaller-half repeat of a node already placed
+			}
+			if cmp > 0 {
+				break
+			}
+			pos--
+		}
+		if pos == k {
+			return
+		}
+		if len(out) < k {
+			out = append(out, wire.NodeRef{})
+			dists = append(dists, id.Node{})
+		}
+		copy(out[pos+1:], out[pos:])
+		copy(dists[pos+1:], dists[pos:])
+		out[pos], dists[pos] = *c, d
+	}
+	offer(&self)
+	for i := range s.larger {
+		offer(&s.larger[i])
+	}
+	for i := range s.smaller {
+		offer(&s.smaller[i])
+	}
+	return out
 }
 
 // Extreme returns the farthest member on one side (clockwise = larger),

@@ -247,8 +247,10 @@ type LookupRequest struct {
 	FileID id.File
 	Client NodeRef
 	ReqID  uint64
-	// PrevHop is maintained by the routing layer so the responder can push
-	// a cached copy one hop back toward the client.
+	// PrevHop is the last node that forwarded the request (the client
+	// itself until another node does), so the responder can push a cached
+	// copy one hop back toward the client: in a CacheCopy when PrevHop is
+	// an intermediate node, in the LookupReply itself when it is Client.
 	PrevHop NodeRef
 	// Redirected marks that a node already steered this lookup to the
 	// proximally nearest replica holder; at most one such redirect is
@@ -373,7 +375,10 @@ type Depart struct {
 func (Depart) Kind() string { return "depart" }
 
 // CacheCopy pushes an unsolicited cached copy toward an interested client;
-// the receiver may store it in spare capacity (section 2.3).
+// the receiver may store it in spare capacity (section 2.3). A lookup's
+// responder sends one to LookupRequest.PrevHop, and only when that hop is
+// not the client: the client caches the LookupReply it verifies, so
+// a lookup answered one hop from its client moves the file once.
 type CacheCopy struct {
 	Cert FileCertificate
 	Data []byte

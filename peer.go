@@ -367,7 +367,10 @@ func (p *Peer) RegisterTelemetry(rec *telemetry.Recorder) {
 // set. Joins return before announce traffic has fully propagated, so
 // callers that need a converged membership view (tests, admission
 // checks) can poll this instead of sleeping.
-func (p *Peer) KnownPeers() int { return len(p.node.LeafMembers()) }
+func (p *Peer) KnownPeers() int {
+	_, leaf, _ := p.node.StateSize()
+	return leaf
+}
 
 // Close shuts the node down.
 func (p *Peer) Close() error {
