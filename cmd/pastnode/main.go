@@ -58,8 +58,7 @@ func main() {
 		caching    = flag.Bool("caching", true, "cache popular files in unused storage")
 		keepAlive  = flag.Duration("keepalive", 5*time.Second, "overlay keep-alive (and anti-entropy trigger) interval")
 		failAfter  = flag.Duration("failtimeout", 0, "declare a silent peer dead after this long (0 = 3x keepalive)")
-		sweepEvery = flag.Duration("anti-entropy", 10*time.Second, "minimum interval between periodic anti-entropy sweeps")
-		repair     = flag.Duration("repair", 30*time.Second, "periodic forced anti-entropy repair interval (0 disables); each round re-offers file digests to replica-set peers so a healed cluster converges back to k replicas without operator action")
+		sweepEvery = flag.Duration("anti-entropy", 10*time.Second, "period of the replica-repair sweep (rides the keep-alive tick): each sweep re-offers file digests to replica-set peers, so a healed cluster converges back to k replicas without operator action")
 		status     = flag.Duration("status", 30*time.Second, "status print interval (0 disables)")
 		telAddr    = flag.String("telemetry", "", "TCP address serving a plaintext line-protocol telemetry dump per connection (empty disables)")
 		telWindow  = flag.Duration("telemetry-window", 10*time.Second, "telemetry aggregation window")
@@ -68,7 +67,6 @@ func main() {
 		brkFails   = flag.Int("breaker-threshold", 0, "consecutive dial failures before the per-peer circuit breaker opens (0 disables; suppressed peers are probed before reinstatement)")
 		brkCool    = flag.Duration("breaker-cooldown", time.Second, "initial circuit-breaker cooldown (doubles per failed probe)")
 		brkMax     = flag.Duration("breaker-max-cooldown", 30*time.Second, "cap on the doubled circuit-breaker cooldown; bounds how long a healed peer waits for its reinstatement probe")
-		leafSync   = flag.Int("leafsync", 4, "membership anti-entropy: exchange leaf sets with one random peer every Nth keepalive tick, repairing partial views left by lossy joins (0 disables)")
 	)
 	flag.Parse()
 	if *brokerSeed == "" {
@@ -103,7 +101,10 @@ func main() {
 		DataDir:     *dataDir,
 		KeepAlive:   *keepAlive,
 		FailTimeout: *failAfter,
-		LeafSync:    *leafSync,
+		// Membership anti-entropy: exchange leaf sets with one random peer
+		// every 4th keep-alive tick, repairing partial views left by lossy
+		// joins.
+		LeafSync:    4,
 		JoinTimeout: *joinWait,
 		DialVia:     *dialVia,
 		Breaker:     past.BreakerOptions{Threshold: *brkFails, Cooldown: *brkCool, MaxCooldown: *brkMax},
@@ -215,16 +216,6 @@ func main() {
 				return fmt.Errorf("membership shrunk to %d/%d; rejoin failed: %w", known, maxSeen, err)
 			}
 			fmt.Printf("pastnode: rejoined network (%d peers known)\n", peer.KnownPeers())
-			return nil
-		})
-	}
-	if *repair > 0 {
-		// Self-healing: force an anti-entropy sweep on a fixed cadence,
-		// bypassing the rate limit that governs the piggybacked sweeps.
-		// After a partition heals or a node restarts, this converges every
-		// file back to k disk replicas within one repair period.
-		run.Every("repair", *repair, func(context.Context) error {
-			peer.Repair()
 			return nil
 		})
 	}

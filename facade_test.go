@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"past"
+	"past/internal/seccrypt"
 	"past/internal/telemetry"
 )
 
@@ -26,12 +27,21 @@ func newNet(t testing.TB, n int, seed int64) *past.Network {
 func TestNetworkInsertLookupReclaim(t *testing.T) {
 	nw := newNet(t, 20, 1)
 	data := []byte("facade end to end")
+	msgs := nw.Messages()
 	ins, err := nw.Insert(0, nil, "facade.txt", data, 3)
 	if err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
 	if len(ins.Receipts) != 3 {
 		t.Fatalf("receipts = %d", len(ins.Receipts))
+	}
+	// The three replicas are all the network stores, and placing them
+	// took traffic (the two figures bench/'s simulator workload reads).
+	if want := float64(3*len(data)) / float64(nw.Len()<<20); nw.Utilization() != want {
+		t.Fatalf("utilization = %g, want %g", nw.Utilization(), want)
+	}
+	if nw.Messages() <= msgs {
+		t.Fatalf("insert delivered no messages (%d before, %d after)", msgs, nw.Messages())
 	}
 	got, err := nw.Lookup(13, ins.FileID)
 	if err != nil {
@@ -402,6 +412,47 @@ func TestPeerLookupMissAndReclaimByNonOwner(t *testing.T) {
 	// The file survives.
 	if _, err := b.Lookup(ins.FileID); err != nil {
 		t.Fatalf("file should survive: %v", err)
+	}
+}
+
+// TestPeerRefusesExpiredCard pins a real peer's certificate clock to the
+// wall clock: a card that expired an hour ago cannot insert, one that
+// expires in an hour can, and the certificate it issues is stamped now.
+func TestPeerRefusesExpiredCard(t *testing.T) {
+	broker, err := past.NewBroker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	issue := func(expiresUnix int64) *past.Smartcard {
+		card, err := broker.IssueCard(1<<30, 1<<20, expiresUnix, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return card
+	}
+	scfg := past.DefaultStorageConfig()
+	scfg.K = 1
+	scfg.Capacity = 1 << 20
+	p, err := past.ListenPeer(past.PeerConfig{Card: issue(0), BrokerPub: broker.PublicKey(), Storage: scfg, OpTimeout: 3 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.Bootstrap()
+	now := time.Now().Unix()
+	if _, err := p.Insert(issue(now-3600), "late", []byte("x"), 1); !errors.Is(err, seccrypt.ErrExpired) {
+		t.Fatalf("insert with a card that expired an hour ago: err=%v, want ErrExpired", err)
+	}
+	ins, err := p.Insert(issue(now+3600), "in time", []byte("x"), 1)
+	if err != nil {
+		t.Fatalf("insert with a card that expires in an hour: %v", err)
+	}
+	got, err := p.Lookup(ins.FileID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := got.Cert.Issued - time.Now().Unix(); d < -1 || d > 1 {
+		t.Fatalf("certificate issued at %d, %d s off the wall clock", got.Cert.Issued, d)
 	}
 }
 

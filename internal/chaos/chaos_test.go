@@ -86,7 +86,7 @@ func TestDecisionDeterminism(t *testing.T) {
 // byte-for-byte — the replays-identically-for-a-seed acceptance check.
 func TestProxyRelayAndFaultLogReplay(t *testing.T) {
 	sched := Schedule{Seed: 7, Default: LinkRule{Drop: 0.3}}
-	p, err := New(sched, Options{})
+	p, err := New(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestProxyRelayAndFaultLogReplay(t *testing.T) {
 // stall during the cut (established pipes die, new dials are refused) and
 // resume after heal.
 func TestProxyPartitionHeal(t *testing.T) {
-	p, err := New(Schedule{Seed: 1}, Options{})
+	p, err := New(Schedule{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestProxyScheduledWindow(t *testing.T) {
 	}
 	aAddr := ln.Addr().String()
 	ln.Close()
-	p, err := New(Schedule{Seed: 1, Windows: []Window{{From: 0, Until: 600 * time.Millisecond, A: []string{aAddr}, B: []string{b.Addr()}}}}, Options{})
+	p, err := New(Schedule{Seed: 1, Windows: []Window{{From: 0, Until: 600 * time.Millisecond, A: []string{aAddr}, B: []string{b.Addr()}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestProxyLatencyAndReset(t *testing.T) {
 	}
 	t.Cleanup(func() { b.Close() })
 
-	p, err := New(Schedule{Seed: 3, Default: LinkRule{Latency: 120 * time.Millisecond, ResetEvery: 5}}, Options{})
+	p, err := New(Schedule{Seed: 3, Default: LinkRule{Latency: 120 * time.Millisecond, ResetEvery: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestProxyBandwidthCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { b.Close() })
-	p, err := New(Schedule{Seed: 3, Default: LinkRule{BytesPerSec: 100 << 10}}, Options{})
+	p, err := New(Schedule{Seed: 3, Default: LinkRule{BytesPerSec: 100 << 10}})
 	if err != nil {
 		t.Fatal(err)
 	}

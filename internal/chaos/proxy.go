@@ -9,18 +9,12 @@ import (
 	"past/internal/transport"
 )
 
-// Options tune a Proxy. The zero value listens on a free loopback port
-// with the transport's default frame cap and dial timeout.
-type Options struct {
-	// Listen is the proxy's listen address (default "127.0.0.1:0").
-	Listen string
-	// MaxFrame caps one relayed frame (default 8 MiB, matching the
-	// transport).
-	MaxFrame int
-	// DialTimeout bounds the proxy's own dial to the announced target
-	// (default 3s).
-	DialTimeout time.Duration
-}
+// The proxy relays with the transport's own defaults: its cap on one
+// frame, and its bound on a dial (here, to the announced target).
+const (
+	maxFrame    = 8 << 20
+	dialTimeout = 3 * time.Second
+)
 
 // LinkStats counts one link direction's relayed traffic.
 type LinkStats struct {
@@ -59,12 +53,10 @@ type groupCut struct{ a, b []string }
 // (from, to) link with the via preamble, the proxy dials the real target,
 // acks, and relays whole frames applying the schedule's faults.
 type Proxy struct {
-	sched       Schedule
-	ln          net.Listener
-	maxFrame    int
-	dialTimeout time.Duration
-	start       time.Time
-	done        chan struct{}
+	sched Schedule
+	ln    net.Listener
+	start time.Time
+	done  chan struct{}
 
 	mu     sync.Mutex
 	links  map[Link]*linkState
@@ -75,30 +67,20 @@ type Proxy struct {
 	wg sync.WaitGroup
 }
 
-// New starts a proxy applying sched. Close it when done.
-func New(sched Schedule, opts Options) (*Proxy, error) {
-	if opts.Listen == "" {
-		opts.Listen = "127.0.0.1:0"
-	}
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = 8 << 20
-	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 3 * time.Second
-	}
-	ln, err := net.Listen("tcp", opts.Listen)
+// New starts a proxy applying sched on a free loopback port. Close it
+// when done.
+func New(sched Schedule) (*Proxy, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("chaos: listen %s: %w", opts.Listen, err)
+		return nil, fmt.Errorf("chaos: listen: %w", err)
 	}
 	p := &Proxy{
-		sched:       sched,
-		ln:          ln,
-		maxFrame:    opts.MaxFrame,
-		dialTimeout: opts.DialTimeout,
-		start:       time.Now(),
-		done:        make(chan struct{}),
-		links:       make(map[Link]*linkState),
-		pipes:       make(map[*pipePair]bool),
+		sched: sched,
+		ln:    ln,
+		start: time.Now(),
+		done:  make(chan struct{}),
+		links: make(map[Link]*linkState),
+		pipes: make(map[*pipePair]bool),
 	}
 	p.wg.Add(2)
 	go p.acceptLoop()
@@ -208,7 +190,7 @@ func (p *Proxy) serve(client net.Conn) {
 		client.Close() // no ack: the dialer sees the peer as unreachable
 		return
 	}
-	target, err := net.DialTimeout("tcp", to, p.dialTimeout)
+	target, err := net.DialTimeout("tcp", to, dialTimeout)
 	if err != nil {
 		client.Close()
 		return
@@ -269,7 +251,7 @@ func (p *Proxy) pipe(src, dst net.Conn, l Link, pp *pipePair) {
 	rule := p.sched.RuleFor(l)
 	ls := linkSeed(p.sched.Seed, l)
 	for {
-		payload, err := transport.ReadRawFrame(src, p.maxFrame)
+		payload, err := transport.ReadRawFrame(src, maxFrame)
 		if err != nil {
 			return
 		}

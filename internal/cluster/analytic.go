@@ -184,10 +184,6 @@ func (c *Cluster) seedNeighborhoods(refs []wire.NodeRef) {
 		st := c.Topo.Stub(i)
 		byStub[st] = append(byStub[st], int32(i))
 	}
-	m := c.Opts.Pastry.M
-	if m > nbhdSeed {
-		m = nbhdSeed
-	}
 	var peerRefs []wire.NodeRef
 	var peerProx []float64
 	for i := range c.Nodes {
@@ -200,7 +196,7 @@ func (c *Cluster) seedNeighborhoods(refs []wire.NodeRef) {
 			}
 			peerRefs = append(peerRefs, refs[pi])
 			peerProx = append(peerProx, c.Topo.Distance(i, int(pi)))
-			if len(peerRefs) == m {
+			if len(peerRefs) == nbhdSeed {
 				break
 			}
 		}

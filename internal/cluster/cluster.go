@@ -22,14 +22,6 @@ type Options struct {
 	Pastry pastry.Config
 	// Seed drives node ids, topology and the simulator.
 	Seed int64
-	// Net tunes the simulated network; the Seed field is overridden.
-	Net simnet.Config
-	// Topology generates the proximity metric; zero value uses
-	// topology.DefaultConfig(Seed).
-	Topology topology.Config
-	// SampleSize bounds the number of candidate bootstrap nodes examined
-	// to find a proximally "nearby node A" for each join. Zero means 32.
-	SampleSize int
 	// AppFactory, when non-nil, builds the application layer for node i.
 	// It runs after the pastry node is constructed and before it joins.
 	AppFactory func(i int, nd *pastry.Node, ep *simnet.Endpoint) pastry.App
@@ -91,35 +83,21 @@ func Build(opts Options) (*Cluster, error) {
 	if opts.N <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one node")
 	}
-	if opts.SampleSize <= 0 {
-		opts.SampleSize = 32
-	}
-	if opts.Topology.Transits == 0 {
-		opts.Topology = topology.DefaultConfig(opts.Seed)
-	}
-	topo, err := topology.New(opts.Topology)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	netCfg := opts.Net
-	netCfg.Seed = opts.Seed + 1
-	// Shard by transit domain: the topology's config bounds guarantee a
-	// latency floor between domains, which is exactly the lookahead the
+	topo := topology.New(opts.Seed)
+	// Shard by transit domain: the topology's latency bounds guarantee a
+	// floor between domains, which is exactly the lookahead the
 	// conservative scheduler needs — and it is placement- and
 	// shard-count-independent, so tables stay byte-identical at any shard
 	// count, the default of one included.
 	// More shards than transit domains would leave the extras permanently
 	// empty (shard = transit % Shards), so clamp.
-	netCfg.Shards = max(1, min(opts.Shards, opts.Topology.Transits))
-	netCfg.RegionOf = topo.Transit
-	netCfg.Lookahead = topo.LookaheadBound()
-	netCfg.Workers = opts.WindowWorkers
-	if netCfg.Shards > 1 && netCfg.Lookahead <= 0 {
-		// Zero latency floors give the conservative scheduler no
-		// lookahead; report it here rather than panicking in simnet.
-		return nil, fmt.Errorf("cluster: sharding needs a positive inter-domain latency floor (TransitMin/UplinkMin/StubMin all zero?)")
-	}
-	net := simnet.New(netCfg, topo.Distance)
+	net := simnet.New(simnet.Config{
+		Seed:      opts.Seed + 1,
+		Shards:    max(1, min(opts.Shards, topo.NumTransits())),
+		RegionOf:  topo.Transit,
+		Lookahead: topo.LookaheadBound(),
+		Workers:   opts.WindowWorkers,
+	}, topo.Distance)
 
 	c := &Cluster{
 		Opts: opts,
@@ -347,17 +325,16 @@ func (c *Cluster) Leave(i int) {
 	c.rebuildOracle()
 }
 
+// joinSamples bounds the candidate bootstrap nodes nearbyNode examines.
+const joinSamples = 32
+
 // nearbyNode samples already-joined nodes and returns the proximally
 // closest, playing the role of the "nearby node A" the paper's join
 // protocol assumes a new node can locate.
 func (c *Cluster) nearbyNode(joining int) int {
 	best := -1
 	bestD := 0.0
-	tries := c.Opts.SampleSize
-	if tries > joining {
-		tries = joining
-	}
-	for t := 0; t < tries; t++ {
+	for range min(joinSamples, joining) {
 		cand := c.rng.Intn(joining)
 		if c.down[cand] {
 			continue

@@ -577,10 +577,6 @@ func E14ReplicaDiversity(scale Scale, seed int64) Result {
 	c, _ := mustRoutingCluster(n, seed, nil)
 	var stubs, transits metrics.Summary
 	sameStubPairs, pairs := 0, 0
-	stubsPerTransit := c.Opts.Topology.StubsPerTransit
-	if stubsPerTransit == 0 {
-		stubsPerTransit = 16
-	}
 	for f := 0; f < files; f++ {
 		key := id.Rand(uint64(seed)<<32 + uint64(f))
 		set := c.KClosest(key, k)
@@ -594,7 +590,7 @@ func E14ReplicaDiversity(scale Scale, seed int64) Result {
 			}
 			stub := c.Topo.Stub(idx)
 			stubSeen[stub] = true
-			transitSeen[stub/stubsPerTransit] = true
+			transitSeen[c.Topo.Transit(idx)] = true
 			stubList = append(stubList, stub)
 		}
 		stubs.Add(float64(len(stubSeen)))

@@ -21,7 +21,6 @@ const (
 	phPreFiles  = 6
 	phMidFiles  = 4
 	phPartition = 10 * time.Second
-	phRepair    = 2 * time.Second
 )
 
 // PartitionHealReport is the structured outcome of RunPartitionHeal.
@@ -42,14 +41,14 @@ type PartitionHealReport struct {
 }
 
 // chaosExtraArgs are the daemon knobs every chaos scenario switches on:
-// route through the proxy, fast failure detection, the periodic repair
-// task, seed cycling with a short join bound, the dial circuit breaker,
-// and a telemetry port to scrape.
+// route through the proxy, fast failure detection, seed cycling with a
+// short join bound, the dial circuit breaker, and a telemetry port to
+// scrape. (The replica-repair sweep needs no switch: it rides the
+// keep-alive tick at nodeArgs' -anti-entropy period.)
 func chaosExtraArgs(proxyAddr string, failTimeout time.Duration) []string {
 	return []string{
 		"-dial-via", proxyAddr,
 		"-failtimeout", failTimeout.String(),
-		"-repair", phRepair.String(),
 		"-join-timeout", "2s",
 		"-breaker-threshold", "3",
 		"-breaker-cooldown", "500ms",
@@ -90,7 +89,7 @@ func RunPartitionHeal(bin, dir string, logf func(format string, args ...any)) (*
 		logf("[%6.1fs] "+format, append([]any{time.Since(t0).Seconds()}, args...)...)
 	}
 	spec := NewSpec(phSeed, phNodes, phK, phPreFiles+phMidFiles)
-	proxy, err := chaos.New(chaos.Schedule{Seed: phSeed}, chaos.Options{})
+	proxy, err := chaos.New(chaos.Schedule{Seed: phSeed})
 	if err != nil {
 		return nil, err
 	}
@@ -207,8 +206,9 @@ func RunPartitionHeal(bin, dir string, logf func(format string, args ...any)) (*
 	prog("chaos: healed")
 
 	// Self-healing: the minority re-anchors through its seed (membership
-	// high-water trigger), membership reconverges, and the periodic repair
-	// task restores every file to >= k disks. No operator action.
+	// high-water trigger), membership reconverges, and the periodic
+	// anti-entropy sweep restores every file to >= k disks. No operator
+	// action.
 	deadline := healAt.Add(45 * time.Second)
 	for {
 		holders, err := DiskHolders(rc.DataDirs())

@@ -57,7 +57,7 @@ func TestChaosPartitionHeal(t *testing.T) {
 func TestChaosLoss20(t *testing.T) {
 	spec := NewSpec(45, 5, 3, 20)
 	sched := chaos.Schedule{Seed: 9, Default: chaos.LinkRule{Drop: 0.2}}
-	proxy, err := chaos.New(sched, chaos.Options{})
+	proxy, err := chaos.New(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestChaosGrayFailure(t *testing.T) {
 		links[chaos.Link{From: a, To: slow}] = grayRule
 	}
 	sched := chaos.Schedule{Seed: 11, Links: links}
-	proxy, err := chaos.New(sched, chaos.Options{})
+	proxy, err := chaos.New(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,6 @@ func TestChaosCrashStorm(t *testing.T) {
 		KeepAlive: 500 * time.Millisecond,
 		ExtraArgs: []string{
 			"-failtimeout", "1500ms",
-			"-repair", "2s",
 			"-join-timeout", "2s",
 			"-breaker-threshold", "3",
 			"-breaker-cooldown", "500ms",

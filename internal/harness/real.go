@@ -18,7 +18,7 @@ type ClusterOptions struct {
 	// cadence derives from it).
 	KeepAlive time.Duration
 	// ExtraArgs are appended to every node's flag list — how scenarios
-	// switch on -dial-via, -repair, -breaker-threshold, -telemetry, ...
+	// switch on -dial-via, -failtimeout, -breaker-threshold, -telemetry, ...
 	ExtraArgs []string
 	// ListenAddrs, when non-empty, pins node i's listen address to
 	// ListenAddrs[i] instead of a kernel-picked port. Chaos schedules name

@@ -312,7 +312,6 @@ func (n *Node) scheduleInsertResend(reqID uint64, resend int) {
 			return
 		}
 		req := wire.InsertRequest{Cert: op.cert, Data: op.data, Client: n.pn.Ref(), ReqID: reqID}
-		n.stats.InsertResends++
 		n.mu.Unlock()
 		n.pn.Route(req.Cert.FileID.Key(), req)
 		n.scheduleInsertResend(reqID, resend+1)
@@ -498,11 +497,8 @@ func (n *Node) startLookupAttempt(fileID id.File, attempt int, cb func(LookupRes
 		still := n.pending[reqID]
 		delete(n.pending, reqID)
 		canRetry := still != nil && attempt < n.cfg.LookupRetries
-		if still != nil {
-			n.stats.DropsSuspected++
-			if canRetry {
-				n.stats.LookupRetries++
-			}
+		if canRetry {
+			n.stats.LookupRetries++
 		}
 		n.mu.Unlock()
 		if still == nil {
@@ -608,7 +604,6 @@ func (n *Node) handleLookupAbort(m wire.LookupAbort) {
 		return
 	}
 	delete(n.pending, m.ReqID)
-	n.stats.MisrouteDetections++
 	canRetry := op.retries < n.cfg.LookupRetries
 	if canRetry {
 		n.stats.LookupRetries++

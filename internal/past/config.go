@@ -89,8 +89,9 @@ type Config struct {
 	// when keep-alives are disabled or under LegacyPushReplication
 	// (whose baseline semantics E16 measures).
 	AntiEntropyEvery time.Duration
-	// Epoch anchors certificate timestamps: wall-clock seconds at
-	// simulation time zero.
+	// Epoch anchors certificate timestamps and expiry checks: wall-clock
+	// seconds at the node clock's time zero. The simulator keeps the
+	// default constant; a real peer sets the time it started.
 	Epoch int64
 }
 

@@ -52,32 +52,22 @@ type Node struct {
 // in either frame: a CacheCopy to an intermediate hop, or the LookupReply
 // itself when that hop is the client.
 type Stats struct {
-	PrimaryStores   int
-	DivertedStores  int
-	DivertAttempts  int
-	LocalRejects    int
-	InsertRejects   int
-	Reclaims        int
-	Replications    int
-	CachePushes     int
-	LookupsServed   int
-	CacheServes     int
-	PointerFollowed int
+	PrimaryStores  int
+	DivertedStores int
+	InsertRejects  int
+	Replications   int
+	CachePushes    int
+	LookupsServed  int
+	CacheServes    int
 
-	// Client-side resilience counters. DropsSuspected counts lookup
-	// attempts that timed out (the signature of a dropper on the path);
-	// MisrouteDetections counts hop-budget aborts received;
+	// Resilience counters. LookupRetries counts lookup attempts this
+	// node, as client, re-issued after a timeout or a hop-budget abort;
 	// ForgedReceiptsDropped counts store receipts discarded because their
 	// signature failed batch verification. RouteAborts counts lookups
 	// this node refused to forward past the hop budget (server side).
 	LookupRetries         int
-	DropsSuspected        int
-	MisrouteDetections    int
 	RouteAborts           int
 	ForgedReceiptsDropped int
-	// InsertResends counts same-certificate insert retransmissions
-	// (Config.InsertResends) issued by this node as a client.
-	InsertResends int
 
 	// Replica-maintenance traffic sent by this node (anti-entropy digests
 	// and requests, plus Replicate bodies under either scheme).
@@ -375,21 +365,6 @@ func (n *Node) Maintain() {
 	n.reReplicate()
 }
 
-// Sweep forces one anti-entropy repair round immediately, bypassing the
-// AntiEntropyEvery rate limit. Maintain (piggybacked on keep-alives) is
-// the steady-state path; Sweep is the operator/daemon trigger — the
-// pastnode repair task calls it on the real clock so a cluster healing
-// from a partition converges every file back to ≥ k replicas within one
-// repair period even if keep-alive traffic is still settling. No-op
-// under LegacyPushReplication, whose baseline semantics must not gain a
-// new push source.
-func (n *Node) Sweep() {
-	if n.cfg.LegacyPushReplication {
-		return
-	}
-	n.reReplicate()
-}
-
 // ---------------------------------------------------------------------------
 // Insert: root side
 
@@ -555,9 +530,6 @@ func (n *Node) handleReplicaStore(m wire.ReplicaStore) {
 			return
 		}
 	}
-	n.mu.Lock()
-	n.stats.LocalRejects++
-	n.mu.Unlock()
 	if m.Diverted {
 		// A diverted replica we cannot hold: bounce back to the primary.
 		n.pn.Send(m.Primary, wire.DivertReject{FileID: m.Cert.FileID, ReqID: m.ReqID, From: n.pn.Ref()})
@@ -597,7 +569,6 @@ func (n *Node) tryDivert(m wire.ReplicaStore) bool {
 		return false
 	}
 	n.mu.Lock()
-	n.stats.DivertAttempts++
 	key := divertKey(m.Cert.FileID, m.ReqID)
 	n.pending[key] = &pendingOp{kind: opDivert, divert: &m, candidates: cands[1:]}
 	n.mu.Unlock()
@@ -712,9 +683,6 @@ func (n *Node) serveLookup(r *wire.Routed, m wire.LookupRequest, midRoute bool) 
 		// the failure detector knows is dead is NOT chased — the fetch
 		// would silently black-hole the whole lookup attempt — and the
 		// request keeps routing instead, so another replica can serve it.
-		n.mu.Lock()
-		n.stats.PointerFollowed++
-		n.mu.Unlock()
 		n.pn.Send(holder, wire.FetchRequest{FileID: m.FileID, Client: m.Client, ReqID: m.ReqID})
 		return true
 	}
@@ -831,9 +799,6 @@ func (n *Node) handleReclaimForward(m wire.ReclaimForward) {
 	}
 	n.cache.Invalidate(m.Cert.FileID)
 	n.syncCache()
-	n.mu.Lock()
-	n.stats.Reclaims++
-	n.mu.Unlock()
 	rcpt := wire.ReclaimReceipt{
 		FileID: m.Cert.FileID,
 		Freed:  freed,

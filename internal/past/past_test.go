@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"past/internal/cluster"
 	"past/internal/id"
@@ -253,6 +254,47 @@ func TestPersistenceAfterFailures(t *testing.T) {
 	}
 	if live < 3 {
 		t.Fatalf("replication not restored: %d live replicas, want >= 3", live)
+	}
+}
+
+// TestKeepAliveTickAloneRestoresReplicas: the keep-alive tick is the one
+// periodic trigger of re-replication (failure detection, then Maintain's
+// rate-limited sweep). After a replica holder crashes, nothing but the
+// clock advances — no lookup, no probe, no forced sweep — and within one
+// failure timeout plus one sweep period every file is back at k live,
+// content-verified copies.
+func TestKeepAliveTickAloneRestoresReplicas(t *testing.T) {
+	const keepAlive, failTimeout = 500 * time.Millisecond, 1500 * time.Millisecond
+	cfg := defaultCfg()
+	cfg.AntiEntropyEvery = 2 * time.Second
+	pc := buildPAST(t, 30, 109, cfg, func(o *cluster.Options) {
+		o.Pastry.KeepAlive = keepAlive
+		o.Pastry.FailTimeout = failTimeout
+	})
+	var files []id.File
+	for i := 0; i < 8; i++ {
+		res := pc.Insert(i, pc.Card(i), fmt.Sprintf("held-%d", i), []byte(fmt.Sprintf("content %d", i)), 3)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		files = append(files, res.FileID)
+	}
+	victim := -1
+	for i, pn := range pc.PASTNodes() {
+		if pn.Store().Has(files[0]) {
+			victim = i
+			break
+		}
+	}
+	pc.Crash(victim)
+	if got := pc.LiveVerifiedCopies(files[0]); got != 2 {
+		t.Fatalf("after the crash: %d live copies of file 0, want 2", got)
+	}
+	pc.Net.RunFor(failTimeout + cfg.AntiEntropyEvery + 2*keepAlive)
+	for i, f := range files {
+		if got := pc.LiveVerifiedCopies(f); got < 3 {
+			t.Errorf("file %d: %d live verified copies, want >= 3", i, got)
+		}
 	}
 }
 

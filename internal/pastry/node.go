@@ -21,8 +21,6 @@ type Config struct {
 	// L is the leaf-set size (l/2 on each side). The paper's typical
 	// value is 32.
 	L int
-	// M is the neighborhood-set size.
-	M int
 	// KeepAlive is the interval between leaf-set keep-alive probes; zero
 	// disables periodic probing (large simulations enable it only in
 	// churn experiments).
@@ -56,12 +54,14 @@ type Config struct {
 	CompactRand bool
 }
 
+// neighborhoodSize is the paper's |M|, the neighborhood-set capacity.
+const neighborhoodSize = 32
+
 // DefaultConfig returns the paper's typical parameters.
 func DefaultConfig() Config {
 	return Config{
 		B:           4,
 		L:           32,
-		M:           32,
 		KeepAlive:   0,
 		FailTimeout: 2 * time.Second,
 		JoinTimeout: time.Minute,
@@ -181,7 +181,7 @@ func New(cfg Config, nodeID id.Node, tr transport.Transport, clock transport.Clo
 		app:   app,
 		rt:    NewRoutingTable(nodeID, cfg.B),
 		leaf:  NewLeafSet(nodeID, cfg.L),
-		nbhd:  NewNeighborhood(cfg.M),
+		nbhd:  NewNeighborhood(neighborhoodSize),
 	}
 	tr.SetHandler(n.handle)
 	return n

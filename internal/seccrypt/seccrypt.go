@@ -407,10 +407,12 @@ func VerifyReclaimReceipt(brokerPub ed25519.PublicKey, r *wire.ReclaimReceipt, n
 // Verification helpers used by storage nodes and clients
 
 // VerifyFileCertificate performs the checks of section 2.1 that a storing
-// node runs on an arriving insert: the owner's card is broker-certified,
-// the signature is valid, and the fileId is authentic (derived from owner
-// key and salt — wrong fileIds would let an attacker target storage at
-// chosen nodes). Content is checked separately, by VerifyContent, because
+// node runs on an arriving insert: the owner's card is broker-certified
+// and unexpired at nowUnix, and the owner's signature covers the whole
+// certificate, its fileId included. That the fileId was derived from the
+// name, owner key and salt is NOT proven here — a storage node never
+// learns the name; only VerifyFileIDBinding, for owners and auditors,
+// checks it. Content is checked separately, by VerifyContent, because
 // intermediate nodes hold the certificate without the data.
 func VerifyFileCertificate(brokerPub ed25519.PublicKey, cert *wire.FileCertificate, nowUnix int64) error {
 	if len(cert.OwnerPub) != ed25519.PublicKeySize {

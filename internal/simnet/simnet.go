@@ -36,8 +36,6 @@ type Config struct {
 	DropProb float64
 	// JitterFrac scales latency jitter: actual = d * (1 + U[0,JitterFrac)).
 	JitterFrac float64
-	// MinLatency is a floor on delivery latency (e.g. local processing).
-	MinLatency time.Duration
 
 	// Shards is the number of event-loop shards; zero means one. Results
 	// are byte-identical for any value (given the same Lookahead), so it
@@ -337,9 +335,6 @@ func (n *Net) latency(a, b int, rng *rand.Rand) time.Duration {
 	d := time.Duration(ms * float64(time.Millisecond))
 	if n.cfg.JitterFrac > 0 {
 		d = time.Duration(float64(d) * (1 + rng.Float64()*n.cfg.JitterFrac))
-	}
-	if d < n.cfg.MinLatency {
-		d = n.cfg.MinLatency
 	}
 	return d
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"past/internal/id"
-	"past/internal/wire"
 )
 
 // Cache is a GreedyDual-Size (GD-S) file cache. PAST nodes use their
@@ -218,17 +217,4 @@ func (h *cacheHeap) Pop() interface{} {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return e
-}
-
-// ---------------------------------------------------------------------------
-
-// NodeRefSliceContains is a small helper used by the PAST layer when
-// deciding diversion targets.
-func NodeRefSliceContains(refs []wire.NodeRef, n id.Node) bool {
-	for _, r := range refs {
-		if r.ID == n {
-			return true
-		}
-	}
-	return false
 }

@@ -314,16 +314,6 @@ func TestQuickCacheNeverOverflows(t *testing.T) {
 	}
 }
 
-func TestNodeRefSliceContains(t *testing.T) {
-	refs := []wire.NodeRef{{ID: id.Rand(1)}, {ID: id.Rand(2)}}
-	if !NodeRefSliceContains(refs, id.Rand(1)) {
-		t.Fatal("missed present")
-	}
-	if NodeRefSliceContains(refs, id.Rand(3)) {
-		t.Fatal("found absent")
-	}
-}
-
 func BenchmarkCachePutGet(b *testing.B) {
 	c := NewCache(1 << 20)
 	items := make([]Item, 256)

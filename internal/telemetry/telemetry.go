@@ -36,15 +36,16 @@ type Config struct {
 	// Capacity is how many windows each series retains; older points are
 	// overwritten ring-buffer style (default 512).
 	Capacity int
-	// DistLimit bounds per-window observations retained by each Dist for
-	// quantiles; beyond it a deterministic reservoir takes over
-	// (default 4096, see metrics.Summary.Limit).
-	DistLimit int
 	// EpochNs is added to every window-start timestamp on export. The
 	// simulator leaves it zero (timestamps are virtual nanoseconds); the
 	// daemon sets it to its start time in Unix nanoseconds.
 	EpochNs int64
 }
+
+// distLimit bounds the per-window observations each Dist retains for
+// quantiles; beyond it a deterministic reservoir takes over (see
+// metrics.Summary.Limit).
+const distLimit = 4096
 
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
@@ -52,9 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Capacity <= 0 {
 		c.Capacity = 512
-	}
-	if c.DistLimit <= 0 {
-		c.DistLimit = 4096
 	}
 	return c
 }
@@ -204,7 +202,7 @@ func (r *Recorder) Counter(name string) *Counter {
 // count/mean/min/max/p50/p99 per window.
 func (r *Recorder) Dist(name string) *Dist {
 	d := &Dist{}
-	d.s.Limit(r.cfg.DistLimit)
+	d.s.Limit(distLimit)
 	s := r.register(&Series{name: name, fields: []string{"count", "mean", "min", "max", "p50", "p99"}, kind: kindDist, dist: d})
 	return s.dist
 }

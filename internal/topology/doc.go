@@ -17,8 +17,8 @@
 // ARCHITECTURE.md ("Topology and locality").
 //
 // The hierarchy also gives the simulator its sharding structure: Transit
-// partitions nodes into regions, and LookaheadBound turns the config's
-// minimum cross-transit latency into the conservative scheduler's event
-// window (see internal/simnet/shard.go). Both are derived from the Config
-// alone, never from placement, so they cannot vary with shard count.
+// partitions nodes into regions, and LookaheadBound turns the minimum
+// cross-transit latency into the conservative scheduler's event window
+// (see internal/simnet/shard.go). Both follow from the package's constants
+// and the seed, never from placement, so they cannot vary with shard count.
 package topology

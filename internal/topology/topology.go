@@ -6,46 +6,23 @@ import (
 	"time"
 )
 
-// Config controls topology generation. The zero value is not valid; use
-// DefaultConfig.
-type Config struct {
-	// Transits is the number of transit domains.
-	Transits int
-	// StubsPerTransit is the number of stub domains per transit domain.
-	StubsPerTransit int
-	// TransitMin/TransitMax bound the latency between distinct transit
-	// domains, in milliseconds.
-	TransitMin, TransitMax float64
-	// UplinkMin/UplinkMax bound each stub domain's uplink latency to its
-	// transit router.
-	UplinkMin, UplinkMax float64
-	// StubMin/StubMax bound the intra-stub latency contribution of a node.
-	StubMin, StubMax float64
-	// Seed makes generation deterministic.
-	Seed int64
-}
-
-// DefaultConfig mirrors the rough scale of GT-ITM topologies used in the
-// Pastry paper: a handful of transit domains, tens of stubs, wide spread
-// between intra-stub and cross-transit latencies.
-func DefaultConfig(seed int64) Config {
-	return Config{
-		Transits:        8,
-		StubsPerTransit: 16,
-		TransitMin:      20,
-		TransitMax:      80,
-		UplinkMin:       4,
-		UplinkMax:       16,
-		StubMin:         0.5,
-		StubMax:         3,
-		Seed:            seed,
-	}
-}
+// The topology's shape mirrors the rough scale of GT-ITM topologies used
+// in the Pastry paper: a handful of transit domains, tens of stubs, wide
+// spread between intra-stub and cross-transit latencies (milliseconds).
+const (
+	transits        = 8  // transit domains
+	stubsPerTransit = 16 // stub domains per transit domain
+	// Bounds on the latency between distinct transit domains, on a stub
+	// domain's uplink to its transit router, and on a node's intra-stub
+	// contribution.
+	transitMin, transitMax = 20.0, 80.0
+	uplinkMin, uplinkMax   = 4.0, 16.0
+	stubMin, stubMax       = 0.5, 3.0
+)
 
 // Topology is an immutable generated topology. Attach end nodes with
 // Place; query distances with Distance.
 type Topology struct {
-	cfg      Config
 	transit  [][]float64 // symmetric transit-to-transit latency matrix
 	uplink   []float64   // per-stub uplink latency, indexed by stub
 	stubOf   []int       // stub -> transit index
@@ -54,46 +31,33 @@ type Topology struct {
 	nodeHop  []float64 // node -> intra-stub latency component
 }
 
-// New generates a topology from cfg.
-func New(cfg Config) (*Topology, error) {
-	if cfg.Transits <= 0 || cfg.StubsPerTransit <= 0 {
-		return nil, fmt.Errorf("topology: need positive domain counts, got %d transits × %d stubs", cfg.Transits, cfg.StubsPerTransit)
-	}
-	if cfg.TransitMax < cfg.TransitMin || cfg.UplinkMax < cfg.UplinkMin || cfg.StubMax < cfg.StubMin {
-		return nil, fmt.Errorf("topology: invalid latency bounds")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	t := &Topology{cfg: cfg, rng: rng}
-	t.transit = make([][]float64, cfg.Transits)
+// New generates a topology; seed makes generation deterministic.
+func New(seed int64) *Topology {
+	rng := rand.New(rand.NewSource(seed))
+	t := &Topology{rng: rng}
+	t.transit = make([][]float64, transits)
 	for i := range t.transit {
-		t.transit[i] = make([]float64, cfg.Transits)
+		t.transit[i] = make([]float64, transits)
 	}
-	for i := 0; i < cfg.Transits; i++ {
-		for j := i + 1; j < cfg.Transits; j++ {
-			d := cfg.TransitMin + rng.Float64()*(cfg.TransitMax-cfg.TransitMin)
+	for i := 0; i < transits; i++ {
+		for j := i + 1; j < transits; j++ {
+			d := transitMin + rng.Float64()*(transitMax-transitMin)
 			t.transit[i][j] = d
 			t.transit[j][i] = d
 		}
 	}
-	nStubs := cfg.Transits * cfg.StubsPerTransit
+	nStubs := transits * stubsPerTransit
 	t.uplink = make([]float64, nStubs)
 	t.stubOf = make([]int, nStubs)
 	for s := 0; s < nStubs; s++ {
-		t.uplink[s] = cfg.UplinkMin + rng.Float64()*(cfg.UplinkMax-cfg.UplinkMin)
-		t.stubOf[s] = s / cfg.StubsPerTransit
-	}
-	return t, nil
-}
-
-// MustNew is New but panics on error; for tests and examples with known
-// good configs.
-func MustNew(cfg Config) *Topology {
-	t, err := New(cfg)
-	if err != nil {
-		panic(err)
+		t.uplink[s] = uplinkMin + rng.Float64()*(uplinkMax-uplinkMin)
+		t.stubOf[s] = s / stubsPerTransit
 	}
 	return t
 }
+
+// NumTransits returns the number of transit domains.
+func (t *Topology) NumTransits() int { return len(t.transit) }
 
 // NumStubs returns the number of stub domains.
 func (t *Topology) NumStubs() int { return len(t.uplink) }
@@ -113,7 +77,7 @@ func (t *Topology) PlaceAt(stub int) int {
 	if stub < 0 || stub >= len(t.uplink) {
 		panic(fmt.Sprintf("topology: stub %d out of range [0,%d)", stub, len(t.uplink)))
 	}
-	hop := t.cfg.StubMin + t.rng.Float64()*(t.cfg.StubMax-t.cfg.StubMin)
+	hop := stubMin + t.rng.Float64()*(stubMax-stubMin)
 	t.nodeStub = append(t.nodeStub, stub)
 	t.nodeHop = append(t.nodeHop, hop)
 	return len(t.nodeStub) - 1
@@ -124,19 +88,17 @@ func (t *Topology) Stub(i int) int { return t.nodeStub[i] }
 
 // Transit returns the transit domain of node i. The simulator
 // partitions nodes into shards by transit domain, because the
-// config bounds guarantee a latency floor between nodes in different
+// latency bounds guarantee a floor between nodes in different
 // transit domains (see LookaheadBound).
 func (t *Topology) Transit(i int) int { return t.stubOf[t.nodeStub[i]] }
 
 // LookaheadBound returns a lower bound on the delivery latency between
-// any two end nodes in DIFFERENT transit domains, derived purely from the
-// config bounds: two intra-stub hops, two uplinks and one transit link at
-// their configured minimums. It depends only on the Config — never on
-// node placement — so it is identical at any shard count, which the
-// simulator's determinism guarantee requires.
+// any two end nodes in DIFFERENT transit domains: two intra-stub hops,
+// two uplinks and one transit link at their minimums. It is a constant —
+// it never depends on node placement — so it is identical at any shard
+// count, which the simulator's determinism guarantee requires.
 func (t *Topology) LookaheadBound() time.Duration {
-	ms := t.cfg.TransitMin + 2*t.cfg.UplinkMin + 2*t.cfg.StubMin
-	return time.Duration(ms * float64(time.Millisecond))
+	return time.Duration((transitMin + 2*uplinkMin + 2*stubMin) * float64(time.Millisecond))
 }
 
 // Distance returns the proximity metric between end nodes a and b, in
@@ -173,5 +135,5 @@ func (t *Topology) MaxDistance() float64 {
 			}
 		}
 	}
-	return 2*t.cfg.StubMax + 2*t.cfg.UplinkMax + maxT
+	return 2*stubMax + 2*uplinkMax + maxT
 }

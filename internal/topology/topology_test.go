@@ -8,39 +8,11 @@ import (
 
 func build(t *testing.T, n int) *Topology {
 	t.Helper()
-	top, err := New(DefaultConfig(1))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	top := New(1)
 	for i := 0; i < n; i++ {
 		top.Place()
 	}
 	return top
-}
-
-func TestNewRejectsBadConfig(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("zero config must be rejected")
-	}
-	bad := DefaultConfig(1)
-	bad.TransitMax = bad.TransitMin - 1
-	if _, err := New(bad); err == nil {
-		t.Fatal("inverted latency bounds must be rejected")
-	}
-	bad2 := DefaultConfig(1)
-	bad2.Transits = 0
-	if _, err := New(bad2); err == nil {
-		t.Fatal("zero transits must be rejected")
-	}
-}
-
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew should panic on bad config")
-		}
-	}()
-	MustNew(Config{})
 }
 
 func TestDeterministic(t *testing.T) {
@@ -79,26 +51,26 @@ func TestDistanceProperties(t *testing.T) {
 func TestHierarchicalClustering(t *testing.T) {
 	// Nodes in the same stub must on average be much closer than nodes in
 	// different transit domains.
-	top := MustNew(DefaultConfig(7))
+	top := New(7)
 	a := top.PlaceAt(0)
 	b := top.PlaceAt(0)
 	// Stub in a different transit domain.
-	far := top.cfg.StubsPerTransit * (top.cfg.Transits - 1)
+	far := stubsPerTransit * (transits - 1)
 	c := top.PlaceAt(far)
 	if top.Distance(a, b) >= top.Distance(a, c) {
 		t.Fatalf("intra-stub %.2f should be < cross-transit %.2f",
 			top.Distance(a, b), top.Distance(a, c))
 	}
-	if top.Distance(a, b) > 2*top.cfg.StubMax {
+	if top.Distance(a, b) > 2*stubMax {
 		t.Fatalf("intra-stub distance %.2f exceeds bound", top.Distance(a, b))
 	}
-	if top.Distance(a, c) < top.cfg.TransitMin {
+	if top.Distance(a, c) < transitMin {
 		t.Fatalf("cross-transit distance %.2f below transit floor", top.Distance(a, c))
 	}
 }
 
 func TestPlaceAtBounds(t *testing.T) {
-	top := MustNew(DefaultConfig(1))
+	top := New(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("PlaceAt out of range should panic")
@@ -108,7 +80,7 @@ func TestPlaceAtBounds(t *testing.T) {
 }
 
 func TestStubAccessor(t *testing.T) {
-	top := MustNew(DefaultConfig(1))
+	top := New(1)
 	n := top.PlaceAt(3)
 	if top.Stub(n) != 3 {
 		t.Fatalf("Stub = %d, want 3", top.Stub(n))
@@ -133,7 +105,7 @@ func TestQuickDistanceSymmetricNonNegative(t *testing.T) {
 }
 
 func BenchmarkDistance(b *testing.B) {
-	top := MustNew(DefaultConfig(1))
+	top := New(1)
 	for i := 0; i < 1000; i++ {
 		top.Place()
 	}

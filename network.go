@@ -21,9 +21,6 @@ type NetworkConfig struct {
 	// Storage configures each node's PAST layer; the zero value uses
 	// DefaultStorageConfig.
 	Storage StorageConfig
-	// RoutingB and RoutingL override Pastry's digit size (default 4) and
-	// leaf-set size (default 32).
-	RoutingB, RoutingL int
 	// UserQuota is the usage quota issued to each node's smartcard.
 	// Zero means effectively unlimited.
 	UserQuota int64
@@ -59,12 +56,6 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		storage.K = 3
 	}
 	pcfg := pastry.DefaultConfig()
-	if cfg.RoutingB > 0 {
-		pcfg.B = cfg.RoutingB
-	}
-	if cfg.RoutingL > 0 {
-		pcfg.L = cfg.RoutingL
-	}
 	if cfg.KeepAlive > 0 {
 		pcfg.KeepAlive = cfg.KeepAlive
 		if cfg.FailTimeout > 0 {
@@ -84,9 +75,6 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 
 // Len returns the number of nodes (live and crashed).
 func (nw *Network) Len() int { return len(nw.clu.PASTNodes()) }
-
-// Broker returns the network's smartcard issuer.
-func (nw *Network) Broker() *Broker { return nw.clu.Broker }
 
 // Card returns node i's smartcard (also usable as a client identity).
 func (nw *Network) Card(i int) *Smartcard { return nw.clu.Card(i) }
@@ -137,9 +125,6 @@ func (nw *Network) RunFor(d time.Duration) { nw.clu.Net.RunFor(d) }
 // simulator window barrier, so windows close as RunFor and the client
 // operations advance virtual time.
 func (nw *Network) RegisterTelemetry(rec *telemetry.Recorder) { nw.clu.AttachTelemetry(rec) }
-
-// Holds reports whether node i currently stores a replica of f.
-func (nw *Network) Holds(i int, f FileID) bool { return nw.clu.Node(i).Store().Has(f) }
 
 // Utilization returns the global storage utilization across live nodes.
 func (nw *Network) Utilization() float64 { return nw.clu.Utilization() }

@@ -8,8 +8,9 @@
 //     deterministic discrete-event simulator — the configuration used by
 //     the paper-reproduction experiments and most tests. See NewNetwork.
 //
-//   - Peer runs one real storage node speaking gob-over-TCP, for
-//     multi-process deployments on real machines. See ListenPeer.
+//   - Peer runs one real storage node speaking the binary frame codec
+//     over TCP, for multi-process deployments on real machines. See
+//     ListenPeer.
 //
 // Both expose the paper's three operations — Insert, Lookup, Reclaim —
 // with the full protocol stack underneath: smartcard-signed file

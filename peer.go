@@ -1,6 +1,7 @@
 package past
 
 import (
+	"cmp"
 	"context"
 	"crypto/ed25519"
 	"fmt"
@@ -39,8 +40,6 @@ type PeerConfig struct {
 	// corrupt entries are quarantined, and the node rejoins the network
 	// with its surviving replicas intact. Empty keeps storage in memory.
 	DataDir string
-	// RoutingB and RoutingL override Pastry parameters (defaults 4, 32).
-	RoutingB, RoutingL int
 	// KeepAlive and FailTimeout control failure detection; zero keeps the
 	// defaults (5s / 15s).
 	KeepAlive, FailTimeout time.Duration
@@ -55,10 +54,6 @@ type PeerConfig struct {
 	// OpTimeout). The daemon's re-bootstrap loop sets it well below
 	// OpTimeout so cycling through dead seeds is cheap.
 	JoinTimeout time.Duration
-	// DialTimeout and MaxFrame tune the TCP transport (zero = defaults:
-	// 3s dial, 8 MiB frame cap).
-	DialTimeout time.Duration
-	MaxFrame    int
 	// DialVia, when set, routes all outbound connections through the
 	// egress proxy at this address (see transport.TCPOptions.DialVia).
 	// The chaos harness interposes its deterministic fault injector this
@@ -102,24 +97,13 @@ func ListenPeer(cfg PeerConfig) (*Peer, error) {
 	if cfg.JoinTimeout <= 0 {
 		cfg.JoinTimeout = cfg.OpTimeout
 	}
-	tr, err := transport.ListenTCPOpts(cfg.Listen, transport.TCPOptions{
-		DialTimeout: cfg.DialTimeout,
-		MaxFrame:    cfg.MaxFrame,
-		DialVia:     cfg.DialVia,
-		Breaker:     cfg.Breaker,
-	})
+	tr, err := transport.ListenTCPOpts(cfg.Listen, transport.TCPOptions{DialVia: cfg.DialVia, Breaker: cfg.Breaker})
 	if err != nil {
 		return nil, err
 	}
 	pcfg := pastry.DefaultConfig()
 	pcfg.KeepAlive = 5 * time.Second
 	pcfg.FailTimeout = 15 * time.Second
-	if cfg.RoutingB > 0 {
-		pcfg.B = cfg.RoutingB
-	}
-	if cfg.RoutingL > 0 {
-		pcfg.L = cfg.RoutingL
-	}
 	if cfg.KeepAlive > 0 {
 		pcfg.KeepAlive = cfg.KeepAlive
 	}
@@ -145,7 +129,10 @@ func ListenPeer(cfg PeerConfig) (*Peer, error) {
 		scfg.RequestTimeout = cfg.OpTimeout
 	}
 
+	// The real clock counts from now, so now is the certificate epoch:
+	// expiry checks compare against wall-clock time.
 	clock := transport.NewRealClock()
+	scfg.Epoch = time.Now().Unix()
 	node := pastry.New(pcfg, cfg.Card.NodeID(), tr, clock, nil)
 	// Feed transport-level failure knowledge back into routing: with the
 	// breaker enabled, peers it holds open are unreachable to nextHop,
@@ -202,20 +189,15 @@ func (p *Peer) Join(seed string) error {
 	}
 }
 
-// JoinAny tries each seed address in order and returns on the first
-// successful join. It is one bootstrap round; callers wanting retry with
-// backoff (the daemon) wrap it in a run-until-success task.
-func (p *Peer) JoinAny(seeds []string) error {
-	_, err := p.JoinAnyFrom(seeds, 0)
-	return err
-}
-
-// JoinAnyFrom is JoinAny starting at index start%len(seeds), wrapping
-// around the full list. It returns the index after the seed that
-// answered (or after the last one tried), so a retry loop can rotate
-// through the seed list across bootstrap rounds instead of burning every
-// round's budget on the same dead first entry — the re-bootstrap
-// fallback of a daemon whose seeds are temporarily unreachable.
+// JoinAnyFrom tries each seed address in order, starting at index
+// start%len(seeds) and wrapping around the full list, and returns on the
+// first successful join. It is one bootstrap round; callers wanting retry
+// with backoff (the daemon) wrap it in a run-until-success task. It
+// returns the index after the seed that answered (or after the last one
+// tried), so a retry loop can rotate through the seed list across rounds
+// instead of burning every round's budget on the same dead first entry —
+// the re-bootstrap fallback of a daemon whose seeds are temporarily
+// unreachable.
 func (p *Peer) JoinAnyFrom(seeds []string, start int) (next int, err error) {
 	if len(seeds) == 0 {
 		return 0, fmt.Errorf("past: no bootstrap seeds")
@@ -239,56 +221,49 @@ func (p *Peer) JoinAnyFrom(seeds []string, start int) (next int, err error) {
 	return start + len(seeds), lastErr
 }
 
+// wait starts one asynchronous client operation and blocks until its
+// callback delivers a result, ctx is done, or the backstop (a multiple of
+// OpTimeout, past every protocol-level timeout) passes. Cancelling ctx
+// (or its deadline passing) abandons the wait immediately and returns
+// ctx's error; the underlying protocol attempt keeps running until its
+// own timeout and is cleaned up as usual — deadline propagation bounds
+// the caller, not the network.
+func wait[R any](ctx context.Context, backstop time.Duration, start func(cb func(R))) (R, error) {
+	ch := make(chan R, 1)
+	start(func(r R) { ch <- r })
+	var none R
+	select {
+	case r := <-ch:
+		return r, nil
+	case <-ctx.Done():
+		return none, ctx.Err()
+	case <-time.After(backstop):
+		return none, ErrTimeout
+	}
+}
+
+// own substitutes the peer's own card for a nil client card.
+func (p *Peer) own(card *Smartcard) *Smartcard {
+	if card == nil {
+		return p.cfg.Card
+	}
+	return card
+}
+
 // Insert stores data under name with k replicas (0 = default), blocking
 // until the receipts arrive. card nil uses the peer's own card.
 func (p *Peer) Insert(card *Smartcard, name string, data []byte, k int) (InsertResult, error) {
-	return p.InsertCtx(context.Background(), card, name, data, k)
-}
-
-// InsertCtx is Insert bounded by ctx as well as the operation timeout:
-// cancelling ctx (or its deadline passing) abandons the wait immediately
-// and returns ctx's error. The underlying protocol attempt keeps running
-// until its own timeout and is cleaned up as usual — deadline
-// propagation bounds the caller, not the network.
-func (p *Peer) InsertCtx(ctx context.Context, card *Smartcard, name string, data []byte, k int) (InsertResult, error) {
-	if card == nil {
-		card = p.cfg.Card
-	}
-	ch := make(chan InsertResult, 1)
-	p.past.Insert(card, name, data, k, func(r InsertResult) { ch <- r })
-	select {
-	case r := <-ch:
-		return r, r.Err
-	case <-ctx.Done():
-		return InsertResult{}, ctx.Err()
-	case <-time.After(4 * p.cfg.OpTimeout):
-		return InsertResult{}, ErrTimeout
-	}
+	return p.InsertSalted(card, name, data, k, nil)
 }
 
 // InsertSalted is Insert with a caller-supplied certificate salt: the
 // fileId is H(name, owner, salt), so fixing the salt fixes the fileId.
 // The conformance harness uses it to drive the identical workload through
-// the simulator and a real cluster and compare placement per fileId.
+// the simulator and a real cluster and compare placement per fileId. An
+// empty salt draws one from the node's rng.
 func (p *Peer) InsertSalted(card *Smartcard, name string, data []byte, k int, salt []byte) (InsertResult, error) {
-	return p.InsertSaltedCtx(context.Background(), card, name, data, k, salt)
-}
-
-// InsertSaltedCtx is InsertSalted bounded by ctx (see InsertCtx).
-func (p *Peer) InsertSaltedCtx(ctx context.Context, card *Smartcard, name string, data []byte, k int, salt []byte) (InsertResult, error) {
-	if card == nil {
-		card = p.cfg.Card
-	}
-	ch := make(chan InsertResult, 1)
-	p.past.InsertSalted(card, name, data, k, salt, func(r InsertResult) { ch <- r })
-	select {
-	case r := <-ch:
-		return r, r.Err
-	case <-ctx.Done():
-		return InsertResult{}, ctx.Err()
-	case <-time.After(4 * p.cfg.OpTimeout):
-		return InsertResult{}, ErrTimeout
-	}
+	r, err := wait(context.Background(), 4*p.cfg.OpTimeout, func(cb func(InsertResult)) { p.past.InsertSalted(p.own(card), name, data, k, salt, cb) })
+	return r, cmp.Or(err, r.Err)
 }
 
 // Lookup retrieves a file, blocking until the reply arrives.
@@ -296,57 +271,22 @@ func (p *Peer) Lookup(f FileID) (LookupResult, error) {
 	return p.LookupCtx(context.Background(), f)
 }
 
-// LookupCtx is Lookup bounded by ctx (see InsertCtx).
+// LookupCtx is Lookup bounded by ctx as well as the operation timeout
+// (see wait).
 func (p *Peer) LookupCtx(ctx context.Context, f FileID) (LookupResult, error) {
-	ch := make(chan LookupResult, 1)
-	p.past.Lookup(f, func(r LookupResult) { ch <- r })
-	select {
-	case r := <-ch:
-		return r, r.Err
-	case <-ctx.Done():
-		return LookupResult{}, ctx.Err()
-	case <-time.After(2 * p.cfg.OpTimeout):
-		return LookupResult{}, ErrTimeout
-	}
+	r, err := wait(ctx, 2*p.cfg.OpTimeout, func(cb func(LookupResult)) { p.past.Lookup(f, cb) })
+	return r, cmp.Or(err, r.Err)
 }
 
 // Reclaim frees a file's storage, blocking until receipts arrive or the
 // reclaim window closes. card nil uses the peer's own card.
 func (p *Peer) Reclaim(card *Smartcard, f FileID) (ReclaimResult, error) {
-	return p.ReclaimCtx(context.Background(), card, f)
+	r, err := wait(context.Background(), 2*p.cfg.OpTimeout, func(cb func(ReclaimResult)) { p.past.Reclaim(p.own(card), f, cb) })
+	return r, cmp.Or(err, r.Err)
 }
-
-// ReclaimCtx is Reclaim bounded by ctx (see InsertCtx).
-func (p *Peer) ReclaimCtx(ctx context.Context, card *Smartcard, f FileID) (ReclaimResult, error) {
-	if card == nil {
-		card = p.cfg.Card
-	}
-	ch := make(chan ReclaimResult, 1)
-	p.past.Reclaim(card, f, func(r ReclaimResult) { ch <- r })
-	select {
-	case r := <-ch:
-		return r, r.Err
-	case <-ctx.Done():
-		return ReclaimResult{}, ctx.Err()
-	case <-time.After(2 * p.cfg.OpTimeout):
-		return ReclaimResult{}, ErrTimeout
-	}
-}
-
-// Repair forces one anti-entropy repair round immediately, bypassing the
-// AntiEntropyEvery rate limit: this node re-offers digests of its files
-// to every replica-set peer, and missing replicas are fetched. The
-// daemon's periodic repair task calls it so a cluster healing from a
-// partition converges every file back to ≥ k disk replicas without
-// operator action.
-func (p *Peer) Repair() { p.past.Sweep() }
 
 // StoredFiles returns how many replicas this node currently stores.
 func (p *Peer) StoredFiles() int { return p.past.Store().Len() }
-
-// Stats returns this node's storage-layer counters (stores, lookups,
-// cache activity, maintenance traffic). The snapshot is consistent.
-func (p *Peer) Stats() NodeStats { return p.past.Stats() }
 
 // TransportStats returns the TCP transport's counters: dials, dial
 // failures, breaker opens, sends suppressed by an open breaker, sends
