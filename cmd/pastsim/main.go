@@ -15,6 +15,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -30,6 +32,8 @@ func main() {
 			"shards of each simulated network (what lets a single-cluster phase experiment use several cores);\ntables are byte-identical for any value >= 1, so this only selects parallelism (default: core count)")
 		listFlag   = flag.Bool("list", false, "list experiment ids and exit")
 		seriesFlag = flag.String("series", "", "write per-window telemetry series (line protocol) for the instrumented experiments (E15, E18, E20) to this file")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiments run to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 
 		churnRate    = flag.Float64("churn-rate-scale", experiments.Churn.RateScale, "multiplier on the churn experiments' (E15-E17) node arrival rates")
 		churnSession = flag.Duration("churn-session", experiments.Churn.MedianSession, "median node session length for the churn experiments")
@@ -74,6 +78,18 @@ func main() {
 		}
 		defer seriesOut.Close()
 	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "pastsim: %v\n", err)
+			os.Exit(1)
+		}
+		defer f.Close()
+		defer pprof.StopCPUProfile()
+	}
 	seriesLines := 0
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
@@ -103,5 +119,17 @@ func main() {
 	}
 	if seriesOut != nil {
 		fmt.Printf("wrote %d series points to %s\n", seriesLines, *seriesFlag)
+	}
+	if *memProfile != "" {
+		f, err := os.Create(*memProfile)
+		if err == nil {
+			runtime.GC() // the profile is of what the last collection found live
+			err = pprof.WriteHeapProfile(f)
+			f.Close()
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "pastsim: %v\n", err)
+			os.Exit(1)
+		}
 	}
 }

@@ -169,21 +169,48 @@ func (n Node) Add(m Node) Node {
 
 // Sub returns n-m mod 2^128 (the clockwise distance from m to n).
 func (n Node) Sub(m Node) Node {
-	lo, borrow := bits.Sub64(n.lo(), m.lo(), 0)
-	hi, _ := bits.Sub64(n.hi(), m.hi(), borrow)
-	return fromWords(hi, lo)
+	d := n.Words().Sub(m.Words())
+	return fromWords(d.Hi, d.Lo)
+}
+
+// Offset is a distance around the ring in two machine words, value
+// Hi·2^64 + Lo: what CW, CCW and Dist compute, without the 16-byte Node
+// each of them builds and Cmp takes apart again. Routing state compares
+// offsets on every message it handles; this package stays the only one
+// that reads an identifier's bytes.
+type Offset struct{ Hi, Lo uint64 }
+
+// Words returns n as an offset: its clockwise distance from Zero.
+func (n Node) Words() Offset { return Offset{n.hi(), n.lo()} }
+
+// Sub returns a-b mod 2^128: between two offsets from one origin, the
+// clockwise distance from b's point to a's.
+func (a Offset) Sub(b Offset) Offset {
+	lo, borrow := bits.Sub64(a.Lo, b.Lo, 0)
+	hi, _ := bits.Sub64(a.Hi, b.Hi, borrow)
+	return Offset{hi, lo}
+}
+
+// Less reports a < b.
+func (a Offset) Less(b Offset) bool { return a.Hi < b.Hi || a.Hi == b.Hi && a.Lo < b.Lo }
+
+// Arc returns the shorter way round between two offsets taken from one
+// origin in one direction: the ring distance (Dist) between the
+// identifiers they stand for.
+func (a Offset) Arc(b Offset) Offset {
+	d, back := a.Sub(b), b.Sub(a)
+	if back.Less(d) {
+		return back
+	}
+	return d
 }
 
 // Dist returns the ring distance between n and m: the minimum of the
 // clockwise and counter-clockwise distances on the circular 2^128 space.
 // This is the "numerical closeness" metric of the paper.
 func (n Node) Dist(m Node) Node {
-	d1 := n.Sub(m)
-	d2 := m.Sub(n)
-	if d1.Cmp(d2) <= 0 {
-		return d1
-	}
-	return d2
+	d := n.Words().Arc(m.Words())
+	return fromWords(d.Hi, d.Lo)
 }
 
 // Closer reports whether a is strictly numerically closer to target than b,

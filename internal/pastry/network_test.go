@@ -389,7 +389,8 @@ func TestRejoinBeforeFailTimeout(t *testing.T) {
 	// A node that left silently joins again under the same id from a new
 	// address (pastctl run twice with one card, a killed daemon restarted)
 	// while its peers still hold the previous process's entry. The join
-	// must not be forwarded into that entry.
+	// must not be forwarded into that entry, and the entry must follow the
+	// node: its announce and its heartbeats come from the new address.
 	c, _ := buildCluster(t, 8, 21, func(o *cluster.Options) {
 		o.Pastry.KeepAlive = time.Second
 		o.Pastry.FailTimeout = 30 * time.Second
@@ -431,6 +432,24 @@ func TestRejoinBeforeFailTimeout(t *testing.T) {
 	for _, m := range c.Nodes[0].LeafMembers() {
 		if m.ID == xid && m.Addr == first.Ref().Addr {
 			t.Fatalf("seed still lists the previous process at %s", m.Addr)
+		}
+	}
+	c.RunSettle(c.Opts.Pastry.KeepAlive)
+	for i, nd := range c.Nodes {
+		state := map[string][]wire.NodeRef{"leaf set": nd.LeafMembers(), "neighborhood set": nd.NeighborhoodMembers()}
+		for row := 0; row < nd.RoutingTableRows(); row++ {
+			for col := 0; col < 1<<c.Opts.Pastry.B; col++ {
+				if e, ok := nd.RoutingEntry(row, col); ok {
+					state["routing table"] = append(state["routing table"], e)
+				}
+			}
+		}
+		for where, refs := range state {
+			for _, m := range refs {
+				if m.ID == xid && m.Addr == first.Ref().Addr {
+					t.Errorf("one keep-alive period after the re-join, peer %d's %s still lists the previous process at %s", i, where, m.Addr)
+				}
+			}
 		}
 	}
 }

@@ -399,7 +399,6 @@ func (n *Node) StateSize() (rt, leaf, nbhd int) {
 	return n.rt.Size(), n.leaf.Len(), n.nbhd.Len()
 }
 
-// RoutingTableRows returns the populated row count.
 // RoutingEntry returns the routing-table entry at (row, col), if
 // populated (used by construction-equivalence tests and diagnostics).
 func (n *Node) RoutingEntry(row, col int) (wire.NodeRef, bool) {
@@ -408,6 +407,7 @@ func (n *Node) RoutingEntry(row, col int) (wire.NodeRef, bool) {
 	return n.rt.Get(row, col)
 }
 
+// RoutingTableRows returns the populated row count.
 func (n *Node) RoutingTableRows() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -477,14 +477,19 @@ func (n *Node) noteAlive(ref wire.NodeRef) {
 	if ref.IsZero() || ref.ID == n.ref.ID {
 		return
 	}
-	delete(n.suspect, ref.ID) // direct contact clears suspicion
+	if len(n.suspect) > 0 {
+		delete(n.suspect, ref.ID) // direct contact clears suspicion
+	}
 	n.sawNow(ref.ID)
-	n.considerLocked(ref)
+	n.considerLocked(ref, true)
 }
 
 // suspected reports whether ref was recently declared dead and the
 // suspicion has not yet expired. Lock held.
 func (n *Node) suspected(nid id.Node) bool {
+	if len(n.suspect) == 0 {
+		return false
+	}
 	at, ok := n.suspect[nid]
 	if !ok {
 		return false
@@ -497,16 +502,19 @@ func (n *Node) suspected(nid id.Node) bool {
 }
 
 // considerLocked folds ref into the routing table, leaf set and
-// neighborhood set. Suspected-dead nodes are ignored. It returns whether
-// the leaf set changed. Lock held.
-func (n *Node) considerLocked(ref wire.NodeRef) bool {
+// neighborhood set. Suspected-dead nodes are ignored. direct says ref sent
+// the message in hand itself; a third party's list may carry the address of
+// ref's previous process, so only direct evidence moves a held leaf or
+// neighborhood entry to ref.Addr. It returns whether the leaf set changed.
+// Lock held.
+func (n *Node) considerLocked(ref wire.NodeRef, direct bool) bool {
 	if ref.IsZero() || ref.ID == n.ref.ID || n.suspected(ref.ID) {
 		return false
 	}
 	prox := n.tr.Proximity(ref.Addr)
 	n.rt.Consider(ref, prox)
-	n.nbhd.Consider(ref, prox)
-	return n.leaf.Consider(ref)
+	n.nbhd.Consider(ref, prox, direct)
+	return n.leaf.Consider(ref, direct)
 }
 
 // ---------------------------------------------------------------------------
@@ -793,7 +801,7 @@ func (n *Node) noteJoinContact(ref wire.NodeRef) {
 	if n.joinSeen != nil {
 		n.joinSeen[ref.ID] = true
 	}
-	n.considerLocked(ref)
+	n.considerLocked(ref, false)
 	n.sawNow(ref.ID)
 }
 
@@ -810,7 +818,7 @@ func (n *Node) handleNeighborhoodReply(m wire.NeighborhoodReply) []func() {
 // response. Lock held.
 func (n *Node) handleLeafSetReply(m wire.LeafSetReply) []func() {
 	changed := false
-	if n.considerLocked(m.From) {
+	if n.considerLocked(m.From, true) {
 		changed = true
 	}
 	n.sawNow(m.From.ID)
@@ -821,7 +829,7 @@ func (n *Node) handleLeafSetReply(m wire.LeafSetReply) []func() {
 		if n.joinSeen != nil && !n.joined {
 			n.noteJoinContact(ref)
 		}
-		if n.considerLocked(ref) {
+		if n.considerLocked(ref, false) {
 			changed = true
 		}
 		n.sawNow(ref.ID)
@@ -875,7 +883,7 @@ func (n *Node) completeJoinLocked() []func() {
 // handleAnnounce folds a newly joined node into local state. Lock held.
 func (n *Node) handleAnnounce(m wire.Announce) []func() {
 	n.sawNow(m.From.ID)
-	if n.considerLocked(m.From) {
+	if n.considerLocked(m.From, true) {
 		app := n.app
 		return []func(){app.LeafSetChanged}
 	}
@@ -901,20 +909,21 @@ func (n *Node) keepAliveTick() {
 		return
 	}
 	now := n.clock.Now()
-	members := n.leaf.Members()
-	hb := wire.Heartbeat{From: n.ref}
+	// One interface value for every send of the tick: a sent message is
+	// immutable on both transports.
+	var hb wire.Msg = wire.Heartbeat{From: n.ref}
 	var dead []wire.NodeRef
-	for _, m := range members {
+	n.leaf.ForEach(func(m wire.NodeRef) {
 		last, ok := n.lastSeen[m.ID]
 		if !ok {
 			// First sighting without traffic: start the silence clock.
 			n.sawNow(m.ID)
 		} else if now-last > n.cfg.FailTimeout {
 			dead = append(dead, m)
-			continue
+			return
 		}
 		n.tr.Send(m.Addr, hb)
-	}
+	})
 	var acts []func()
 	for _, d := range dead {
 		acts = append(acts, n.declareDeadLocked(d)...)
@@ -930,15 +939,16 @@ func (n *Node) keepAliveTick() {
 			n.tr.Send(pick.Addr, wire.LeafSetRequest{From: n.ref})
 		}
 	}
-	if m, ok := n.app.(Maintainer); ok {
-		acts = append(acts, m.Maintain)
-	}
+	maintainer, _ := n.app.(Maintainer)
 	if n.kaTimer != nil {
 		n.kaTimer.Release() // this tick's handle has fired; recycle it
 	}
 	n.kaTimer = n.clock.AfterFunc(n.cfg.KeepAlive, n.keepAliveTick)
 	n.mu.Unlock()
 	run(acts)
+	if maintainer != nil {
+		maintainer.Maintain()
+	}
 }
 
 // DeclareDead lets the application layer report a node it found
@@ -1036,7 +1046,7 @@ func (n *Node) handleRTRepairRequest(m wire.RTRepairRequest) {
 func (n *Node) handleRTRepairReply(m wire.RTRepairReply) {
 	n.noteAlive(m.From)
 	if !m.Entry.IsZero() && m.Entry.ID != n.ref.ID {
-		n.considerLocked(m.Entry)
+		n.considerLocked(m.Entry, false)
 	}
 }
 

@@ -205,9 +205,10 @@ func (t *RoutingTable) ForEach(f func(wire.NodeRef)) {
 //
 // Sort invariant, which Closest, Members and Len rely on: each half is
 // duplicate-free, never holds the owner, and is strictly ascending in its
-// ring offset from the owner — owner.CW(m) for larger, owner.CCW(m) for
-// smaller. Consider keeps it by insertion; SeedLeafHalves requires it of
-// its caller. Only a smaller entry can repeat a larger one.
+// ring offset from the owner (offset) — clockwise for larger,
+// counter-clockwise for smaller. Consider keeps it by insertion;
+// SeedLeafHalves requires it of its caller. Only a smaller entry can repeat
+// a larger one.
 type LeafSet struct {
 	owner   id.Node
 	half    int
@@ -226,22 +227,27 @@ func (s *LeafSet) Half() int { return s.half }
 
 // Consider offers a node for membership; it reports whether the set
 // changed. A node enters the smaller (larger) half when it is among the
-// half closest in counter-clockwise (clockwise) ring direction.
-func (s *LeafSet) Consider(ref wire.NodeRef) bool {
+// half closest in counter-clockwise (clockwise) ring direction. direct
+// says the offer is a message from the node itself, not a third party's
+// mention of it: a held entry then follows the node to ref.Addr.
+func (s *LeafSet) Consider(ref wire.NodeRef, direct bool) bool {
 	if ref.ID == s.owner || ref.IsZero() {
 		return false
 	}
-	a := s.considerSide(&s.larger, ref, true)
-	b := s.considerSide(&s.smaller, ref, false)
+	a := s.considerSide(&s.larger, ref, true, direct)
+	b := s.considerSide(&s.smaller, ref, false, direct)
 	return a || b
 }
 
-// offset returns n's ring offset from the owner in one half's direction.
-func (s *LeafSet) offset(n id.Node, clockwise bool) id.Node {
+// offset returns point w's ring offset from the owner o, clockwise or
+// counter-clockwise, all in machine words (id.Node.Words): the one form
+// every comparison the leaf set makes is in, small enough to inline into
+// each search loop.
+func offset(o, w id.Offset, clockwise bool) id.Offset {
 	if clockwise {
-		return s.owner.CW(n)
+		return w.Sub(o)
 	}
-	return s.owner.CCW(n)
+	return o.Sub(w)
 }
 
 // holds reports whether node n is in list.
@@ -254,16 +260,32 @@ func holds(list []wire.NodeRef, n id.Node) bool {
 	return false
 }
 
-func (s *LeafSet) considerSide(side *[]wire.NodeRef, ref wire.NodeRef, clockwise bool) bool {
-	list := *side
-	if holds(list, ref.ID) {
-		return false
+// search returns the index of the first member of a half whose offset from
+// o is at or past off: a held node's own slot, anyone else's insertion point.
+func search(half []wire.NodeRef, o, off id.Offset, clockwise bool) int {
+	lo, hi := 0, len(half)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if offset(o, half[mid].ID.Words(), clockwise).Less(off) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	off := s.offset(ref.ID, clockwise)
-	pos := sort.Search(len(list), func(i int) bool {
-		return off.Cmp(s.offset(list[i].ID, clockwise)) < 0
-	})
-	if pos >= s.half {
+	return lo
+}
+
+func (s *LeafSet) considerSide(side *[]wire.NodeRef, ref wire.NodeRef, clockwise, direct bool) bool {
+	list, o := *side, s.owner.Words()
+	off := offset(o, ref.ID.Words(), clockwise)
+	if n := len(list); n == s.half && offset(o, list[n-1].ID.Words(), clockwise).Less(off) {
+		return false // a full half admits nothing past its extreme
+	}
+	pos := search(list, o, off, clockwise)
+	if pos < len(list) && list[pos].ID == ref.ID {
+		if direct {
+			list[pos].Addr = ref.Addr
+		}
 		return false
 	}
 	list = append(list, wire.NodeRef{})
@@ -304,8 +326,9 @@ func (s *LeafSet) wraps() bool {
 	if len(s.larger) == 0 || len(s.smaller) == 0 {
 		return false
 	}
-	reach := s.owner.CW(s.larger[len(s.larger)-1].ID)
-	return reach.Cmp(s.owner.CW(s.smaller[len(s.smaller)-1].ID)) >= 0
+	o := s.owner.Words()
+	reach := offset(o, s.larger[len(s.larger)-1].ID.Words(), true)
+	return !reach.Less(offset(o, s.smaller[len(s.smaller)-1].ID.Words(), true))
 }
 
 // Members returns the deduplicated membership (a node can sit in both
@@ -313,40 +336,28 @@ func (s *LeafSet) wraps() bool {
 // not already listed, each closest first.
 func (s *LeafSet) Members() []wire.NodeRef {
 	out := make([]wire.NodeRef, 0, len(s.smaller)+len(s.larger))
-	out = append(out, s.larger...)
-	if !s.wraps() {
-		return append(out, s.smaller...)
-	}
-	for _, m := range s.smaller {
-		if !holds(s.larger, m.ID) {
-			out = append(out, m)
-		}
-	}
+	s.ForEach(func(m wire.NodeRef) { out = append(out, m) })
 	return out
 }
 
 // Len returns the number of distinct members.
 func (s *LeafSet) Len() int {
-	n := len(s.larger) + len(s.smaller)
-	if s.wraps() {
-		for _, m := range s.smaller {
-			if holds(s.larger, m.ID) {
-				n--
-			}
-		}
-	}
+	n := 0
+	s.ForEach(func(wire.NodeRef) { n++ })
 	return n
 }
 
-// ForEach visits every member without allocating. A node present in both
-// halves (small rings) is visited twice; callers that need distinctness
-// must deduplicate themselves.
+// ForEach visits the distinct members in place, in Members' order, without
+// allocating.
 func (s *LeafSet) ForEach(f func(wire.NodeRef)) {
 	for _, m := range s.larger {
 		f(m)
 	}
+	wraps := s.wraps()
 	for _, m := range s.smaller {
-		f(m)
+		if !wraps || !holds(s.larger, m.ID) {
+			f(m)
+		}
 	}
 }
 
@@ -363,10 +374,12 @@ func (s *LeafSet) InRange(key id.Node) bool {
 	if len(s.smaller) < s.half || len(s.larger) < s.half {
 		return true
 	}
-	lo := s.smaller[len(s.smaller)-1].ID
-	hi := s.larger[len(s.larger)-1].ID
-	// key ∈ [lo, owner] ∪ [owner, hi] going clockwise.
-	return id.Between(key, lo, s.owner) || id.Between(key, s.owner, hi) || key == lo
+	// key ∈ [lo, owner] ∪ [owner, hi] going clockwise: no farther from the
+	// owner than a half's extreme, in that half's direction.
+	o, k := s.owner.Words(), key.Words()
+	lo := s.smaller[len(s.smaller)-1].ID.Words()
+	hi := s.larger[len(s.larger)-1].ID.Words()
+	return !offset(o, hi, true).Less(offset(o, k, true)) || !offset(o, lo, false).Less(offset(o, k, false))
 }
 
 // Closest returns the member numerically closest to key, considering the
@@ -378,26 +391,18 @@ func (s *LeafSet) InRange(key id.Node) bool {
 // the owner, one ring distance each, and the answer is the one a scan of
 // every slot under id.Closer gives (larger before smaller, ties by id).
 func (s *LeafSet) Closest(key id.Node) (best wire.NodeRef, selfBest bool) {
-	bestID, bestDist := s.owner, s.owner.Dist(key)
+	o, k := s.owner.Words(), key.Words()
+	bestID, bestDist := s.owner, o.Arc(k)
 	selfBest = true
 	for _, clockwise := range [2]bool{true, false} {
 		half := s.smaller
 		if clockwise {
 			half = s.larger
 		}
-		off := s.offset(key, clockwise)
-		lo, hi := 0, len(half) // first member at or past the key's offset
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if s.offset(half[mid].ID, clockwise).Cmp(off) < 0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		for i := max(lo-1, 0); i <= lo && i < len(half); i++ {
-			d := half[i].ID.Dist(key)
-			if c := d.Cmp(bestDist); c < 0 || c == 0 && half[i].ID.Less(bestID) {
+		at := search(half, o, offset(o, k, clockwise), clockwise)
+		for i := max(at-1, 0); i <= at && i < len(half); i++ {
+			d := half[i].ID.Words().Arc(k)
+			if d.Less(bestDist) || d == bestDist && half[i].ID.Less(bestID) {
 				best, bestID, bestDist, selfBest = half[i], half[i].ID, d, false
 			}
 		}
@@ -416,20 +421,23 @@ func (s *LeafSet) ClosestK(self wire.NodeRef, key id.Node, k int) []wire.NodeRef
 		return nil
 	}
 	out := make([]wire.NodeRef, 0, k)
-	dists := make([]id.Node, 0, 8) // dists[i] is out[i]'s; on the stack for the usual k
+	dists := make([]id.Offset, 0, 8) // dists[i] is out[i]'s; on the stack for the usual k
+	k0 := key.Words()
 	offer := func(c *wire.NodeRef) {
-		d := c.ID.Dist(key)
+		d := c.ID.Words().Arc(k0)
 		pos := len(out)
 		for pos > 0 {
-			cmp := d.Cmp(dists[pos-1])
-			if cmp == 0 {
-				cmp = c.ID.Cmp(out[pos-1].ID)
-			}
-			if cmp == 0 {
-				return // the smaller-half repeat of a node already placed
-			}
-			if cmp > 0 {
+			if dists[pos-1].Less(d) {
 				break
+			}
+			if d == dists[pos-1] {
+				cmp := c.ID.Cmp(out[pos-1].ID)
+				if cmp == 0 {
+					return // the smaller-half repeat of a node already placed
+				}
+				if cmp > 0 {
+					break
+				}
 			}
 			pos--
 		}
@@ -438,7 +446,7 @@ func (s *LeafSet) ClosestK(self wire.NodeRef, key id.Node, k int) []wire.NodeRef
 		}
 		if len(out) < k {
 			out = append(out, wire.NodeRef{})
-			dists = append(dists, id.Node{})
+			dists = append(dists, id.Offset{})
 		}
 		copy(out[pos+1:], out[pos:])
 		copy(dists[pos+1:], dists[pos:])
@@ -471,7 +479,8 @@ func (s *LeafSet) Extreme(clockwise bool) (wire.NodeRef, bool) {
 // SideOf reports whether n sits clockwise (larger) of the owner by the
 // shorter arc; used to decide which side a failed node belonged to.
 func (s *LeafSet) SideOf(n id.Node) (clockwise bool) {
-	return s.owner.CW(n).Cmp(s.owner.CCW(n)) <= 0
+	o, w := s.owner.Words(), n.Words()
+	return !offset(o, w, false).Less(offset(o, w, true))
 }
 
 // Smaller and Larger expose copies of each half, closest first.
@@ -494,10 +503,18 @@ type Neighborhood struct {
 // NewNeighborhood creates an empty neighborhood set with capacity m.
 func NewNeighborhood(m int) *Neighborhood { return &Neighborhood{cap: m} }
 
-// Consider offers a node; the set keeps the m proximally closest.
-func (nb *Neighborhood) Consider(ref wire.NodeRef, prox float64) bool {
+// Consider offers a node; the set keeps the m proximally closest. A held
+// entry takes a direct offer's address, as in LeafSet.Consider — if the
+// offer gets as far as the id scan.
+func (nb *Neighborhood) Consider(ref wire.NodeRef, prox float64, direct bool) bool {
+	if n := len(nb.entries); n == nb.cap && !(prox < nb.entries[n-1].prox) {
+		return false // full and no closer than the farthest: refused, held or not
+	}
 	for i := range nb.entries {
 		if nb.entries[i].ref.ID == ref.ID {
+			if direct {
+				nb.entries[i].ref.Addr = ref.Addr
+			}
 			return false
 		}
 	}

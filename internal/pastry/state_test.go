@@ -187,7 +187,7 @@ func TestLeafSetOrdering(t *testing.T) {
 	}
 	// Insert in scrambled order.
 	for _, i := range []int{5, 2, 9, 0, 7, 1, 8, 3, 6, 4} {
-		ls.Consider(refs[i])
+		ls.Consider(refs[i], false)
 	}
 	larger := ls.Larger()
 	if len(larger) != 4 {
@@ -205,7 +205,7 @@ func TestLeafSetBothSidesSmallRing(t *testing.T) {
 	owner := id.Rand(1)
 	ls := NewLeafSet(owner, 8)
 	other := refWithID(owner.Add(id.Rand(2)))
-	ls.Consider(other)
+	ls.Consider(other, false)
 	if !ls.Contains(other.ID) {
 		t.Fatal("member missing")
 	}
@@ -220,14 +220,14 @@ func TestLeafSetBothSidesSmallRing(t *testing.T) {
 func TestLeafSetRejectsOwnerAndDup(t *testing.T) {
 	owner := id.Rand(1)
 	ls := NewLeafSet(owner, 8)
-	if ls.Consider(refWithID(owner)) {
+	if ls.Consider(refWithID(owner), false) {
 		t.Fatal("owner accepted")
 	}
 	m := ref(2)
-	if !ls.Consider(m) {
+	if !ls.Consider(m, false) {
 		t.Fatal("fresh member rejected")
 	}
-	if ls.Consider(m) {
+	if ls.Consider(m, false) {
 		t.Fatal("duplicate accepted")
 	}
 }
@@ -240,10 +240,10 @@ func TestLeafSetEviction(t *testing.T) {
 		dd[id.NodeBytes-1] = i
 		return refWithID(owner.Add(dd))
 	}
-	ls.Consider(d(10))
-	ls.Consider(d(20))
+	ls.Consider(d(10), false)
+	ls.Consider(d(20), false)
 	// d(5) is closer clockwise: should evict d(20) from larger side.
-	ls.Consider(d(5))
+	ls.Consider(d(5), false)
 	larger := ls.Larger()
 	if len(larger) != 2 || larger[0].ID != d(5).ID || larger[1].ID != d(10).ID {
 		t.Fatalf("eviction wrong: %v", larger)
@@ -256,7 +256,7 @@ func TestLeafSetEviction(t *testing.T) {
 
 func changedLarger(ls *LeafSet, r wire.NodeRef) bool {
 	before := ls.Larger()
-	ls.Consider(r)
+	ls.Consider(r, false)
 	after := ls.Larger()
 	if len(before) != len(after) {
 		return true
@@ -273,7 +273,7 @@ func TestLeafSetRemove(t *testing.T) {
 	owner := id.Rand(1)
 	ls := NewLeafSet(owner, 8)
 	m := ref(2)
-	ls.Consider(m)
+	ls.Consider(m, false)
 	if !ls.Remove(m.ID) {
 		t.Fatal("Remove missed member")
 	}
@@ -300,10 +300,10 @@ func TestLeafSetInRange(t *testing.T) {
 		}
 		return refWithID(owner.Sub(dd))
 	}
-	ls.Consider(d(10, true))
-	ls.Consider(d(20, true))
-	ls.Consider(d(10, false))
-	ls.Consider(d(20, false))
+	ls.Consider(d(10, true), false)
+	ls.Consider(d(20, true), false)
+	ls.Consider(d(10, false), false)
+	ls.Consider(d(20, false), false)
 	if len(ls.Smaller()) != 2 || len(ls.Larger()) != 2 {
 		t.Fatal("setup: sides should be full")
 	}
@@ -335,7 +335,7 @@ func TestLeafSetClosest(t *testing.T) {
 	d := id.Node{}
 	d[id.NodeBytes-1] = 10
 	peer := refWithID(owner.Add(d))
-	ls.Consider(peer)
+	ls.Consider(peer, false)
 	// Key right next to peer: peer is closest.
 	key := peer.ID.Add(id.Node{})
 	got, selfBest := ls.Closest(key)
@@ -361,9 +361,9 @@ func TestLeafSetExtremeAndSide(t *testing.T) {
 	}
 	up1, up2 := d(10, true), d(20, true)
 	dn1 := d(10, false)
-	ls.Consider(up1)
-	ls.Consider(up2)
-	ls.Consider(dn1)
+	ls.Consider(up1, false)
+	ls.Consider(up2, false)
+	ls.Consider(dn1, false)
 	ext, ok := ls.Extreme(true)
 	if !ok || ext.ID != up2.ID {
 		t.Fatal("clockwise extreme wrong")
@@ -392,7 +392,7 @@ func TestLeafSetQuickClosestIsTrueMinimum(t *testing.T) {
 		var all []id.Node
 		for i := 0; i < int(n%20)+1; i++ {
 			m := id.Rand(rng.Uint64())
-			if ls.Consider(refWithID(m)) {
+			if ls.Consider(refWithID(m), false) {
 				all = append(all, m)
 			}
 		}
@@ -419,10 +419,10 @@ func TestLeafSetQuickClosestIsTrueMinimum(t *testing.T) {
 
 func TestNeighborhoodKeepsClosest(t *testing.T) {
 	nb := NewNeighborhood(3)
-	nb.Consider(ref(1), 30)
-	nb.Consider(ref(2), 10)
-	nb.Consider(ref(3), 20)
-	nb.Consider(ref(4), 5)
+	nb.Consider(ref(1), 30, false)
+	nb.Consider(ref(2), 10, false)
+	nb.Consider(ref(3), 20, false)
+	nb.Consider(ref(4), 5, false)
 	members := nb.Members()
 	if len(members) != 3 {
 		t.Fatalf("len = %d", len(members))
@@ -430,17 +430,17 @@ func TestNeighborhoodKeepsClosest(t *testing.T) {
 	if members[0].ID != id.Rand(4) || members[1].ID != id.Rand(2) || members[2].ID != id.Rand(3) {
 		t.Fatal("neighborhood not sorted by proximity")
 	}
-	if nb.Consider(ref(5), 100) {
+	if nb.Consider(ref(5), 100, false) {
 		t.Fatal("far node accepted into full set")
 	}
-	if nb.Consider(ref(2), 1) {
+	if nb.Consider(ref(2), 1, false) {
 		t.Fatal("duplicate accepted")
 	}
 }
 
 func TestNeighborhoodRemove(t *testing.T) {
 	nb := NewNeighborhood(3)
-	nb.Consider(ref(1), 1)
+	nb.Consider(ref(1), 1, false)
 	if !nb.Remove(id.Rand(1)) {
 		t.Fatal("remove missed")
 	}
