@@ -11,8 +11,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // censusStructs are the configuration structs: every exported field of
@@ -34,6 +36,20 @@ var censusAllowed = map[string]string{
 	"past/internal/cluster.Options.NodeID": "BuildPAST, same package",
 	"past/internal/past.Config.HopBudget":  "SetResilience, E18",
 }
+
+// censusUnseen names the functions in internal/ whose only callers the
+// census cannot see — bench/, a nested module it does not load, or files
+// another build configuration compiles — and where each caller is.
+var censusUnseen = map[string]string{
+	"past/internal/edwards25519/field.feMulGeneric":    "fe_*_noasm.go: purego builds and other architectures",
+	"past/internal/edwards25519/field.feSquareGeneric": "fe_*_noasm.go: purego builds and other architectures",
+}
+
+// censusCounters are the structs of counters the code keeps: each field
+// must be read inside the read function of a telemetry Counts series
+// whose field list names it in snake_case (aim 4: anything the code
+// counts is exported or deleted).
+var censusCounters = []string{"past/internal/past.Stats", "past/internal/transport.TCPStats"}
 
 // censusLoader type-checks the module from source. A package is its
 // non-test files plus its in-package tests, imported as one unit (no
@@ -71,16 +87,34 @@ func censusKey(t types.Type) string {
 	return ""
 }
 
-// TestSurfaceCensus keeps the configuration surface at what someone
-// uses: a config field nobody sets, a Peer or Network method nobody
-// calls, or a past.Stats counter nobody reads fails it by name.
+// snake spells a Go field name as its series field: DialFailures is
+// dial_failures.
+func snake(name string) string {
+	var b strings.Builder
+	for i, r := range name {
+		if unicode.IsUpper(r) {
+			if i > 0 {
+				b.WriteByte('_')
+			}
+			r = unicode.ToLower(r)
+		}
+		b.WriteRune(r)
+	}
+	return b.String()
+}
+
+// TestSurfaceCensus keeps the surface at what someone uses: a config
+// field nobody sets, a Peer or Network method nobody calls, a function in
+// internal/ nobody calls, or a counter no telemetry series exports fails
+// it by name.
 func TestSurfaceCensus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")
 	}
 	fset := token.NewFileSet()
 	l := &censusLoader{fset: fset, std: importer.ForCompiler(fset, "source", nil), files: map[string][]*ast.File{}, pkgs: map[string]*types.Package{},
-		info: &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}}
+		info: &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -115,9 +149,9 @@ func TestSurfaceCensus(t *testing.T) {
 		}
 	}
 
-	set := map[string]bool{}    // "path.Struct.Field": written from a test or from another package
-	read := map[string]bool{}   // past.Stats field: read anywhere
-	called := map[string]bool{} // "Peer.Method": selected outside the file that declares Peer's methods
+	set := map[string]bool{}      // "path.Struct.Field": written from a test or from another package
+	called := map[string]bool{}   // "Peer.Method": selected outside the file that declares Peer's methods
+	exported := map[string]bool{} // "path.Counters.Field": read by a Counts series that names it
 	for pkg, files := range l.files {
 		for _, f := range files {
 			file := fset.Position(f.Pos()).Filename
@@ -135,6 +169,11 @@ func TestSurfaceCensus(t *testing.T) {
 					}
 				case *ast.IncDecStmt:
 					lhs[n.X] = true
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Counts" && l.info.Selections[sel] != nil &&
+						censusKey(l.info.Selections[sel].Recv()) == "past/internal/telemetry.Recorder" && !strings.HasSuffix(file, "_test.go") {
+						censusExports(l.info, n, exported)
+					}
 				case *ast.CompositeLit:
 					for _, e := range n.Elts {
 						if kv, ok := e.(*ast.KeyValueExpr); ok {
@@ -155,8 +194,6 @@ func TestSurfaceCensus(t *testing.T) {
 						}
 					case lhs[n]:
 						write(owner, n.Sel.Name)
-					case owner == "past/internal/past.Stats":
-						read[n.Sel.Name] = true
 					}
 				}
 				return true
@@ -200,14 +237,121 @@ func TestSurfaceCensus(t *testing.T) {
 			}
 		}
 	}
-	stats := lookup("past/internal/past.Stats").Type().Underlying().(*types.Struct)
-	for i := 0; i < stats.NumFields(); i++ {
-		if !read[stats.Field(i).Name()] {
-			bad = append(bad, "past/internal/past.Stats."+stats.Field(i).Name()+": counted and never read")
+	for _, key := range censusCounters {
+		st := lookup(key).Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if f := key + "." + st.Field(i).Name(); !exported[f] {
+				bad = append(bad, f+": counted and not exported")
+			}
 		}
 	}
+	bad = append(bad, censusUncalled(l)...)
 	sort.Strings(bad)
 	for _, b := range bad {
 		t.Error(b)
 	}
+}
+
+// censusExports marks the counter fields one rec.Counts(name, fields,
+// read) call exports: those read inside read whose snake_case name is in
+// the literal field list.
+func censusExports(info *types.Info, call *ast.CallExpr, exported map[string]bool) {
+	lit, ok := call.Args[1].(*ast.CompositeLit)
+	if !ok {
+		return
+	}
+	fields := map[string]bool{}
+	for _, e := range lit.Elts {
+		if b, ok := e.(*ast.BasicLit); ok {
+			s, _ := strconv.Unquote(b.Value)
+			fields[s] = true
+		}
+	}
+	ast.Inspect(call.Args[2], func(n ast.Node) bool {
+		if se, ok := n.(*ast.SelectorExpr); ok && info.Selections[se] != nil && fields[snake(se.Sel.Name)] {
+			exported[censusKey(info.Selections[se].Recv())+"."+se.Sel.Name] = true
+		}
+		return true
+	})
+}
+
+// censusUncalled names every function and method declared in the
+// non-test files of internal/ that nothing uses outside its own body —
+// product code and tests both count — except methods that implement an
+// interface (they are called through it) and those censusUnseen lists.
+func censusUncalled(l *censusLoader) []string {
+	decls := map[*types.Func]*ast.FuncDecl{}
+	for pkg, files := range l.files {
+		for _, f := range files {
+			if !strings.HasPrefix(pkg, "past/internal/") || strings.HasSuffix(l.fset.Position(f.Pos()).Filename, "_test.go") {
+				continue
+			}
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name != "init" {
+					decls[l.info.Defs[fd.Name].(*types.Func)] = fd
+				}
+			}
+		}
+	}
+	used := map[*types.Func]bool{}
+	for id, obj := range l.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			fn = fn.Origin()
+			if fd := decls[fn]; fd == nil || id.Pos() < fd.Pos() || id.Pos() >= fd.End() {
+				used[fn] = true
+			}
+		}
+	}
+	// The interfaces a method could be called through: every one the
+	// module's expressions and the parameters of the functions they call
+	// mention, plus fmt.Stringer, which fmt finds by reflection.
+	ifaces := map[*types.Interface]bool{}
+	note := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces[it] = true
+		}
+	}
+	for _, tv := range l.info.Types {
+		note(tv.Type)
+		if sig, ok := tv.Type.(*types.Signature); ok {
+			for i := 0; i < sig.Params().Len(); i++ {
+				note(sig.Params().At(i).Type())
+			}
+		}
+	}
+	if fmtPkg, err := l.std.Import("fmt"); err == nil {
+		note(fmtPkg.Scope().Lookup("Stringer").Type())
+	}
+	implements := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		t := recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		for it := range ifaces {
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == fn.Name() && types.Implements(types.NewPointer(t), it) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	var bad []string
+	for fn := range decls {
+		key := fn.Pkg().Path() + "." + fn.Name()
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			key = censusKey(recv.Type()) + "." + fn.Name()
+		}
+		switch reason := censusUnseen[key]; {
+		case used[fn] && reason != "":
+			bad = append(bad, key+": allow-listed as called out of sight, but it has a caller here now")
+		case !used[fn] && reason == "" && fn.Name() != "main" && !implements(fn):
+			bad = append(bad, key+": no caller")
+		}
+	}
+	return bad
 }

@@ -126,17 +126,20 @@ func main() {
 	rec := telemetry.New(telemetry.Config{Window: *telWindow, EpochNs: start.UnixNano()})
 	rec.SetTag("node", peer.Ref().ID.String())
 	peer.RegisterTelemetry(rec)
+	// The verification memo is process-wide, so only a process that is
+	// one node can export it as that node's series.
+	rec.Counts("seccrypt", []string{"memo_hits", "memo_misses"}, func(tot []uint64) {
+		tot[0], tot[1] = seccrypt.MemoStats()
+	})
 
 	run := tasks.New(func(format string, args ...any) {
 		fmt.Printf("pastnode: "+format+"\n", args...)
 	})
-	rec.Multi("tasks", []string{"runs", "failures"}, func() []float64 {
-		var runs, failures int
+	rec.Counts("tasks", []string{"runs", "failures"}, func(tot []uint64) {
 		for _, st := range run.Statuses() {
-			runs += st.Runs
-			failures += st.Failures
+			tot[0] += uint64(st.Runs)
+			tot[1] += uint64(st.Failures)
 		}
-		return []float64{float64(runs), float64(failures)}
 	})
 	// The flush job is the daemon's analogue of the simulator's window
 	// barrier: it ticks the recorder on the real clock. Half-window
@@ -240,8 +243,9 @@ func main() {
 	run.Start()
 
 	// snapshot flushes the telemetry ring buffers and prints the full
-	// operator view: series in line protocol, disk recovery counts,
-	// transport/breaker health, and per-task scheduler stats. Used by
+	// operator view: disk recovery counts, per-task scheduler stats and
+	// every series (transport and breaker counters included) in line
+	// protocol. Used by
 	// SIGUSR1 on demand and once more on graceful shutdown, so the last
 	// partial window is never lost.
 	snapshot := func(label string) {
@@ -249,9 +253,6 @@ func main() {
 		recovered, quarantined := peer.Recovered()
 		fmt.Printf("pastnode: %s (uptime %s)\n", label, time.Since(start).Round(time.Second))
 		fmt.Printf("pastnode: disk: recovered %d, quarantined %d\n", recovered, quarantined)
-		ts := peer.TransportStats()
-		fmt.Printf("pastnode: transport: dials %d (failed %d), breaker opens %d, sends suppressed %d, queue drops %d, decode errors %d\n",
-			ts.Dials, ts.DialFailures, ts.BreakerOpens, ts.Suppressed, ts.QueueDrops, ts.DecodeErrors)
 		for _, st := range run.Statuses() {
 			fmt.Printf("pastnode: task %s\n", st)
 		}

@@ -322,20 +322,42 @@ func TestNetworkTelemetryTicks(t *testing.T) {
 	if first, last := live[0].Vals[0], live[len(live)-1].Vals[0]; first != 16 || last != 15 {
 		t.Fatalf("live_nodes went %v -> %v, want 16 -> 15", first, last)
 	}
-	var events, replications float64
-	for _, p := range rec.Points("net_events") {
-		events += p.Vals[0]
-	}
-	for _, p := range rec.Points("past") {
-		replications += p.Vals[2]
-	}
+	events, replications := seriesSums(t, rec, "net_events")["value"], seriesSums(t, rec, "past")["replications"]
 	if events == 0 || replications == 0 {
 		t.Fatalf("series saw %v deliveries and %v re-replications", events, replications)
 	}
 }
 
+// seriesSums adds up each field of the named series over the windows rec
+// retains, read back through the line protocol an operator scrapes.
+func seriesSums(t *testing.T, rec *telemetry.Recorder, name string) map[string]float64 {
+	t.Helper()
+	var b bytes.Buffer
+	if err := rec.WriteLP(&b); err != nil {
+		t.Fatal(err)
+	}
+	pts, err := telemetry.ParseLP(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := map[string]float64{}
+	for _, p := range pts {
+		if p.Name == name {
+			for f, v := range p.Fields {
+				sums[f] += v
+			}
+		}
+	}
+	return sums
+}
+
+// TestNetworkStatsAndCacheStats reads a facade Network's storage counters
+// through its "past" series: three primary stores for one k=3 insert, and
+// cache serves for repeated lookups.
 func TestNetworkStatsAndCacheStats(t *testing.T) {
 	nw := newNet(t, 16, 10)
+	rec := telemetry.New(telemetry.Config{Window: time.Second})
+	nw.RegisterTelemetry(rec)
 	ins, err := nw.Insert(0, nil, "s", make([]byte, 256), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -343,18 +365,58 @@ func TestNetworkStatsAndCacheStats(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		nw.Lookup(9, ins.FileID)
 	}
-	primaries := 0
-	var hits uint64
-	for i := 0; i < nw.Len(); i++ {
-		primaries += nw.NodeStats(i).PrimaryStores
-		h, _ := nw.CacheStats(i)
-		hits += h
+	nw.RunFor(2 * time.Second) // close the windows the operations ran in
+	sums := seriesSums(t, rec, "past")
+	if sums["primary_stores"] != 3 {
+		t.Fatalf("primary_stores = %v", sums["primary_stores"])
 	}
-	if primaries != 3 {
-		t.Fatalf("PrimaryStores = %d", primaries)
-	}
-	if hits == 0 {
+	if sums["cache_serves"] == 0 {
 		t.Fatal("repeated lookups never hit a cache")
+	}
+}
+
+// TestPeerTransportSeriesExact pins a real peer's transport series to
+// the counters it exports: over the run, the summed per-window dials
+// equal TransportStats().Dials, on both sides of a loopback pair.
+func TestPeerTransportSeriesExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	broker, err := past.NewBroker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := past.DefaultStorageConfig()
+	scfg.K = 2
+	scfg.Capacity = 1 << 20
+	var peers []*past.Peer
+	var recs []*telemetry.Recorder
+	for i := 0; i < 2; i++ {
+		card, err := broker.IssueCard(1<<30, scfg.Capacity, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := past.ListenPeer(past.PeerConfig{Card: card, BrokerPub: broker.PublicKey(), Storage: scfg, OpTimeout: 3 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := telemetry.New(telemetry.Config{Window: time.Second})
+		p.RegisterTelemetry(rec)
+		rec.Tick(0)
+		peers, recs = append(peers, p), append(recs, rec)
+	}
+	peers[0].Bootstrap()
+	admit(t, peers[:1], peers[1])
+	if _, err := peers[1].Insert(nil, "counted", []byte("x"), 2); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range peers {
+		p.Close() //nolint:errcheck // no dial after this
+		recs[i].Flush(1500 * time.Millisecond)
+		want := p.TransportStats().Dials
+		if got := seriesSums(t, recs[i], "transport"); got["dials"] != float64(want) || want == 0 {
+			t.Fatalf("peer %d: transport series %v, TransportStats().Dials = %d", i, got, want)
+		}
 	}
 }
 

@@ -51,10 +51,6 @@ type LinkRule struct {
 	BytesPerSec int64
 }
 
-func (r LinkRule) transparent() bool {
-	return r.Drop == 0 && r.Latency == 0 && r.Jitter == 0 && r.ResetEvery == 0 && r.BytesPerSec == 0
-}
-
 // Window is a scheduled bidirectional partition: links crossing between
 // groups A and B are fully cut from From to Until (relative to the
 // proxy's Start), then heal. A node listed in neither group is unaffected.

@@ -61,9 +61,9 @@ type Cluster struct {
 	rng    *rand.Rand
 	sorted []wire.NodeRef // all refs sorted by id, for oracle queries
 	down   map[int]bool
-	ids    *id.Intern   // per-network id -> dense index + canonical addr
-	probes bool         // EnableProbes was called; install on nodes added later too
-	joins  []*joinState // asynchronous joins not yet resolved
+	index  map[id.Node]int32 // node id -> cluster index, for IndexByID
+	probes bool              // EnableProbes was called; install on nodes added later too
+	joins  []*joinState      // asynchronous joins not yet resolved
 	// freeSlots holds quarantined cluster indices (failed joins whose
 	// endpoint, topology placement, and shard assignment are already
 	// reserved); the next arrival reuses one instead of leaking it.
@@ -100,12 +100,12 @@ func Build(opts Options) (*Cluster, error) {
 	}, topo.Distance)
 
 	c := &Cluster{
-		Opts: opts,
-		Net:  net,
-		Topo: topo,
-		rng:  rand.New(rand.NewSource(opts.Seed + 2)),
-		down: make(map[int]bool),
-		ids:  id.NewIntern(),
+		Opts:  opts,
+		Net:   net,
+		Topo:  topo,
+		rng:   rand.New(rand.NewSource(opts.Seed + 2)),
+		down:  make(map[int]bool),
+		index: make(map[id.Node]int32, opts.N),
 	}
 	if opts.Analytic {
 		if err := c.buildAnalytic(); err != nil {
@@ -133,7 +133,7 @@ func (c *Cluster) newNode(i int) *pastry.Node {
 	if reuse {
 		ep = c.Eps[i]
 		ep.Restart()
-		c.ids.Delete(c.Nodes[i].ID())
+		delete(c.index, c.Nodes[i].ID())
 		delete(c.down, i)
 	} else {
 		c.Topo.Place()
@@ -160,7 +160,7 @@ func (c *Cluster) newNode(i int) *pastry.Node {
 		c.Eps = append(c.Eps, ep)
 		c.Apps = append(c.Apps, app)
 	}
-	c.ids.Put(nid, int32(i), ep.Addr())
+	c.index[nid] = int32(i)
 	if c.probes {
 		c.installProbe(i)
 	}
@@ -432,11 +432,15 @@ func (c *Cluster) KClosest(key id.Node, k int) []wire.NodeRef {
 	return out
 }
 
-// IndexByID maps a node id back to its cluster index (crashed and
-// departed nodes included, like the slice scan it replaces). The lookup
-// is O(1): under churn every arrival and departure consults it.
+// IndexByID maps a node id back to its cluster index, or -1 (crashed and
+// departed nodes included). The lookup is O(1): under churn every
+// arrival and departure consults it. Like every Cluster method it runs on
+// the coordinating goroutine.
 func (c *Cluster) IndexByID(n id.Node) int {
-	return int(c.ids.Index(n))
+	if i, ok := c.index[n]; ok {
+		return int(i)
+	}
+	return -1
 }
 
 // Crash silently removes node i from the network (endpoint down, pastry
@@ -510,22 +514,12 @@ func (c *Cluster) RunSettle(d time.Duration) { c.Net.RunFor(d) }
 
 // AttachTelemetry ticks rec at every window barrier of the simulator and
 // registers the cluster-level series: live_nodes (overlay membership as
-// churn sees it) and net_events (message deliveries per window, with a
-// per-second rate). All samples are pure reads taken at barriers, so the
-// series inherit the simulator's shard-count determinism. Call once per
-// recorder, after Build.
+// churn sees it) and net_events (message deliveries per window). All
+// samples are pure reads taken at barriers, so the series inherit the
+// simulator's shard-count determinism. Call once per recorder, after
+// Build.
 func (c *Cluster) AttachTelemetry(rec *telemetry.Recorder) {
-	rec.Gauge("live_nodes", func() float64 { return float64(c.LiveCount()) })
-	var prevMsgs uint64
-	secs := rec.Window().Seconds()
-	rec.Multi("net_events", []string{"value", "per_sec"}, func() []float64 {
-		cur := c.Net.Messages()
-		delta := cur - prevMsgs
-		if cur < prevMsgs { // counters were reset mid-run
-			delta = cur
-		}
-		prevMsgs = cur
-		return []float64{float64(delta), float64(delta) / secs}
-	})
+	rec.Gauge("live_nodes", []string{"value"}, func(v []float64) { v[0] = float64(c.LiveCount()) })
+	rec.Counts("net_events", []string{"value"}, func(tot []uint64) { tot[0] = c.Net.Messages() })
 	c.Net.SetBarrierHook(rec.Tick)
 }

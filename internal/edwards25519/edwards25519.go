@@ -261,14 +261,6 @@ func (v *Point) Add(p, q *Point) *Point {
 	return v.fromP1xP1(result)
 }
 
-// Subtract sets v = p - q, and returns v.
-func (v *Point) Subtract(p, q *Point) *Point {
-	checkInitialized(p, q)
-	qCached := new(projCached).FromP3(q)
-	result := new(projP1xP1).Sub(p, qCached)
-	return v.fromP1xP1(result)
-}
-
 func (v *projP1xP1) Add(p *Point, q *projCached) *projP1xP1 {
 	var YplusX, YminusX, PP, MM, TT2d, ZZ2 field.Element
 

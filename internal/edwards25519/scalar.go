@@ -53,37 +53,10 @@ type Scalar struct {
 //     SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 //
 
-// NewScalar returns a new zero Scalar.
-func NewScalar() *Scalar {
-	return &Scalar{}
-}
-
-// MultiplyAdd sets s = x * y + z mod l, and returns s. It is equivalent to
-// using Multiply and then Add.
-func (s *Scalar) MultiplyAdd(x, y, z *Scalar) *Scalar {
-	// Make a copy of z in case it aliases s.
-	zCopy := new(Scalar).Set(z)
-	return s.Multiply(x, y).Add(s, zCopy)
-}
-
 // Add sets s = x + y mod l, and returns s.
 func (s *Scalar) Add(x, y *Scalar) *Scalar {
 	// s = 1 * x + y mod l
 	fiatScalarAdd(&s.s, &x.s, &y.s)
-	return s
-}
-
-// Subtract sets s = x - y mod l, and returns s.
-func (s *Scalar) Subtract(x, y *Scalar) *Scalar {
-	// s = -1 * y + x mod l
-	fiatScalarSub(&s.s, &x.s, &y.s)
-	return s
-}
-
-// Negate sets s = -x mod l, and returns s.
-func (s *Scalar) Negate(x *Scalar) *Scalar {
-	// s = -1 * x + 0 mod l
-	fiatScalarOpp(&s.s, &x.s)
 	return s
 }
 
@@ -188,36 +161,6 @@ func isReduced(s []byte) bool {
 		}
 	}
 	return true
-}
-
-// SetBytesWithClamping applies the buffer pruning described in RFC 8032,
-// Section 5.1.5 (also known as clamping) and sets s to the result. The input
-// must be 32 bytes, and it is not modified. If x is not of the right length,
-// SetBytesWithClamping returns nil and an error, and the receiver is unchanged.
-//
-// Note that since Scalar values are always reduced modulo the prime order of
-// the curve, the resulting value will not preserve any of the cofactor-clearing
-// properties that clamping is meant to provide. It will however work as
-// expected as long as it is applied to points on the prime order subgroup, like
-// in Ed25519. In fact, it is lost to history why RFC 8032 adopted the
-// irrelevant RFC 7748 clamping, but it is now required for compatibility.
-func (s *Scalar) SetBytesWithClamping(x []byte) (*Scalar, error) {
-	// The description above omits the purpose of the high bits of the clamping
-	// for brevity, but those are also lost to reductions, and are also
-	// irrelevant to edwards25519 as they protect against a specific
-	// implementation bug that was once observed in a generic Montgomery ladder.
-	if len(x) != 32 {
-		return nil, errors.New("edwards25519: invalid SetBytesWithClamping input length")
-	}
-
-	// We need to use the wide reduction from SetUniformBytes, since clamping
-	// sets the 2^254 bit, making the value higher than the order.
-	var wideBytes [64]byte
-	copy(wideBytes[:], x[:])
-	wideBytes[0] &= 248
-	wideBytes[31] &= 63
-	wideBytes[31] |= 64
-	return s.SetUniformBytes(wideBytes[:])
 }
 
 // Bytes returns the canonical 32-byte little-endian encoding of s.

@@ -209,7 +209,6 @@ func E16MaintenanceBandwidth(scale Scale, seed int64) Result {
 				continue
 			}
 			st := pn.Stats()
-			agg.MaintenanceMsgs += st.MaintenanceMsgs
 			agg.MaintenanceBytes += st.MaintenanceBytes
 			agg.Replications += st.Replications
 			agg.SyncOffers += st.SyncOffers
@@ -225,7 +224,7 @@ func E16MaintenanceBandwidth(scale Scale, seed int64) Result {
 		if legacy {
 			scheme = "push-all (legacy)"
 		}
-		tbl.AddRow(scheme, agg.MaintenanceMsgs, fmt.Sprintf("%.1f", float64(agg.MaintenanceBytes)/1024),
+		tbl.AddRow(scheme, agg.SyncOffers+agg.SyncRequests+agg.Replications, fmt.Sprintf("%.1f", float64(agg.MaintenanceBytes)/1024),
 			agg.Replications, agg.SyncOffers, agg.SyncRequests,
 			fmt.Sprintf("%d/%d", healthy, len(ids)))
 	}

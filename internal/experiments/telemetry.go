@@ -25,17 +25,16 @@ const seriesWindow = time.Second
 // experiment shares. nil (when CollectSeries is off) disables every
 // method, so call sites stay unconditional.
 type expSeries struct {
-	rec      *telemetry.Recorder
-	lookups  *telemetry.Counter
-	lookupOK *telemetry.Counter
-	hops     *telemetry.Dist
-	latMs    *telemetry.Dist
-	out      *strings.Builder
-	c        *cluster.Cluster
+	rec               *telemetry.Recorder
+	lookups, lookupOK uint64
+	hops              *telemetry.Dist
+	latMs             *telemetry.Dist
+	out               *strings.Builder
+	c                 *cluster.Cluster
 }
 
 // newExpSeries attaches a recorder to c: cluster series (live_nodes,
-// net_events), storage-layer deltas over its PAST nodes, and the lookup
+// net_events), storage-layer counts over its PAST nodes, and the lookup
 // driver series. tags label every emitted point; finish() appends the
 // line protocol to out.
 func newExpSeries(c *cluster.PAST, out *strings.Builder, tags ...[2]string) *expSeries {
@@ -47,15 +46,12 @@ func newExpSeries(c *cluster.PAST, out *strings.Builder, tags ...[2]string) *exp
 		rec.SetTag(t[0], t[1])
 	}
 	c.AttachTelemetry(rec)
-	return &expSeries{
-		rec:      rec,
-		lookups:  rec.Counter("lookups"),
-		lookupOK: rec.Counter("lookup_ok"),
-		hops:     rec.Dist("lookup_hops"),
-		latMs:    rec.Dist("lookup_latency_ms"),
-		out:      out,
-		c:        c.Cluster,
-	}
+	s := &expSeries{rec: rec, out: out, c: c.Cluster}
+	rec.Counts("lookups", []string{"value"}, func(tot []uint64) { tot[0] = s.lookups })
+	rec.Counts("lookup_ok", []string{"value"}, func(tot []uint64) { tot[0] = s.lookupOK })
+	s.hops = rec.Dist("lookup_hops")
+	s.latMs = rec.Dist("lookup_latency_ms")
+	return s
 }
 
 // lookup records one driver lookup: attempt count, success count, hops
@@ -64,9 +60,9 @@ func (s *expSeries) lookup(lat time.Duration, hops int, err error) {
 	if s == nil {
 		return
 	}
-	s.lookups.Inc()
+	s.lookups++
 	if err == nil {
-		s.lookupOK.Inc()
+		s.lookupOK++
 		s.hops.Observe(float64(hops))
 		s.latMs.Observe(float64(lat) / float64(time.Millisecond))
 	}
@@ -80,9 +76,9 @@ func (s *expSeries) trackReplicas(count func() (ge1, geK int), tracked func() in
 	if s == nil {
 		return
 	}
-	s.rec.Multi("replicas", []string{"ge_1", "ge_k", "tracked"}, func() []float64 {
+	s.rec.Gauge("replicas", []string{"ge_1", "ge_k", "tracked"}, func(v []float64) {
 		ge1, geK := count()
-		return []float64{float64(ge1), float64(geK), float64(tracked())}
+		v[0], v[1], v[2] = float64(ge1), float64(geK), float64(tracked())
 	})
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"past"
 	"past/internal/chaos"
+	"past/internal/telemetry"
 )
 
 // dumpDirLogs prints every node log under dir when a scenario that
@@ -459,22 +461,67 @@ func TestRebootstrapAfterOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Satellite: graceful SIGTERM flushes the telemetry rings and prints
-	// the final operator snapshot (disk, transport, tasks, series).
+	// Graceful SIGTERM flushes the telemetry rings and prints the final
+	// operator snapshot: disk, per-task status, then every series in line
+	// protocol.
 	if err := node.Stop(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := node.WaitLine("final telemetry snapshot", 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := node.WaitLine("known_peers", 2*time.Second); err != nil {
-		t.Fatalf("final snapshot did not flush telemetry series: %v", err)
-	}
-	line, err := node.WaitLine("transport:", 2*time.Second)
+	log, err := os.ReadFile(node.LogPath)
 	if err != nil {
-		t.Fatalf("final snapshot did not report transport health: %v", err)
+		t.Fatal(err)
 	}
-	if !strings.Contains(line, "dials") {
-		t.Fatalf("transport line malformed: %q", line)
+	snapshot := string(log)[strings.LastIndex(string(log), "final telemetry snapshot"):]
+	var dump strings.Builder
+	taskRuns := 0
+	for _, line := range strings.Split(snapshot, "\n")[1:] {
+		if status, ok := strings.CutPrefix(line, "pastnode: task "); ok {
+			var runs int
+			if _, err := fmt.Sscanf(status[strings.Index(status, "runs="):], "runs=%d", &runs); err != nil {
+				t.Fatalf("task line %q: %v", line, err)
+			}
+			taskRuns += runs
+		} else if !strings.HasPrefix(line, "pastnode: ") {
+			dump.WriteString(line + "\n")
+		}
+	}
+	points, err := telemetry.ParseLP(strings.NewReader(dump.String()))
+	if err != nil {
+		t.Fatalf("final snapshot is not line protocol: %v", err)
+	}
+	// The daemon exports what it counts: the transport counters are a
+	// series, not a hand-formatted line.
+	var transport, runs []map[string]float64
+	for _, p := range points {
+		switch p.Name {
+		case "transport":
+			transport = append(transport, p.Fields)
+		case "tasks":
+			runs = append(runs, p.Fields)
+		}
+	}
+	if len(transport) == 0 || len(runs) < 4 || len(GaugeValues(points, "known_peers")) == 0 {
+		t.Fatalf("final snapshot lacks series: %d transport, %d tasks points\n%s", len(transport), len(runs), dump.String())
+	}
+	for _, f := range []string{"dials", "dial_failures", "suppressed", "breaker_opens", "queue_drops", "decode_errors"} {
+		if _, ok := transport[0][f]; !ok {
+			t.Fatalf("transport point %v lacks %s", transport[0], f)
+		}
+	}
+	// tasks counts per window, so an idling daemon's values level off
+	// instead of growing with every window, and they add up to no more
+	// than the runs the task lines report.
+	rising, sum := true, 0.0
+	for i, r := range runs {
+		if i > 0 && r["runs"] <= runs[i-1]["runs"] {
+			rising = false
+		}
+		sum += r["runs"]
+	}
+	if rising || sum > float64(taskRuns) {
+		t.Fatalf("tasks runs per window %v sum to %v against %d task runs: cumulative, not per window", runs, sum, taskRuns)
 	}
 }

@@ -69,14 +69,14 @@ type Stats struct {
 	RouteAborts           int
 	ForgedReceiptsDropped int
 
-	// Replica-maintenance traffic sent by this node (anti-entropy digests
-	// and requests, plus Replicate bodies under either scheme).
-	// MaintenanceBytes approximates the wire size of that traffic so
-	// experiment E16 can compare schemes by bandwidth, not just message
-	// count.
+	// Replica-maintenance traffic sent by this node: anti-entropy digests
+	// and requests (Replications counts the Replicate bodies, under either
+	// scheme, so the message count is SyncOffers + SyncRequests +
+	// Replications). MaintenanceBytes approximates the wire size of that
+	// traffic so experiment E16 can compare schemes by bandwidth, not just
+	// message count.
 	SyncOffers       int
 	SyncRequests     int
-	MaintenanceMsgs  int
 	MaintenanceBytes int64
 }
 
@@ -902,7 +902,6 @@ func (n *Node) reReplicate() {
 	if reps > 0 {
 		n.mu.Lock()
 		n.stats.Replications += reps
-		n.stats.MaintenanceMsgs += reps
 		n.stats.MaintenanceBytes += bytes
 		n.mu.Unlock()
 	}
@@ -960,7 +959,6 @@ func (n *Node) antiEntropy(self wire.NodeRef, items []storage.Item) {
 	}
 	n.mu.Lock()
 	n.stats.SyncOffers += len(offers)
-	n.stats.MaintenanceMsgs += len(offers)
 	n.stats.MaintenanceBytes += bytes
 	n.mu.Unlock()
 }
@@ -1006,7 +1004,6 @@ func (n *Node) handleSyncOffer(m wire.SyncOffer) {
 		return
 	}
 	n.stats.SyncRequests++
-	n.stats.MaintenanceMsgs++
 	n.stats.MaintenanceBytes += syncRequestApproxBytes(len(missing))
 	n.mu.Unlock()
 	n.pn.Send(m.From, wire.SyncRequest{From: n.pn.Ref(), Files: missing})
@@ -1030,7 +1027,6 @@ func (n *Node) handleSyncRequest(m wire.SyncRequest) {
 	if reps > 0 {
 		n.mu.Lock()
 		n.stats.Replications += reps
-		n.stats.MaintenanceMsgs += reps
 		n.stats.MaintenanceBytes += bytes
 		n.mu.Unlock()
 	}

@@ -4,59 +4,32 @@ import (
 	"past/internal/telemetry"
 )
 
-// RegisterTelemetry registers the PAST storage-layer series on rec,
-// aggregated over nodes() (nil entries are skipped, so a cluster's raw
-// slot slice works directly). One series, "past", carries the per-window
-// deltas of the node counters plus the derived cache hit rate
-// (cache_serves / lookups_served within the window).
-//
-// The closure is called once per window flush, sweeps every node's
-// Stats() exactly once, and keeps the previous totals itself. Crashed
-// nodes keep their frozen counters in the aggregate; when a node slot is
-// reused (restart with a fresh identity) the aggregate can step down, in
-// which case the delta is clamped to zero rather than emitting a
-// negative rate. All of this is a pure read of mutex-protected copies —
-// safe at simulator barriers and from the daemon's tasks goroutine.
+// RegisterTelemetry registers the "past" series on rec: every Stats
+// counter, summed over nodes() (nil entries are skipped, so a cluster's
+// raw slot slice works directly), as a per-window count. Crashed nodes
+// keep their frozen counters in the sum. The read is a pure read of
+// mutex-protected copies — safe at simulator barriers and from the
+// daemon's tasks goroutine.
 func RegisterTelemetry(rec *telemetry.Recorder, nodes func() []*Node) {
-	fields := []string{
-		"maintenance_msgs", "maintenance_bytes", "replications",
-		"lookups_served", "cache_serves", "cache_hit_rate",
-		"lookup_retries", "insert_rejects", "primary_stores", "diverted_stores",
-	}
-	var prev []float64
-	rec.Multi("past", fields, func() []float64 {
-		var cur [10]float64
+	rec.Counts("past", []string{
+		"primary_stores", "diverted_stores", "insert_rejects", "replications",
+		"cache_pushes", "lookups_served", "cache_serves",
+		"lookup_retries", "route_aborts", "forged_receipts_dropped",
+		"sync_offers", "sync_requests", "maintenance_bytes",
+	}, func(tot []uint64) {
 		for _, n := range nodes() {
 			if n == nil {
 				continue
 			}
 			s := n.Stats()
-			cur[0] += float64(s.MaintenanceMsgs)
-			cur[1] += float64(s.MaintenanceBytes)
-			cur[2] += float64(s.Replications)
-			cur[3] += float64(s.LookupsServed)
-			cur[4] += float64(s.CacheServes)
-			// cur[5] is derived below
-			cur[6] += float64(s.LookupRetries)
-			cur[7] += float64(s.InsertRejects)
-			cur[8] += float64(s.PrimaryStores)
-			cur[9] += float64(s.DivertedStores)
-		}
-		out := make([]float64, len(fields))
-		if prev == nil {
-			prev = make([]float64, len(fields))
-			copy(prev, cur[:])
-			return out // first window after attach: no deltas yet
-		}
-		for i := range out {
-			if d := cur[i] - prev[i]; d > 0 {
-				out[i] = d
+			for i, v := range [...]int64{
+				int64(s.PrimaryStores), int64(s.DivertedStores), int64(s.InsertRejects), int64(s.Replications),
+				int64(s.CachePushes), int64(s.LookupsServed), int64(s.CacheServes),
+				int64(s.LookupRetries), int64(s.RouteAborts), int64(s.ForgedReceiptsDropped),
+				int64(s.SyncOffers), int64(s.SyncRequests), s.MaintenanceBytes,
+			} {
+				tot[i] += uint64(v)
 			}
-			prev[i] = cur[i]
 		}
-		if out[3] > 0 {
-			out[5] = out[4] / out[3]
-		}
-		return out
 	})
 }

@@ -951,15 +951,6 @@ func (n *Node) keepAliveTick() {
 	}
 }
 
-// DeclareDead lets the application layer report a node it found
-// unresponsive (e.g. a fetch that timed out).
-func (n *Node) DeclareDead(ref wire.NodeRef) {
-	n.mu.Lock()
-	acts := n.declareDeadLocked(ref)
-	n.mu.Unlock()
-	run(acts)
-}
-
 // declareDeadLocked removes a failed node and repairs the leaf set by
 // asking the extreme live member on the failed node's side for its leaf
 // set. Lock held.

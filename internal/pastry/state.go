@@ -222,9 +222,6 @@ func NewLeafSet(owner id.Node, l int) *LeafSet {
 	return &LeafSet{owner: owner, half: l / 2}
 }
 
-// Half returns l/2.
-func (s *LeafSet) Half() int { return s.half }
-
 // Consider offers a node for membership; it reports whether the set
 // changed. A node enters the smaller (larger) half when it is among the
 // half closest in counter-clockwise (clockwise) ring direction. direct

@@ -67,9 +67,6 @@ func (d *Deferred) Release() {
 	deferredPool.Put(d)
 }
 
-// Len returns the number of queued checks.
-func (d *Deferred) Len() int { return len(d.items) }
-
 // Defer enqueues the check "sig is a valid signature by pub over the
 // body build serializes" and returns its slot index for Ok. The memo is
 // probed immediately, so repeat signatures resolve without joining the

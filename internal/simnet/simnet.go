@@ -157,12 +157,6 @@ func (n *Net) NewEndpoint() *Endpoint {
 	return ep
 }
 
-// Endpoint returns endpoint i.
-func (n *Net) Endpoint(i int) *Endpoint { return n.eps[i] }
-
-// NumEndpoints returns the number of endpoints created so far.
-func (n *Net) NumEndpoints() int { return len(n.eps) }
-
 // Now returns the current virtual time: the time of the last window
 // barrier. Per-endpoint clocks are ahead of it while a window executes,
 // so node code reads its endpoint's Clock instead.

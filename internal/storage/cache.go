@@ -27,9 +27,6 @@ type Cache struct {
 	entries  map[id.File]*cacheEntry
 	pq       cacheHeap
 	seq      uint64
-
-	hits   uint64
-	misses uint64
 }
 
 type cacheEntry struct {
@@ -67,13 +64,6 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// Stats returns cumulative hit and miss counts.
-func (c *Cache) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // Resize adjusts capacity, evicting lowest-weight entries if the cache
@@ -130,10 +120,8 @@ func (c *Cache) Get(f id.File) (Item, bool) {
 	defer c.mu.Unlock()
 	e, ok := c.entries[f]
 	if !ok {
-		c.misses++
 		return Item{}, false
 	}
-	c.hits++
 	// Hit: re-inflate the weight relative to the current floor and
 	// refresh recency (the heap breaks weight ties by sequence, giving
 	// LRU behaviour among equal-weight entries).
@@ -148,7 +136,7 @@ func (c *Cache) Get(f id.File) (Item, bool) {
 	return e.item, true
 }
 
-// Has reports whether f is cached without touching weights or stats.
+// Has reports whether f is cached without touching weights.
 func (c *Cache) Has(f id.File) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -178,10 +178,6 @@ func TestCachePutGet(t *testing.T) {
 	if _, ok := c.Get(id.RandFile(99)); ok {
 		t.Fatal("phantom hit")
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("stats %d/%d", hits, misses)
-	}
 }
 
 func TestCacheRejectsOversizeAndEmpty(t *testing.T) {

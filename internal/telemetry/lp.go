@@ -51,14 +51,17 @@ func writeLP(w io.Writer, epochNs int64, tags [][2]string, series []*Series) err
 	return bw.Flush()
 }
 
-// escapeLP escapes the characters the line protocol reserves in
-// measurement names and tag keys/values.
+// lpEscaper escapes the characters the line protocol reserves in
+// measurement names and tag keys/values, the escape character itself
+// included; line breaks, which no line can carry, become \n and \r.
+var lpEscaper = strings.NewReplacer(`\`, `\\`, ",", `\,`, " ", `\ `, "=", `\=`, "\n", `\n`, "\r", `\r`)
+
 func escapeLP(s string) string {
-	if !strings.ContainsAny(s, ", =") {
-		return s
+	s = lpEscaper.Replace(s)
+	if strings.HasPrefix(s, "#") { // a leading # would read as a comment line
+		s = `\` + s
 	}
-	r := strings.NewReplacer(",", `\,`, " ", `\ `, "=", `\=`)
-	return r.Replace(s)
+	return s
 }
 
 // LPPoint is one parsed line-protocol record.
@@ -79,8 +82,8 @@ func ParseLP(r io.Reader) ([]LPPoint, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := sc.Text()
+		if line == "" || line[0] == '#' {
 			continue
 		}
 		parts := splitLP(line, ' ')
@@ -158,10 +161,25 @@ func cutLP(s string) (key, value string, ok bool) {
 	return "", "", false
 }
 
+// unescapeLP undoes escapeLP: a backslash takes the next byte
+// literally, except that \n and \r stand for line breaks.
 func unescapeLP(s string) string {
-	if !strings.Contains(s, "\\") {
+	if !strings.Contains(s, `\`) {
 		return s
 	}
-	r := strings.NewReplacer(`\,`, ",", `\ `, " ", `\=`, "=")
-	return r.Replace(s)
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == '\\' && i+1 < len(s) {
+			i++
+			switch c = s[i]; c {
+			case 'n':
+				c = '\n'
+			case 'r':
+				c = '\r'
+			}
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
 }

@@ -11,11 +11,15 @@
 // at any shard/worker count. The daemon ticks from a periodic tasks job
 // with time-since-start and stamps real time via Config.EpochNs.
 //
-// Concurrency: Counter.Add is a single atomic add and Dist.Observe a
-// short mutex — neither is placed on the simulator's insert/lookup fast
-// path, which stays untouched; simulator series instead sample existing
-// per-node counters at flush time. Flush/Tick/WriteLP serialize on the
-// Recorder mutex.
+// Three series kinds: Gauge samples current values, Counts turns
+// cumulative totals into per-window deltas, Dist summarises observations.
+// Counts is the one place a total becomes a delta: sources expose the
+// totals they already keep and never track a previous value themselves.
+//
+// Concurrency: read functions run at flush time and sample counters the
+// code already keeps, so nothing is added to the simulator's
+// insert/lookup fast path; Dist.Observe takes a short mutex.
+// Flush/Tick/WriteLP serialize on the Recorder mutex.
 package telemetry
 
 import (
@@ -66,10 +70,9 @@ type Point struct {
 }
 
 const (
-	kindCounter = iota
+	kindGauge = iota
+	kindCounts
 	kindDist
-	kindGauge
-	kindMulti
 )
 
 // Series is one named stream of per-window points.
@@ -78,22 +81,18 @@ type Series struct {
 	fields []string
 	kind   int
 
-	counter *Counter
-	dist    *Dist
-	gauge   func() float64
-	multi   func() []float64
+	gauge  func(v []float64)
+	counts func(tot []uint64)
+	dist   *Dist
+	// base holds the totals the last window ended at; cur is the scratch
+	// the next read fills (Counts only).
+	base, cur []uint64
 
 	// ring buffer of flushed windows
 	buf  []Point
 	head int // index of oldest point
 	n    int // number of valid points
 }
-
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
-
-// Fields returns the field names, in emit order.
-func (s *Series) Fields() []string { return append([]string(nil), s.fields...) }
 
 func (s *Series) push(p Point) {
 	if s.n < len(s.buf) {
@@ -113,19 +112,6 @@ func (s *Series) points() []Point {
 	}
 	return out
 }
-
-// Counter is a monotonically increasing event count. Add is one atomic
-// add; each flush records the delta since the previous flush.
-type Counter struct {
-	v    atomic.Uint64
-	prev uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
 
 // Dist accumulates per-window observations and flushes
 // count/mean/min/max/p50/p99. Observe takes a short mutex; it is meant
@@ -161,9 +147,6 @@ func New(cfg Config) *Recorder {
 	return &Recorder{cfg: cfg.withDefaults(), byName: make(map[string]*Series)}
 }
 
-// Window returns the aggregation interval.
-func (r *Recorder) Window() time.Duration { return r.cfg.Window }
-
 // SetTag attaches a constant tag emitted with every point. Tags are kept
 // sorted by key so line-protocol output is deterministic.
 func (r *Recorder) SetTag(key, value string) {
@@ -185,17 +168,35 @@ func (r *Recorder) register(s *Series) *Series {
 	if old, ok := r.byName[s.name]; ok {
 		return old
 	}
+	s.fields = append([]string(nil), s.fields...)
 	s.buf = make([]Point, r.cfg.Capacity)
+	if s.kind == kindCounts {
+		s.base, s.cur = make([]uint64, len(s.fields)), make([]uint64, len(s.fields))
+		s.counts(s.base)
+	}
 	r.series = append(r.series, s)
 	r.byName[s.name] = s
 	return s
 }
 
-// Counter registers (or returns) a counter series named name. The series
-// emits fields value (events this window) and per_sec.
-func (r *Recorder) Counter(name string) *Counter {
-	s := r.register(&Series{name: name, fields: []string{"value", "per_sec"}, kind: kindCounter, counter: &Counter{}})
-	return s.counter
+// Gauge registers a series sampled once per window flush: read fills v
+// (zeroed, one slot per field) with the current values. read must be a
+// pure read: it runs at simulator barriers and must not mutate shared
+// state or draw randomness. A single-field series names its field
+// "value".
+func (r *Recorder) Gauge(name string, fields []string, read func(v []float64)) {
+	r.register(&Series{name: name, fields: fields, kind: kindGauge, gauge: read})
+}
+
+// Counts registers a series of event counts. read fills tot (zeroed, one
+// slot per field) with cumulative totals, under the same purity rule as
+// Gauge; the recorder keeps the baseline. Registration reads the first
+// baseline, so everything counted afterwards lands in some window, and
+// each flush emits the growth since the previous one. A total that falls
+// (a reused node slot, a counter reset) rebases: that window emits 0 for
+// the field and the next counts from the new total.
+func (r *Recorder) Counts(name string, fields []string, read func(tot []uint64)) {
+	r.register(&Series{name: name, fields: fields, kind: kindCounts, counts: read})
 }
 
 // Dist registers (or returns) a distribution series named name, emitting
@@ -205,21 +206,6 @@ func (r *Recorder) Dist(name string) *Dist {
 	d.s.Limit(distLimit)
 	s := r.register(&Series{name: name, fields: []string{"count", "mean", "min", "max", "p50", "p99"}, kind: kindDist, dist: d})
 	return s.dist
-}
-
-// Gauge registers a single-field series sampled by calling fn once per
-// window flush. fn must be a pure read: it runs at simulator barriers
-// and must not mutate shared state or draw randomness.
-func (r *Recorder) Gauge(name string, fn func() float64) {
-	r.register(&Series{name: name, fields: []string{"value"}, kind: kindGauge, gauge: fn})
-}
-
-// Multi registers a multi-field series; fn is called once per window
-// flush and must return len(fields) values. Closures that keep previous
-// cumulative totals and return per-window deltas get exactly-once-per-
-// window delta semantics.
-func (r *Recorder) Multi(name string, fields []string, fn func() []float64) {
-	r.register(&Series{name: name, fields: append([]string(nil), fields...), kind: kindMulti, multi: fn})
 }
 
 // Tick advances the window clock to now, flushing every completed
@@ -266,15 +252,23 @@ func (r *Recorder) Flush(now time.Duration) {
 // flushWindow appends one point per series for the window starting at
 // r.cur. Caller holds r.mu.
 func (r *Recorder) flushWindow() {
-	secs := r.cfg.Window.Seconds()
 	for _, s := range r.series {
-		p := Point{At: time.Duration(r.cur)}
+		p := Point{At: time.Duration(r.cur), Vals: make([]float64, len(s.fields))}
 		switch s.kind {
-		case kindCounter:
-			cum := s.counter.v.Load()
-			delta := cum - s.counter.prev
-			s.counter.prev = cum
-			p.Vals = []float64{float64(delta), float64(delta) / secs}
+		case kindGauge:
+			s.gauge(p.Vals)
+			for i, v := range p.Vals {
+				p.Vals[i] = sanitize(v)
+			}
+		case kindCounts:
+			clear(s.cur)
+			s.counts(s.cur)
+			for i, v := range s.cur {
+				if v >= s.base[i] {
+					p.Vals[i] = float64(v - s.base[i])
+				}
+			}
+			s.base, s.cur = s.cur, s.base
 		case kindDist:
 			d := s.dist
 			d.mu.Lock()
@@ -284,16 +278,6 @@ func (r *Recorder) flushWindow() {
 			}
 			d.s.Reset()
 			d.mu.Unlock()
-		case kindGauge:
-			p.Vals = []float64{sanitize(s.gauge())}
-		case kindMulti:
-			vals := s.multi()
-			p.Vals = make([]float64, len(s.fields))
-			for i := range p.Vals {
-				if i < len(vals) {
-					p.Vals[i] = sanitize(vals[i])
-				}
-			}
 		}
 		s.push(p)
 	}
@@ -318,17 +302,6 @@ func (r *Recorder) Points(name string) []Point {
 		return nil
 	}
 	return s.points()
-}
-
-// SeriesNames returns the registered series names in registration order.
-func (r *Recorder) SeriesNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.series))
-	for i, s := range r.series {
-		out[i] = s.name
-	}
-	return out
 }
 
 // WriteLP dumps every retained point in line protocol, series in

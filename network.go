@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"past/internal/cluster"
-	pastcore "past/internal/past"
 	"past/internal/pastry"
 	"past/internal/telemetry"
 	"past/internal/wire"
@@ -120,8 +119,8 @@ func (nw *Network) Restart(i int) { nw.clu.Restart(i) }
 func (nw *Network) RunFor(d time.Duration) { nw.clu.Net.RunFor(d) }
 
 // RegisterTelemetry registers the network's series on rec — live_nodes,
-// net_events and the storage layer's per-window deltas summed over all
-// nodes, the names a Peer's recorder uses — and ticks rec at every
+// net_events and the storage layer's per-window counts summed over all
+// nodes ("past", the name a Peer's recorder uses) — and ticks rec at every
 // simulator window barrier, so windows close as RunFor and the client
 // operations advance virtual time.
 func (nw *Network) RegisterTelemetry(rec *telemetry.Recorder) { nw.clu.AttachTelemetry(rec) }
@@ -155,17 +154,6 @@ func (nw *Network) ReplicaHolders(f FileID) []int {
 		}
 	}
 	return out
-}
-
-// NodeStats aggregates one node's storage-management counters.
-type NodeStats = pastcore.Stats
-
-// NodeStats returns node i's counters (stores, diversions, cache serves).
-func (nw *Network) NodeStats(i int) NodeStats { return nw.clu.Node(i).Stats() }
-
-// CacheStats returns node i's cache hit/miss counters.
-func (nw *Network) CacheStats(i int) (hits, misses uint64) {
-	return nw.clu.Node(i).Cache().Stats()
 }
 
 // SetMalicious turns node i into the attacker of section 2.2

@@ -294,13 +294,22 @@ func (p *Peer) StoredFiles() int { return p.past.Store().Len() }
 func (p *Peer) TransportStats() TransportStats { return p.tr.Stats() }
 
 // RegisterTelemetry registers this peer's series on rec: the storage
-// layer's per-window deltas plus stored_files and known_peers gauges.
+// layer's per-window counts ("past"), the transport's ("transport", the
+// TransportStats counters), and stored_files and known_peers gauges.
 // The caller owns the recorder's clock — the daemon ticks it from a
 // periodic task and sets PeerConfig-independent wall-clock epochs.
 func (p *Peer) RegisterTelemetry(rec *telemetry.Recorder) {
 	pastcore.RegisterTelemetry(rec, func() []*pastcore.Node { return []*pastcore.Node{p.past} })
-	rec.Gauge("stored_files", func() float64 { return float64(p.StoredFiles()) })
-	rec.Gauge("known_peers", func() float64 { return float64(p.KnownPeers()) })
+	rec.Counts("transport", []string{
+		"dials", "dial_failures", "suppressed", "breaker_opens", "queue_drops", "decode_errors",
+	}, func(tot []uint64) {
+		s := p.tr.Stats()
+		for i, v := range [...]int64{s.Dials, s.DialFailures, s.Suppressed, s.BreakerOpens, s.QueueDrops, s.DecodeErrors} {
+			tot[i] = uint64(v)
+		}
+	})
+	rec.Gauge("stored_files", []string{"value"}, func(v []float64) { v[0] = float64(p.StoredFiles()) })
+	rec.Gauge("known_peers", []string{"value"}, func(v []float64) { v[0] = float64(p.KnownPeers()) })
 }
 
 // KnownPeers returns how many distinct nodes this peer holds in its leaf
