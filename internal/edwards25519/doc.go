@@ -7,12 +7,13 @@
 // crypto/internal/fips140/edwards25519 — the same code published as
 // filippo.io/edwards25519 — with the internal fips140 plumbing replaced
 // by crypto/subtle and encoding/binary. It is vendored because PAST's
-// hot path needs group-level access (multi-scalar multiplication and
-// precomputed per-key tables for batch signature verification, see
-// internal/seccrypt) that crypto/ed25519 does not expose, and this
-// repository builds without external module dependencies.
+// hot path needs group-level access that crypto/ed25519 does not
+// expose — a precomputed table per public key, so a repeat verification
+// skips decompression and three quarters of its doublings (see
+// internal/seccrypt) — and this repository builds without external
+// module dependencies.
 //
 // Local additions on top of the vendored core live in multiscalar.go:
-// reusable variable-time lookup tables, a multi-scalar sum for
-// cofactored batch verification, and MultByCofactor.
+// the per-key split table, the basepoint's split table, and the
+// double-base multiplication over both.
 package edwards25519

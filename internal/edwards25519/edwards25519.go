@@ -85,14 +85,6 @@ func NewGeneratorPoint() *Point {
 	return new(Point).Set(generator)
 }
 
-func (v *projCached) Zero() *projCached {
-	v.YplusX.One()
-	v.YminusX.One()
-	v.Z.One()
-	v.T2d.Zero()
-	return v
-}
-
 func (v *affineCached) Zero() *affineCached {
 	v.YplusX.One()
 	v.YminusX.One()
@@ -387,26 +379,10 @@ func (v *Point) Equal(u *Point) int {
 // Constant-time operations
 
 // Select sets v to a if cond == 1 and to b if cond == 0.
-func (v *projCached) Select(a, b *projCached, cond int) *projCached {
-	v.YplusX.Select(&a.YplusX, &b.YplusX, cond)
-	v.YminusX.Select(&a.YminusX, &b.YminusX, cond)
-	v.Z.Select(&a.Z, &b.Z, cond)
-	v.T2d.Select(&a.T2d, &b.T2d, cond)
-	return v
-}
-
-// Select sets v to a if cond == 1 and to b if cond == 0.
 func (v *affineCached) Select(a, b *affineCached, cond int) *affineCached {
 	v.YplusX.Select(&a.YplusX, &b.YplusX, cond)
 	v.YminusX.Select(&a.YminusX, &b.YminusX, cond)
 	v.T2d.Select(&a.T2d, &b.T2d, cond)
-	return v
-}
-
-// CondNeg negates v if cond == 1 and leaves it unchanged if cond == 0.
-func (v *projCached) CondNeg(cond int) *projCached {
-	v.YplusX.Swap(&v.YminusX, cond)
-	v.T2d.Select(new(field.Element).Negate(&v.T2d), &v.T2d, cond)
 	return v
 }
 

@@ -2,6 +2,8 @@ package edwards25519
 
 import (
 	"bytes"
+	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -24,94 +26,67 @@ func randPoint(t *testing.T, rng *rand.Rand) *Point {
 	return new(Point).ScalarBaseMult(randScalar(t, rng))
 }
 
-// TestVarTimeDoubleBaseMultTable pins the table-reusing double-scalar
-// multiplication against the vendored VarTimeDoubleScalarBaseMult.
+// scalarFromBig encodes 0 <= x < l as a Scalar.
+func scalarFromBig(t *testing.T, x *big.Int) *Scalar {
+	t.Helper()
+	buf := x.FillBytes(make([]byte, 32))
+	for i, j := 0, 31; i < j; i, j = i+1, j-1 {
+		buf[i], buf[j] = buf[j], buf[i]
+	}
+	s, err := new(Scalar).SetCanonicalBytes(buf)
+	if err != nil {
+		t.Fatalf("scalar %v: %v", x, err)
+	}
+	return s
+}
+
+// edgeScalars are scalars whose NAF digits sit on or straddle the edges
+// of the split table's 64-bit chunks: a carry out of one chunk lands as
+// the lowest digit of the next.
+func edgeScalars(t *testing.T) []*Scalar {
+	t.Helper()
+	one := big.NewInt(1)
+	pow := func(n uint) *big.Int { return new(big.Int).Lsh(one, n) }
+	l, _ := new(big.Int).SetString("7237005577332262213973186563042994240857116359379907606001950938285454250989", 10)
+	var out []*Scalar
+	for _, x := range []*big.Int{
+		big.NewInt(0), one,
+		new(big.Int).Sub(pow(64), one), pow(64),
+		new(big.Int).Sub(pow(128), one), new(big.Int).Add(pow(128), one),
+		pow(192), new(big.Int).Sub(l, one),
+	} {
+		out = append(out, scalarFromBig(t, x))
+	}
+	return out
+}
+
+// TestVarTimeDoubleBaseMultTable pins the split-table double-scalar
+// multiplication against the vendored VarTimeDoubleScalarBaseMult, on
+// random inputs and on every pairing of the chunk-edge scalars, with the
+// identity among the points.
 func TestVarTimeDoubleBaseMultTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		A := randPoint(t, rng)
-		a, b := randScalar(t, rng), randScalar(t, rng)
+	check := func(name string, a *Scalar, A *Point, b *Scalar) {
+		t.Helper()
 		want := new(Point).VarTimeDoubleScalarBaseMult(a, A, b)
 		var table VarTimeTable
 		table.Init(A)
 		got := new(Point).VarTimeDoubleBaseMultTable(a, &table, b)
 		if got.Equal(want) != 1 {
-			t.Fatalf("trial %d: table path diverges from VarTimeDoubleScalarBaseMult", trial)
+			t.Fatalf("%s: table path diverges from VarTimeDoubleScalarBaseMult", name)
 		}
 	}
-}
-
-// TestVarTimeMultiScalarBaseSum property-tests the batch primitive
-// against a naive sum of constant-time single multiplications, across
-// term counts and with short (128-bit) scalars mixed in.
-func TestVarTimeMultiScalarBaseSum(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 30; trial++ {
-		n := rng.Intn(9) // includes the empty sum
-		b := randScalar(t, rng)
-		scalars := make([]*Scalar, n)
-		tables := make([]*VarTimeTable, n)
-		want := new(Point).ScalarBaseMult(b)
-		for i := 0; i < n; i++ {
-			P := randPoint(t, rng)
-			if rng.Intn(2) == 0 {
-				var short [16]byte
-				rng.Read(short[:])
-				scalars[i] = new(Scalar).SetShortBytes(short[:])
-			} else {
-				scalars[i] = randScalar(t, rng)
-			}
-			tables[i] = new(VarTimeTable)
-			tables[i].Init(P)
-			want.Add(want, new(Point).ScalarMult(scalars[i], P))
-		}
-		got := new(Point).VarTimeMultiScalarBaseSum(b, scalars, tables, nil)
-		if got.Equal(want) != 1 {
-			t.Fatalf("trial %d (n=%d): multiscalar sum diverges from naive sum", trial, n)
-		}
-		// The scratch-buffer path must agree with the allocating path.
-		scratch := make([]Naf, n)
-		got2 := new(Point).VarTimeMultiScalarBaseSum(b, scalars, tables, scratch)
-		if got2.Equal(want) != 1 {
-			t.Fatalf("trial %d (n=%d): scratch path diverges", trial, n)
-		}
-	}
-}
-
-// TestMultByCofactor pins 8P against three explicit doublings via Add.
-func TestMultByCofactor(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		P := randPoint(t, rng)
-		want := new(Point).Set(P)
-		for i := 0; i < 3; i++ {
-			want.Add(want, want)
-		}
-		got := new(Point).MultByCofactor(P)
-		if got.Equal(want) != 1 {
-			t.Fatalf("trial %d: MultByCofactor != 8P", trial)
-		}
-	}
-}
-
-// TestSetShortBytes checks short-scalar construction against
-// SetCanonicalBytes on zero-padded input.
-func TestSetShortBytes(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 50; trial++ {
-		short := make([]byte, 1+rng.Intn(16))
-		rng.Read(short)
-		var padded [32]byte
-		copy(padded[:], short)
-		padded[31] &= 0x0f // well below the group order
-		copy(short, padded[:len(short)])
-		want, err := new(Scalar).SetCanonicalBytes(padded[:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := new(Scalar).SetShortBytes(short)
-		if got.Equal(want) != 1 {
-			t.Fatalf("trial %d: SetShortBytes(%x) != SetCanonicalBytes(padded)", trial, short)
+		check(fmt.Sprintf("trial %d", trial), randScalar(t, rng), randPoint(t, rng), randScalar(t, rng))
+	}
+	edges := edgeScalars(t)
+	for _, A := range []*Point{randPoint(t, rng), NewIdentityPoint(), NewGeneratorPoint()} {
+		for i, a := range edges {
+			for j, b := range edges {
+				check(fmt.Sprintf("edge a=%d b=%d", i, j), a, A, b)
+			}
+			check(fmt.Sprintf("edge a=%d, random b", i), a, A, randScalar(t, rng))
+			check(fmt.Sprintf("random a, edge b=%d", i), randScalar(t, rng), A, a)
 		}
 	}
 }

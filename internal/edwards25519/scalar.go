@@ -67,12 +67,6 @@ func (s *Scalar) Multiply(x, y *Scalar) *Scalar {
 	return s
 }
 
-// Set sets s = x, and returns s.
-func (s *Scalar) Set(x *Scalar) *Scalar {
-	*s = *x
-	return s
-}
-
 // SetUniformBytes sets s = x mod l, where x is a 64-byte little-endian integer.
 // If x is not of the right length, SetUniformBytes returns nil and an error,
 // and the receiver is unchanged.
@@ -176,21 +170,6 @@ func (s *Scalar) bytes(out *[32]byte) []byte {
 	fiatScalarFromMontgomery(&ss, &s.s)
 	fiatScalarToBytes(out, (*[4]uint64)(&ss))
 	return out[:]
-}
-
-// Equal returns 1 if s and t are equal, and 0 otherwise.
-func (s *Scalar) Equal(t *Scalar) int {
-	var diff fiatScalarMontgomeryDomainFieldElement
-	fiatScalarSub(&diff, &s.s, &t.s)
-	var nonzero uint64
-	fiatScalarNonzero(&nonzero, (*[4]uint64)(&diff))
-	nonzero |= nonzero >> 32
-	nonzero |= nonzero >> 16
-	nonzero |= nonzero >> 8
-	nonzero |= nonzero >> 4
-	nonzero |= nonzero >> 2
-	nonzero |= nonzero >> 1
-	return int(^nonzero) & 1
 }
 
 // nonAdjacentForm computes a width-w non-adjacent form for this scalar.

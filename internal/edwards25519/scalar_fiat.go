@@ -422,71 +422,6 @@ func fiatScalarAdd(out1 *fiatScalarMontgomeryDomainFieldElement, arg1 *fiatScala
 	out1[3] = x22
 }
 
-// fiatScalarSub subtracts two field elements in the Montgomery domain.
-//
-// Preconditions:
-//
-//	0 ≤ eval arg1 < m
-//	0 ≤ eval arg2 < m
-//
-// Postconditions:
-//
-//	eval (from_montgomery out1) mod m = (eval (from_montgomery arg1) - eval (from_montgomery arg2)) mod m
-//	0 ≤ eval out1 < m
-func fiatScalarSub(out1 *fiatScalarMontgomeryDomainFieldElement, arg1 *fiatScalarMontgomeryDomainFieldElement, arg2 *fiatScalarMontgomeryDomainFieldElement) {
-	var x1 uint64
-	var x2 uint64
-	x1, x2 = bits.Sub64(arg1[0], arg2[0], uint64(0x0))
-	var x3 uint64
-	var x4 uint64
-	x3, x4 = bits.Sub64(arg1[1], arg2[1], uint64(fiatScalarUint1(x2)))
-	var x5 uint64
-	var x6 uint64
-	x5, x6 = bits.Sub64(arg1[2], arg2[2], uint64(fiatScalarUint1(x4)))
-	var x7 uint64
-	var x8 uint64
-	x7, x8 = bits.Sub64(arg1[3], arg2[3], uint64(fiatScalarUint1(x6)))
-	var x9 uint64
-	fiatScalarCmovznzU64(&x9, fiatScalarUint1(x8), uint64(0x0), 0xffffffffffffffff)
-	var x10 uint64
-	var x11 uint64
-	x10, x11 = bits.Add64(x1, (x9 & 0x5812631a5cf5d3ed), uint64(0x0))
-	var x12 uint64
-	var x13 uint64
-	x12, x13 = bits.Add64(x3, (x9 & 0x14def9dea2f79cd6), uint64(fiatScalarUint1(x11)))
-	var x14 uint64
-	var x15 uint64
-	x14, x15 = bits.Add64(x5, uint64(0x0), uint64(fiatScalarUint1(x13)))
-	var x16 uint64
-	x16, _ = bits.Add64(x7, (x9 & 0x1000000000000000), uint64(fiatScalarUint1(x15)))
-	out1[0] = x10
-	out1[1] = x12
-	out1[2] = x14
-	out1[3] = x16
-}
-
-// fiatScalarNonzero outputs a single non-zero word if the input is non-zero and zero otherwise.
-//
-// Preconditions:
-//
-//	0 ≤ eval arg1 < m
-//
-// Postconditions:
-//
-//	out1 = 0 ↔ eval (from_montgomery arg1) mod m = 0
-//
-// Input Bounds:
-//
-//	arg1: [[0x0 ~> 0xffffffffffffffff], [0x0 ~> 0xffffffffffffffff], [0x0 ~> 0xffffffffffffffff], [0x0 ~> 0xffffffffffffffff]]
-//
-// Output Bounds:
-//
-//	out1: [0x0 ~> 0xffffffffffffffff]
-func fiatScalarNonzero(out1 *uint64, arg1 *[4]uint64) {
-	x1 := (arg1[0] | (arg1[1] | (arg1[2] | arg1[3])))
-	*out1 = x1
-}
-
 // fiatScalarFromMontgomery translates a field element out of the Montgomery domain.
 //
 // Preconditions:

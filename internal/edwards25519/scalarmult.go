@@ -79,49 +79,6 @@ func (v *Point) ScalarBaseMult(x *Scalar) *Point {
 	return v
 }
 
-// ScalarMult sets v = x * q, and returns v.
-//
-// The scalar multiplication is done in constant time.
-func (v *Point) ScalarMult(x *Scalar, q *Point) *Point {
-	checkInitialized(q)
-
-	var table projLookupTable
-	table.FromP3(q)
-
-	// Write x = sum(x_i * 16^i)
-	// so  x*Q = sum( Q*x_i*16^i )
-	//         = Q*x_0 + 16*(Q*x_1 + 16*( ... + Q*x_63) ... )
-	//           <------compute inside out---------
-	//
-	// We use the lookup table to get the x_i*Q values
-	// and do four doublings to compute 16*Q
-	digits := x.signedRadix16()
-
-	// Unwrap first loop iteration to save computing 16*identity
-	multiple := &projCached{}
-	tmp1 := &projP1xP1{}
-	tmp2 := &projP2{}
-	table.SelectInto(multiple, digits[63])
-
-	v.Set(NewIdentityPoint())
-	tmp1.Add(v, multiple) // tmp1 = x_63*Q in P1xP1 coords
-	for i := 62; i >= 0; i-- {
-		tmp2.FromP1xP1(tmp1) // tmp2 =    (prev) in P2 coords
-		tmp1.Double(tmp2)    // tmp1 =  2*(prev) in P1xP1 coords
-		tmp2.FromP1xP1(tmp1) // tmp2 =  2*(prev) in P2 coords
-		tmp1.Double(tmp2)    // tmp1 =  4*(prev) in P1xP1 coords
-		tmp2.FromP1xP1(tmp1) // tmp2 =  4*(prev) in P2 coords
-		tmp1.Double(tmp2)    // tmp1 =  8*(prev) in P1xP1 coords
-		tmp2.FromP1xP1(tmp1) // tmp2 =  8*(prev) in P2 coords
-		tmp1.Double(tmp2)    // tmp1 = 16*(prev) in P1xP1 coords
-		v.fromP1xP1(tmp1)    //    v = 16*(prev) in P3 coords
-		table.SelectInto(multiple, digits[i])
-		tmp1.Add(v, multiple) // tmp1 = x_i*Q + 16*(prev) in P1xP1 coords
-	}
-	v.fromP1xP1(tmp1)
-	return v
-}
-
 // basepointNafTable is the nafLookupTable8 for the basepoint.
 // It is precomputed the first time it's used.
 func basepointNafTable() *nafLookupTable8 {

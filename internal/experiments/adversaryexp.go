@@ -3,7 +3,7 @@ package experiments
 // Adversarial-resilience experiments E18-E21: the paper's section 2.2
 // fault model ("nodes may be faulty or malicious ... accept traffic but
 // do not forward it correctly") exercised against the client-side
-// defenses — retrying lookups with route diversity, hop budgets, batch
+// defenses — retrying lookups with route diversity, hop budgets,
 // receipt verification and storage audits — plus two correlated-stress
 // scenarios: a regional (transit-domain) outage and a flash crowd.
 //
@@ -171,7 +171,7 @@ func E18AdversarialLookups(scale Scale, seed int64) Result {
 
 // E19ReceiptContainment measures how the storage defenses of section 2.1
 // contain cheating storage nodes. Forgers return receipts whose
-// signatures fail the client's batch verification, so the client simply
+// signatures fail the client's receipt verification, so the client simply
 // never counts them and re-targets the insert (file diversion).
 // Free-riders sign honestly but discard the data, which only a content
 // audit — a nonce challenge against the stored bytes — exposes.

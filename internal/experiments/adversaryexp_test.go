@@ -90,7 +90,7 @@ func TestE19AuditContainment(t *testing.T) {
 		switch policy {
 		case "forger":
 			if forged == "0" {
-				t.Errorf("forger %s: no forged receipts dropped; batch verification not engaging", row[1])
+				t.Errorf("forger %s: no forged receipts dropped; receipt verification not engaging", row[1])
 			}
 		case "free-rider":
 			if flagged == "0" {

@@ -62,8 +62,8 @@ type Stats struct {
 
 	// Resilience counters. LookupRetries counts lookup attempts this
 	// node, as client, re-issued after a timeout or a hop-budget abort;
-	// ForgedReceiptsDropped counts store receipts discarded because their
-	// signature failed batch verification. RouteAborts counts lookups
+	// ForgedReceiptsDropped counts store receipts discarded on arrival
+	// because their signature failed verification. RouteAborts counts lookups
 	// this node refused to forward past the hop budget (server side).
 	LookupRetries         int
 	RouteAborts           int
@@ -167,7 +167,7 @@ func (n *Node) Stats() Stats {
 // experiments: a node that claims replicas it does not hold. The
 // free-rider signs its receipts honestly — only a content audit exposes
 // it — while the forger's receipts carry an invalid signature, which the
-// client's batch verification identifies and drops.
+// client's receipt verification drops on arrival.
 type Mischief struct {
 	ForgeReceipts bool
 	FreeRide      bool
@@ -472,7 +472,7 @@ func (n *Node) handleReplicaStore(m wire.ReplicaStore) {
 		// A cheating node claims the store without holding the data. The
 		// free-rider's receipt is properly signed (only an audit exposes
 		// the missing content); the forger's signature is corrupted, so
-		// the client's batch verification drops it.
+		// the client drops it on arrival.
 		rcpt := wire.StoreReceipt{
 			FileID:     m.Cert.FileID,
 			StoredBy:   n.pn.Ref(),

@@ -76,26 +76,6 @@ func MemoStats() (hits, misses uint64) {
 	return memo.hits.Load(), memo.misses.Load()
 }
 
-// memoLookup probes the memo for key, owning the stripe selection and
-// the hit accounting. Every memo consumer (memoVerify and the deferred
-// queue) goes through this pair, so the striping scheme and the stats
-// live in one place: hits count served probes, misses count fresh
-// cryptographic resolutions (memoStore is called exactly once per
-// freshly verified signature, including each member of a batch).
-func memoLookup(key memoKey) (ok, found bool) {
-	ok, found = memo.stripes[key[0]&(memoStripeCount-1)].lookup(key)
-	if found {
-		memo.hits.Add(1)
-	}
-	return ok, found
-}
-
-// memoStore records a freshly resolved verification verdict under key.
-func memoStore(key memoKey, ok bool) {
-	memo.misses.Add(1)
-	memo.stripes[key[0]&(memoStripeCount-1)].store(key, ok)
-}
-
 // lookup returns the cached outcome for key, promoting it to
 // most-recently-used.
 func (s *memoStripe) lookup(key memoKey) (ok, found bool) {
@@ -217,13 +197,16 @@ func memoVerify(pub ed25519.PublicKey, body, sig []byte) bool {
 	*kb = mat
 	putBody(kb)
 
-	if ok, found := memoLookup(key); found {
+	stripe := &memo.stripes[key[0]&(memoStripeCount-1)]
+	if ok, found := stripe.lookup(key); found {
+		memo.hits.Add(1)
 		return ok
 	}
-	// verifySingle (batch.go) is bit-compatible with ed25519.Verify for
+	// verifySingle (verify.go) is bit-compatible with ed25519.Verify for
 	// the canonical sizes guaranteed above, and reuses the per-key
-	// precomputation cache. memoStore accounts the miss.
+	// precomputation cache.
+	memo.misses.Add(1)
 	ok := verifySingle(pub, body, sig)
-	memoStore(key, ok)
+	stripe.store(key, ok)
 	return ok
 }

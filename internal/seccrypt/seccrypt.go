@@ -352,9 +352,8 @@ func VerifyStoreReceipt(r *wire.StoreReceipt) error {
 
 // VerifyStoreReceiptBinding performs the non-cryptographic half of
 // VerifyStoreReceipt: the signing key has canonical size and its hash
-// matches the node that claims to have stored. Callers deferring the
-// signature check into a batch (Deferred.DeferStoreReceipt) run this
-// part eagerly.
+// matches the node that claims to have stored. A PAST client runs it
+// under its node lock and the signature check after releasing it.
 func VerifyStoreReceiptBinding(r *wire.StoreReceipt) error {
 	if len(r.NodePub) != ed25519.PublicKeySize {
 		return ErrBadSignature
