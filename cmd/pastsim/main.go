@@ -28,8 +28,6 @@ func main() {
 		expFlag    = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 		scaleFlag  = flag.String("scale", "small", "small (seconds), full (paper scale, minutes), large (20k nodes, bulk-built), or huge (100k nodes)")
 		seedFlag   = flag.Int64("seed", 42, "random seed; identical seeds reproduce identical tables")
-		shardsFlag = flag.Int("shards", experiments.Shards,
-			"shards of each simulated network (what lets a single-cluster phase experiment use several cores);\ntables are byte-identical for any value >= 1, so this only selects parallelism (default: core count)")
 		listFlag   = flag.Bool("list", false, "list experiment ids and exit")
 		seriesFlag = flag.String("series", "", "write per-window telemetry series (line protocol) for the instrumented experiments (E15, E18, E20) to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiments run to this file")
@@ -40,11 +38,6 @@ func main() {
 		churnCrash   = flag.Float64("churn-crash-frac", experiments.Churn.CrashFrac, "fraction of churn departures that are silent crashes (the rest leave gracefully)")
 	)
 	flag.Parse()
-	if *shardsFlag < 1 {
-		fmt.Fprintf(os.Stderr, "pastsim: -shards must be >= 1, got %d\n", *shardsFlag)
-		os.Exit(2)
-	}
-	experiments.Shards = *shardsFlag
 	if *churnRate < 0 || *churnCrash < 0 || *churnCrash > 1 || *churnSession <= 0 {
 		fmt.Fprintln(os.Stderr, "pastsim: churn flags must satisfy rate-scale >= 0, 0 <= crash-frac <= 1, session > 0")
 		os.Exit(2)

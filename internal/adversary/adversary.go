@@ -8,9 +8,8 @@
 // Every decision an adversary makes — which nodes are malicious, and
 // whether a particular message is dropped or misrouted — is a pure
 // function of (experiment seed, node index) plus the node's own traffic
-// history, mirroring simnet's per-endpoint RNG discipline. Nothing
-// consults cross-shard state, so experiment tables stay byte-identical
-// at any shard count.
+// history, mirroring simnet's per-endpoint RNG discipline, so experiment
+// tables are reproducible from their seed.
 package adversary
 
 import (

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestPickDeterministic pins the selection contract the sharded
+// TestPickDeterministic pins the selection contract the adversarial
 // experiments rely on: Pick is a pure function of (seed, n, frac) — same
 // inputs, same victims — while different seeds pick different sets.
 func TestPickDeterministic(t *testing.T) {

@@ -82,7 +82,7 @@ type Event struct {
 // order. Traces come from Generate (process-driven: Poisson arrivals,
 // heavy-tailed sessions) or from Parse (trace-driven: replay a recorded
 // or hand-written schedule). The same trace replayed onto the same
-// cluster build yields the same tables at any shard count.
+// cluster build yields the same tables.
 type Trace struct {
 	Events []Event
 }
@@ -160,8 +160,8 @@ func (d SessionDist) draw(rng *rand.Rand) time.Duration {
 // Config parameterizes trace generation.
 type Config struct {
 	// Seed drives the generator's private random stream. The stream is
-	// independent of the simulator and of the shard count: the trace is a
-	// pure function of this Config.
+	// independent of the simulator: the trace is a pure function of this
+	// Config.
 	Seed int64
 	// Initial is the number of nodes present when the cluster is built;
 	// their sessions start at time zero.
@@ -325,9 +325,9 @@ type Stats struct {
 // Driver replays a Trace onto a running cluster. All work happens on the
 // coordinating goroutine between simulation runs: the driver advances
 // the simulated network to each event's time (a window barrier) and
-// applies the membership change there, so a replay is byte-identical at
-// any shard count for a fixed seed — churn rides the same determinism
-// argument as the simulator itself.
+// applies the membership change there. The barrier times are the window
+// ends of the simulator's one event loop, so a replay is byte-identical
+// for a fixed seed.
 type Driver struct {
 	C     *cluster.Cluster
 	Trace *Trace

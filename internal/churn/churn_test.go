@@ -2,7 +2,6 @@ package churn_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -81,6 +80,30 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzChurnParse feeds Parse arbitrary text: it must never panic, and a
+// trace it accepts must survive Trace.String and a second Parse
+// unchanged. Seeded with TestTraceRoundTrip's trace and its two
+// rejected inputs.
+func FuzzChurnParse(f *testing.F) {
+	f.Add("# replay header comment\n\n" + churn.Generate(testConfig(16)).String())
+	f.Add("1s explode 3\n")
+	f.Add("2s crash 1\n1s crash 0\n")
+	f.Fuzz(func(t *testing.T, s string) {
+		tr, err := churn.Parse(s)
+		if err != nil {
+			return
+		}
+		text := tr.String()
+		back, err := churn.Parse(text)
+		if err != nil {
+			t.Fatalf("Parse rejects String's output %q: %v", text, err)
+		}
+		if got := back.String(); got != text {
+			t.Fatalf("trace did not round-trip:\n%q\nvs\n%q", text, got)
+		}
+	})
+}
+
 func TestParetoSessionsHeavyTail(t *testing.T) {
 	cfg := testConfig(24)
 	cfg.Session = churn.ParetoSessions(5*time.Second, 1.2)
@@ -97,7 +120,7 @@ type harness struct {
 	k int
 }
 
-func buildHarness(t testing.TB, n int, seed int64, shards int) *harness {
+func buildHarness(t testing.TB, n int, seed int64) *harness {
 	t.Helper()
 	cfg := past.DefaultConfig()
 	cfg.K = 3
@@ -107,7 +130,7 @@ func buildHarness(t testing.TB, n int, seed int64, shards int) *harness {
 	pcfg := pastry.DefaultConfig()
 	pcfg.KeepAlive = 500 * time.Millisecond
 	pcfg.FailTimeout = 1500 * time.Millisecond
-	c, err := cluster.BuildPAST(cluster.Options{N: n, Pastry: pcfg, Seed: seed, Shards: shards}, cfg, nil, 0)
+	c, err := cluster.BuildPAST(cluster.Options{N: n, Pastry: pcfg, Seed: seed}, cfg, nil, 0)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -124,13 +147,11 @@ func (h *harness) insert(t testing.TB, node int, name string, data []byte) id.Fi
 	return res.FileID
 }
 
-// TestChurnStorageInvariant is the churn determinism + persistence test:
-// it replays one generated trace (crashes, graceful leaves and mid-run
-// joins in sequence) over a PAST cluster at shards=1,2,4 and asserts
-// that (a) after the network settles, every surviving file has at least
-// k live, content-verified replicas, and (b) the full outcome — driver
-// stats and the per-file replica counts — is byte-identical at every
-// shard count. Run under -race in CI.
+// TestChurnStorageInvariant is the churn persistence test: it replays one
+// generated trace (crashes, graceful leaves and mid-run joins in
+// sequence) over a PAST cluster and asserts that, after the network
+// settles, every surviving file has at least k live, content-verified
+// replicas. Run under -race in CI.
 func TestChurnStorageInvariant(t *testing.T) {
 	const n = 24
 	ccfg := churn.Config{
@@ -147,42 +168,26 @@ func TestChurnStorageInvariant(t *testing.T) {
 		t.Fatalf("trace lacks churn: %d arrivals, %d departures", tr.Arrivals(), tr.Departures())
 	}
 
-	var base string
-	for _, shards := range []int{1, 2, 4} {
-		h := buildHarness(t, n, 42, shards)
-		var files []id.File
-		for i := 0; i < 10; i++ {
-			files = append(files, h.insert(t, i%n, fmt.Sprintf("churn-%d", i), make([]byte, 1024)))
+	h := buildHarness(t, n, 42)
+	var files []id.File
+	for i := 0; i < 10; i++ {
+		files = append(files, h.insert(t, i%n, fmt.Sprintf("churn-%d", i), make([]byte, 1024)))
+	}
+	d := churn.NewDriver(h.Cluster, tr)
+	d.MinLive = ccfg.MinLive
+	d.Advance(ccfg.Horizon)
+	// Settle: let failure detection, repair and anti-entropy finish.
+	h.RunSettle(15 * time.Second)
+	if d.Stats.Crashes == 0 || d.Stats.Leaves == 0 || d.Stats.Arrivals == 0 {
+		t.Fatalf("trace exercised too little: %+v", d.Stats)
+	}
+	for i, f := range files {
+		copies := h.LiveVerifiedCopies(f)
+		if copies > 0 && copies < h.k {
+			t.Errorf("file %d has %d live verified copies, want >= %d", i, copies, h.k)
 		}
-		d := churn.NewDriver(h.Cluster, tr)
-		d.MinLive = ccfg.MinLive
-		d.Advance(ccfg.Horizon)
-		// Settle: let failure detection, repair and anti-entropy finish.
-		h.RunSettle(15 * time.Second)
-
-		var b strings.Builder
-		fmt.Fprintf(&b, "stats=%+v live=%d\n", d.Stats, h.LiveCount())
-		for i, f := range files {
-			copies := h.LiveVerifiedCopies(f)
-			if copies > 0 && copies < h.k {
-				t.Errorf("shards=%d: file %d has %d live verified copies, want >= %d", shards, i, copies, h.k)
-			}
-			if copies == 0 {
-				t.Logf("shards=%d: file %d lost (all holders departed before repair)", shards, i)
-			}
-			fmt.Fprintf(&b, "file %d: %d copies\n", i, copies)
-		}
-		got := b.String()
-		if shards == 1 {
-			base = got
-			if d.Stats.Crashes == 0 || d.Stats.Leaves == 0 || d.Stats.Arrivals == 0 {
-				t.Fatalf("trace exercised too little: %+v", d.Stats)
-			}
-			continue
-		}
-		if got != base {
-			t.Fatalf("churn outcome diverges between shards=1 and shards=%d:\n--- shards=1:\n%s--- shards=%d:\n%s",
-				shards, base, shards, got)
+		if copies == 0 {
+			t.Logf("file %d lost (all holders departed before repair)", i)
 		}
 	}
 }
@@ -203,7 +208,7 @@ func TestDriverSkipsAndFloors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := buildHarness(t, 8, 43, 0)
+	h := buildHarness(t, 8, 43)
 	d := churn.NewDriver(h.Cluster, tr)
 	d.MinLive = 7
 	d.Advance(6 * time.Second)
@@ -236,7 +241,7 @@ func TestAsyncJoinsDuringWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := buildHarness(t, n, 44, 0)
+	h := buildHarness(t, n, 44)
 	var files []id.File
 	for i := 0; i < 4; i++ {
 		files = append(files, h.insert(t, i, fmt.Sprintf("pre-%d", i), make([]byte, 1024)))

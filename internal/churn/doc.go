@@ -10,7 +10,7 @@
 //     of brand-new nodes and heavy-tailed (lognormal or Pareto) session
 //     lengths, reduced to a concrete, replayable event sequence by a
 //     private seeded random stream. A trace is a pure function of its
-//     Config — it involves neither the simulator nor the shard count.
+//     Config — it does not involve the simulator.
 //     Traces serialize to a line-oriented text format (Trace.String /
 //     Parse) so recorded or hand-written schedules replay identically.
 //
@@ -19,9 +19,9 @@
 //     simulation runs — the driver advances the network to the event's
 //     virtual time (a window barrier) and calls cluster.AddNode /
 //     Leave / Crash there. Because nothing churn-related ever runs
-//     inside a window, replays inherit the simulator's guarantee:
-//     byte-identical results at any shard
-//     count for a fixed seed (see ARCHITECTURE.md, "Churn engine").
+//     inside a window, a replay is as reproducible as the simulator:
+//     byte-identical results for a fixed seed (see ARCHITECTURE.md,
+//     "Churn engine").
 //
 // Experiments E15–E17 build on this package: lookup availability vs
 // churn rate, anti-entropy vs push-all maintenance bandwidth, and

@@ -37,8 +37,7 @@ import (
 // on join order), which changes no route lengths: hop counts depend on
 // prefix progress, not on which correctly-prefixed node makes it.
 //
-// The build schedules zero simulation events, so the resulting state is
-// trivially byte-identical at any shard count.
+// The build schedules zero simulation events.
 
 // rtSamples is how many candidates a routing slot examines; the winner is
 // the proximally closest. The paper only requires "a" close node, not the
@@ -219,7 +218,7 @@ func (p *proxSort) Swap(a, b int) {
 
 // mix3 is the splitmix64 finalizer over three mixed words: a cheap,
 // deterministic hash driving routing-slot sampling (no rand.Rand state,
-// no allocation, identical at any shard count by construction).
+// no allocation).
 func mix3(a, b, s uint64) uint64 {
 	z := a ^ b*0xBF58476D1CE4E5B9 ^ s*0x94D049BB133111EB
 	z ^= z >> 30

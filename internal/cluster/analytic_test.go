@@ -11,7 +11,7 @@ import (
 	"past/internal/pastry"
 )
 
-func buildPair(t *testing.T, n int, seed int64, analytic bool, shards int) (*Cluster, []*Recorder) {
+func buildPair(t *testing.T, n int, seed int64, analytic bool) (*Cluster, []*Recorder) {
 	t.Helper()
 	factory, recs := RecorderFactory(n)
 	c, err := Build(Options{
@@ -20,7 +20,6 @@ func buildPair(t *testing.T, n int, seed int64, analytic bool, shards int) (*Clu
 		Seed:       seed,
 		AppFactory: factory,
 		Analytic:   analytic,
-		Shards:     shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,8 +61,8 @@ func TestAnalyticEquivalence(t *testing.T) {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			const seed = 7
-			cp, rp := buildPair(t, n, seed, false, 0)
-			ca, ra := buildPair(t, n, seed, true, 0)
+			cp, rp := buildPair(t, n, seed, false)
+			ca, ra := buildPair(t, n, seed, true)
 
 			rows := cp.Nodes[0].RoutingTableRows()
 			for i := 0; i < n; i++ {
@@ -115,35 +114,9 @@ func TestAnalyticEquivalence(t *testing.T) {
 	}
 }
 
-// TestAnalyticShardIndependence pins that the analytic build produces
-// byte-identical state at any shard count (it schedules no events, so
-// this holds by construction — the test keeps it that way).
-func TestAnalyticShardIndependence(t *testing.T) {
-	snapshot := func(shards int) string {
-		c, _ := buildPair(t, 64, 11, true, shards)
-		s := ""
-		for i, nd := range c.Nodes {
-			s += fmt.Sprint(i, nd.LeafSmaller(), nd.LeafLarger(), nd.NeighborhoodMembers())
-			for row := 0; row < 4; row++ {
-				for col := 0; col < 16; col++ {
-					ref, ok := nd.RoutingEntry(row, col)
-					s += fmt.Sprint(row, col, ref, ok)
-				}
-			}
-		}
-		return s
-	}
-	base := snapshot(1)
-	for _, shards := range []int{2, 4} {
-		if snapshot(shards) != base {
-			t.Fatalf("analytic state differs at shards=%d", shards)
-		}
-	}
-}
-
 // TestQuarantineSlotReuse pins the AddNode failure path: a failed join
-// must release its reserved slot (endpoint, topology placement, shard
-// assignment) so the next arrival reuses it instead of leaking it —
+// must release its reserved slot (endpoint, topology placement) so the
+// next arrival reuses it instead of leaking it —
 // at 20k+ nodes under churn, leaked slots otherwise accumulate without
 // bound.
 func TestQuarantineSlotReuse(t *testing.T) {
@@ -196,30 +169,6 @@ func TestQuarantineSlotReuse(t *testing.T) {
 	}
 	if c.LiveCount() != 5 {
 		t.Fatalf("LiveCount=%d, want 5", c.LiveCount())
-	}
-}
-
-// TestShardCountIndependence pins what Build wires for every cluster: the
-// topology's regions and lookahead go to the simulator whatever the shard
-// count, so a protocol-built network — joins, probes, virtual time and
-// message counts — is identical at the default (zero, one shard inline),
-// at one shard and at several.
-func TestShardCountIndependence(t *testing.T) {
-	run := func(shards int) string {
-		c, recs := buildPair(t, 48, 17, false, shards)
-		s := fmt.Sprint("built: ", c.Net.Now(), c.Net.Messages(), "\n")
-		rng := rand.New(rand.NewSource(5))
-		for i := 0; i < 40; i++ {
-			d, ok := probeOnce(c, recs, rng.Intn(48), id.Rand(uint64(1000+i)), uint64(i))
-			s += fmt.Sprint(i, ok, d.NodeIndex, d.Routed.Hops, d.Routed.Distance, c.Net.Now(), c.Net.Messages(), "\n")
-		}
-		return s
-	}
-	base := run(0)
-	for _, shards := range []int{1, 3} {
-		if got := run(shards); got != base {
-			t.Fatalf("shards=%d differs from the default:\n--- default:\n%s--- shards=%d:\n%s", shards, base, shards, got)
-		}
 	}
 }
 

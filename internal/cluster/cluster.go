@@ -28,18 +28,8 @@ type Options struct {
 	// NodeID, when non-nil, overrides the identifier for node i
 	// (PAST harnesses derive ids from smartcards).
 	NodeID func(i int) id.Node
-	// Shards is the number of simulator shards (zero means one): nodes
-	// are partitioned by transit domain and one simulation uses up to
-	// Shards cores. Results are byte-identical for any value, so Shards
-	// only selects parallelism.
+	// Shards is read by nothing; the simulator has one event loop.
 	Shards int
-	// WindowWorkers overrides the simulator's persistent worker pool
-	// size (simnet.Config.Workers): zero picks
-	// min(GOMAXPROCS, shards), 1 forces sequential inline windows, and
-	// values above 1 force a pool even on one core (used by the
-	// determinism tests to exercise the phased barrier under -race).
-	// Results are byte-identical for any value.
-	WindowWorkers int
 	// Analytic skips the n sequential protocol joins and seeds routing
 	// tables, leaf sets, and neighborhood sets directly from the sorted
 	// id ring in O(n log n) total work (see analytic.go). State is
@@ -65,7 +55,7 @@ type Cluster struct {
 	probes bool              // EnableProbes was called; install on nodes added later too
 	joins  []*joinState      // asynchronous joins not yet resolved
 	// freeSlots holds quarantined cluster indices (failed joins whose
-	// endpoint, topology placement, and shard assignment are already
+	// endpoint and topology placement are already
 	// reserved); the next arrival reuses one instead of leaking it.
 	freeSlots []int
 }
@@ -84,19 +74,12 @@ func Build(opts Options) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: need at least one node")
 	}
 	topo := topology.New(opts.Seed)
-	// Shard by transit domain: the topology's latency bounds guarantee a
-	// floor between domains, which is exactly the lookahead the
-	// conservative scheduler needs — and it is placement- and
-	// shard-count-independent, so tables stay byte-identical at any shard
-	// count, the default of one included.
-	// More shards than transit domains would leave the extras permanently
-	// empty (shard = transit % Shards), so clamp.
+	// The window length sets where RunUntil can stop, when telemetry ticks
+	// and when the churn driver applies its events, so every cluster uses
+	// the same one: the topology's latency floor between transit domains.
 	net := simnet.New(simnet.Config{
 		Seed:      opts.Seed + 1,
-		Shards:    max(1, min(opts.Shards, topo.NumTransits())),
-		RegionOf:  topo.Transit,
 		Lookahead: topo.LookaheadBound(),
-		Workers:   opts.WindowWorkers,
 	}, topo.Distance)
 
 	c := &Cluster{
@@ -124,8 +107,8 @@ func Build(opts Options) (*Cluster, error) {
 
 // newNode constructs node i (topology slot, endpoint, pastry node, app)
 // without joining it. When i is a quarantined slot being reused, the
-// existing endpoint — already placed on the topology and assigned to its
-// shard — is restarted and rebound to a fresh pastry node; otherwise a new
+// existing endpoint — already placed on the topology — is restarted and
+// rebound to a fresh pastry node; otherwise a new
 // slot is appended.
 func (c *Cluster) newNode(i int) *pastry.Node {
 	reuse := i < len(c.Nodes)
@@ -145,8 +128,8 @@ func (c *Cluster) newNode(i int) *pastry.Node {
 	}
 	pcfg := c.Opts.Pastry
 	pcfg.Seed = c.Opts.Seed + int64(i)*7919
-	// Each node runs on its endpoint's clock so that its timers fire on
-	// (and are keyed by) the shard that owns it.
+	// Each node runs on its endpoint's clock so that its timers are keyed
+	// by its endpoint and die with it while it is crashed.
 	nd := pastry.New(pcfg, nid, ep, ep.Clock(), nil)
 	var app pastry.App
 	if c.Opts.AppFactory != nil {
@@ -180,7 +163,7 @@ func (c *Cluster) takeSlot() int {
 
 // quarantine takes a failed joiner off the network and releases its slot
 // for the next arrival. Before the free list existed every failed join
-// leaked its endpoint (and its shard slot) forever — harmless at hundreds
+// leaked its endpoint forever — harmless at hundreds
 // of nodes, fatal at 20k+ under churn.
 func (c *Cluster) quarantine(i int) {
 	if i >= len(c.Nodes) {
@@ -224,8 +207,7 @@ func (c *Cluster) addNode(i int) error {
 }
 
 // AddNode joins one brand-new node into a running cluster — the churn
-// engine's arrival path. The node is placed on the topology (and
-// assigned to the shard owning its transit domain), built through the
+// engine's arrival path. The node is placed on the topology, built through the
 // same Options the cluster was built with, and joined
 // via a proximally nearby live node. AddNode must only be called from
 // the coordinating goroutine between simulation runs (as all Cluster
@@ -515,8 +497,8 @@ func (c *Cluster) RunSettle(d time.Duration) { c.Net.RunFor(d) }
 // AttachTelemetry ticks rec at every window barrier of the simulator and
 // registers the cluster-level series: live_nodes (overlay membership as
 // churn sees it) and net_events (message deliveries per window). All
-// samples are pure reads taken at barriers, so the series inherit the
-// simulator's shard-count determinism. Call once per recorder, after
+// samples are pure reads taken at barriers, so the series are as
+// deterministic as the simulator. Call once per recorder, after
 // Build.
 func (c *Cluster) AttachTelemetry(rec *telemetry.Recorder) {
 	rec.Gauge("live_nodes", []string{"value"}, func(v []float64) { v[0] = float64(c.LiveCount()) })

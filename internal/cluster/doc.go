@@ -13,13 +13,10 @@
 // for transport-level failure detection), and deterministic randomness
 // shared by a whole experiment run.
 //
-// Every build wires simnet's conservative-window scheduler the same way:
-// nodes are partitioned by transit domain over Options.Shards shards (one
-// by default), the topology's latency floor between transit domains
-// becomes the scheduler's lookahead, and each node runs on its own
-// endpoint's clock so its timers fire on its shard. Results are
-// byte-identical for any shard count; see internal/simnet/shard.go for
-// the argument.
+// Every build wires simnet the same way: the topology's latency floor
+// between transit domains becomes the window length (the barrier period
+// at which RunUntil stops, telemetry ticks and churn applies), and each
+// node runs on its own endpoint's clock so its timers are keyed by it.
 //
 // BuildPAST (past.go) is the one builder of simulated PAST networks: the
 // deterministic broker and smartcard identities, one past.Node per

@@ -7,11 +7,12 @@ package experiments
 // receipt verification and storage audits — plus two correlated-stress
 // scenarios: a regional (transit-domain) outage and a flash crowd.
 //
-// All four are phase experiments. Adversarial
-// decisions are pure functions of (seed, node index) plus each node's
-// own traffic (package adversary), the coordinator draws from the
-// cluster RNG, and churn traces are pure functions of their seed, so
-// every table is byte-identical at any shard count.
+// All four are phase experiments; E18, E19 and E21 build one cluster per
+// row and run their rows at once. Adversarial decisions are pure
+// functions of (seed, node index) plus each node's own traffic (package
+// adversary), the driver draws from the cluster RNG, and churn traces
+// are pure functions of their seed, so every table is reproducible from
+// its seed.
 
 import (
 	"fmt"
@@ -123,8 +124,13 @@ func E18AdversarialLookups(scale Scale, seed int64) Result {
 		{adversary.Misrouter, 0.2}, {adversary.Misrouter, 0.3}, {adversary.Misrouter, 0.4},
 	}
 	tbl := &metrics.Table{Header: []string{"policy", "malicious", "success (no retry)", "hops", "success (retry)", "hops", "retries", "aborts"}}
-	var series strings.Builder
-	for _, r := range rows {
+	type point struct {
+		cells  []any
+		series strings.Builder
+	}
+	pts := make([]point, len(rows))
+	forEachPoint(len(rows), func(i int) {
+		r, pt := rows[i], &pts[i]
 		pc := mustPAST(n, seed, cfg, nil, nil)
 		ids := advPopulate(pc, files, "adv")
 		bad := adversary.Pick(seed+101, n, r.frac)
@@ -134,7 +140,7 @@ func E18AdversarialLookups(scale Scale, seed int64) Result {
 		honest := honestNodes(n, bad)
 		// One recorder per row; the defense phase flip shows up as a step
 		// in lookup_ok and the past series' lookup_retries deltas.
-		es := newExpSeries(pc, &series,
+		es := newExpSeries(pc, &pt.series,
 			[2]string{"exp", "E18"}, [2]string{"policy", r.policy.String()},
 			[2]string{"frac", fmt.Sprintf("%.2f", r.frac)}, [2]string{"scale", scale.String()})
 		// Phase 1: defenses off (the build config has LookupRetries=0).
@@ -151,10 +157,15 @@ func E18AdversarialLookups(scale Scale, seed int64) Result {
 			retries += st.LookupRetries
 			aborts += st.RouteAborts
 		}
-		tbl.AddRow(r.policy.String(), fmt.Sprintf("%.0f%%", r.frac*100),
+		pt.cells = []any{r.policy.String(), fmt.Sprintf("%.0f%%", r.frac*100),
 			frac(offOK, lookups), fmt.Sprintf("%.2f", offHops.Mean()),
 			frac(onOK, lookups), fmt.Sprintf("%.2f", onHops.Mean()),
-			retries, aborts)
+			retries, aborts}
+	})
+	var series strings.Builder
+	for i := range pts {
+		tbl.AddRow(pts[i].cells...)
+		series.WriteString(pts[i].series.String())
 	}
 	return Result{
 		ID:         "E18",
@@ -190,7 +201,9 @@ func E19ReceiptContainment(scale Scale, seed int64) Result {
 		{adversary.FreeRider, 0.1}, {adversary.FreeRider, 0.2},
 	}
 	tbl := &metrics.Table{Header: []string{"policy", "malicious", "inserts ok", "forged rcpts dropped", "diversion retries", "cheats flagged", "false alarms", "lookup success"}}
-	for _, r := range rows {
+	cells := make([][]any, len(rows))
+	forEachPoint(len(rows), func(ri int) {
+		r := rows[ri]
 		pc := mustPAST(n, seed, cfg, nil, nil)
 		bad := adversary.Pick(seed+201, n, r.frac)
 		isBad := make(map[int]bool, len(bad))
@@ -260,9 +273,12 @@ func E19ReceiptContainment(scale Scale, seed int64) Result {
 		if lookups > 0 {
 			lookOK, _ = advLookups(pc, honest, fileIDs, lookups, nil)
 		}
-		tbl.AddRow(r.policy.String(), fmt.Sprintf("%.0f%%", r.frac*100),
+		cells[ri] = []any{r.policy.String(), fmt.Sprintf("%.0f%%", r.frac*100),
 			fmt.Sprintf("%d/%d", insertsOK, files), forged, divRetries,
-			cheatsFlagged, falseAlarms, frac(lookOK, lookups))
+			cheatsFlagged, falseAlarms, frac(lookOK, lookups)}
+	})
+	for _, row := range cells {
+		tbl.AddRow(row...)
 	}
 	return Result{
 		ID:         "E19",
@@ -270,7 +286,7 @@ func E19ReceiptContainment(scale Scale, seed int64) Result {
 		PaperClaim: "store receipts prevent a malicious node from claiming storage it does not provide; smartcard signatures make forgeries detectable",
 		Table:      tbl,
 		Notes: []string{
-			"forgers are contained at insert time: batch verification drops their receipts, so the client diverts the file elsewhere",
+			"forgers are contained at insert time: receipts are verified as they arrive, so theirs are dropped and the client diverts the file elsewhere",
 			"free-riders sign honestly and are only exposed by the nonce content audit; reads survive on the k-1 honest replicas",
 		},
 	}
@@ -418,7 +434,10 @@ func E21FlashCrowd(scale Scale, seed int64) Result {
 		n, files, reqs = 120, 64, 960
 	}
 	tbl := &metrics.Table{Header: []string{"caching", "lookups", "success", "avg hops", "cache hits", "cache pushes", "top-node share"}}
-	for _, caching := range []bool{false, true} {
+	modes := []bool{false, true} // caching off, then on
+	rows := make([][]any, len(modes))
+	forEachPoint(len(modes), func(i int) {
+		caching := modes[i]
 		cfg := defaultPASTConfig()
 		cfg.Caching = caching
 		pc := mustPAST(n, seed, cfg, nil, nil)
@@ -447,8 +466,11 @@ func E21FlashCrowd(scale Scale, seed int64) Result {
 				maxServed = st.LookupsServed
 			}
 		}
-		tbl.AddRow(onOff(caching), reqs, frac(ok, reqs), fmt.Sprintf("%.2f", hops.Mean()),
-			frac(cached, ok), pushes, frac(maxServed, served))
+		rows[i] = []any{onOff(caching), reqs, frac(ok, reqs), fmt.Sprintf("%.2f", hops.Mean()),
+			frac(cached, ok), pushes, frac(maxServed, served)}
+	})
+	for _, row := range rows {
+		tbl.AddRow(row...)
 	}
 	return Result{
 		ID:         "E21",

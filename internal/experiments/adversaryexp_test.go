@@ -5,39 +5,6 @@ import (
 	"testing"
 )
 
-// TestShardedDeterminismAdversary asserts the adversarial experiments'
-// acceptance bar: E18-E21 — malicious-node fault injection, retrying
-// lookups with scattered routes, a transit-domain outage with async
-// joins, and a flash crowd — produce byte-identical tables at shards=1,
-// 2 and 4 for a fixed seed. Adversarial decisions derive from (seed,
-// node index) and per-endpoint streams only, so shard count must not
-// leak into any cell. Run under -race in CI.
-func TestShardedDeterminismAdversary(t *testing.T) {
-	defer func(old int) { Shards = old }(Shards)
-
-	for _, exp := range []string{"E18", "E19", "E20", "E21"} {
-		t.Run(exp, func(t *testing.T) {
-			var base string
-			for _, shards := range []int{1, 2, 4} {
-				Shards = shards
-				res, err := Run(exp, Small, 42)
-				if err != nil {
-					t.Fatalf("%s at shards=%d: %v", exp, shards, err)
-				}
-				got := render(res)
-				if shards == 1 {
-					base = got
-					continue
-				}
-				if got != base {
-					t.Fatalf("%s tables diverge between shards=1 and shards=%d:\n--- shards=1:\n%s\n--- shards=%d:\n%s",
-						exp, shards, base, shards, got)
-				}
-			}
-		})
-	}
-}
-
 // TestE18RetryAcceptance pins the E18 headline at the canonical
 // scale/seed: with 30% of nodes silently dropping lookup traffic,
 // retries with route diversity keep lookup success at or above 0.95,

@@ -2,9 +2,9 @@ package experiments
 
 // Churn experiments E15-E17: the paper's "Persistence" claim (section
 // 2.1) exercised under continuous membership change. All three are
-// phase experiments; the churn schedule itself comes from
-// internal/churn, whose traces are a pure function of their
-// seed, so tables stay byte-identical at any shard count.
+// phase experiments (E15 and E16 build one cluster per row and run their
+// rows at once); the churn schedule itself comes from internal/churn,
+// whose traces are a pure function of their seed.
 
 import (
 	"fmt"
@@ -118,9 +118,14 @@ func E15ChurnAvailability(scale Scale, seed int64) Result {
 	}
 	cfg := churnPASTConfig()
 	tbl := &metrics.Table{Header: []string{"arrivals/min", "arrived", "departed", "live at end", "lookups", "success", "avg hops"}}
-	var events uint64
-	var series strings.Builder
-	for _, rate := range rates {
+	type point struct {
+		cells  []any
+		events uint64
+		series strings.Builder
+	}
+	pts := make([]point, len(rates))
+	forEachPoint(len(rates), func(i int) {
+		rate, pt := rates[i], &pts[i]
 		cp := buildChurnPAST(n, seed, cfg, tier)
 		var ids []id.File
 		for f := 0; len(ids) < files && f < 2*files; f++ {
@@ -131,7 +136,7 @@ func E15ChurnAvailability(scale Scale, seed int64) Result {
 		}
 		// Telemetry attaches after population so the series opens on the
 		// steady state; the churn dip then stands out per window.
-		es := newExpSeries(cp, &series,
+		es := newExpSeries(cp, &pt.series,
 			[2]string{"exp", "E15"}, [2]string{"rate", fmt.Sprintf("%.2f", rate)},
 			[2]string{"scale", scale.String()})
 		if scale == Small || scale == Full {
@@ -158,10 +163,17 @@ func E15ChurnAvailability(scale Scale, seed int64) Result {
 			}
 		}
 		es.finish()
-		tbl.AddRow(fmt.Sprintf("%.0f", rate*Churn.RateScale*60),
-			d.Stats.Arrivals, d.Stats.Leaves+d.Stats.Crashes, cp.LiveCount(),
-			total, frac(ok, total), hops.Mean())
-		events += cp.Net.Messages()
+		pt.cells = []any{fmt.Sprintf("%.0f", rate*Churn.RateScale*60),
+			d.Stats.Arrivals, d.Stats.Leaves + d.Stats.Crashes, cp.LiveCount(),
+			total, frac(ok, total), hops.Mean()}
+		pt.events = cp.Net.Messages()
+	})
+	var events uint64
+	var series strings.Builder
+	for i := range pts {
+		tbl.AddRow(pts[i].cells...)
+		events += pts[i].events
+		series.WriteString(pts[i].series.String())
 	}
 	return Result{
 		ID:         "E15",
@@ -188,7 +200,10 @@ func E16MaintenanceBandwidth(scale Scale, seed int64) Result {
 		n, files, horizon = 160, 150, 120*time.Second
 	}
 	tbl := &metrics.Table{Header: []string{"scheme", "maint msgs", "maint KiB", "bodies", "offers", "requests", "files >= k"}}
-	for _, legacy := range []bool{false, true} {
+	schemes := []bool{false, true} // legacy push-all off, then on
+	rows := make([][]any, len(schemes))
+	forEachPoint(len(schemes), func(i int) {
+		legacy := schemes[i]
 		cfg := churnPASTConfig()
 		cfg.LegacyPushReplication = legacy
 		cp := buildChurnPAST(n, seed, cfg, nil)
@@ -224,9 +239,12 @@ func E16MaintenanceBandwidth(scale Scale, seed int64) Result {
 		if legacy {
 			scheme = "push-all (legacy)"
 		}
-		tbl.AddRow(scheme, agg.SyncOffers+agg.SyncRequests+agg.Replications, fmt.Sprintf("%.1f", float64(agg.MaintenanceBytes)/1024),
+		rows[i] = []any{scheme, agg.SyncOffers + agg.SyncRequests + agg.Replications, fmt.Sprintf("%.1f", float64(agg.MaintenanceBytes)/1024),
 			agg.Replications, agg.SyncOffers, agg.SyncRequests,
-			fmt.Sprintf("%d/%d", healthy, len(ids)))
+			fmt.Sprintf("%d/%d", healthy, len(ids))}
+	})
+	for _, row := range rows {
+		tbl.AddRow(row...)
 	}
 	return Result{
 		ID:         "E16",

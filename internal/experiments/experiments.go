@@ -151,11 +151,10 @@ func Run(idStr string, scale Scale, seed int64) (Result, error) {
 // Shared harness helpers
 
 // clusterOptions is how every experiment configures its simulated
-// network: the default overlay parameters and the package-level shard and
-// worker counts (which select parallelism only, never results), then the
-// experiment's own mutator.
+// network: the default overlay parameters, then the experiment's own
+// mutator.
 func clusterOptions(n int, seed int64, mut func(*cluster.Options)) cluster.Options {
-	opts := cluster.Options{N: n, Pastry: pastry.DefaultConfig(), Seed: seed, Shards: Shards, WindowWorkers: WindowWorkers}
+	opts := cluster.Options{N: n, Pastry: pastry.DefaultConfig(), Seed: seed}
 	if mut != nil {
 		mut(&opts)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -294,5 +295,38 @@ func TestE14DiversityNearIdeal(t *testing.T) {
 	// clustering would indicate nodeIds correlate with topology.
 	if distinctStubs < 4.0 {
 		t.Fatalf("replica sets span only %.2f distinct stubs", distinctStubs)
+	}
+}
+
+// TestAntiEntropySavesBandwidth pins E16's headline: at the same churn
+// rate, digest-based anti-entropy moves strictly fewer maintenance bytes
+// (and messages) than the legacy push-all baseline, while keeping as
+// many files at full replication.
+func TestAntiEntropySavesBandwidth(t *testing.T) {
+	res, err := Run("E16", Small, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Table.Rows) != 2 {
+		t.Fatalf("E16 rows = %d, want 2", len(res.Table.Rows))
+	}
+	parseKiB := func(row []string) float64 {
+		var v float64
+		if _, err := fmt.Sscanf(row[2], "%f", &v); err != nil {
+			t.Fatalf("bad maint KiB cell %q: %v", row[2], err)
+		}
+		return v
+	}
+	ae, legacy := parseKiB(res.Table.Rows[0]), parseKiB(res.Table.Rows[1])
+	if ae <= 0 || legacy <= 0 {
+		t.Fatalf("degenerate measurement: anti-entropy %.1f KiB, legacy %.1f KiB", ae, legacy)
+	}
+	if ae >= legacy {
+		t.Fatalf("anti-entropy used %.1f KiB, not below legacy push-all's %.1f KiB", ae, legacy)
+	}
+	// The savings must not come from skipping repairs: both schemes must
+	// end the run with the same number of fully replicated files.
+	if aeHealthy, legacyHealthy := res.Table.Rows[0][6], res.Table.Rows[1][6]; aeHealthy != legacyHealthy {
+		t.Fatalf("replication health diverges: anti-entropy %s vs legacy %s files >= k", aeHealthy, legacyHealthy)
 	}
 }

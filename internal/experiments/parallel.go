@@ -13,10 +13,10 @@ package experiments
 // sequential one regardless of how many cores execute it: determinism is
 // per (seed, point), not per schedule.
 //
-// Experiments that drive one long-lived cluster through phases (E2-E5,
-// E8, E9, E12-E21) cannot fan out across points; they instead rely on
-// simnet's shards, which parallelize inside the single simulation. See
-// sharded.go.
+// Experiments whose rows each build a fresh cluster (E15, E16, E18, E19,
+// E21) fan their rows out the same way. Experiments that drive one
+// long-lived cluster through phases (E2-E5, E8, E9, E12, E17, E20) run on
+// one core: a simulation has one event loop.
 
 import (
 	"runtime"
@@ -27,6 +27,9 @@ import (
 // It defaults to the number of usable CPUs; tests may lower it to 1 to
 // force sequential execution (results are identical either way).
 var MaxParallel = runtime.GOMAXPROCS(0)
+
+// Shards is read by nothing; the simulator has one event loop.
+var Shards = 1
 
 // forEachPoint runs job(0..n-1) concurrently, at most MaxParallel at a
 // time, and returns once all complete. Jobs must be independent: they

@@ -8,51 +8,38 @@ import (
 	"past/internal/telemetry"
 )
 
-// TestTelemetryShardDeterminism extends the sharded-engine acceptance
+// TestTelemetryShardDeterminism extends the parallel-engine acceptance
 // bar to the telemetry layer: the per-window series of a churn
-// experiment (E15) and an adversarial one (E18) must be byte-identical
-// in line protocol at shards=1, 2 and 4 — window barriers are the flush
-// points, and the window schedule is a function of cross-shard minima
-// only. Run under -race in CI, this also proves flush-time sampling
+// experiment (E15) and an adversarial one (E18) — one recorder per row,
+// rows run at once — must be byte-identical in line protocol whether the
+// rows run one at a time or four at a time, and must cover the series
+// catalogue. Run under -race in CI, this also proves flush-time sampling
 // races with nothing.
 func TestTelemetryShardDeterminism(t *testing.T) {
-	defer func(old int) { Shards = old }(Shards)
 	defer func(old bool) { CollectSeries = old }(CollectSeries)
 	CollectSeries = true
 
 	for _, exp := range []string{"E15", "E18"} {
 		t.Run(exp, func(t *testing.T) {
-			var base string
-			for _, shards := range []int{1, 2, 4} {
-				Shards = shards
-				res, err := Run(exp, Small, 42)
-				if err != nil {
-					t.Fatalf("%s at shards=%d: %v", exp, shards, err)
+			seq, par := parallelRuns(t, exp)
+			if seq.SeriesLP == "" {
+				t.Fatalf("%s: no series collected", exp)
+			}
+			pts, err := telemetry.ParseLP(strings.NewReader(seq.SeriesLP))
+			if err != nil {
+				t.Fatalf("series does not parse: %v", err)
+			}
+			seen := map[string]bool{}
+			for _, p := range pts {
+				seen[p.Name] = true
+			}
+			for _, want := range []string{"live_nodes", "net_events", "past", "lookups", "lookup_ok", "lookup_hops"} {
+				if !seen[want] {
+					t.Fatalf("%s series missing %q (have %v)", exp, want, seen)
 				}
-				if res.SeriesLP == "" {
-					t.Fatalf("%s at shards=%d: no series collected", exp, shards)
-				}
-				if shards == 1 {
-					base = res.SeriesLP
-					// The series must parse and cover the catalogue.
-					pts, err := telemetry.ParseLP(strings.NewReader(base))
-					if err != nil {
-						t.Fatalf("series does not parse: %v", err)
-					}
-					seen := map[string]bool{}
-					for _, p := range pts {
-						seen[p.Name] = true
-					}
-					for _, want := range []string{"live_nodes", "net_events", "past", "lookups", "lookup_ok", "lookup_hops"} {
-						if !seen[want] {
-							t.Fatalf("%s series missing %q (have %v)", exp, want, seen)
-						}
-					}
-					continue
-				}
-				if res.SeriesLP != base {
-					t.Fatalf("%s series diverge between shards=1 and shards=%d:\n%s", exp, shards, firstDiff(base, res.SeriesLP))
-				}
+			}
+			if par.SeriesLP != seq.SeriesLP {
+				t.Fatalf("%s series diverge between sequential and parallel rows:\n%s", exp, firstDiff(seq.SeriesLP, par.SeriesLP))
 			}
 		})
 	}

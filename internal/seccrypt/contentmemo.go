@@ -16,9 +16,9 @@ package seccrypt
 // the base pointer, which keeps the buffer alive; the map is swapped
 // out wholesale when the cap is reached, so at most ~contentMemoCap
 // stored bodies are pinned (they are almost always pinned by replica
-// stores anyway). A sync.Map keeps the hit path lock-free: the
-// simulator's shard workers verify concurrently, and a single global
-// mutex here would serialize them.
+// stores anyway). A sync.Map keeps the hit path lock-free: experiment
+// points run their clusters concurrently, and a single global mutex here
+// would serialize them.
 
 import (
 	"crypto/sha256"

@@ -1,27 +1,25 @@
 // Package simnet is a deterministic discrete-event network simulator.
 //
-// A Net owns a virtual clock and one or more event-loop shards. Each
-// simulated node gets an endpoint implementing transport.Transport;
-// message latency between endpoints comes from a topology proximity
-// metric. Fault injection covers silent node crashes, message loss,
-// per-node drop filters (for the malicious-node experiment of section
-// 2.2, "Fault-tolerance") and partition-style unreachability.
+// A Net owns a virtual clock and one event loop. Each simulated node gets
+// an endpoint implementing transport.Transport; message latency between
+// endpoints comes from a topology proximity metric. Fault injection covers
+// silent node crashes, message loss, per-node drop filters (for the
+// malicious-node experiment of section 2.2, "Fault-tolerance") and
+// partition-style unreachability.
 //
-// Endpoints are partitioned into per-region shards (Config.RegionOf) and
-// driven by a conservative event-window scheduler (see shard.go). With
-// one shard — the default — every window runs inline on the goroutine
-// that calls Step/RunFor/RunUntil/RunUntilIdle; with more, one large
-// simulation uses several cores. Event ordering, tiebreaks and randomness
-// are all derived per endpoint rather than from global scheduling order,
-// so a run is exactly reproducible from its seed and byte-identical at
-// ANY shard count.
+// The loop runs on the goroutine that calls Step/RunFor/RunUntil/
+// RunUntilIdle and advances in windows of Config.Lookahead (see
+// windowStep): RunUntil checks its condition, and the barrier hook runs,
+// only at window ends. Same-time events are ordered by their creating
+// endpoint and its own counter, and jitter and loss draw from per-endpoint
+// streams, so a run is exactly reproducible from its seed.
 package simnet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
-	"sync"
 	"time"
 
 	"past/internal/transport"
@@ -36,32 +34,11 @@ type Config struct {
 	DropProb float64
 	// JitterFrac scales latency jitter: actual = d * (1 + U[0,JitterFrac)).
 	JitterFrac float64
-
-	// Shards is the number of event-loop shards; zero means one. Results
-	// are byte-identical for any value (given the same Lookahead), so it
-	// only chooses how many cores one simulation may use.
-	Shards int
-	// RegionOf maps an endpoint index to its topological region (for
-	// cluster networks, the transit domain). Endpoints are assigned to
-	// shard RegionOf(i) % Shards, so endpoints in different shards are
-	// always in different regions. Nil places every endpoint in region 0
-	// (a single populated shard). Consulted at NewEndpoint time.
-	RegionOf func(i int) int
-	// Lookahead is the length of the conservative event window (see
-	// shard.go). With more than one shard it is required and must be a
-	// strictly positive lower bound on the delivery latency between any
-	// two endpoints in different regions. One shard needs no safety bound,
-	// so zero then means defaultLookahead. For results that are identical
-	// across shard counts it must be derived from shard-count-independent
-	// data (e.g. topology latency bounds).
+	// Lookahead is the barrier period: each window runs the events before
+	// its first event's time plus Lookahead, then ends at a barrier where
+	// RunUntil checks its condition and the barrier hook runs. Zero means
+	// defaultLookahead. Results depend on it, because those stop points do.
 	Lookahead time.Duration
-	// Workers sizes the persistent window-worker pool (see shard.go).
-	// Zero picks min(GOMAXPROCS, Shards); 1 forces sequential inline
-	// window execution (what a single-core host gets anyway); higher
-	// values force a pool even on one core, which the determinism tests
-	// use to exercise the cross-goroutine handoff under -race. Results
-	// are byte-identical for any value.
-	Workers int
 }
 
 // Distance tells the simulator the proximity between two endpoints,
@@ -70,39 +47,33 @@ type Distance func(a, b int) float64
 
 // Net is a simulated network.
 type Net struct {
-	cfg    Config
-	now    time.Duration
-	netSeq uint64 // sequence counter for source-0 (net-level) events
-	shards []*shard
-	// busyScratch is windowStep's reusable list of shards with work in the
-	// current window (coordinator-only).
-	busyScratch []*shard
-	// pool is the persistent window-worker set of the current run
-	// session; poolDepth refcounts nested run loops (see shard.go).
-	pool      *windowPool
-	poolDepth int
-	running   bool // a window is executing on several goroutines: cross-shard sends park in inboxes
-	eps       []*Endpoint
-	dist      Distance
-	traceMu   sync.Mutex
-	// TraceFn, if set, observes every delivered message. Calls are
-	// serialized by a mutex, but with more than one shard their
-	// interleaving ACROSS shards depends on scheduling; per-endpoint
-	// observation order is still deterministic.
+	cfg Config
+	// now is the time of the last window barrier; clock is the time of the
+	// event being executed, which runs ahead of now inside a window.
+	now, clock time.Duration
+	netSeq     uint64 // sequence counter for source-0 (net-level) events
+	events     eventHeap
+	free       []*event    // recycled events
+	freeTimers []*simTimer // recycled timer handles (see simTimer.Release)
+	msgCount   uint64
+	byKind     map[string]uint64
+	eps        []*Endpoint
+	dist       Distance
+	// TraceFn, if set, observes every delivered message.
 	TraceFn func(at time.Duration, from, to string, m wire.Msg)
-	// barrierHook, if set, runs on the coordinator at the end of every
-	// conservative window (all shards quiescent, n.now = the new barrier
-	// time) and after deadline jumps in RunFor. The window schedule is a
-	// function of cross-shard minima, so hook times — and anything the
-	// hook samples — are identical at any shard/worker count. Telemetry
+	// barrierHook, if set, runs at the end of every window (n.now = the
+	// new barrier time) and after deadline jumps in RunFor. Telemetry
 	// recorders tick from here.
 	barrierHook func(now time.Duration)
 }
 
-// defaultLookahead is the window length of a single-shard Net whose
-// Config leaves Lookahead zero: the default unit distance, so a window
-// there holds the events of one message hop.
+// defaultLookahead is the window length of a Net whose Config leaves
+// Lookahead zero: the default unit distance, so a window there holds the
+// events of one message hop.
 const defaultLookahead = time.Millisecond
+
+// forever caps nothing: windows are bounded only by event supply.
+const forever = time.Duration(math.MaxInt64)
 
 // New creates a simulated network whose latency comes from dist (nil
 // means 1 ms between any two endpoints).
@@ -110,19 +81,10 @@ func New(cfg Config, dist Distance) *Net {
 	if dist == nil {
 		dist = func(a, b int) float64 { return 1 }
 	}
-	cfg.Shards = max(1, cfg.Shards)
 	if cfg.Lookahead <= 0 {
-		if cfg.Shards > 1 {
-			panic("simnet: more than one shard requires Config.Lookahead > 0")
-		}
 		cfg.Lookahead = defaultLookahead
 	}
-	n := &Net{cfg: cfg, dist: dist}
-	n.shards = make([]*shard, cfg.Shards)
-	for i := range n.shards {
-		n.shards[i] = &shard{net: n, byKind: make(map[string]uint64)}
-	}
-	return n
+	return &Net{cfg: cfg, dist: dist, byKind: make(map[string]uint64)}
 }
 
 // Addr formats the simulator address of endpoint index i.
@@ -144,61 +106,45 @@ func Index(addr string) (int, error) {
 
 // NewEndpoint creates the next endpoint. Endpoints are identified by dense
 // indices that must correspond to the node indices used by the Distance
-// function. The endpoint's region — and through it, its shard — is fixed
-// here, so RegionOf must already know index i.
+// function.
 func (n *Net) NewEndpoint() *Endpoint {
 	idx := len(n.eps)
-	s := n.shards[0]
-	if n.cfg.RegionOf != nil {
-		s = n.shards[n.cfg.RegionOf(idx)%len(n.shards)]
-	}
-	ep := &Endpoint{net: n, shard: s, idx: idx, addr: Addr(idx), up: true}
+	ep := &Endpoint{net: n, idx: idx, addr: Addr(idx), up: true}
 	n.eps = append(n.eps, ep)
 	return ep
 }
 
 // Now returns the current virtual time: the time of the last window
-// barrier. Per-endpoint clocks are ahead of it while a window executes,
-// so node code reads its endpoint's Clock instead.
+// barrier. Event clocks are ahead of it while a window executes, so node
+// code reads its endpoint's Clock instead.
 func (n *Net) Now() time.Duration { return n.now }
 
-// SetBarrierHook installs fn to run on the coordinator at every window
-// barrier (and after RunFor deadline jumps). fn must only read network
-// state; set nil to detach. Not safe to call while a run is in progress.
+// SetBarrierHook installs fn to run at every window barrier (and after
+// RunFor deadline jumps). fn must only read network state; set nil to
+// detach. Not safe to call while a run is in progress.
 func (n *Net) SetBarrierHook(fn func(now time.Duration)) { n.barrierHook = fn }
 
 // Messages returns the total number of messages delivered so far.
-func (n *Net) Messages() uint64 {
-	var total uint64
-	for _, s := range n.shards {
-		total += s.msgCount
-	}
-	return total
-}
+func (n *Net) Messages() uint64 { return n.msgCount }
 
 // MessagesByKind returns a copy of the per-kind delivery counters.
 func (n *Net) MessagesByKind() map[string]uint64 {
-	out := make(map[string]uint64)
-	for _, s := range n.shards {
-		for k, v := range s.byKind {
-			out[k] += v
-		}
+	out := make(map[string]uint64, len(n.byKind))
+	for k, v := range n.byKind {
+		out[k] = v
 	}
 	return out
 }
 
 // ResetCounters zeroes the message counters (topology and time are kept).
 func (n *Net) ResetCounters() {
-	for _, s := range n.shards {
-		s.msgCount = 0
-		s.byKind = make(map[string]uint64)
-	}
+	n.msgCount = 0
+	n.byKind = make(map[string]uint64)
 }
 
 // stamp keys a freshly allocated event with its ordering tiebreak:
 // same-time events are ordered by (creating endpoint, per-endpoint
-// counter), so the order is independent of which shard — and therefore
-// which schedule — created them.
+// counter).
 func (e *Endpoint) stamp(ev *event) {
 	ev.src = int32(e.idx) + 1
 	ev.seq = e.seq
@@ -206,36 +152,34 @@ func (e *Endpoint) stamp(ev *event) {
 }
 
 // AfterFunc implements clock scheduling on the virtual timeline at net
-// level (source 0, shard 0). With more than one shard it must only be
-// called between runs (from the coordinating goroutine); node code should
-// use its endpoint's Clock instead.
+// level (source 0). Node code should use its endpoint's Clock instead, so
+// that its timers are suppressed while it is crashed.
 func (n *Net) AfterFunc(d time.Duration, f func()) transport.Timer {
-	s := n.shards[0]
-	ev := s.newEvent(s.now + d)
+	ev := n.newEvent(n.clock + d)
 	ev.src = 0
 	ev.seq = n.netSeq
 	n.netSeq++
 	ev.fn = f
-	s.events.push(ev)
-	return s.newTimerHandle(ev)
+	n.events.push(ev)
+	return n.newTimerHandle(ev)
 }
 
-// Clock returns the net-level virtual clock: shard 0's timeline (see
-// AfterFunc for the caveat with more than one shard).
+// Clock returns the net-level virtual clock: the event time, like every
+// endpoint's clock.
 func (n *Net) Clock() transport.Clock { return simClock{n} }
 
 type simClock struct{ n *Net }
 
-func (c simClock) Now() time.Duration { return c.n.shards[0].now }
+func (c simClock) Now() time.Duration { return c.n.clock }
 func (c simClock) AfterFunc(d time.Duration, f func()) transport.Timer {
 	return c.n.AfterFunc(d, f)
 }
 
 // simTimer is a pooled handle onto a pooled event. The generation
 // snapshot keeps Stop safe after the event has fired and been recycled;
-// Release returns the handle itself to its shard's pool.
+// Release returns the handle itself to the Net's pool.
 type simTimer struct {
-	s        *shard
+	n        *Net
 	ev       *event
 	gen      uint64
 	released bool
@@ -251,22 +195,21 @@ func (t *simTimer) Stop() bool {
 	return true
 }
 
-// Release returns the handle to its shard's pool for reuse by a later
+// Release returns the handle to the Net's pool for reuse by a later
 // AfterFunc, the way processed events return to the event pool. It does
 // NOT cancel a still-pending timer. After Release the handle must not be
-// touched again; Release must only be called from the owning node's
-// handlers or between runs.
+// touched again.
 func (t *simTimer) Release() {
 	if t.released {
 		return
 	}
 	t.released = true
 	t.ev = nil
-	t.s.freeTimers = append(t.s.freeTimers, t)
+	t.n.freeTimers = append(t.n.freeTimers, t)
 }
 
-// Step executes the next conservative window. It reports false when no
-// event is pending.
+// Step executes the next window. It reports false when no event is
+// pending.
 func (n *Net) Step() bool {
 	_, more := n.windowStep(forever)
 	return more
@@ -275,8 +218,6 @@ func (n *Net) Step() bool {
 // RunUntilIdle processes events until none remain. Protocols with periodic
 // timers never go idle; use RunFor for those.
 func (n *Net) RunUntilIdle() {
-	n.acquireWorkers()
-	defer n.releaseWorkers()
 	for n.Step() {
 	}
 }
@@ -285,14 +226,13 @@ func (n *Net) RunUntilIdle() {
 // scheduled at later times remain queued.
 func (n *Net) RunFor(d time.Duration) {
 	deadline := n.now + d
-	n.acquireWorkers()
-	defer n.releaseWorkers()
 	for {
 		if _, more := n.windowStep(deadline); !more {
 			break
 		}
 	}
-	n.advanceAll(deadline)
+	n.clock = max(n.clock, deadline)
+	n.now = max(n.now, deadline)
 	if n.barrierHook != nil {
 		n.barrierHook(n.now)
 	}
@@ -300,15 +240,11 @@ func (n *Net) RunFor(d time.Duration) {
 
 // RunUntil processes events while cond stays false, up to a safety cap of
 // maxEvents. It reports whether cond became true. cond is evaluated at
-// window barriers (where all shards are quiescent), so the points at
-// which it can stop — like everything else — are independent of the shard
-// count.
+// window barriers only.
 func (n *Net) RunUntil(cond func() bool, maxEvents int) bool {
 	if cond() {
 		return true
 	}
-	n.acquireWorkers()
-	defer n.releaseWorkers()
 	var total uint64
 	for {
 		processed, more := n.windowStep(forever)
@@ -320,6 +256,81 @@ func (n *Net) RunUntil(cond func() bool, maxEvents int) bool {
 			return false
 		}
 	}
+}
+
+// windowStep runs one window, bounded by limit (a RunFor deadline, or
+// forever): the events before horizon = (earliest pending event) +
+// Lookahead, or up to and including limit when that comes first. It then
+// moves both clocks to the horizon and runs the barrier hook. It reports
+// the number of events processed and whether there was anything at all to
+// do before the limit.
+func (n *Net) windowStep(limit time.Duration) (processed uint64, more bool) {
+	if n.events.Len() == 0 || n.events.peek().at > limit {
+		return 0, false
+	}
+	mn := n.events.peek().at
+	horizon := mn + n.cfg.Lookahead
+	inclusive := false
+	if horizon < mn || horizon > limit { // "< mn" guards addition overflow
+		horizon = limit
+		inclusive = true
+	}
+	for n.events.Len() > 0 {
+		next := n.events.peek()
+		if next.at > horizon || (!inclusive && next.at == horizon) {
+			break
+		}
+		ev := n.events.pop()
+		if ev.cancelled {
+			n.release(ev)
+			continue
+		}
+		n.exec(ev)
+		processed++
+	}
+	n.clock = horizon
+	n.now = horizon
+	if n.barrierHook != nil {
+		n.barrierHook(horizon)
+	}
+	return processed, true
+}
+
+// exec executes one popped, live event: advances the event clock and
+// dispatches to message delivery or the timer callback. The event is
+// released BEFORE its payload runs so that a stale Stop from inside the
+// callback is a no-op on the recycled slot (generation check).
+func (n *Net) exec(ev *event) {
+	n.clock = ev.at
+	if ev.target != nil {
+		target, from, m := ev.target, ev.from, ev.msg
+		n.release(ev)
+		n.deliver(target, from, m)
+	} else {
+		fn, owner := ev.fn, ev.owner
+		n.release(ev)
+		// Timers scheduled through a crashed endpoint's clock are consumed
+		// without firing: a silently-failed node must not run app callbacks.
+		// Net-level timers (owner == nil) always fire.
+		if owner != nil && !owner.Up() {
+			return
+		}
+		fn()
+	}
+}
+
+// deliver hands a message to its endpoint, honoring crash state and
+// counters.
+func (n *Net) deliver(target *Endpoint, from string, m wire.Msg) {
+	if !target.Up() || target.handler == nil {
+		return
+	}
+	n.msgCount++
+	n.byKind[m.Kind()]++
+	if n.TraceFn != nil {
+		n.TraceFn(n.clock, from, target.addr, m)
+	}
+	target.handler(from, m)
 }
 
 // Latency returns the (jittered) delivery latency between endpoints,
@@ -345,15 +356,12 @@ type DropFilter func(to string, m wire.Msg) bool
 // destination and/or payload. Used to model malicious nodes that
 // misroute traffic to a wrong-but-plausible next hop, or that tamper
 // with messages in flight. Returning the inputs unchanged forwards the
-// message normally. The filter runs on the sending endpoint's shard and
-// must only consult the sender's own state (its node, its private RNG),
-// never cross-shard state, to preserve determinism at any shard count.
+// message normally.
 type RewriteFilter func(to string, m wire.Msg) (string, wire.Msg)
 
 // Endpoint implements transport.Transport inside a Net.
 type Endpoint struct {
 	net     *Net
-	shard   *shard
 	idx     int
 	addr    string // precomputed Addr(idx); avoids formatting per Send
 	handler transport.Handler
@@ -366,7 +374,7 @@ type Endpoint struct {
 	// seq counts events created by this endpoint (the same-time ordering
 	// key); rng is its private jitter/loss stream, created on first use.
 	// Both make the endpoint's observable behaviour a function of its own
-	// delivery history only, never of cross-shard scheduling.
+	// delivery history only.
 	seq uint64
 	rng *rand.Rand
 }
@@ -406,25 +414,24 @@ func (e *Endpoint) rand() *rand.Rand {
 	return e.rng
 }
 
-// Clock returns a clock that schedules onto this endpoint's shard. Node
-// code must use its own endpoint's clock (package cluster does): timers
-// then fire on the shard that owns the node, their ordering keys come
-// from the endpoint itself, and they are suppressed while it is crashed.
+// Clock returns a clock whose timers carry this endpoint's ordering keys
+// and are suppressed while it is crashed. Node code uses its own
+// endpoint's clock (package cluster does).
 func (e *Endpoint) Clock() transport.Clock { return epClock{e} }
 
 type epClock struct{ e *Endpoint }
 
-func (c epClock) Now() time.Duration { return c.e.shard.now }
+func (c epClock) Now() time.Duration { return c.e.net.clock }
 
 func (c epClock) AfterFunc(d time.Duration, f func()) transport.Timer {
 	e := c.e
-	s := e.shard
-	ev := s.newEvent(s.now + d)
+	n := e.net
+	ev := n.newEvent(n.clock + d)
 	e.stamp(ev)
 	ev.fn = f
 	ev.owner = e
-	s.events.push(ev)
-	return s.newTimerHandle(ev)
+	n.events.push(ev)
+	return n.newTimerHandle(ev)
 }
 
 // Send implements transport.Transport.
@@ -462,21 +469,12 @@ func (e *Endpoint) Send(to string, m wire.Msg) error {
 	if n.cfg.DropProb > 0 && rng.Float64() < n.cfg.DropProb {
 		return nil
 	}
-	target := n.eps[dst]
-	// The event is drawn from the SENDER's shard pool (the shard running
-	// this handler owns that pool) and keyed by the sender, then routed to
-	// the TARGET's shard for delivery.
-	ev := e.shard.newEvent(e.shard.now + n.latency(e.idx, dst, rng))
+	ev := n.newEvent(n.clock + n.latency(e.idx, dst, rng))
 	e.stamp(ev)
-	ev.target = target
+	ev.target = n.eps[dst]
 	ev.from = e.addr
 	ev.msg = m
-	ts := target.shard
-	if ts == e.shard || !n.running {
-		ts.events.push(ev)
-	} else {
-		ts.pushInbox(ev)
-	}
+	n.events.push(ev)
 	return nil
 }
 
@@ -500,10 +498,10 @@ func (e *Endpoint) Close() error {
 // Event heap
 
 // event is one scheduled occurrence: either a timer callback (fn set) or
-// a message delivery (target set). Events are pooled per shard; gen
-// counts recycles so stale timer handles cannot cancel a reused slot.
-// (src, seq) is the same-timestamp tiebreak: (creating endpoint + 1,
-// per-endpoint counter), or (0, net-level counter) for Net.AfterFunc.
+// a message delivery (target set). Events are pooled; gen counts recycles
+// so stale timer handles cannot cancel a reused slot. (src, seq) is the
+// same-timestamp tiebreak: (creating endpoint + 1, per-endpoint counter),
+// or (0, net-level counter) for Net.AfterFunc.
 type event struct {
 	at        time.Duration
 	src       int32
@@ -515,6 +513,53 @@ type event struct {
 	msg       wire.Msg
 	cancelled bool
 	gen       uint64
+}
+
+// newEvent takes an event from the free list (or allocates one), at time
+// at but never before the event clock.
+func (n *Net) newEvent(at time.Duration) *event {
+	var ev *event
+	if k := len(n.free); k > 0 {
+		ev = n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
+	} else {
+		ev = &event{}
+	}
+	ev.at = max(at, n.clock)
+	return ev
+}
+
+// release returns a processed or cancelled event to the free list. The
+// generation bump invalidates any simTimer still holding the event, so a
+// late Stop on a fired timer is a harmless no-op instead of cancelling
+// whatever the slot was recycled into.
+func (n *Net) release(ev *event) {
+	ev.gen++
+	ev.fn = nil
+	ev.owner = nil
+	ev.target = nil
+	ev.msg = nil
+	ev.from = ""
+	ev.cancelled = false
+	n.free = append(n.free, ev)
+}
+
+// newTimerHandle wraps a pending event in a (pooled) cancellation handle.
+func (n *Net) newTimerHandle(ev *event) *simTimer {
+	var t *simTimer
+	if k := len(n.freeTimers); k > 0 {
+		t = n.freeTimers[k-1]
+		n.freeTimers[k-1] = nil
+		n.freeTimers = n.freeTimers[:k-1]
+	} else {
+		t = &simTimer{}
+	}
+	t.n = n
+	t.ev = ev
+	t.gen = ev.gen
+	t.released = false
+	return t
 }
 
 // eventHeap is a typed binary min-heap ordered by (at, src, seq).

@@ -199,8 +199,33 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestTimerReleaseRecycles verifies that released timer handles are
+// reused rather than reallocated, and that Release does not cancel a
+// pending timer.
+func TestTimerReleaseRecycles(t *testing.T) {
+	n := New(Config{Seed: 1}, nil)
+	fired := 0
+	tm := n.AfterFunc(time.Millisecond, func() { fired++ })
+	tm.Release() // release without Stop: timer must still fire
+	tm2 := n.AfterFunc(2*time.Millisecond, func() { fired++ })
+	if tm2 != tm {
+		t.Fatal("released handle was not recycled")
+	}
+	n.RunUntilIdle()
+	if fired != 2 {
+		t.Fatalf("fired = %d, want 2 (Release must not cancel)", fired)
+	}
+	tm2.Release()
+	tm2.Release() // double Release is a no-op, not a double free
+	tm3 := n.AfterFunc(time.Millisecond, func() {})
+	tm4 := n.AfterFunc(time.Millisecond, func() {})
+	if tm3 == tm4 {
+		t.Fatal("double Release handed the same handle out twice")
+	}
+}
+
 // TestZeroConfig drives a Net built from the zero Config with no distance
-// function — one shard, default window — through each run loop.
+// function — default window — through each run loop.
 func TestZeroConfig(t *testing.T) {
 	n := New(Config{}, nil)
 	if n.Step() {

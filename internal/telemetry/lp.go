@@ -6,7 +6,7 @@
 // Tags are emitted sorted by key and values use strconv's shortest
 // round-trippable float form, so identical recorder state always yields
 // byte-identical output — the property TestTelemetryShardDeterminism
-// pins across shard counts.
+// pins across experiment parallelism settings.
 package telemetry
 
 import (

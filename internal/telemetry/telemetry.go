@@ -6,9 +6,8 @@
 // Determinism: the Recorder never reads a wall clock or draws random
 // numbers. Window boundaries lie on a fixed grid (multiples of
 // Config.Window) and callers supply the clock — the simulator ticks the
-// recorder at window barriers (where every shard is quiescent), so the
-// flushed series depend only on the virtual schedule, which is identical
-// at any shard/worker count. The daemon ticks from a periodic tasks job
+// recorder at window barriers, so the flushed series depend only on the
+// virtual schedule. The daemon ticks from a periodic tasks job
 // with time-since-start and stamps real time via Config.EpochNs.
 //
 // Three series kinds: Gauge samples current values, Counts turns

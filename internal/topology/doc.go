@@ -16,9 +16,7 @@
 // transit domains), which this construction preserves. See
 // ARCHITECTURE.md ("Topology and locality").
 //
-// The hierarchy also gives the simulator its sharding structure: Transit
-// partitions nodes into regions, and LookaheadBound turns the minimum
-// cross-transit latency into the conservative scheduler's event window
-// (see internal/simnet/shard.go). Both follow from the package's constants
-// and the seed, never from placement, so they cannot vary with shard count.
+// LookaheadBound turns the minimum cross-transit latency into the
+// simulator's window length. It follows from the package's constants
+// alone, never from placement.
 package topology

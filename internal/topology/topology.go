@@ -56,9 +56,6 @@ func New(seed int64) *Topology {
 	return t
 }
 
-// NumTransits returns the number of transit domains.
-func (t *Topology) NumTransits() int { return len(t.transit) }
-
 // NumStubs returns the number of stub domains.
 func (t *Topology) NumStubs() int { return len(t.uplink) }
 
@@ -86,17 +83,14 @@ func (t *Topology) PlaceAt(stub int) int {
 // Stub returns the stub domain of node i.
 func (t *Topology) Stub(i int) int { return t.nodeStub[i] }
 
-// Transit returns the transit domain of node i. The simulator
-// partitions nodes into shards by transit domain, because the
-// latency bounds guarantee a floor between nodes in different
-// transit domains (see LookaheadBound).
+// Transit returns the transit domain of node i.
 func (t *Topology) Transit(i int) int { return t.stubOf[t.nodeStub[i]] }
 
 // LookaheadBound returns a lower bound on the delivery latency between
 // any two end nodes in DIFFERENT transit domains: two intra-stub hops,
 // two uplinks and one transit link at their minimums. It is a constant —
-// it never depends on node placement — so it is identical at any shard
-// count, which the simulator's determinism guarantee requires.
+// it never depends on node placement — and clusters use it as the
+// simulator's window length.
 func (t *Topology) LookaheadBound() time.Duration {
 	return time.Duration((transitMin + 2*uplinkMin + 2*stubMin) * float64(time.Millisecond))
 }

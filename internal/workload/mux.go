@@ -8,8 +8,7 @@ import "past/internal/id"
 // Clients are purely logical: every quantity (which client issues request
 // t, which overlay node it enters at, which key it touches) is computed
 // by hashing, so a million-user workload costs 16 bytes regardless of
-// population, and two runs with the same seed replay identically at any
-// shard count.
+// population, and two runs with the same seed replay identically.
 type ClientMux struct {
 	// Population is the number of logical clients.
 	Population int64
