@@ -11,6 +11,7 @@ import (
 
 	"past"
 	"past/internal/chaos"
+	"past/internal/storage"
 )
 
 // Partition+heal scenario parameters.
@@ -58,8 +59,9 @@ func chaosExtraArgs(proxyAddr string, failTimeout time.Duration) []string {
 	}
 }
 
-// CorruptEntries scans pastnode data directories for quarantined
-// (".corrupt") entries — the post-chaos corruption check expects none.
+// CorruptEntries names what is corrupt in pastnode data directories: a
+// quarantine file a boot wrote, and a log whose read-only replay finds
+// corrupt records mid-log. The post-chaos corruption check expects none.
 func CorruptEntries(dirs map[string]string) ([]string, error) {
 	var out []string
 	for _, dir := range dirs {
@@ -71,6 +73,13 @@ func CorruptEntries(dirs map[string]string) ([]string, error) {
 			if strings.HasSuffix(e.Name(), ".corrupt") {
 				out = append(out, filepath.Join(dir, e.Name()))
 			}
+		}
+		_, rep, err := storage.LiveFiles(dir)
+		if err != nil {
+			return nil, err
+		}
+		if rep.Quarantined > 0 {
+			out = append(out, fmt.Sprintf("%s: %d corrupt records in the log", dir, rep.Quarantined))
 		}
 	}
 	return out, nil

@@ -3,10 +3,10 @@ package harness
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
+
+	"past/internal/storage"
 )
 
 // Outcome is the structural result of running a Spec against one stack
@@ -97,24 +97,20 @@ func CheckKReplica(holders map[string][]string, k int) error {
 	return nil
 }
 
-// DiskHolders scans pastnode data directories and maps each fileId to the
-// sorted holder identifiers (one per directory storing its record: the
-// entry named by the bare fileId — temp and quarantined files carry an
-// extension). It is the on-disk ground truth the receipts are checked
-// against, and what the crash-recovery test polls while anti-entropy
-// restores the invariant.
+// DiskHolders replays pastnode data directories' logs read-only and maps
+// each fileId to the sorted holder identifiers (one per directory whose
+// log replays to a record of it). It is the on-disk ground truth the
+// receipts are checked against, and what the crash-recovery test polls
+// while anti-entropy restores the invariant.
 func DiskHolders(dirs map[string]string) (map[string][]string, error) {
 	holders := make(map[string][]string)
 	for holder, dir := range dirs {
-		entries, err := os.ReadDir(dir)
+		files, _, err := storage.LiveFiles(dir)
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range entries {
-			if filepath.Ext(e.Name()) != "" {
-				continue
-			}
-			holders[e.Name()] = append(holders[e.Name()], holder)
+		for _, f := range files {
+			holders[f.String()] = append(holders[f.String()], holder)
 		}
 	}
 	for f := range holders {

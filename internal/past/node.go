@@ -21,8 +21,8 @@ type Node struct {
 	brokerPub ed25519.PublicKey
 	store     *storage.Store
 	cache     *storage.Cache
-	// disk, when set via UseDisk, persists every replica mutation; store
-	// remains the in-memory index over the on-disk set.
+	// disk, when set via UseDisk, persists every replica and pointer
+	// mutation; store remains the in-memory index over the on-disk set.
 	disk *storage.DiskStore
 
 	// mischief, when set, makes this node cheat on storage (experiment
@@ -121,9 +121,9 @@ func NewNode(cfg Config, pn *pastry.Node, card *seccrypt.Smartcard, brokerPub ed
 
 // UseDisk makes ds the node's replica store: lookups and capacity
 // accounting run against ds.Mem() (already populated by crash recovery),
-// and every replica store/delete goes through the disk first so a restart
-// finds them again. Must be called before the node handles traffic —
-// right after NewNode, before Bootstrap/Join.
+// and every replica and diversion-pointer store/delete goes through the
+// disk so a restart finds them again. Must be called before the node
+// handles traffic — right after NewNode, before Bootstrap/Join.
 func (n *Node) UseDisk(ds *storage.DiskStore) {
 	n.disk = ds
 	n.store = ds.Mem()
@@ -145,6 +145,27 @@ func (n *Node) deleteStore(f id.File) (int64, error) {
 		return n.disk.Delete(f)
 	}
 	return n.store.Delete(f)
+}
+
+// setPointer records a diversion pointer through the persistent tier when
+// configured. A pointer the disk cannot take is not kept: the lookup falls
+// back to routing, as for a pointer lost with its node.
+func (n *Node) setPointer(f id.File, holder wire.NodeRef) {
+	if n.disk != nil {
+		n.disk.SetPointer(f, holder) //nolint:errcheck // see above
+		return
+	}
+	n.store.SetPointer(f, holder)
+}
+
+// deletePointer removes a diversion pointer through the persistent tier
+// when configured.
+func (n *Node) deletePointer(f id.File) {
+	if n.disk != nil {
+		n.disk.DeletePointer(f) //nolint:errcheck // the pointer stays, and a reclaim is weak anyway (section 1)
+		return
+	}
+	n.store.DeletePointer(f)
 }
 
 // Pastry returns the underlying overlay node.
@@ -643,7 +664,7 @@ func (n *Node) handleStoreReceipt(m wire.StoreReceipt) {
 		// We are the primary: the diverted replica found a home; keep the
 		// pointer and close the diversion op.
 		if seccrypt.VerifyStoreReceipt(&m) == nil {
-			n.store.SetPointer(m.FileID, m.StoredBy)
+			n.setPointer(m.FileID, m.StoredBy)
 			n.mu.Lock()
 			delete(n.pending, divertKey(m.FileID, m.ReqID))
 			n.mu.Unlock()
@@ -782,7 +803,7 @@ func (n *Node) handleReclaimRoot(r wire.Routed, m wire.ReclaimRequest) {
 func (n *Node) handleReclaimForward(m wire.ReclaimForward) {
 	// Pointer first: the diverted holder does the physical free.
 	if holder, ok := n.store.Pointer(m.Cert.FileID); ok {
-		n.store.DeletePointer(m.Cert.FileID)
+		n.deletePointer(m.Cert.FileID)
 		n.pn.Send(holder, m)
 		return
 	}

@@ -5,9 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"past/internal/id"
@@ -46,13 +49,51 @@ func verifyHash(cert wire.FileCertificate, data []byte) error {
 	return nil
 }
 
-func mustRecord(t testing.TB, it Item) []byte {
+func mustEntry(t testing.TB, e entry) []byte {
 	t.Helper()
-	rec, err := appendRecord(nil, it)
+	rec, err := appendEntry(nil, e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rec
+}
+
+func putRec(t testing.TB, it Item) []byte {
+	return mustEntry(t, entry{kind: kindPut, file: it.Cert.FileID, item: it})
+}
+
+func pointerRec(t testing.TB, f id.File, holder wire.NodeRef) []byte {
+	return mustEntry(t, entry{kind: kindPointer, file: f, holder: holder})
+}
+
+// sealed frames kind and body as a record whose CRC holds, whatever the
+// body is.
+func sealed(kind byte, body []byte) []byte {
+	rec := append([]byte{kind}, body...)
+	out := binary.BigEndian.AppendUint32(nil, uint32(len(rec)))
+	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(rec, castagnoli))
+	return append(out, rec...)
+}
+
+// logOf is a whole log: the header, then recs.
+func logOf(recs ...[]byte) []byte {
+	return slices.Concat(append([][]byte{logHeader}, recs...)...)
+}
+
+func installLog(t testing.TB, dir string, b []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, logName), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func readFile(t testing.TB, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func dirNames(t testing.TB, dir string) []string {
@@ -66,6 +107,27 @@ func dirNames(t testing.TB, dir string) []string {
 		names[i] = e.Name()
 	}
 	return names
+}
+
+// wantServed fails unless ds serves exactly items, byte for byte, and
+// exactly pointers.
+func wantServed(t testing.TB, ds *DiskStore, items []Item, pointers map[id.File]wire.NodeRef) {
+	t.Helper()
+	if len(ds.Files()) != len(items) {
+		t.Fatalf("serves %d replicas, want %d", len(ds.Files()), len(items))
+	}
+	for _, want := range items {
+		got, err := ds.Get(want.Cert.FileID)
+		if err != nil {
+			t.Fatalf("replica %s: %v", want.Cert.FileID.Short(), err)
+		}
+		if !bytes.Equal(putRec(t, got), putRec(t, want)) {
+			t.Fatalf("replica %s differs from what was stored", want.Cert.FileID.Short())
+		}
+	}
+	if got := ds.Mem().Pointers(); len(got) != len(pointers) || (len(got) > 0 && !reflect.DeepEqual(got, pointers)) {
+		t.Fatalf("pointers = %v, want %v", got, pointers)
+	}
 }
 
 func TestDiskStorePutGetDelete(t *testing.T) {
@@ -91,10 +153,8 @@ func TestDiskStorePutGetDelete(t *testing.T) {
 	if ds.Has(it.Cert.FileID) {
 		t.Fatal("still present")
 	}
-	// One record per replica, so one unlink leaves nothing behind: no
-	// half-deleted pair for the next boot to quarantine.
-	if names := dirNames(t, ds.Dir()); len(names) != 0 {
-		t.Fatalf("entries left on disk after Delete: %v", names)
+	if live, _, err := LiveFiles(ds.Dir()); err != nil || len(live) != 0 {
+		t.Fatalf("log replays to %v after Delete (%v)", live, err)
 	}
 	if _, err := ds.Delete(it.Cert.FileID); err != ErrNotFound {
 		t.Fatalf("second Delete: %v, want the ErrNotFound sentinel itself", err)
@@ -113,6 +173,12 @@ func TestDiskStoreSurvivesRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Put(diskItem(4, 8)); !errors.Is(err, errClosed) || ds.Has(diskItem(4, 8).Cert.FileID) {
+		t.Fatalf("Put after Close: %v", err)
+	}
 	// Reopen: everything must come back, including diversion metadata.
 	ds2, rep, err := OpenDiskStoreVerify(dir, 1<<20, verifyHash)
 	if err != nil {
@@ -121,17 +187,47 @@ func TestDiskStoreSurvivesRestart(t *testing.T) {
 	if rep.Recovered != 3 || rep.Quarantined != 0 || ds2.Mem().Used() != 64+128 {
 		t.Fatalf("after restart: report %+v, used %d", rep, ds2.Mem().Used())
 	}
-	for _, want := range items {
-		got, err := ds2.Get(want.Cert.FileID)
-		if err != nil {
+	wantServed(t, ds2, items, nil)
+}
+
+// A primary's diversion pointers outlive it: set, replaced and deleted
+// pointers all replay to the last state.
+func TestDiskStorePointersSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := OpenDiskStore(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, moved, gone := id.RandFile(1), id.RandFile(2), id.RandFile(3)
+	a := wire.NodeRef{ID: id.Rand(1), Addr: "127.0.0.1:7001"}
+	b := wire.NodeRef{ID: id.Rand(2), Addr: "127.0.0.1:7002"}
+	for _, f := range []id.File{kept, moved, gone} {
+		if err := ds.SetPointer(f, a); err != nil {
 			t.Fatal(err)
 		}
-		if got.Diverted != want.Diverted || got.Primary != want.Primary {
-			t.Fatal("diversion metadata lost across restart")
-		}
-		if !bytes.Equal(got.Data, want.Data) || !bytes.Equal(got.Cert.Sig, want.Cert.Sig) || got.Cert.ContentHash != want.Cert.ContentHash {
-			t.Fatal("content or certificate corrupted across restart")
-		}
+	}
+	if err := ds.SetPointer(moved, b); err != nil {
+		t.Fatal(err)
+	}
+	if had, err := ds.DeletePointer(gone); !had || err != nil {
+		t.Fatalf("DeletePointer: %v %v", had, err)
+	}
+	if had, err := ds.DeletePointer(gone); had || err != nil {
+		t.Fatalf("second DeletePointer: %v %v", had, err)
+	}
+	ds.Close() //nolint:errcheck // reopened below
+	ds2, rep, err := OpenDiskStoreVerify(dir, 1<<20, verifyHash)
+	if err != nil || rep != (RecoveryReport{}) {
+		t.Fatalf("reopen: %+v %v", rep, err)
+	}
+	if h, ok := ds2.Mem().Pointer(kept); !ok || h != a {
+		t.Fatalf("kept pointer = %v %v", h, ok)
+	}
+	if h, ok := ds2.Mem().Pointer(moved); !ok || h != b {
+		t.Fatalf("replaced pointer = %v %v", h, ok)
+	}
+	if _, ok := ds2.Mem().Pointer(gone); ok {
+		t.Fatal("deleted pointer came back")
 	}
 }
 
@@ -140,81 +236,82 @@ func TestDiskStoreSurvivesRestart(t *testing.T) {
 // the holder cannot run into the bytes that follow it.
 func TestRecordRoundTripAliasesReadBuffer(t *testing.T) {
 	want := divertedItem(7, 256<<10)
-	rec := mustRecord(t, want)
-	got, err := decodeRecord(rec)
+	full := putRec(t, want)
+	rec := full[recHeader:]
+	got, err := decodeEntry(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Diverted || got.Primary != want.Primary || got.Cert.FileID != want.Cert.FileID || !bytes.Equal(got.Data, want.Data) {
+	if got.kind != kindPut || got.file != want.Cert.FileID || !reflect.DeepEqual(got.item, want) {
 		t.Fatal("record did not round-trip")
 	}
-	if cap(got.Data) != len(got.Data) {
-		t.Fatalf("Data has cap %d, len %d: not capped to its own length", cap(got.Data), len(got.Data))
+	if cap(got.item.Data) != len(got.item.Data) {
+		t.Fatalf("Data has cap %d, len %d: not capped to its own length", cap(got.item.Data), len(got.item.Data))
 	}
 	off := bytes.Index(rec, want.Data)
-	if off < 0 || &got.Data[0] != &rec[off] {
+	if off < 0 || &got.item.Data[0] != &rec[off] {
 		t.Fatal("Data does not alias the read buffer")
 	}
-	if re := mustRecord(t, got); !bytes.Equal(re, rec) {
+	if re := mustEntry(t, got); !bytes.Equal(re, full) {
 		t.Fatal("re-encoding differs")
+	}
+	// The body is the replica at rest and nothing else: a record costs its
+	// header, its kind and the certificate, content and primary fields.
+	body, err := wire.AppendReplica(nil, wire.ReplicaStore{Cert: want.Cert, Data: want.Data, Primary: want.Primary, Diverted: true})
+	if err != nil || len(full) != recHeader+1+len(body) {
+		t.Fatalf("record is %d bytes, want %d + 1 + %d (%v)", len(full), recHeader, len(body), err)
 	}
 }
 
-// A hostileRecord must never be served: what is written under which name,
-// and why it is bad.
+// A hostileRecord must never be served: a record (header included) and
+// why it is bad.
 type hostileRecord struct {
-	why  string
-	name string
-	rec  []byte
+	why string
+	rec []byte
 }
 
 // hostileRecords is the table the quarantine test drives through
 // OpenDiskStoreVerify and the fuzz target is seeded from.
 func hostileRecords(t testing.TB, victim Item) []hostileRecord {
-	good := mustRecord(t, victim)
-	name := victim.Cert.FileID.String()
+	good := putRec(t, victim)
+	body := good[recHeader+1:]
 	mutate := func(f func(b []byte) []byte) []byte { return f(bytes.Clone(good)) }
 	wrongSize := victim
 	wrongSize.Cert.Size++
-	withReqID, err := wire.AppendFrame([]byte{recordV1}, "", wire.ReplicaStore{Cert: victim.Cert, Data: victim.Data, ReqID: 9})
+	wrongSizeBody, err := wire.AppendReplica(nil, wire.ReplicaStore{Cert: wrongSize.Cert, Data: victim.Data})
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherMsg, err := wire.AppendFrame([]byte{recordV1}, "", wire.Heartbeat{})
+	flipped := bytes.Clone(body)
+	flipped[len(flipped)/2] ^= 0xff
+	withReqID, err := wire.AppendFrame(nil, "", wire.ReplicaStore{Cert: victim.Cert, Data: victim.Data, ReqID: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return []hostileRecord{
-		{"empty file", name, nil},
-		{"zeroed tail", name, mutate(func(b []byte) []byte { clear(b[len(b)-100:]); return b })},
-		{"flipped content byte", name, mutate(func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b })},
-		{"trailing garbage", name, mutate(func(b []byte) []byte { return append(b, "junk"...) })},
-		{"unknown format byte", name, mutate(func(b []byte) []byte { b[0] = recordV1 + 1; return b })},
-		{"size differs from Cert.Size", name, mustRecord(t, wrongSize)},
-		{"name differs from Cert.FileID", id.RandFile(99).String(), good},
-		{"request fields set", name, withReqID},
-		{"another message type", name, otherMsg},
+		{"empty file", sealed(kindPut, nil)},
+		{"zeroed tail", mutate(func(b []byte) []byte { clear(b[len(b)-100:]); return b })},
+		{"flipped content byte", sealed(kindPut, flipped)}, // the CRC holds; the content hash does not
+		{"trailing garbage", sealed(kindPut, append(bytes.Clone(body), "junk"...))},
+		{"unknown format byte", sealed(kindUnpointer+1, body)}, // the record kind says how to read the body
+		{"size differs from Cert.Size", sealed(kindPut, wrongSizeBody)},
+		{"request fields set", sealed(kindPut, withReqID)}, // a whole ReplicaStore frame is not a replica at rest
+		{"another message type", sealed(kindPut, pointerRec(t, victim.Cert.FileID, victim.Primary)[recHeader+1:])},
 	}
 }
 
+// A hostile record mid-log is quarantined alone: the records around it
+// are served, its bytes are set aside in quarantine.corrupt, and the log
+// is rewritten without it.
 func TestDiskStoreQuarantinesHostileRecords(t *testing.T) {
-	good, victim := diskItem(1, 4096), diskItem(2, 4096)
+	before, after, victim := diskItem(1, 4096), divertedItem(3, 4096), diskItem(2, 4096)
 	const hookRejects = "verify hook rejects" // a well-formed record only the hook can fault
-	cases := append(hostileRecords(t, victim), hostileRecord{hookRejects, victim.Cert.FileID.String(), mustRecord(t, victim)})
+	cases := append(hostileRecords(t, victim), hostileRecord{hookRejects, putRec(t, victim)})
 	for _, tc := range cases {
 		t.Run(tc.why, func(t *testing.T) {
 			dir := t.TempDir()
-			ds, err := OpenDiskStore(dir, 1<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ds.Put(good); err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(dir, tc.name)
-			if err := os.WriteFile(path, tc.rec, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			log := logOf(putRec(t, before), tc.rec, putRec(t, after))
+			installLog(t, dir, log)
 			verify := verifyHash
 			if tc.why == hookRejects {
 				verify = func(c wire.FileCertificate, data []byte) error {
@@ -224,86 +321,261 @@ func TestDiskStoreQuarantinesHostileRecords(t *testing.T) {
 					return verifyHash(c, data)
 				}
 			}
-			ds2, rep, err := OpenDiskStoreVerify(dir, 1<<20, verify)
+			// The read-only replay sees the bad framing or body (not what
+			// only verification finds) and leaves the log as it was.
+			_, live, err := LiveFiles(dir)
+			if err != nil || live.Recovered+live.Quarantined != 3 {
+				t.Fatalf("LiveFiles: %+v %v", live, err)
+			}
+			if !bytes.Equal(readFile(t, filepath.Join(dir, logName)), log) {
+				t.Fatal("LiveFiles changed the log")
+			}
+			ds, rep, err := OpenDiskStoreVerify(dir, 1<<20, verify)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.Recovered != 1 || rep.Quarantined != 1 {
-				t.Fatalf("report = %+v, want 1 recovered / 1 quarantined", rep)
+			if rep.Recovered != 2 || rep.Quarantined != 1 {
+				t.Fatalf("report = %+v, want 2 recovered / 1 quarantined", rep)
 			}
-			if !ds2.Has(good.Cert.FileID) || len(ds2.Files()) != 1 {
-				t.Fatalf("indexed %v, want only the good record", ds2.Files())
+			wantServed(t, ds, []Item{before, after}, nil)
+			if got := readFile(t, filepath.Join(dir, quarantineName)); !bytes.Equal(got, tc.rec) {
+				t.Fatalf("quarantine holds %d bytes, want the record's %d", len(got), len(tc.rec))
 			}
-			if _, err := ds2.Get(victim.Cert.FileID); err != ErrNotFound {
-				t.Fatalf("hostile record served: %v", err)
-			}
-			// Set aside with one rename, not deleted, and not resurrected.
-			if _, err := os.Stat(path + ".corrupt"); err != nil {
-				t.Fatalf("quarantined record missing: %v", err)
-			}
-			if len(dirNames(t, dir)) != 2 {
-				t.Fatalf("directory holds %v", dirNames(t, dir))
-			}
-			_, rep, err = OpenDiskStoreVerify(dir, 1<<20, verify)
-			if err != nil || rep.Recovered != 1 || rep.Quarantined != 0 {
+			ds.Close() //nolint:errcheck // reopened below
+			ds, rep, err = OpenDiskStoreVerify(dir, 1<<20, verify)
+			if err != nil || rep.Recovered != 2 || rep.Quarantined != 0 {
 				t.Fatalf("second open: report %+v, err %v", rep, err)
 			}
+			wantServed(t, ds, []Item{before, after}, nil)
 		})
 	}
 }
 
-// A crash mid-write tears a record at any byte. Every strict prefix of a
-// valid 4 KiB record is quarantined at open, whatever the verify hook.
-func TestDiskStoreQuarantinesEveryTornRecord(t *testing.T) {
-	victim := diskItem(2, 4096)
-	rec := mustRecord(t, victim)
-	dir := t.TempDir()
-	path := filepath.Join(dir, victim.Cert.FileID.String())
-	for n := 0; n < len(rec); n++ {
-		if err := os.WriteFile(path, rec[:n], 0o644); err != nil {
-			t.Fatal(err)
+// TestDiskStoreCrashConsistency: what a crash or bit rot can leave in a
+// log, and what a reopen must make of it.
+func TestDiskStoreCrashConsistency(t *testing.T) {
+	a, b, c := diskItem(1, 100), divertedItem(2, 300), diskItem(3, 4096)
+	pf, holder := id.RandFile(50), wire.NodeRef{ID: id.Rand(50), Addr: "127.0.0.1:7050"}
+	recs := [][]byte{putRec(t, a), putRec(t, b), pointerRec(t, pf, holder), putRec(t, c)}
+	log := logOf(recs...)
+	offs := []int{len(logHeader)}
+	for _, r := range recs {
+		offs = append(offs, offs[len(offs)-1]+len(r))
+	}
+	allPtrs := map[id.File]wire.NodeRef{pf: holder}
+	// served is what the log serves with record i lost.
+	served := func(i int) ([]Item, map[id.File]wire.NodeRef) {
+		items, ptrs := []Item{a, b, c}, allPtrs
+		switch i {
+		case 2:
+			ptrs = nil
+		case 3:
+			items = items[:2]
+		default:
+			items = slices.Delete(slices.Clone(items), i, i+1)
 		}
-		ds, rep, err := OpenDiskStoreVerify(dir, 1<<20, nil)
+		return items, ptrs
+	}
+	open := func(t *testing.T, dir string) (*DiskStore, RecoveryReport) {
+		t.Helper()
+		ds, rep, err := OpenDiskStoreVerify(dir, 1<<30, verifyHash)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Recovered != 0 || rep.Quarantined != 1 || ds.Has(victim.Cert.FileID) {
-			t.Fatalf("%d-byte prefix: report %+v, served %v", n, rep, ds.Has(victim.Cert.FileID))
-		}
-		if err := os.Remove(path + ".corrupt"); err != nil {
-			t.Fatalf("%d-byte prefix: %v", n, err)
-		}
+		t.Cleanup(func() { ds.Close() }) //nolint:errcheck // test teardown
+		return ds, rep
 	}
+
+	t.Run("torn last record", func(t *testing.T) {
+		dir := t.TempDir()
+		last := offs[len(recs)-1]
+		for n := last; n < len(log); n++ {
+			installLog(t, dir, log[:n])
+			ds, rep := open(t, dir)
+			items, ptrs := served(3)
+			if rep.Quarantined != 0 {
+				t.Fatalf("%d-byte log: report %+v", n, rep)
+			}
+			wantServed(t, ds, items, ptrs)
+			if got := len(readFile(t, filepath.Join(dir, logName))); got != last {
+				t.Fatalf("%d-byte log: torn tail left at %d bytes, want truncated to %d", n, got, last)
+			}
+			ds.Close() //nolint:errcheck // reopened next round
+		}
+		if names := dirNames(t, dir); !slices.Equal(names, []string{logName}) {
+			t.Fatalf("directory holds %v", names)
+		}
+	})
+
+	t.Run("flipped bit in each record", func(t *testing.T) {
+		for i := range recs {
+			for _, at := range []int{4, recHeader, recHeader + (len(recs[i])-recHeader)/2} {
+				dir := t.TempDir()
+				bad := bytes.Clone(log)
+				bad[offs[i]+at] ^= 0x10
+				installLog(t, dir, bad)
+				ds, rep := open(t, dir)
+				items, ptrs := served(i)
+				wantServed(t, ds, items, ptrs)
+				q := readFile(t, filepath.Join(dir, quarantineName))
+				if i == len(recs)-1 { // the last record is the tail: dropped, not counted
+					if rep.Quarantined != 0 || q != nil {
+						t.Fatalf("record %d byte %d: report %+v, %d bytes quarantined", i, at, rep, len(q))
+					}
+					continue
+				}
+				if rep.Quarantined != 1 || !bytes.Equal(q, bad[offs[i]:offs[i+1]]) {
+					t.Fatalf("record %d byte %d: report %+v, %d bytes quarantined, want exactly the record", i, at, rep, len(q))
+				}
+			}
+		}
+	})
+
+	t.Run("corrupt length mid-log", func(t *testing.T) {
+		for _, tc := range []struct {
+			why         string
+			length      uint32
+			quarantined int
+		}{
+			{"shorter", uint32(len(recs[1]) - recHeader - 1), 1},
+			{"zero", 0, 1},
+			// Past the end of the log, a length cannot be told from a torn
+			// last write's: the rest is truncated as a tail, uncounted.
+			{"past the end", 1 << 30, 0},
+		} {
+			dir := t.TempDir()
+			bad := bytes.Clone(log)
+			binary.BigEndian.PutUint32(bad[offs[1]:], tc.length)
+			installLog(t, dir, bad)
+			ds, rep := open(t, dir)
+			wantServed(t, ds, []Item{a}, nil)
+			q := readFile(t, filepath.Join(dir, quarantineName))
+			if rep.Quarantined != tc.quarantined || (tc.quarantined == 1) != bytes.Equal(q, bad[offs[1]:]) {
+				t.Fatalf("%s: report %+v, %d bytes quarantined", tc.why, rep, len(q))
+			}
+		}
+	})
+
+	t.Run("reclaiming most compacts", func(t *testing.T) {
+		dir := t.TempDir()
+		ds, _ := open(t, dir)
+		var all, kept []Item
+		for i := range 200 {
+			it := diskItem(uint64(100+i), 64<<10)
+			if err := ds.Put(it); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, it)
+		}
+		appended := ds.size
+		ptrs := map[id.File]wire.NodeRef{}
+		for i, it := range all {
+			if i%10 == 0 {
+				kept = append(kept, it)
+				continue
+			}
+			if _, err := ds.Delete(it.Cert.FileID); err != nil {
+				t.Fatal(err)
+			}
+			if i%20 == 1 { // a pointer set, then replaced, for some
+				for _, h := range []wire.NodeRef{holder, {ID: id.Rand(uint64(i)), Addr: "127.0.0.1:7060"}} {
+					if err := ds.SetPointer(it.Cert.FileID, h); err != nil {
+						t.Fatal(err)
+					}
+					ptrs[it.Cert.FileID] = h
+				}
+			}
+			size := int64(len(readFile(t, filepath.Join(dir, logName))))
+			if size != ds.size || size > int64(len(logHeader))+2*ds.live+compactSlack {
+				t.Fatalf("after %d deletes the log is %d bytes for %d live", i, size, ds.live)
+			}
+		}
+		if ds.size >= appended {
+			t.Fatalf("log is %d bytes after reclaiming 90%% of %d: never compacted", ds.size, appended)
+		}
+		ds.Close() //nolint:errcheck // reopened below
+		ds, rep := open(t, dir)
+		if rep.Quarantined != 0 {
+			t.Fatalf("reopen: %+v", rep)
+		}
+		wantServed(t, ds, kept, ptrs)
+		if names := dirNames(t, dir); !slices.Equal(names, []string{logName}) {
+			t.Fatalf("directory holds %v", names)
+		}
+	})
+
+	t.Run("concurrent put and delete of one fileId", func(t *testing.T) {
+		dir := t.TempDir()
+		ds, _ := open(t, dir)
+		it := diskItem(9, 512)
+		f := it.Cert.FileID
+		var wg sync.WaitGroup
+		for g := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				h := wire.NodeRef{ID: id.Rand(uint64(g)), Addr: "127.0.0.1:7070"}
+				for i := range 300 {
+					switch (g + i) % 4 {
+					case 0:
+						ds.Put(it) //nolint:errcheck // a duplicate is refused
+					case 1:
+						ds.Delete(f) //nolint:errcheck // may be absent
+					case 2:
+						ds.SetPointer(f, h) //nolint:errcheck // checked through the reopen
+					case 3:
+						ds.DeletePointer(f) //nolint:errcheck // may be absent
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		var items []Item
+		if ds.Has(f) {
+			items = []Item{it}
+		}
+		ptrs := ds.Mem().Pointers()
+		ds.Close() //nolint:errcheck // reopened below
+		ds, rep := open(t, dir)
+		if rep.Quarantined != 0 {
+			t.Fatalf("reopen: %+v", rep)
+		}
+		wantServed(t, ds, items, ptrs)
+	})
 }
 
-// A kill between the temp write and the rename leaves <name>.tmp behind:
-// it is removed at open and never indexed, even when it is a whole record.
+// A crash during a rewrite leaves replicas.log.tmp beside the log it was
+// replacing: it is removed at open and never replayed, even when whole.
 func TestDiskStoreSweepsTempDebris(t *testing.T) {
 	dir := t.TempDir()
-	it := diskItem(4, 512)
-	tmp := filepath.Join(dir, it.Cert.FileID.String()+".tmp")
-	if err := os.WriteFile(tmp, mustRecord(t, it), 0o644); err != nil {
+	kept, debris := diskItem(4, 512), diskItem(5, 512)
+	installLog(t, dir, logOf(putRec(t, kept)))
+	tmp := filepath.Join(dir, logName+".tmp")
+	if err := os.WriteFile(tmp, logOf(putRec(t, debris)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ds, rep, err := OpenDiskStoreVerify(dir, 1<<20, verifyHash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep != (RecoveryReport{}) || ds.Has(it.Cert.FileID) {
-		t.Fatalf("temp debris indexed: report %+v", rep)
+	if rep != (RecoveryReport{Recovered: 1}) {
+		t.Fatalf("report %+v", rep)
 	}
-	if names := dirNames(t, dir); len(names) != 0 {
+	wantServed(t, ds, []Item{kept}, nil)
+	if names := dirNames(t, dir); !slices.Equal(names, []string{logName}) {
 		t.Fatalf("temp debris not swept: %v", names)
 	}
 }
 
 func TestDiskStoreRefusesOldLayout(t *testing.T) {
-	for _, old := range []string{"0123abcd.json", "0123abcd.bin"} {
+	v1 := diskItem(2, 64).Cert.FileID.String()
+	for _, old := range []string{"0123abcd.json", "0123abcd.bin", v1, v1 + ".corrupt"} {
 		dir := t.TempDir()
 		ds, _ := OpenDiskStore(dir, 1<<20)
 		if err := ds.Put(diskItem(1, 64)); err != nil {
 			t.Fatal(err)
 		}
+		ds.Close() //nolint:errcheck // reopened below
 		for _, name := range []string{old, "half.tmp"} {
 			if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
 				t.Fatal(err)
@@ -320,11 +592,40 @@ func TestDiskStoreRefusesOldLayout(t *testing.T) {
 	}
 }
 
+// A log this build does not read is refused, not replayed or rewritten.
+func TestDiskStoreRefusesForeignLog(t *testing.T) {
+	for _, head := range [][]byte{[]byte("PASTLOG\x03"), []byte("NOTALOG\x02")} {
+		dir := t.TempDir()
+		b := append(bytes.Clone(head), putRec(t, diskItem(1, 64))...)
+		installLog(t, dir, b)
+		if _, _, err := OpenDiskStoreVerify(dir, 1<<20, verifyHash); err == nil {
+			t.Fatalf("opened a log headed %q", head)
+		}
+		if !bytes.Equal(readFile(t, filepath.Join(dir, logName)), b) {
+			t.Fatalf("refused open of %q changed the log", head)
+		}
+	}
+	// A header cut short (a power cut while the first log was created) is
+	// an empty log, and is written whole.
+	for _, cut := range [][]byte{nil, logHeader[:3]} {
+		dir := t.TempDir()
+		installLog(t, dir, cut)
+		ds, rep, err := OpenDiskStoreVerify(dir, 1<<20, verifyHash)
+		if err != nil || rep != (RecoveryReport{}) || len(ds.Files()) != 0 {
+			t.Fatalf("open over a %d-byte log: %+v %v", len(cut), rep, err)
+		}
+		if got := readFile(t, filepath.Join(dir, logName)); !bytes.Equal(got, logHeader) {
+			t.Fatalf("log after open = %q", got)
+		}
+	}
+}
+
 func TestDiskStoreCapacity(t *testing.T) {
 	ds, _ := OpenDiskStore(t.TempDir(), 100)
 	if err := ds.Put(diskItem(1, 60)); err != nil {
 		t.Fatal(err)
 	}
+	size := ds.size
 	if err := ds.Put(diskItem(2, 60)); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("overflow accepted: %v", err)
 	}
@@ -332,50 +633,73 @@ func TestDiskStoreCapacity(t *testing.T) {
 		t.Fatalf("duplicate accepted: %v", err)
 	}
 	// A refused put writes nothing.
-	if names := dirNames(t, ds.Dir()); len(names) != 1 {
-		t.Fatalf("directory holds %v, want one record", names)
+	if got := int64(len(readFile(t, filepath.Join(ds.Dir(), logName)))); got != size {
+		t.Fatalf("log grew from %d to %d bytes on refused puts", size, got)
 	}
 }
 
-func TestDiskStoreNoTempLeftovers(t *testing.T) {
-	dir := t.TempDir()
-	ds, _ := OpenDiskStore(dir, 1<<20)
-	want := map[string]bool{}
-	for i := 0; i < 5; i++ {
-		it := diskItem(uint64(i), 32)
-		if err := ds.Put(it); err != nil {
+// FuzzDiskRecord replays whatever follows a log header: it never panics,
+// every record it accepts re-encodes to the same bytes, and the log
+// rewritten from its index replays to the same index.
+func FuzzDiskRecord(f *testing.F) {
+	a, b := diskItem(1, 4096), divertedItem(2, 64)
+	pointer := pointerRec(f, a.Cert.FileID, b.Primary)
+	seeds := [][]byte{
+		nil,
+		putRec(f, a),
+		slices.Concat(putRec(f, a), putRec(f, b), pointer),
+		slices.Concat(putRec(f, diskItem(3, 0)), mustEntry(f, entry{kind: kindDelete, file: diskItem(3, 0).Cert.FileID})),
+		slices.Concat(pointer, mustEntry(f, entry{kind: kindUnpointer, file: a.Cert.FileID})),
+		slices.Concat(putRec(f, b), putRec(f, a)[:100]), // torn tail
+	}
+	for _, tc := range hostileRecords(f, diskItem(2, 4096)) {
+		seeds = append(seeds, slices.Concat(tc.rec, putRec(f, b)))
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, records []byte) {
+		log := logOf(records)
+		replay := func(log []byte) (logIndex, []span) {
+			idx := newLogIndex()
+			end, bad, err := scanLog(bytes.NewReader(log), int64(len(log)), func(e entry, at span) {
+				if re := mustEntry(t, e); !bytes.Equal(re, log[at.off:at.end]) {
+					t.Fatalf("re-encoding differs:\n in  %x\n out %x", log[at.off:at.end], re)
+				}
+				idx.apply(e, at)
+			})
+			if err != nil || end < int64(len(logHeader)) || end > int64(len(log)) {
+				t.Fatalf("end %d of %d, err %v", end, len(log), err)
+			}
+			return idx, bad
+		}
+		idx, _ := replay(log)
+		var items []Item
+		pointers := map[id.File]wire.NodeRef{}
+		for _, it := range idx.items {
+			items = append(items, it.v)
+		}
+		for f, p := range idx.pointers {
+			pointers[f] = p.v
+		}
+		var rewritten bytes.Buffer
+		if _, err := writeLog(&rewritten, items, pointers); err != nil {
 			t.Fatal(err)
 		}
-		want[it.Cert.FileID.String()] = true
-	}
-	// Exactly one entry per replica, named by its fileId.
-	names := dirNames(t, dir)
-	if len(names) != 5 {
-		t.Fatalf("expected 5 entries, found %v", names)
-	}
-	for _, n := range names {
-		if !want[n] {
-			t.Fatalf("unexpected entry %s", n)
+		again, bad := replay(rewritten.Bytes())
+		if len(bad) != 0 || len(again.items) != len(idx.items) || len(again.pointers) != len(idx.pointers) {
+			t.Fatalf("rewritten log replays to %d replicas and %d pointers (%d bad), want %d and %d",
+				len(again.items), len(again.pointers), len(bad), len(idx.items), len(idx.pointers))
 		}
-	}
-}
-
-// FuzzDiskRecord: arbitrary bytes never panic the record decoder, and
-// whatever decodes re-encodes to the very same bytes.
-func FuzzDiskRecord(f *testing.F) {
-	f.Add(mustRecord(f, diskItem(1, 4096)))
-	f.Add(mustRecord(f, divertedItem(2, 64)))
-	f.Add(mustRecord(f, diskItem(3, 0)))
-	for _, tc := range hostileRecords(f, diskItem(2, 4096)) {
-		f.Add(tc.rec)
-	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		it, err := decodeRecord(b)
-		if err != nil {
-			return
+		for f, it := range idx.items {
+			if !reflect.DeepEqual(again.items[f].v, it.v) {
+				t.Fatalf("replica %s differs after the rewrite", f.Short())
+			}
 		}
-		if re := mustRecord(t, it); !bytes.Equal(re, b) {
-			t.Fatalf("re-encoding differs:\n in  %x\n out %x", b, re)
+		for f, p := range idx.pointers {
+			if again.pointers[f].v != p.v {
+				t.Fatalf("pointer %s differs after the rewrite", f.Short())
+			}
 		}
 	})
 }
@@ -392,8 +716,9 @@ func BenchmarkDiskStorePut(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer ds.Close() //nolint:errcheck // benchmark teardown
 			it := diskItem(1, bc.size)
-			const live = 64 // records on disk at once; deleted off the clock
+			const live = 64 // records indexed at once; deleted off the clock
 			b.ReportAllocs()
 			b.SetBytes(int64(bc.size))
 			b.ResetTimer()
@@ -416,7 +741,7 @@ func BenchmarkDiskStorePut(b *testing.B) {
 	}
 }
 
-// BenchmarkOpenDiskStoreVerify reopens a directory of 256 4 KiB replicas,
+// BenchmarkOpenDiskStoreVerify reopens a log of 256 4 KiB replicas,
 // hashing each one as the node's boot recovery does.
 func BenchmarkOpenDiskStoreVerify(b *testing.B) {
 	const files = 256
@@ -430,13 +755,15 @@ func BenchmarkOpenDiskStoreVerify(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	ds.Close() //nolint:errcheck // reopened below
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, rep, err := OpenDiskStoreVerify(dir, 1<<50, verifyHash)
+		ds, rep, err := OpenDiskStoreVerify(dir, 1<<50, verifyHash)
 		if err != nil || rep.Recovered != files || rep.Quarantined != 0 {
 			b.Fatalf("report %+v, err %v", rep, err)
 		}
+		ds.Close() //nolint:errcheck // reopened next round
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*files), "ns/file")
 }

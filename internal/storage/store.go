@@ -2,8 +2,9 @@
 // capacity-accounted content store for primary and diverted replicas, a
 // GreedyDual-Size cache that soaks up the node's unused capacity
 // (section 2.3 of the paper; policies follow the companion SOSP'01 paper),
-// and DiskStore, which keeps the content store's replicas on disk as one
-// self-describing record per file and re-proves each one at boot.
+// and DiskStore, which keeps the content store's replicas and diversion
+// pointers in one append-only log per directory, replayed and re-proved at
+// boot.
 package storage
 
 import (
@@ -32,7 +33,7 @@ var (
 // every replica of one insert therefore aliases a single backing array;
 // over the TCP transport each process's copy is the frame buffer the
 // bytes arrived in, which the decoded message aliases; after a restart
-// it is the buffer the replica's disk record was read into. Content
+// it is the buffer the replica's log record was read into. Content
 // authenticity never depends on this: every node re-checks Data against
 // Cert.ContentHash before serving it.
 type Item struct {

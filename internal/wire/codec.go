@@ -11,10 +11,10 @@ import (
 
 // The frame codec: the one encoder (AppendFrame) and the one decoder
 // (DecodeFrame) for what the TCP transport puts behind its 4-byte length
-// prefix, and for what storage.DiskStore puts behind its format byte (a
-// replica's disk record is a ReplicaStore frame body, so tags and field
-// layouts are a disk format too: append, never renumber or reorder). A
-// frame body is the sender's address followed by one message:
+// prefix. The same field encoders write the bodies of storage.DiskStore's
+// log records (AppendReplica, AppendPointer), so the certificate layout is
+// a disk format too: append, never renumber or reorder. A frame body is
+// the sender's address followed by one message:
 //
 //	body    = str(From) msg
 //	msg     = tag(1) fields...           tag identifies the message type
@@ -110,6 +110,50 @@ func DecodeFrame(b []byte) (from string, m Msg, err error) {
 		return "", nil, d.err
 	}
 	return from, m, nil
+}
+
+// AppendReplica appends a replica at rest to dst: m's Cert, Data, Primary
+// and Diverted in ReplicaStore's field order, without the tag and the
+// request-only From, Client and ReqID. It is the body of
+// storage.DiskStore's put record.
+func AppendReplica(dst []byte, m ReplicaStore) ([]byte, error) {
+	e := encoder{b: dst}
+	e.cert(&m.Cert)
+	e.bytes(m.Data)
+	e.ref(m.Primary)
+	e.bool(m.Diverted)
+	if e.err != nil {
+		return dst, e.err
+	}
+	return e.b, nil
+}
+
+// DecodeReplica decodes what AppendReplica wrote, aliasing b as
+// DecodeFrame does. Client and ReqID are left empty.
+func DecodeReplica(b []byte) (ReplicaStore, error) {
+	d := decoder{b: b}
+	m := ReplicaStore{Cert: d.cert(), Data: d.bytes(), Primary: d.ref(), Diverted: d.bool()}
+	return m, d.done()
+}
+
+// AppendPointer appends a diversion pointer at rest to dst: the fileId,
+// then the node holding the diverted replica. It is the body of
+// storage.DiskStore's pointer record.
+func AppendPointer(dst []byte, f id.File, holder NodeRef) ([]byte, error) {
+	e := encoder{b: dst}
+	e.file(f)
+	e.ref(holder)
+	if e.err != nil {
+		return dst, e.err
+	}
+	return e.b, nil
+}
+
+// DecodePointer decodes what AppendPointer wrote.
+func DecodePointer(b []byte) (id.File, NodeRef, error) {
+	d := decoder{b: b}
+	f, holder := d.file(), d.ref()
+	return f, holder, d.done()
 }
 
 // encoder appends fields to b; the first error sticks.
@@ -405,6 +449,14 @@ func (d *decoder) fail(err error) {
 		d.err = err
 	}
 	d.b = nil
+}
+
+// done returns the first error, or one for bytes left over.
+func (d *decoder) done() error {
+	if d.err == nil && len(d.b) != 0 {
+		d.err = fmt.Errorf("wire: %d trailing bytes", len(d.b))
+	}
+	return d.err
 }
 
 // take returns the next n bytes, capped so an append by the holder cannot

@@ -34,11 +34,12 @@ type PeerConfig struct {
 	BrokerPub ed25519.PublicKey
 	// Storage configures the PAST layer; zero value uses defaults.
 	Storage StorageConfig
-	// DataDir, when set, persists every stored replica to this directory
-	// and recovers them on start: each file on disk is re-verified
-	// against its certificate's content hash before being served again,
-	// corrupt entries are quarantined, and the node rejoins the network
-	// with its surviving replicas intact. Empty keeps storage in memory.
+	// DataDir, when set, persists every stored replica and diversion
+	// pointer to a log in this directory and recovers them on start: each
+	// replica is re-verified against its certificate's content hash before
+	// being served again, corrupt records are quarantined, and the node
+	// rejoins the network with its surviving replicas intact. Empty keeps
+	// storage in memory.
 	DataDir string
 	// KeepAlive and FailTimeout control failure detection; zero keeps the
 	// defaults (5s / 15s).
@@ -78,6 +79,7 @@ type Peer struct {
 	tr   *transport.TCP
 	node *pastry.Node
 	past *pastcore.Node
+	disk *storage.DiskStore // nil without a DataDir
 
 	recovered, quarantined int
 }
@@ -150,6 +152,7 @@ func ListenPeer(cfg PeerConfig) (*Peer, error) {
 			return nil, err
 		}
 		pn.UseDisk(ds)
+		p.disk = ds
 		p.recovered, p.quarantined = rep.Recovered, rep.Quarantined
 	}
 	return p, nil
@@ -321,8 +324,13 @@ func (p *Peer) KnownPeers() int {
 	return leaf
 }
 
-// Close shuts the node down.
+// Close shuts the node down. The data dir's log is closed last, once the
+// transport has stopped the handlers that write to it.
 func (p *Peer) Close() error {
 	p.node.Leave()
-	return p.tr.Close()
+	err := p.tr.Close()
+	if p.disk != nil {
+		err = cmp.Or(err, p.disk.Close())
+	}
+	return err
 }
