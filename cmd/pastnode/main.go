@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -62,6 +64,7 @@ func main() {
 		status     = flag.Duration("status", 30*time.Second, "status print interval (0 disables)")
 		telAddr    = flag.String("telemetry", "", "TCP address serving a plaintext line-protocol telemetry dump per connection (empty disables)")
 		telWindow  = flag.Duration("telemetry-window", 10*time.Second, "telemetry aggregation window")
+		pprofAddr  = flag.String("pprof", "", "TCP address serving net/http/pprof's /debug/pprof/ endpoints (empty disables)")
 		joinWait   = flag.Duration("join-timeout", 5*time.Second, "bound on one join attempt through one seed; the bootstrap task cycles the seed list with backoff, so a dead seed costs this much, not a full operation timeout")
 		dialVia    = flag.String("dial-via", "", "route all outbound connections through the egress proxy at this address (chaos/fault-injection harness); empty dials peers directly")
 		brkFails   = flag.Int("breaker-threshold", 0, "consecutive dial failures before the per-peer circuit breaker opens (0 disables; suppressed peers are probed before reinstatement)")
@@ -166,6 +169,23 @@ func main() {
 				conn.Close() //nolint:errcheck // one-shot dump socket
 			}
 		}()
+	}
+	if *pprofAddr != "" {
+		ln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			fatal(err)
+		}
+		defer ln.Close()
+		// Its own mux: nothing else the process registers on
+		// http.DefaultServeMux is served here.
+		mux := http.NewServeMux()
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		fmt.Printf("pastnode: pprof on %s\n", ln.Addr())
+		go http.Serve(ln, mux) //nolint:errcheck // returns when the listener closes on shutdown
 	}
 	if *bootstrap {
 		peer.Bootstrap()

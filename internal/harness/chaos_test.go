@@ -506,7 +506,7 @@ func TestRebootstrapAfterOutage(t *testing.T) {
 	if len(transport) == 0 || len(runs) < 4 || len(GaugeValues(points, "known_peers")) == 0 {
 		t.Fatalf("final snapshot lacks series: %d transport, %d tasks points\n%s", len(transport), len(runs), dump.String())
 	}
-	for _, f := range []string{"dials", "dial_failures", "suppressed", "breaker_opens", "queue_drops", "decode_errors"} {
+	for _, f := range []string{"dials", "dial_failures", "suppressed", "breaker_opens", "queue_drops", "decode_errors", "oversize"} {
 		if _, ok := transport[0][f]; !ok {
 			t.Fatalf("transport point %v lacks %s", transport[0], f)
 		}

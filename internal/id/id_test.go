@@ -2,6 +2,7 @@ package id
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -66,6 +67,37 @@ func TestParseErrors(t *testing.T) {
 	if _, err := ParseFile("1234"); err == nil {
 		t.Fatal("want error for short file hex")
 	}
+}
+
+// FuzzParseID holds ParseNode and ParseFile to their contract: each accepts
+// exactly the strings of 32 (node) or 40 (file) hex digits, either case,
+// and String gives an accepted input back lower-cased.
+func FuzzParseID(f *testing.F) {
+	f.Add(Rand(42).String())
+	f.Add(RandFile(42).String())
+	f.Add(strings.ToUpper(RandFile(7).String()))
+	for _, bad := range []string{"", "zz", "abcd", "1234", "0x" + Rand(1).String()[2:], Rand(1).String() + "0", " " + Rand(1).String()[1:], RandFile(1).String()[:39] + "g"} {
+		f.Add(bad)
+	}
+	hexDigits := func(s string) bool {
+		return strings.Trim(s, "0123456789abcdefABCDEF") == ""
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		n, err := ParseNode(s)
+		if want := len(s) == 2*NodeBytes && hexDigits(s); (err == nil) != want {
+			t.Fatalf("ParseNode(%q) error %v, want accepted %v", s, err, want)
+		}
+		if err == nil && n.String() != strings.ToLower(s) {
+			t.Fatalf("ParseNode(%q).String() = %q", s, n.String())
+		}
+		fl, err := ParseFile(s)
+		if want := len(s) == 2*FileBytes && hexDigits(s); (err == nil) != want {
+			t.Fatalf("ParseFile(%q) error %v, want accepted %v", s, err, want)
+		}
+		if err == nil && fl.String() != strings.ToLower(s) {
+			t.Fatalf("ParseFile(%q).String() = %q", s, fl.String())
+		}
+	})
 }
 
 func TestHashNodeDeterministic(t *testing.T) {

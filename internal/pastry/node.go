@@ -143,7 +143,9 @@ type Node struct {
 	joinTimer transport.Timer
 	joinSeen  map[id.Node]bool // nodes discovered during join, to announce to
 
-	lastSeen map[id.Node]time.Duration
+	// lastSeen is the silence clock per directly heard peer, plus what
+	// noteAlive needs to tell a repeat offer from a new one (sighting).
+	lastSeen map[id.Node]sighting
 	// candBuf and candSeen are per-node scratch reused by candidates()
 	// so per-route candidate scans allocate nothing in steady state.
 	// Guarded by mu, like the routing state they snapshot; callers must
@@ -204,13 +206,32 @@ func (n *Node) rand() *rand.Rand {
 	return n.rng
 }
 
+// sighting is what a node keeps of a peer it hears from directly: when it
+// last did (the silence clock keepAliveTick reads) and, once noteAlive has
+// folded the peer into the routing state, the address and proximity that
+// offer carried and the state's version (stateVer) just after it; ver 0
+// records no offer. It is stored by value: 40 bytes, no pointer to chase.
+type sighting struct {
+	at   time.Duration
+	addr string
+	prox float64
+	ver  uint64
+}
+
+// stateVer is the version of the routing table, leaf set and neighborhood
+// together: it moves whenever any of them changes, and is never 0. Lock
+// held.
+func (n *Node) stateVer() uint64 { return 1 + n.rt.ver + n.leaf.ver + n.nbhd.ver }
+
 // sawNow records when a peer was last directly heard from, allocating the
 // tracking map on first use. Lock held.
 func (n *Node) sawNow(peer id.Node) {
 	if n.lastSeen == nil {
-		n.lastSeen = make(map[id.Node]time.Duration)
+		n.lastSeen = make(map[id.Node]sighting)
 	}
-	n.lastSeen[peer] = n.clock.Now()
+	s := n.lastSeen[peer]
+	s.at = n.clock.Now()
+	n.lastSeen[peer] = s
 }
 
 // SetApp installs the application layer. It must be called before the
@@ -472,7 +493,13 @@ func (n *Node) handle(from string, m wire.Msg) {
 }
 
 // noteAlive records direct evidence of life (a message from the node
-// itself) and folds the node into local state. Lock held.
+// itself) and folds the node into local state. The fold is skipped when
+// it cannot change anything: the three Considers are idempotent — the
+// routing table replaces only a strictly closer entry and refreshes its own
+// to the same values, a held leaf or neighbor takes the address it already
+// has, a full half or neighborhood refuses a no-closer offer again — so an
+// offer with the sighting's address and proximity, on a state still at the
+// version that offer left, would be a no-op. Lock held.
 func (n *Node) noteAlive(ref wire.NodeRef) {
 	if ref.IsZero() || ref.ID == n.ref.ID {
 		return
@@ -480,8 +507,17 @@ func (n *Node) noteAlive(ref wire.NodeRef) {
 	if len(n.suspect) > 0 {
 		delete(n.suspect, ref.ID) // direct contact clears suspicion
 	}
-	n.sawNow(ref.ID)
-	n.considerLocked(ref, true)
+	if n.lastSeen == nil {
+		n.lastSeen = make(map[id.Node]sighting)
+	}
+	prox := n.tr.Proximity(ref.Addr)
+	s := n.lastSeen[ref.ID]
+	s.at = n.clock.Now()
+	if s.ver != n.stateVer() || s.addr != ref.Addr || s.prox != prox {
+		n.fold(ref, prox, true)
+		s.addr, s.prox, s.ver = ref.Addr, prox, n.stateVer()
+	}
+	n.lastSeen[ref.ID] = s
 }
 
 // suspected reports whether ref was recently declared dead and the
@@ -511,7 +547,12 @@ func (n *Node) considerLocked(ref wire.NodeRef, direct bool) bool {
 	if ref.IsZero() || ref.ID == n.ref.ID || n.suspected(ref.ID) {
 		return false
 	}
-	prox := n.tr.Proximity(ref.Addr)
+	return n.fold(ref, n.tr.Proximity(ref.Addr), direct)
+}
+
+// fold offers ref, at proximity prox, to the routing table, neighborhood
+// and leaf set, and reports whether the leaf set changed. Lock held.
+func (n *Node) fold(ref wire.NodeRef, prox float64, direct bool) bool {
 	n.rt.Consider(ref, prox)
 	n.nbhd.Consider(ref, prox, direct)
 	return n.leaf.Consider(ref, direct)
@@ -914,11 +955,11 @@ func (n *Node) keepAliveTick() {
 	var hb wire.Msg = wire.Heartbeat{From: n.ref}
 	var dead []wire.NodeRef
 	n.leaf.ForEach(func(m wire.NodeRef) {
-		last, ok := n.lastSeen[m.ID]
+		seen, ok := n.lastSeen[m.ID]
 		if !ok {
 			// First sighting without traffic: start the silence clock.
 			n.sawNow(m.ID)
-		} else if now-last > n.cfg.FailTimeout {
+		} else if now-seen.at > n.cfg.FailTimeout {
 			dead = append(dead, m)
 			return
 		}

@@ -23,6 +23,7 @@ func (n *Node) SeedRoutingEntry(a *Arena, ref wire.NodeRef, prox float64) {
 		return
 	}
 	n.rt.ensureRow(row, a)[col] = entry{ref, prox}
+	n.rt.ver++
 }
 
 // SeedLeafHalves replaces the leaf-set halves. Both slices must already be
@@ -35,6 +36,7 @@ func (n *Node) SeedLeafHalves(smaller, larger []wire.NodeRef) {
 	defer n.mu.Unlock()
 	n.leaf.smaller = smaller
 	n.leaf.larger = larger
+	n.leaf.ver++
 }
 
 // SeedNeighborhood replaces the neighborhood set with refs (proximally
@@ -46,6 +48,7 @@ func (n *Node) SeedNeighborhood(refs []wire.NodeRef, prox []float64) {
 	for i, r := range refs {
 		n.nbhd.entries = append(n.nbhd.entries, entry{r, prox[i]})
 	}
+	n.nbhd.ver++
 }
 
 // SeedJoined marks the node a full member without running the join

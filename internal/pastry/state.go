@@ -31,10 +31,14 @@ type entry struct {
 // so the directory grows on demand instead of holding all ceil(128/b)
 // slots up front (at b=4 that is 32 slice headers — 768 bytes — per node,
 // which matters when simulating 100k of them).
+//
+// ver counts the table's changes (an entry installed, replaced, re-addressed,
+// re-measured or removed); a refresh that changes nothing is not one.
 type RoutingTable struct {
 	owner id.Node
 	b     int
 	rows  [][]entry
+	ver   uint64
 }
 
 // NewRoutingTable creates an empty table for the given owner and digit
@@ -87,15 +91,20 @@ func (t *RoutingTable) Consider(ref wire.NodeRef, prox float64) bool {
 	slot := &t.ensureRow(row, nil)[col]
 	if slot.ref.IsZero() {
 		*slot = entry{ref, prox}
+		t.ver++
 		return true
 	}
 	if slot.ref.ID == ref.ID {
-		slot.ref.Addr = ref.Addr // refresh address
-		slot.prox = prox
+		if slot.ref.Addr != ref.Addr || slot.prox != prox {
+			slot.ref.Addr = ref.Addr // refresh address
+			slot.prox = prox
+			t.ver++
+		}
 		return true
 	}
 	if prox < slot.prox {
 		*slot = entry{ref, prox}
+		t.ver++
 		return true
 	}
 	return false
@@ -133,6 +142,7 @@ func (t *RoutingTable) Remove(n id.Node) bool {
 		return false
 	}
 	t.rows[row][col] = entry{}
+	t.ver++
 	return true
 }
 
@@ -209,11 +219,15 @@ func (t *RoutingTable) ForEach(f func(wire.NodeRef)) {
 // counter-clockwise for smaller. Consider keeps it by insertion;
 // SeedLeafHalves requires it of its caller. Only a smaller entry can repeat
 // a larger one.
+//
+// ver counts the set's changes: a member admitted, evicted, removed or
+// re-addressed.
 type LeafSet struct {
 	owner   id.Node
 	half    int
 	smaller []wire.NodeRef // sorted by counter-clockwise distance, closest first
 	larger  []wire.NodeRef // sorted by clockwise distance, closest first
+	ver     uint64
 }
 
 // NewLeafSet creates an empty leaf set for owner with capacity l (split
@@ -280,8 +294,9 @@ func (s *LeafSet) considerSide(side *[]wire.NodeRef, ref wire.NodeRef, clockwise
 	}
 	pos := search(list, o, off, clockwise)
 	if pos < len(list) && list[pos].ID == ref.ID {
-		if direct {
+		if direct && list[pos].Addr != ref.Addr {
 			list[pos].Addr = ref.Addr
+			s.ver++
 		}
 		return false
 	}
@@ -292,6 +307,7 @@ func (s *LeafSet) considerSide(side *[]wire.NodeRef, ref wire.NodeRef, clockwise
 		list = list[:s.half]
 	}
 	*side = list
+	s.ver++
 	return true
 }
 
@@ -304,6 +320,7 @@ func (s *LeafSet) Remove(n id.Node) bool {
 			if list[i].ID == n {
 				*side = append(list[:i], list[i+1:]...)
 				removed = true
+				s.ver++
 				break
 			}
 		}
@@ -491,10 +508,12 @@ func (s *LeafSet) Larger() []wire.NodeRef { return append([]wire.NodeRef(nil), s
 
 // Neighborhood holds the m nodes proximally closest to the owner
 // (section 2.2). It is not used for routing but improves the locality of
-// routing-table entries and seeds joins.
+// routing-table entries and seeds joins. ver counts its changes: a member
+// admitted, evicted, removed or re-addressed.
 type Neighborhood struct {
 	cap     int
 	entries []entry // sorted by proximity, closest first
+	ver     uint64
 }
 
 // NewNeighborhood creates an empty neighborhood set with capacity m.
@@ -509,8 +528,9 @@ func (nb *Neighborhood) Consider(ref wire.NodeRef, prox float64, direct bool) bo
 	}
 	for i := range nb.entries {
 		if nb.entries[i].ref.ID == ref.ID {
-			if direct {
+			if direct && nb.entries[i].ref.Addr != ref.Addr {
 				nb.entries[i].ref.Addr = ref.Addr
+				nb.ver++
 			}
 			return false
 		}
@@ -525,6 +545,7 @@ func (nb *Neighborhood) Consider(ref wire.NodeRef, prox float64, direct bool) bo
 	if len(nb.entries) > nb.cap {
 		nb.entries = nb.entries[:nb.cap]
 	}
+	nb.ver++
 	return true
 }
 
@@ -533,6 +554,7 @@ func (nb *Neighborhood) Remove(n id.Node) bool {
 	for i := range nb.entries {
 		if nb.entries[i].ref.ID == n {
 			nb.entries = append(nb.entries[:i], nb.entries[i+1:]...)
+			nb.ver++
 			return true
 		}
 	}

@@ -325,3 +325,37 @@ func TestViaPreambleRoundTrip(t *testing.T) {
 		t.Fatal("unbounded preamble accepted")
 	}
 }
+
+// FuzzReadViaPreamble: on any bytes ReadViaPreamble never panics and never
+// reads past the first newline (the frame stream behind it belongs to the
+// proxy's relay), and a pair it accepts goes back through WriteViaPreamble
+// and reads back as the same pair.
+func FuzzReadViaPreamble(f *testing.F) {
+	var ok bytes.Buffer
+	WriteViaPreamble(&ok, "127.0.0.1:7001", "127.0.0.1:7002")
+	WriteRawFrame(&ok, []byte("frame-payload"))
+	f.Add(ok.Bytes())
+	for _, bad := range []string{"NOPE a b\n", "CHAOS1 onlyone\n", "CHAOS1 a b c d\n", "CHAOS1\ta\tb\n", "\n", "CHAOS1 a b"} {
+		f.Add([]byte(bad))
+	}
+	f.Add(fmt.Appendf(nil, "CHAOS1 %s", make([]byte, 1024)))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r := bytes.NewReader(in)
+		from, to, err := ReadViaPreamble(r)
+		read := len(in) - r.Len()
+		if nl := bytes.IndexByte(in, '\n'); nl >= 0 && read > nl+1 {
+			t.Fatalf("read %d bytes of %q, past the newline at %d", read, in, nl)
+		}
+		if err != nil {
+			return
+		}
+		var back bytes.Buffer
+		if err := WriteViaPreamble(&back, from, to); err != nil {
+			t.Fatalf("WriteViaPreamble(%q, %q) refuses what ReadViaPreamble accepted: %v", from, to, err)
+		}
+		from2, to2, err := ReadViaPreamble(&back)
+		if err != nil || from2 != from || to2 != to {
+			t.Fatalf("(%q, %q) read back as (%q, %q), %v", from, to, from2, to2, err)
+		}
+	})
+}

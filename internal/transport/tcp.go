@@ -60,6 +60,9 @@ type TCPStats struct {
 	// DecodeErrors counts inbound frames that were well framed but did
 	// not decode; each one also cost its connection.
 	DecodeErrors int64
+	// Oversize counts outbound messages dropped unsent because their frame
+	// would exceed MaxFrame.
+	Oversize int64
 }
 
 // TCP is a transport.Transport over real TCP connections. One listener
@@ -94,7 +97,7 @@ type TCP struct {
 	proxMu sync.Mutex
 	prox   map[string]float64
 
-	dials, dialFailures, suppressed, queueDrops, decodeErrors atomic.Int64
+	dials, dialFailures, suppressed, queueDrops, decodeErrors, oversize atomic.Int64
 
 	wg sync.WaitGroup
 }
@@ -177,6 +180,7 @@ func (t *TCP) Stats() TCPStats {
 		BreakerOpens: t.breaker.Opens(),
 		QueueDrops:   t.queueDrops.Load(),
 		DecodeErrors: t.decodeErrors.Load(),
+		Oversize:     t.oversize.Load(),
 	}
 }
 
@@ -200,10 +204,14 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
+// errOversize is encodeFrame's refusal of a frame past maxFrame.
+var errOversize = errors.New("transport: frame exceeds limit")
+
 // encodeFrame overwrites buf with one whole frame: length prefix, sender
-// address, message. A frame that encodes beyond maxFrame is refused here,
-// before any byte reaches the connection: better to drop one message than
-// to ship something every receiver will kill the connection over.
+// address, message. A frame that encodes beyond maxFrame is refused here
+// (errOversize), before any byte reaches the connection: better to drop one
+// message than to ship something every receiver will kill the connection
+// over.
 func encodeFrame(buf []byte, from string, m wire.Msg, maxFrame int) ([]byte, error) {
 	out, err := wire.AppendFrame(append(buf[:0], 0, 0, 0, 0), from, m)
 	if err != nil {
@@ -211,7 +219,7 @@ func encodeFrame(buf []byte, from string, m wire.Msg, maxFrame int) ([]byte, err
 	}
 	n := len(out) - 4
 	if n > maxFrame {
-		return buf, fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, maxFrame)
+		return buf, fmt.Errorf("%w: %d bytes, limit %d", errOversize, n, maxFrame)
 	}
 	binary.BigEndian.PutUint32(out, uint32(n))
 	return out, nil
@@ -422,9 +430,10 @@ func (t *TCP) connect(to string, p *tcpPeer) {
 }
 
 // writeLoop drains the peer's queue onto conn, one Write per frame out of
-// one reused buffer. A frame that cannot be encoded (oversized, or not a
-// wire message) is dropped alone; a failed Write means the connection
-// broke, so the peer is forgotten and the next Send redials fresh.
+// one reused buffer. A frame that cannot be encoded (oversized, counted in
+// Oversize, or not a wire message) is dropped alone; a failed Write means
+// the connection broke, so the peer is forgotten and the next Send redials
+// fresh.
 func (t *TCP) writeLoop(to string, p *tcpPeer, conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close() // also ends the watcher's Read
@@ -436,6 +445,9 @@ func (t *TCP) writeLoop(to string, p *tcpPeer, conn net.Conn) {
 		case m := <-p.out:
 			var err error
 			if buf, err = encodeFrame(buf, t.addr, m, t.maxFrame); err != nil {
+				if errors.Is(err, errOversize) {
+					t.oversize.Add(1)
+				}
 				continue
 			}
 			if _, err := conn.Write(buf); err != nil {

@@ -105,8 +105,8 @@ func TestTCPOversizedFrameRejected(t *testing.T) {
 
 // TestTCPOversizedSendRefusedLocally verifies the sender side: a message
 // that encodes past MaxFrame is refused before any byte is written and
-// only that frame is lost — the connection stays up (no redial) and a
-// frame queued right behind it arrives.
+// only that frame is lost — counted in Oversize, the connection still up
+// (no redial), a frame queued right behind it delivered.
 func TestTCPOversizedSendRefusedLocally(t *testing.T) {
 	a, err := ListenTCPOpts("127.0.0.1:0", TCPOptions{MaxFrame: 1 << 10})
 	if err != nil {
@@ -138,6 +138,9 @@ func TestTCPOversizedSendRefusedLocally(t *testing.T) {
 	}
 	if d := a.Stats().Dials; d != 1 {
 		t.Fatalf("%d dials: the oversized frame cost the connection", d)
+	}
+	if n := a.Stats().Oversize; n != 1 {
+		t.Fatalf("Oversize = %d, want 1", n)
 	}
 }
 

@@ -293,7 +293,8 @@ func (p *Peer) StoredFiles() int { return p.past.Store().Len() }
 
 // TransportStats returns the TCP transport's counters: dials, dial
 // failures, breaker opens, sends suppressed by an open breaker, sends
-// dropped on a full peer queue, and inbound frames that did not decode.
+// dropped on a full peer queue, inbound frames that did not decode, and
+// outbound messages dropped for a frame past MaxFrame.
 func (p *Peer) TransportStats() TransportStats { return p.tr.Stats() }
 
 // RegisterTelemetry registers this peer's series on rec: the storage
@@ -304,10 +305,10 @@ func (p *Peer) TransportStats() TransportStats { return p.tr.Stats() }
 func (p *Peer) RegisterTelemetry(rec *telemetry.Recorder) {
 	pastcore.RegisterTelemetry(rec, func() []*pastcore.Node { return []*pastcore.Node{p.past} })
 	rec.Counts("transport", []string{
-		"dials", "dial_failures", "suppressed", "breaker_opens", "queue_drops", "decode_errors",
+		"dials", "dial_failures", "suppressed", "breaker_opens", "queue_drops", "decode_errors", "oversize",
 	}, func(tot []uint64) {
 		s := p.tr.Stats()
-		for i, v := range [...]int64{s.Dials, s.DialFailures, s.Suppressed, s.BreakerOpens, s.QueueDrops, s.DecodeErrors} {
+		for i, v := range [...]int64{s.Dials, s.DialFailures, s.Suppressed, s.BreakerOpens, s.QueueDrops, s.DecodeErrors, s.Oversize} {
 			tot[i] = uint64(v)
 		}
 	})
