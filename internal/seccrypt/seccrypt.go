@@ -559,7 +559,13 @@ func ImportCard(data []byte) (*Smartcard, error) {
 	if p+privLen > len(data) || privLen != ed25519.PrivateKeySize {
 		return nil, errors.New("seccrypt: bad private key in card export")
 	}
-	priv := ed25519.PrivateKey(append([]byte(nil), data[p:p+privLen]...))
+	// An ed25519 private key is seed ‖ public key. The public half is
+	// re-derived, not trusted: a card whose two halves disagree would take
+	// its NodeID from one key and sign with the other.
+	priv := ed25519.NewKeyFromSeed(data[p : p+ed25519.SeedSize])
+	if !equalBytes(priv[ed25519.SeedSize:], data[p+ed25519.SeedSize:p+privLen]) {
+		return nil, errors.New("seccrypt: card export's public key does not match its private key")
+	}
 	p += privLen
 	if p >= len(data) {
 		return nil, errors.New("seccrypt: truncated card export")

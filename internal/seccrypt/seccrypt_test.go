@@ -1,6 +1,8 @@
 package seccrypt
 
 import (
+	"bytes"
+	"crypto/ed25519"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -420,4 +422,64 @@ func TestImportCardRejectsGarbage(t *testing.T) {
 	if _, err := ImportCard(exp[:len(exp)-5]); err == nil {
 		t.Fatal("truncated export accepted")
 	}
+}
+
+// TestImportCardRejectsMismatchedKeyHalves flips one byte in each half of
+// the exported private key (seed ‖ public key). Either flip leaves a card
+// whose NodeID comes from one key and whose signatures from another, so
+// nothing would verify its receipts; both must be refused.
+func TestImportCardRejectsMismatchedKeyHalves(t *testing.T) {
+	b := newBroker(t)
+	c, err := b.IssueCard(1000, 0, now+1000, DetRand(33))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := c.Export()
+	const privAt = 17 // quota, contribution, key length byte
+	for _, off := range []int{0, ed25519.SeedSize, ed25519.PrivateKeySize - 1} {
+		bad := bytes.Clone(exp)
+		bad[privAt+off] ^= 0x01
+		if _, err := ImportCard(bad); err == nil {
+			t.Fatalf("card with byte %d of its private key flipped accepted", off)
+		}
+	}
+	if _, err := ImportCard(exp); err != nil {
+		t.Fatalf("genuine export refused: %v", err)
+	}
+}
+
+// FuzzImportCard: on any bytes ImportCard never panics; a card it accepts
+// exports back to the same bytes, and its public key is the one its
+// private seed derives.
+func FuzzImportCard(f *testing.F) {
+	br, err := NewBroker(DetRand(7))
+	if err != nil {
+		f.Fatal(err)
+	}
+	c, err := br.IssueCard(5000, 777, now+1000, DetRand(34))
+	if err != nil {
+		f.Fatal(err)
+	}
+	exp := c.Export()
+	f.Add(exp)
+	f.Add(exp[:len(exp)-5])
+	flipped := bytes.Clone(exp)
+	flipped[17+ed25519.SeedSize] ^= 0x01
+	f.Add(flipped)
+	for _, garbage := range [][]byte{nil, {1, 2, 3}, make([]byte, 17), make([]byte, 200)} {
+		f.Add(garbage)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		card, err := ImportCard(data)
+		if err != nil {
+			return
+		}
+		if back := card.Export(); !bytes.Equal(back, data) {
+			t.Fatalf("accepted export re-exports differently:\n in %x\nout %x", data, back)
+		}
+		want := ed25519.NewKeyFromSeed(card.priv.Seed()).Public().(ed25519.PublicKey)
+		if !want.Equal(card.PublicKey()) {
+			t.Fatalf("card's public key %x, its seed derives %x", card.PublicKey(), want)
+		}
+	})
 }

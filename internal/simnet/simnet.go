@@ -51,8 +51,7 @@ type Net struct {
 	// now is the time of the last window barrier; clock is the time of the
 	// event being executed, which runs ahead of now inside a window.
 	now, clock time.Duration
-	netSeq     uint64 // sequence counter for source-0 (net-level) events
-	events     eventHeap
+	netSeq     uint64      // sequence counter for source-0 (net-level) events
 	free       []*event    // recycled events
 	freeTimers []*simTimer // recycled timer handles (see simTimer.Release)
 	msgCount   uint64
@@ -65,6 +64,9 @@ type Net struct {
 	// new barrier time) and after deadline jumps in RunFor. Telemetry
 	// recorders tick from here.
 	barrierHook func(now time.Duration)
+	// events is the pending-event queue (queue.go), last because its ring
+	// is 65 KiB.
+	events eventQueue
 }
 
 // defaultLookahead is the window length of a Net whose Config leaves
@@ -495,7 +497,7 @@ func (e *Endpoint) Close() error {
 }
 
 // ---------------------------------------------------------------------------
-// Event heap
+// Events
 
 // event is one scheduled occurrence: either a timer callback (fn set) or
 // a message delivery (target set). Events are pooled; gen counts recycles
@@ -506,6 +508,7 @@ type event struct {
 	at        time.Duration
 	src       int32
 	seq       uint64
+	next      *event    // the next event in the same calendar bucket (queue.go)
 	fn        func()    // timer events
 	owner     *Endpoint // timer events scheduled via an endpoint clock
 	target    *Endpoint // message events
@@ -560,69 +563,4 @@ func (n *Net) newTimerHandle(ev *event) *simTimer {
 	t.gen = ev.gen
 	t.released = false
 	return t
-}
-
-// eventHeap is a typed binary min-heap ordered by (at, src, seq).
-// Replacing the container/heap interface{} plumbing with direct methods
-// removes the per-operation interface conversions and method-value
-// dispatch from the simulator's innermost loop.
-type eventHeap struct {
-	evs []*event
-}
-
-func (h *eventHeap) Len() int { return len(h.evs) }
-
-func (h *eventHeap) peek() *event { return h.evs[0] }
-
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
-}
-
-func (h *eventHeap) push(ev *event) {
-	h.evs = append(h.evs, ev)
-	// Sift up.
-	evs := h.evs
-	i := len(evs) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(evs[i], evs[parent]) {
-			break
-		}
-		evs[i], evs[parent] = evs[parent], evs[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() *event {
-	evs := h.evs
-	top := evs[0]
-	last := len(evs) - 1
-	evs[0] = evs[last]
-	evs[last] = nil
-	h.evs = evs[:last]
-	// Sift down.
-	evs = h.evs
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(evs) && eventLess(evs[l], evs[smallest]) {
-			smallest = l
-		}
-		if r < len(evs) && eventLess(evs[r], evs[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		evs[i], evs[smallest] = evs[smallest], evs[i]
-		i = smallest
-	}
-	return top
 }

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -301,4 +303,70 @@ func TestTCPGarbagePayloadDropped(t *testing.T) {
 	if n := b.Stats().DecodeErrors; n != 1 {
 		t.Fatalf("DecodeErrors = %d, want 1", n)
 	}
+}
+
+// FuzzReadRawFrame: on any bytes and frame limit ReadRawFrame never
+// panics. A zero or over-limit announcement is refused after the 4-byte
+// header, before anything is allocated for it; an accepted frame is
+// exactly the announced payload and nothing past it; and WriteRawFrame's
+// framing of that payload reads back identical. Seeded from the fault
+// suites above.
+func FuzzReadRawFrame(f *testing.F) {
+	frame := func(announced uint32, body []byte) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, announced), body...)
+	}
+	f.Add(frame(1000, make([]byte, 10)), uint16(1<<10))            // truncated
+	f.Add(frame(1<<30, nil), uint16(1<<10))                        // oversized
+	f.Add(frame(0, []byte("x")), uint16(1<<10))                    // zero length
+	f.Add(frame(19, []byte("this is not a frame")), uint16(1<<10)) // framed garbage
+	f.Add(frame(4, []byte("pingpong")), uint16(4))                 // a frame and what follows
+	f.Add(frame(5, []byte("exact")), uint16(5))                    // at the limit
+	f.Fuzz(func(t *testing.T, in []byte, limit uint16) {
+		maxFrame := int(limit)
+		r := bytes.NewReader(in)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		payload, err := ReadRawFrame(r, maxFrame)
+		runtime.ReadMemStats(&after)
+		read := len(in) - r.Len()
+		if len(in) < 4 {
+			if err == nil {
+				t.Fatalf("accepted %d bytes, shorter than a header", len(in))
+			}
+			return
+		}
+		n := binary.BigEndian.Uint32(in)
+		if n == 0 || n > uint32(maxFrame) {
+			if err == nil {
+				t.Fatalf("announced length %d outside (0, %d] accepted", n, maxFrame)
+			}
+			if read != 4 {
+				t.Fatalf("refused announcement %d after reading %d bytes, want the 4-byte header", n, read)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; n >= 1<<16 && grew >= uint64(n) {
+				t.Fatalf("refusing announcement %d allocated %d bytes", n, grew)
+			}
+			return
+		}
+		if err != nil {
+			if len(in) >= 4+int(n) {
+				t.Fatalf("complete %d-byte frame refused: %v", n, err)
+			}
+			return
+		}
+		if !bytes.Equal(payload, in[4:4+n]) || read != 4+int(n) {
+			t.Fatalf("accepted %d-byte frame: payload %q after reading %d bytes", n, payload, read)
+		}
+		var back bytes.Buffer
+		if err := WriteRawFrame(&back, payload); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back.Bytes(), in[:4+n]) {
+			t.Fatalf("WriteRawFrame framed %q as %x, want %x", payload, back.Bytes(), in[:4+n])
+		}
+		again, err := ReadRawFrame(&back, maxFrame)
+		if err != nil || !bytes.Equal(again, payload) {
+			t.Fatalf("rewritten frame read back as %q, %v", again, err)
+		}
+	})
 }
