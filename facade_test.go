@@ -630,3 +630,47 @@ func ExampleNetwork_Reclaim() {
 	// non-owner reclaim: refused
 	// owner reclaim freed: 10
 }
+
+// TestPeerWholeFileOverOneFrame drives the frame cliff on real sockets: a
+// file plus its certificate travel in one frame, so the workload's largest
+// file (8 MiB) cannot be inserted over TCP. The inserting peer's writer
+// refuses the frame (counted in Oversize, never sent) and the insert times
+// out; a file that leaves room for the certificate is stored. Whole files
+// of any size, in bounded chunk frames (ROADMAP, "whole files of any
+// size"), are meant to turn the first case into a success.
+func TestPeerWholeFileOverOneFrame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	broker, err := past.NewBroker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := past.DefaultStorageConfig()
+	scfg.K = 2
+	scfg.Capacity = 1 << 30
+	var peers []*past.Peer
+	for i := 0; i < 2; i++ {
+		card, err := broker.IssueCard(1<<40, scfg.Capacity, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := past.ListenPeer(past.PeerConfig{Card: card, BrokerPub: broker.PublicKey(), Storage: scfg, OpTimeout: 500 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		peers = append(peers, p)
+	}
+	peers[0].Bootstrap()
+	admit(t, peers[:1], peers[1])
+	if _, err := peers[1].Insert(nil, "8MiB", make([]byte, 8<<20), 2); !errors.Is(err, past.ErrTimeout) {
+		t.Fatalf("8 MiB insert: %v, want ErrTimeout", err)
+	}
+	if sender, receiver := peers[1].TransportStats().Oversize, peers[0].TransportStats().Oversize; sender != 1 || receiver != 0 {
+		t.Fatalf("Oversize: sender %d, receiver %d; want 1 and 0", sender, receiver)
+	}
+	if _, err := peers[1].Insert(nil, "8MiB-4KiB", make([]byte, 8<<20-4<<10), 2); err != nil {
+		t.Fatalf("8 MiB - 4 KiB insert: %v", err)
+	}
+}

@@ -37,14 +37,6 @@ type Config struct {
 	// Caching enables caching copies of files at nodes along lookup and
 	// insert paths, using spare (non-replica) capacity.
 	Caching bool
-	// LegacyPushReplication disables digest-based anti-entropy and
-	// restores the original maintenance scheme: on every leaf-set change
-	// a holder pushes full file bodies to every member of each file's
-	// replica set, relying on receivers to discard duplicates. It exists
-	// as the measured baseline for experiment E16; anti-entropy (the
-	// default) exchanges compact fileId summaries first and transfers
-	// only missing replicas.
-	LegacyPushReplication bool
 	// RequestTimeout bounds how long a client operation waits for
 	// receipts or a reply.
 	RequestTimeout time.Duration
@@ -86,8 +78,7 @@ type Config struct {
 	// of files stuck that way under churn). The periodic sweep — rate
 	// limited here, piggybacked on the Pastry keep-alive timer, digests
 	// only — closes that residue. Zero uses the default; it is inert
-	// when keep-alives are disabled or under LegacyPushReplication
-	// (whose baseline semantics E16 measures).
+	// when keep-alives are disabled.
 	AntiEntropyEvery time.Duration
 	// Epoch anchors certificate timestamps and expiry checks: wall-clock
 	// seconds at the node clock's time zero. The simulator keeps the

@@ -70,11 +70,10 @@ type Stats struct {
 	ForgedReceiptsDropped int
 
 	// Replica-maintenance traffic sent by this node: anti-entropy digests
-	// and requests (Replications counts the Replicate bodies, under either
-	// scheme, so the message count is SyncOffers + SyncRequests +
-	// Replications). MaintenanceBytes approximates the wire size of that
-	// traffic so experiment E16 can compare schemes by bandwidth, not just
-	// message count.
+	// and requests (Replications counts the Replicate bodies, so the
+	// message count is SyncOffers + SyncRequests + Replications).
+	// MaintenanceBytes is the frame-codec size of that traffic
+	// (wire.FrameLen, the transport's length prefix not counted).
 	SyncOffers       int
 	SyncRequests     int
 	MaintenanceBytes int64
@@ -369,13 +368,8 @@ func (n *Node) LeafSetChanged() {
 // disagreed transiently — once views converge, no membership event
 // re-triggers sync and the file sits at k-1 copies (the E17 residue).
 // The sweep re-offers digests at most once per AntiEntropyEvery, so its
-// steady-state cost is a few fileId summaries per interval. Under
-// LegacyPushReplication it stays off: the legacy baseline would push
-// full bodies every sweep, which is not the scheme E16 measures.
+// steady-state cost is a few fileId summaries per interval.
 func (n *Node) Maintain() {
-	if n.cfg.LegacyPushReplication {
-		return
-	}
 	now := n.pn.Clock().Now()
 	n.mu.Lock()
 	if n.swept && now-n.lastSweep < n.cfg.AntiEntropyEvery {
@@ -837,28 +831,6 @@ func (n *Node) handleReclaimForward(m wire.ReclaimForward) {
 // ---------------------------------------------------------------------------
 // Re-replication and audits
 
-// Approximate wire sizes for maintenance accounting. The simulator never
-// serializes, so these model what the TCP transport would move:
-// fixed-width fields at their width, byte slices at their length, and a
-// NodeRef as id plus a short address.
-const refApproxBytes = id.NodeBytes + 12
-
-func certApproxBytes(c *wire.FileCertificate) int64 {
-	return int64(id.FileBytes + 32 + 8 + 4 + 8 + len(c.Salt) + len(c.OwnerPub) + len(c.CardCert) + len(c.Sig))
-}
-
-func replicateApproxBytes(c *wire.FileCertificate, dataLen int) int64 {
-	return certApproxBytes(c) + int64(dataLen) + refApproxBytes
-}
-
-func syncOfferApproxBytes(files int) int64 {
-	return int64(files*(id.FileBytes+8)) + refApproxBytes // fileId + size each
-}
-
-func syncRequestApproxBytes(files int) int64 {
-	return int64(files*id.FileBytes) + refApproxBytes
-}
-
 // markSwept records that anti-entropy ran now, so the periodic Maintain
 // sweep backs off for a full interval after ANY re-replication —
 // including event-driven ones. Without this, a keep-alive tick that
@@ -873,58 +845,14 @@ func (n *Node) markSwept() {
 	n.mu.Unlock()
 }
 
-// reReplicate restores the replication invariant after a leaf-set change.
-// The default scheme is digest-based anti-entropy: send each peer that is
-// in one of our files' replica sets ONE compact summary of the fileIds it
-// should hold; the peer fetches only what it is missing (SyncRequest →
-// Replicate). The legacy scheme pushes every full body to every replica-set
-// member on every change and relies on receivers to drop duplicates; it is
-// kept selectable as the bandwidth baseline for experiment E16.
+// reReplicate restores the replication invariant after a leaf-set change
+// by digest-based anti-entropy: send each peer that is in one of our
+// files' replica sets ONE compact summary of the fileIds it should hold;
+// the peer fetches only what it is missing (SyncRequest → Replicate).
 func (n *Node) reReplicate() {
 	n.markSwept()
-	self := n.pn.Ref()
-	items := n.store.Items()
-	if len(items) == 0 {
-		return
-	}
-	if !n.cfg.LegacyPushReplication {
-		n.antiEntropy(self, items)
-		return
-	}
-	// Legacy push-all. Counter updates are accumulated locally and folded
-	// into stats under one lock acquire — this loop sends O(files × k)
-	// messages and is hot under churn.
-	reps := 0
-	var bytes int64
-	for _, it := range items {
-		if it.Diverted {
-			continue // the primary is responsible for diverted copies
-		}
-		set := n.replicaSet(it.Cert.FileID.Key(), it.Cert.Replicas)
-		selfIn := false
-		for _, ref := range set {
-			if ref.ID == self.ID {
-				selfIn = true
-				break
-			}
-		}
-		if !selfIn {
-			continue // we hold a stale extra copy; harmless, acts as cache
-		}
-		for _, ref := range set {
-			if ref.ID == self.ID {
-				continue
-			}
-			reps++
-			bytes += replicateApproxBytes(&it.Cert, len(it.Data))
-			n.pn.Send(ref, wire.Replicate{Cert: it.Cert, Data: it.Data, From: self})
-		}
-	}
-	if reps > 0 {
-		n.mu.Lock()
-		n.stats.Replications += reps
-		n.stats.MaintenanceBytes += bytes
-		n.mu.Unlock()
+	if items := n.store.Items(); len(items) > 0 {
+		n.antiEntropy(n.pn.Ref(), items)
 	}
 }
 
@@ -975,8 +903,9 @@ func (n *Node) antiEntropy(self wire.NodeRef, items []storage.Item) {
 	}
 	var bytes int64
 	for _, o := range offers {
-		bytes += syncOfferApproxBytes(len(o.files))
-		n.pn.Send(o.ref, wire.SyncOffer{From: self, Files: o.files, Sizes: o.sizes})
+		m := wire.SyncOffer{From: self, Files: o.files, Sizes: o.sizes}
+		bytes += int64(wire.FrameLen(self.Addr, m))
+		n.pn.Send(o.ref, m)
 	}
 	n.mu.Lock()
 	n.stats.SyncOffers += len(offers)
@@ -1024,10 +953,11 @@ func (n *Node) handleSyncOffer(m wire.SyncOffer) {
 		n.mu.Unlock()
 		return
 	}
+	req := wire.SyncRequest{From: n.pn.Ref(), Files: missing}
 	n.stats.SyncRequests++
-	n.stats.MaintenanceBytes += syncRequestApproxBytes(len(missing))
+	n.stats.MaintenanceBytes += int64(wire.FrameLen(req.From.Addr, req))
 	n.mu.Unlock()
-	n.pn.Send(m.From, wire.SyncRequest{From: n.pn.Ref(), Files: missing})
+	n.pn.Send(m.From, req)
 }
 
 // handleSyncRequest answers an anti-entropy fetch with full Replicate
@@ -1041,9 +971,10 @@ func (n *Node) handleSyncRequest(m wire.SyncRequest) {
 		if err != nil {
 			continue // reclaimed or never held; the requester will re-sync later
 		}
+		rep := wire.Replicate{Cert: it.Cert, Data: it.Data, From: self}
 		reps++
-		bytes += replicateApproxBytes(&it.Cert, len(it.Data))
-		n.pn.Send(m.From, wire.Replicate{Cert: it.Cert, Data: it.Data, From: self})
+		bytes += int64(wire.FrameLen(self.Addr, rep))
+		n.pn.Send(m.From, rep)
 	}
 	if reps > 0 {
 		n.mu.Lock()

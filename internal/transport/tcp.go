@@ -208,20 +208,19 @@ func (t *TCP) acceptLoop() {
 var errOversize = errors.New("transport: frame exceeds limit")
 
 // encodeFrame overwrites buf with one whole frame: length prefix, sender
-// address, message. A frame that encodes beyond maxFrame is refused here
-// (errOversize), before any byte reaches the connection: better to drop one
-// message than to ship something every receiver will kill the connection
-// over.
+// address, message. A frame that would encode beyond maxFrame is refused
+// (errOversize) before it is encoded, so buf neither receives the copy nor
+// grows to its size: better to drop one message than to ship something
+// every receiver will kill the connection over.
 func encodeFrame(buf []byte, from string, m wire.Msg, maxFrame int) ([]byte, error) {
+	if n := wire.FrameLen(from, m); n > maxFrame {
+		return buf, fmt.Errorf("%w: %d bytes, limit %d", errOversize, n, maxFrame)
+	}
 	out, err := wire.AppendFrame(append(buf[:0], 0, 0, 0, 0), from, m)
 	if err != nil {
 		return buf, err
 	}
-	n := len(out) - 4
-	if n > maxFrame {
-		return buf, fmt.Errorf("%w: %d bytes, limit %d", errOversize, n, maxFrame)
-	}
-	binary.BigEndian.PutUint32(out, uint32(n))
+	binary.BigEndian.PutUint32(out, uint32(len(out)-4))
 	return out, nil
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"net"
 	"runtime"
 	"sync"
@@ -143,6 +144,27 @@ func TestTCPOversizedSendRefusedLocally(t *testing.T) {
 	}
 	if n := a.Stats().Oversize; n != 1 {
 		t.Fatalf("Oversize = %d, want 1", n)
+	}
+}
+
+// TestEncodeFrameRefusesBeforeEncoding: an oversize message is refused by
+// its size alone, so the writer's reused buffer comes back untouched and
+// the message is never copied.
+func TestEncodeFrameRefusesBeforeEncoding(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	big := wire.ReplicaStore{Data: make([]byte, 1<<20)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := encodeFrame(buf, "a:1", big, 1<<10)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errOversize) {
+		t.Fatalf("err = %v, want errOversize", err)
+	}
+	if len(out) != 0 || cap(out) != 64 {
+		t.Fatalf("buffer came back len %d cap %d, want 0 and 64", len(out), cap(out))
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 4<<10 {
+		t.Fatalf("refusing allocated %d bytes: the message was encoded first", n)
 	}
 }
 

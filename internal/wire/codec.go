@@ -93,6 +93,19 @@ func AppendFrame(dst []byte, from string, m Msg) ([]byte, error) {
 	return e.b, nil
 }
 
+// FrameLen returns len(AppendFrame(nil, from, m)) without encoding: the
+// encoder's own field walk, counting instead of appending. It is 0 for a
+// message AppendFrame refuses, and never allocates.
+func FrameLen(from string, m Msg) int {
+	e := encoder{sizing: true}
+	e.str(from)
+	e.msg(m, false)
+	if e.err != nil {
+		return 0
+	}
+	return e.n
+}
+
 // DecodeFrame decodes one frame body. Byte-slice fields of the returned
 // message (Data, signatures, keys, salts) alias b rather than copying it,
 // each capped to its own length: the caller hands b over and must never
@@ -156,21 +169,32 @@ func DecodePointer(b []byte) (id.File, NodeRef, error) {
 	return f, holder, d.done()
 }
 
-// encoder appends fields to b; the first error sticks.
+// encoder appends fields to b, or with sizing set only counts their bytes
+// in n; the first error sticks.
 type encoder struct {
-	b   []byte
-	err error
+	b      []byte
+	n      int
+	sizing bool
+	tmp    [8]byte // a fixed-width field on its way to put
+	err    error
 }
 
-func (e *encoder) u8(v byte)      { e.b = append(e.b, v) }
-func (e *encoder) u64(v uint64)   { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *encoder) i64(v int64)    { e.u64(uint64(v)) }
-func (e *encoder) f64(v float64)  { e.u64(math.Float64bits(v)) }
-func (e *encoder) node(v id.Node) { e.b = append(e.b, v[:]...) }
-func (e *encoder) file(v id.File) { e.b = append(e.b, v[:]...) }
-func (e *encoder) hash(v [32]byte) {
-	e.b = append(e.b, v[:]...)
+// put appends p, or when sizing only counts it.
+func (e *encoder) put(p []byte) {
+	if e.sizing {
+		e.n += len(p)
+	} else {
+		e.b = append(e.b, p...)
+	}
 }
+
+func (e *encoder) u8(v byte)       { e.put(append(e.tmp[:0], v)) }
+func (e *encoder) u64(v uint64)    { e.put(binary.BigEndian.AppendUint64(e.tmp[:0], v)) }
+func (e *encoder) i64(v int64)     { e.u64(uint64(v)) }
+func (e *encoder) f64(v float64)   { e.u64(math.Float64bits(v)) }
+func (e *encoder) node(v id.Node)  { e.put(v[:]) }
+func (e *encoder) file(v id.File)  { e.put(v[:]) }
+func (e *encoder) hash(v [32]byte) { e.put(v[:]) }
 
 func (e *encoder) bool(v bool) {
 	if v {
@@ -184,17 +208,21 @@ func (e *encoder) count(n int) {
 	if n > math.MaxUint32 {
 		e.fail(fmt.Errorf("wire: field of %d elements exceeds the u32 prefix", n))
 	}
-	e.b = binary.BigEndian.AppendUint32(e.b, uint32(n))
+	e.put(binary.BigEndian.AppendUint32(e.tmp[:0], uint32(n)))
 }
 
 func (e *encoder) bytes(v []byte) {
 	e.count(len(v))
-	e.b = append(e.b, v...)
+	e.put(v)
 }
 
 func (e *encoder) str(v string) {
 	e.count(len(v))
-	e.b = append(e.b, v...)
+	if e.sizing {
+		e.n += len(v)
+	} else {
+		e.b = append(e.b, v...)
+	}
 }
 
 func (e *encoder) ref(r NodeRef) {

@@ -298,6 +298,31 @@ func TestEncodeRejects(t *testing.T) {
 		if string(out) != "kept" {
 			t.Errorf("%s: dst came back as %q", name, out)
 		}
+		if n := FrameLen("a:1", m); n != 0 {
+			t.Errorf("%s: FrameLen %d, want 0", name, n)
+		}
+	}
+}
+
+// frameLenChecks fails t unless FrameLen is len(b), the encoding of m
+// from from, and costs no allocation.
+func frameLenChecks(t *testing.T, from string, m Msg, b []byte) {
+	t.Helper()
+	if n := FrameLen(from, m); n != len(b) {
+		t.Fatalf("%T: FrameLen %d, encoding %d bytes", m, n, len(b))
+	}
+	if a := testing.AllocsPerRun(1, func() { FrameLen(from, m) }); a != 0 {
+		t.Fatalf("%T: FrameLen allocates %.0f times", m, a)
+	}
+}
+
+// TestFrameLenIsTheEncoding: every message type, bare and Routed, with
+// full, empty and nil slices, sizes to exactly its encoding.
+func TestFrameLenIsTheEncoding(t *testing.T) {
+	for _, mode := range []sliceMode{sliceFull, sliceEmpty, sliceNil} {
+		for _, m := range filledTable(mode) {
+			frameLenChecks(t, "127.0.0.1:7001", m, mustEncode(t, "127.0.0.1:7001", m))
+		}
 	}
 }
 
@@ -385,7 +410,7 @@ func hasNaN(m Msg) bool {
 
 // FuzzDecodeFrame: arbitrary bytes never panic the decoder, and whatever
 // decodes re-encodes to the very same bytes (the encoding is canonical),
-// which decode to an equal value.
+// which FrameLen sizes exactly and which decode to an equal value.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, mode := range []sliceMode{sliceFull, sliceNil} {
 		for _, m := range filledTable(mode) {
@@ -409,6 +434,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if !bytes.Equal(re, b) {
 			t.Fatalf("re-encoding differs:\n in  %x\n out %x", b, re)
 		}
+		frameLenChecks(t, from, m, b)
 		from2, m2, err := DecodeFrame(re)
 		if err != nil || from2 != from {
 			t.Fatalf("re-decode: from %q (want %q), err %v", from2, from, err)
