@@ -127,9 +127,9 @@ type Node struct {
 	app   App
 
 	mu    sync.Mutex
-	rt    *RoutingTable
-	leaf  *LeafSet
-	nbhd  *Neighborhood
+	rt    RoutingTable
+	leaf  LeafSet
+	nbhd  Neighborhood
 	rng   *rand.Rand
 	alive bool
 
@@ -144,8 +144,16 @@ type Node struct {
 	joinSeen  map[id.Node]bool // nodes discovered during join, to announce to
 
 	// lastSeen is the silence clock per directly heard peer, plus what
-	// noteAlive needs to tell a repeat offer from a new one (sighting).
-	lastSeen map[id.Node]sighting
+	// noteAlive needs to tell a repeat offer from a new one (sighting). It
+	// is the one owner of every sighting; the handles it holds stay put
+	// until removeDeadLocked deletes one or Recover drops the map.
+	lastSeen map[id.Node]*sighting
+	// watch is the leaf set's members in ForEach order, each with its
+	// sighting, so keepAliveTick looks nothing up. It was built at leaf
+	// version watchVer-1; 0 means rebuild. See keepAliveTick for why no
+	// handle in it goes stale.
+	watch    []watched
+	watchVer uint64
 	// candBuf and candSeen are per-node scratch reused by candidates()
 	// so per-route candidate scans allocate nothing in steady state.
 	// Guarded by mu, like the routing state they snapshot; callers must
@@ -181,9 +189,9 @@ func New(cfg Config, nodeID id.Node, tr transport.Transport, clock transport.Clo
 		tr:    tr,
 		clock: clock,
 		app:   app,
-		rt:    NewRoutingTable(nodeID, cfg.B),
-		leaf:  NewLeafSet(nodeID, cfg.L),
-		nbhd:  NewNeighborhood(neighborhoodSize),
+		rt:    *NewRoutingTable(nodeID, cfg.B),
+		leaf:  *NewLeafSet(nodeID, cfg.L),
+		nbhd:  *NewNeighborhood(neighborhoodSize),
 	}
 	tr.SetHandler(n.handle)
 	return n
@@ -210,7 +218,8 @@ func (n *Node) rand() *rand.Rand {
 // last did (the silence clock keepAliveTick reads) and, once noteAlive has
 // folded the peer into the routing state, the address and proximity that
 // offer carried and the state's version (stateVer) just after it; ver 0
-// records no offer. It is stored by value: 40 bytes, no pointer to chase.
+// records no offer. lastSeen holds it by reference, so one lookup yields a
+// handle that is read and updated in place.
 type sighting struct {
 	at   time.Duration
 	addr string
@@ -218,20 +227,34 @@ type sighting struct {
 	ver  uint64
 }
 
+// watched is a leaf member as keepAliveTick visits it.
+type watched struct {
+	ref  wire.NodeRef
+	seen *sighting
+}
+
 // stateVer is the version of the routing table, leaf set and neighborhood
 // together: it moves whenever any of them changes, and is never 0. Lock
 // held.
 func (n *Node) stateVer() uint64 { return 1 + n.rt.ver + n.leaf.ver + n.nbhd.ver }
 
-// sawNow records when a peer was last directly heard from, allocating the
-// tracking map on first use. Lock held.
+// sawNow records when a peer was last directly heard from. Lock held.
 func (n *Node) sawNow(peer id.Node) {
-	if n.lastSeen == nil {
-		n.lastSeen = make(map[id.Node]sighting)
+	n.sightingOf(peer).at = n.clock.Now()
+}
+
+// sightingOf returns peer's sighting, creating an empty one (and the map)
+// on first contact. Lock held.
+func (n *Node) sightingOf(peer id.Node) *sighting {
+	if s := n.lastSeen[peer]; s != nil {
+		return s
 	}
-	s := n.lastSeen[peer]
-	s.at = n.clock.Now()
+	if n.lastSeen == nil {
+		n.lastSeen = make(map[id.Node]*sighting)
+	}
+	s := &sighting{}
 	n.lastSeen[peer] = s
+	return s
 }
 
 // SetApp installs the application layer. It must be called before the
@@ -507,17 +530,13 @@ func (n *Node) noteAlive(ref wire.NodeRef) {
 	if len(n.suspect) > 0 {
 		delete(n.suspect, ref.ID) // direct contact clears suspicion
 	}
-	if n.lastSeen == nil {
-		n.lastSeen = make(map[id.Node]sighting)
-	}
 	prox := n.tr.Proximity(ref.Addr)
-	s := n.lastSeen[ref.ID]
+	s := n.sightingOf(ref.ID)
 	s.at = n.clock.Now()
 	if s.ver != n.stateVer() || s.addr != ref.Addr || s.prox != prox {
 		n.fold(ref, prox, true)
 		s.addr, s.prox, s.ver = ref.Addr, prox, n.stateVer()
 	}
-	n.lastSeen[ref.ID] = s
 }
 
 // suspected reports whether ref was recently declared dead and the
@@ -954,17 +973,28 @@ func (n *Node) keepAliveTick() {
 	// immutable on both transports.
 	var hb wire.Msg = wire.Heartbeat{From: n.ref}
 	var dead []wire.NodeRef
-	n.leaf.ForEach(func(m wire.NodeRef) {
-		seen, ok := n.lastSeen[m.ID]
-		if !ok {
+	// The watch list mirrors the leaf set at one version, and a handle in
+	// it cannot outlive its map entry: only removeDeadLocked deletes an
+	// entry, and it also removes the node from the leaf set, moving the
+	// version; Recover drops the whole map and the list with it. A handle
+	// is nil only in the tick that built the list, which fills it.
+	if n.watchVer != n.leaf.ver+1 {
+		n.watch = n.watch[:0]
+		n.leaf.ForEach(func(m wire.NodeRef) { n.watch = append(n.watch, watched{m, n.lastSeen[m.ID]}) })
+		n.watchVer = n.leaf.ver + 1
+	}
+	for i := range n.watch {
+		w := &n.watch[i]
+		if w.seen == nil {
 			// First sighting without traffic: start the silence clock.
-			n.sawNow(m.ID)
-		} else if now-seen.at > n.cfg.FailTimeout {
-			dead = append(dead, m)
-			return
+			w.seen = n.sightingOf(w.ref.ID)
+			w.seen.at = now
+		} else if now-w.seen.at > n.cfg.FailTimeout {
+			dead = append(dead, w.ref)
+			continue
 		}
-		n.tr.Send(m.Addr, hb)
-	})
+		n.tr.Send(w.ref.Addr, hb)
+	}
 	var acts []func()
 	for _, d := range dead {
 		acts = append(acts, n.declareDeadLocked(d)...)
@@ -1129,6 +1159,7 @@ func (n *Node) Recover() {
 	// The world moved on while we were gone: our view of who is alive is
 	// stale, so restart the silence clocks (maps reallocate on first use).
 	n.lastSeen = nil
+	n.watchVer = 0
 	n.suspect = nil
 	req := wire.LeafSetRequest{From: n.ref}
 	ann := wire.Announce{From: n.ref}

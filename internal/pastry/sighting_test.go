@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"past/internal/id"
+	"past/internal/simnet"
 	"past/internal/transport"
 	"past/internal/wire"
 )
@@ -218,7 +219,12 @@ func TestNoteAliveMatchesUnskippedFold(t *testing.T) {
 			case k < 19:
 				what = "a second passes, keep-alive tick"
 				net.now += time.Second
-				both(func(n *Node) { n.keepAliveTick() })
+				both(func(n *Node) {
+					n.keepAliveTick()
+					if err := watchErr(n); err != nil {
+						t.Fatalf("round %d step %d (l=%d): after a tick: %v", round, step, cfg.L, err)
+					}
+				})
 			case k < 20:
 				what = "leave and recover"
 				both(func(n *Node) { n.Leave(); n.Recover() })
@@ -305,5 +311,222 @@ func TestHeldHeartbeatMovesNoVersion(t *testing.T) {
 	}
 	if refreshed == 0 {
 		t.Fatal("empty routing table")
+	}
+}
+
+// watchErr checks n's keep-alive watch list against lastSeen right after a
+// tick. The list mirrors the leaf set in ForEach order, or did when the
+// tick began and the tick has since declared members dead. Each member's
+// handle is the sighting lastSeen holds, never nil (the tick started a
+// clock for every member it had not heard from), and a listed node the
+// tick removed has no sighting left.
+func watchErr(n *Node) error {
+	members := n.leaf.Members()
+	current := n.watchVer == n.leaf.ver+1
+	if current && len(n.watch) != len(members) {
+		return fmt.Errorf("watch list of %d at leaf version %d, leaf set of %d", len(n.watch), n.leaf.ver, len(members))
+	}
+	listed := map[id.Node]bool{}
+	for i, w := range n.watch {
+		listed[w.ref.ID] = true
+		if current && w.ref != members[i] {
+			return fmt.Errorf("watch[%d] is %v, leaf member %d is %v", i, w.ref, i, members[i])
+		}
+		got, held := n.lastSeen[w.ref.ID], n.leaf.Contains(w.ref.ID)
+		switch {
+		case held && (w.seen == nil || w.seen != got):
+			return fmt.Errorf("member %v: watched sighting %p, lastSeen holds %p", w.ref, w.seen, got)
+		case !held && got != nil:
+			return fmt.Errorf("%v left the leaf set during the tick but its sighting %p survives", w.ref, got)
+		}
+	}
+	for _, m := range members {
+		if !listed[m.ID] {
+			return fmt.Errorf("member %v is not on the watch list", m)
+		}
+	}
+	return nil
+}
+
+// tickErr checks a tick's outcome against what the tick did when it looked
+// every leaf member up in lastSeen: before holds the members and their
+// sightings (with each clock) as the tick found them. A member never heard
+// from has its clock started at now; one silent for longer than
+// FailTimeout is declared dead, leaving the leaf set and lastSeen; any
+// other keeps its sighting and clock.
+func tickErr(n *Node, before []watched, at []time.Duration, now time.Duration) error {
+	for i, w := range before {
+		got := n.lastSeen[w.ref.ID]
+		switch {
+		case w.seen == nil:
+			if got == nil || got.at != now {
+				return fmt.Errorf("first contact with %v: sighting %+v, want one at %v", w.ref, got, now)
+			}
+		case now-at[i] > n.cfg.FailTimeout:
+			if got != nil || n.leaf.Contains(w.ref.ID) {
+				return fmt.Errorf("%v silent since %v at %v was not declared dead", w.ref, at[i], now)
+			}
+		case got != w.seen || got.at != at[i]:
+			return fmt.Errorf("%v heard at %v: sighting %+v after the tick, was %p", w.ref, at[i], got, w.seen)
+		}
+	}
+	return nil
+}
+
+// watchClock runs check on its node after every timer callback that was a
+// keep-alive tick, passing the leaf members and sightings the tick found.
+type watchClock struct {
+	transport.Clock
+	nd    *Node
+	check func(n *Node, before []watched, at []time.Duration)
+}
+
+func (c *watchClock) AfterFunc(d time.Duration, f func()) transport.Timer {
+	return c.Clock.AfterFunc(d, func() {
+		var before []watched
+		var at []time.Duration
+		c.nd.leaf.ForEach(func(m wire.NodeRef) {
+			s := c.nd.lastSeen[m.ID]
+			before = append(before, watched{m, s})
+			if s != nil {
+				at = append(at, s.at)
+			} else {
+				at = append(at, 0)
+			}
+		})
+		ticks := c.nd.kaTicks
+		f()
+		if c.nd.kaTicks != ticks {
+			c.check(c.nd, before, at)
+		}
+	})
+}
+
+// TestKeepAliveWatchMatchesLastSeen churns a small simulated network (l = 8,
+// so joins evict leaf members and deaths re-admit them) with crashes and
+// restarts (the rejoin reset), graceful departures, restarts at a new
+// address, and repair replies that admit a node never heard from; after
+// every keep-alive tick on every node, watchErr and tickErr must hold. A
+// member evicted and later re-admitted must find the sighting it left, as
+// the map keeps it, and is judged by its clock.
+func TestKeepAliveWatchMatchesLastSeen(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	net := simnet.New(simnet.Config{Seed: 35}, func(a, b int) float64 { return float64(1 + (a+b)%40) })
+	cfg := DefaultConfig()
+	cfg.L, cfg.KeepAlive, cfg.FailTimeout, cfg.JoinTimeout = 8, time.Second, 3*time.Second, 5*time.Second
+
+	ticks := 0
+	// evicted holds, per node, the sightings of members that left its leaf
+	// set without being declared dead.
+	evicted := map[*Node]map[id.Node]*sighting{}
+	held := map[*Node]map[id.Node]*sighting{}
+	readmitted := 0
+	check := func(n *Node, before []watched, at []time.Duration) {
+		ticks++
+		err := watchErr(n)
+		if err == nil {
+			err = tickErr(n, before, at, n.clock.Now())
+		}
+		if err != nil {
+			t.Fatalf("after tick %d of %s at %v: %v", n.kaTicks, n.ref.ID.Short(), n.clock.Now(), err)
+		}
+		now := map[id.Node]*sighting{}
+		for _, m := range n.leaf.Members() {
+			now[m.ID] = n.lastSeen[m.ID]
+			if s, ok := evicted[n][m.ID]; ok && s == now[m.ID] {
+				readmitted++
+			}
+		}
+		if evicted[n] == nil {
+			evicted[n] = map[id.Node]*sighting{}
+		}
+		for p, s := range held[n] {
+			if _, in := now[p]; !in && n.lastSeen[p] == s {
+				evicted[n][p] = s
+			}
+		}
+		for p := range now {
+			delete(evicted[n], p)
+		}
+		held[n] = now
+	}
+
+	var live, down []*Node
+	spawn := func(nid id.Node, seed *Node) *Node {
+		ep := net.NewEndpoint()
+		clock := &watchClock{Clock: ep.Clock(), check: check}
+		nd := New(cfg, nid, ep, clock, nil)
+		clock.nd = nd
+		if seed == nil {
+			nd.Bootstrap()
+		} else {
+			nd.Join(seed.ref.Addr, func(error) {})
+		}
+		live = append(live, nd)
+		return nd
+	}
+	spawn(id.Rand(1), nil)
+	for i := 1; i < 24; i++ {
+		spawn(id.Rand(uint64(1+i)), live[rng.Intn(len(live))])
+		net.RunFor(300 * time.Millisecond)
+	}
+	take := func(list *[]*Node) *Node {
+		i := rng.Intn(len(*list))
+		nd := (*list)[i]
+		*list = append((*list)[:i], (*list)[i+1:]...)
+		return nd
+	}
+	counts := map[string]int{}
+	for step := 0; step < 240; step++ {
+		switch k := rng.Intn(6); {
+		case k == 0 && len(live) > 12:
+			nd := take(&live)
+			nd.tr.(*simnet.Endpoint).Crash()
+			nd.Leave()
+			down = append(down, nd)
+			counts["crash"]++
+		case k == 1 && len(live) > 12:
+			nd := take(&live)
+			nd.Depart()
+			nd.tr.(*simnet.Endpoint).Crash()
+			down = append(down, nd)
+			counts["depart"]++
+		case k == 2 && len(down) > 0:
+			nd := take(&down)
+			nd.tr.(*simnet.Endpoint).Restart()
+			nd.Recover()
+			live = append(live, nd)
+			counts["restart"]++
+		case k == 3 && len(down) > 0:
+			nd := take(&down)
+			spawn(nd.ref.ID, live[rng.Intn(len(live))])
+			counts["new address"]++
+		case k == 4:
+			// A repair reply naming a live node the receiver has no
+			// sighting of.
+			to, from := live[rng.Intn(len(live))], live[rng.Intn(len(live))]
+			for _, e := range live {
+				if _, seen := to.lastSeen[e.ref.ID]; !seen && e != to && from != to {
+					to.handle(from.ref.Addr, wire.RTRepairReply{From: from.ref, Entry: e.ref})
+					if to.leaf.Contains(e.ref.ID) {
+						counts["unseen repair admission"]++
+					}
+					break
+				}
+			}
+		default:
+			spawn(id.Rand(uint64(1000+step)), live[rng.Intn(len(live))])
+			counts["join"]++
+		}
+		net.RunFor(time.Duration(200+rng.Intn(1200)) * time.Millisecond)
+	}
+	t.Logf("%d ticks checked, %d re-admissions, %v", ticks, readmitted, counts)
+	for _, c := range []string{"crash", "depart", "restart", "new address", "unseen repair admission"} {
+		if counts[c] == 0 {
+			t.Errorf("no %s: the schedule lost a case", c)
+		}
+	}
+	if readmitted == 0 {
+		t.Error("no member was evicted and re-admitted: the schedule lost a case")
 	}
 }

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -182,8 +181,21 @@ func (q *eventQueue) advance() {
 	for q.far.Len() > 0 && bucketOf(q.far.peek().at) == b {
 		q.now = append(q.now, q.far.pop())
 	}
-	slices.SortFunc(q.now, eventCmp)
+	if len(q.now) > shortBucket {
+		slices.SortFunc(q.now, eventCmp)
+		return
+	}
+	// Most buckets are this short, where the generic sort's set-up costs
+	// more than the sort. The key is unique, so the order is the same.
+	for i := 1; i < len(q.now); i++ {
+		for j := i; j > 0 && eventLess(q.now[j], q.now[j-1]); j-- {
+			q.now[j], q.now[j-1] = q.now[j-1], q.now[j]
+		}
+	}
 }
+
+// shortBucket is the longest bucket advance insertion-sorts.
+const shortBucket = 12
 
 // scan returns the first bucket in [from, end) whose ring slot is
 // occupied, or -1. It reads the bitmap a word at a time.
@@ -201,14 +213,24 @@ func (q *eventQueue) scan(from, end int64) int64 {
 	return -1
 }
 
+// eventCmp orders events by (at, src, seq). It is written out rather
+// than built from cmp.Compare so that it inlines into every comparison.
 func eventCmp(a, b *event) int {
-	if a.at != b.at {
-		return cmp.Compare(a.at, b.at)
+	switch {
+	case a.at < b.at:
+		return -1
+	case a.at > b.at:
+		return 1
+	case a.src < b.src:
+		return -1
+	case a.src > b.src:
+		return 1
+	case a.seq < b.seq:
+		return -1
+	case a.seq > b.seq:
+		return 1
 	}
-	if a.src != b.src {
-		return cmp.Compare(a.src, b.src)
-	}
-	return cmp.Compare(a.seq, b.seq)
+	return 0
 }
 
 // eventHeap is a typed binary min-heap ordered by (at, src, seq): the

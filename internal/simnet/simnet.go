@@ -13,10 +13,16 @@
 // only at window ends. Same-time events are ordered by their creating
 // endpoint and its own counter, and jitter and loss draw from per-endpoint
 // streams, so a run is exactly reproducible from its seed.
+//
+// The per-event path reads rather than parses: an endpoint's address is
+// "sim:" and its index in canonical decimal, which Index reads back in an
+// inlined loop, and a delivery counts under its codec tag (wire.Tag) in
+// an array, with a map by Kind only for types the codec does not know.
 package simnet
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"strconv"
@@ -55,9 +61,12 @@ type Net struct {
 	free       []*event    // recycled events
 	freeTimers []*simTimer // recycled timer handles (see simTimer.Release)
 	msgCount   uint64
-	byKind     map[string]uint64
-	eps        []*Endpoint
-	dist       Distance
+	// byTag counts deliveries per codec tag (wire.Tag), each with its
+	// type's Kind; byKind counts the types the codec does not know.
+	byTag  [256]kindCount
+	byKind map[string]uint64
+	eps    []*Endpoint
+	dist   Distance
 	// TraceFn, if set, observes every delivered message.
 	TraceFn func(at time.Duration, from, to string, m wire.Msg)
 	// barrierHook, if set, runs at the end of every window (n.now = the
@@ -89,22 +98,41 @@ func New(cfg Config, dist Distance) *Net {
 	return &Net{cfg: cfg, dist: dist, byKind: make(map[string]uint64)}
 }
 
+// kindCount is one codec tag's delivery counter.
+type kindCount struct {
+	n    uint64
+	kind string
+}
+
 // Addr formats the simulator address of endpoint index i.
 func Addr(i int) string { return "sim:" + strconv.Itoa(i) }
 
-// Index parses an endpoint index out of a simulator address. It is on
-// the path of every simulated Send and Proximity call, so it uses
-// strconv instead of fmt (whose scanner allocates per call).
+// Index parses an endpoint index out of a simulator address: exactly the
+// canonical decimal Addr writes, with no sign and no leading zero. It is on
+// the path of every simulated Send and Proximity call, so it is one loop
+// small enough to inline.
 func Index(addr string) (int, error) {
-	if len(addr) < 5 || addr[:4] != "sim:" {
-		return 0, fmt.Errorf("simnet: bad address %q", addr)
+	digits := len(addr) - len("sim:")
+	if digits < 1 || digits > 19 || addr[:4] != "sim:" || (addr[4] == '0' && digits > 1) {
+		return 0, badAddr(addr)
 	}
-	i, err := strconv.Atoi(addr[4:])
-	if err != nil || i < 0 {
-		return 0, fmt.Errorf("simnet: bad address %q", addr)
+	var i uint64 // 19 decimal digits cannot overflow it
+	for _, c := range []byte(addr[4:]) {
+		if c -= '0'; c > 9 {
+			return 0, badAddr(addr)
+		}
+		i = i*10 + uint64(c)
 	}
-	return i, nil
+	if i > math.MaxInt {
+		return 0, badAddr(addr)
+	}
+	return int(i), nil
 }
+
+// badAddr is the error Index returns for addr.
+type badAddr string
+
+func (a badAddr) Error() string { return fmt.Sprintf("simnet: bad address %q", string(a)) }
 
 // NewEndpoint creates the next endpoint. Endpoints are identified by dense
 // indices that must correspond to the node indices used by the Distance
@@ -129,11 +157,13 @@ func (n *Net) SetBarrierHook(fn func(now time.Duration)) { n.barrierHook = fn }
 // Messages returns the total number of messages delivered so far.
 func (n *Net) Messages() uint64 { return n.msgCount }
 
-// MessagesByKind returns a copy of the per-kind delivery counters.
+// MessagesByKind returns the delivery counters by message kind.
 func (n *Net) MessagesByKind() map[string]uint64 {
-	out := make(map[string]uint64, len(n.byKind))
-	for k, v := range n.byKind {
-		out[k] = v
+	out := maps.Clone(n.byKind)
+	for _, c := range n.byTag {
+		if c.n > 0 {
+			out[c.kind] += c.n
+		}
 	}
 	return out
 }
@@ -141,6 +171,7 @@ func (n *Net) MessagesByKind() map[string]uint64 {
 // ResetCounters zeroes the message counters (topology and time are kept).
 func (n *Net) ResetCounters() {
 	n.msgCount = 0
+	n.byTag = [256]kindCount{}
 	n.byKind = make(map[string]uint64)
 }
 
@@ -328,11 +359,26 @@ func (n *Net) deliver(target *Endpoint, from string, m wire.Msg) {
 		return
 	}
 	n.msgCount++
-	n.byKind[m.Kind()]++
+	n.countKind(m)
 	if n.TraceFn != nil {
 		n.TraceFn(n.clock, from, target.addr, m)
 	}
 	target.handler(from, m)
+}
+
+// countKind adds one delivery of m to its kind's counter: the slot of its
+// codec tag, or for a type the codec does not know, the map by Kind.
+func (n *Net) countKind(m wire.Msg) {
+	t := wire.Tag(m)
+	if t == 0 {
+		n.byKind[m.Kind()]++
+		return
+	}
+	c := &n.byTag[t]
+	if c.n == 0 {
+		c.kind = m.Kind()
+	}
+	c.n++
 }
 
 // Latency returns the (jittered) delivery latency between endpoints,

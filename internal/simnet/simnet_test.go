@@ -1,6 +1,9 @@
 package simnet
 
 import (
+	"maps"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -324,17 +327,58 @@ func TestTraceFn(t *testing.T) {
 	}
 }
 
+// TestResetCounters: a codec type (counted by its tag) and a type the
+// codec does not know (counted by Kind) both count, both reset, and both
+// count again from zero under their names.
 func TestResetCounters(t *testing.T) {
 	n := New(Config{Seed: 1}, nil)
 	a := n.NewEndpoint()
 	b := n.NewEndpoint()
 	b.SetHandler(func(string, wire.Msg) {})
-	a.Send(b.Addr(), testMsg{1})
-	n.RunUntilIdle()
+	send := func() {
+		a.Send(b.Addr(), testMsg{1})
+		a.Send(b.Addr(), wire.Heartbeat{})
+		a.Send(b.Addr(), wire.Heartbeat{})
+		n.RunUntilIdle()
+	}
+	want := map[string]uint64{"test": 1, wire.Heartbeat{}.Kind(): 2}
+	send()
+	if got := n.MessagesByKind(); !maps.Equal(got, want) {
+		t.Fatalf("by kind %v, want %v", got, want)
+	}
 	n.ResetCounters()
 	if n.Messages() != 0 || len(n.MessagesByKind()) != 0 {
-		t.Fatal("counters not reset")
+		t.Fatalf("counters not reset: %d messages, by kind %v", n.Messages(), n.MessagesByKind())
 	}
+	send()
+	if got := n.MessagesByKind(); n.Messages() != 3 || !maps.Equal(got, want) {
+		t.Fatalf("after a reset: %d messages, by kind %v, want 3, %v", n.Messages(), got, want)
+	}
+}
+
+// FuzzIndex: Index never panics and accepts exactly the addresses Addr
+// writes, returning the index Addr was given.
+func FuzzIndex(f *testing.F) {
+	for _, s := range []string{
+		"sim:0", "sim:42", "sim:007", "sim:00", "sim:+5", "sim:-1", "sim:", "sim", "", "tcp:1", "sim:1x", "sim: 1",
+		"sim:9223372036854775807", "sim:9223372036854775808", "sim:18446744073709551616", "sim:99999999999999999999",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		i, err := Index(s)
+		// The reference: a non-negative int whose canonical form is s.
+		want, perr := strconv.Atoi(strings.TrimPrefix(s, "sim:"))
+		canonical := perr == nil && want >= 0 && Addr(want) == s
+		switch {
+		case canonical && (err != nil || i != want):
+			t.Fatalf("Index(%q) = %d, %v; want %d", s, i, err, want)
+		case !canonical && err == nil:
+			t.Fatalf("Index(%q) = %d, but %q is not Addr of any index", s, i, s)
+		case err == nil && Addr(i) != s:
+			t.Fatalf("Addr(Index(%q)) = %q", s, Addr(i))
+		}
+	})
 }
 
 func BenchmarkSendDeliver(b *testing.B) {

@@ -11,10 +11,11 @@
 //
 //	intra-stub hop + stub uplink + transit-to-transit + downlink + hop
 //
-// in O(1) per pair. Locality experiments depend only on the metric's
-// hierarchical clustering (nearby nodes share a stub, far nodes cross
-// transit domains), which this construction preserves. See
-// ARCHITECTURE.md ("Topology and locality").
+// in O(1) per pair: Distance reads the two nodes' placement records (stub,
+// transit domain, hop, uplink) and at most one cell of the transit matrix.
+// Locality experiments depend only on the metric's hierarchical clustering
+// (nearby nodes share a stub, far nodes cross transit domains), which this
+// construction preserves. See ARCHITECTURE.md ("Topology and locality").
 //
 // LookaheadBound turns the minimum cross-transit latency into the
 // simulator's window length. It follows from the package's constants

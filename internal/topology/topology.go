@@ -23,22 +23,24 @@ const (
 // Topology is an immutable generated topology. Attach end nodes with
 // Place; query distances with Distance.
 type Topology struct {
-	transit  [][]float64 // symmetric transit-to-transit latency matrix
-	uplink   []float64   // per-stub uplink latency, indexed by stub
-	stubOf   []int       // stub -> transit index
-	rng      *rand.Rand
-	nodeStub []int     // node -> stub index
-	nodeHop  []float64 // node -> intra-stub latency component
+	transit [transits][transits]float64 // symmetric transit-to-transit latency matrix
+	uplink  []float64                   // per-stub uplink latency, indexed by stub
+	rng     *rand.Rand
+	nodes   []place // indexed by node
+}
+
+// place is where an end node sits: everything Distance reads of one node,
+// in one record.
+type place struct {
+	stub, transit int32
+	hop           float64 // intra-stub latency component
+	uplink        float64 // the stub's uplink latency
 }
 
 // New generates a topology; seed makes generation deterministic.
 func New(seed int64) *Topology {
 	rng := rand.New(rand.NewSource(seed))
 	t := &Topology{rng: rng}
-	t.transit = make([][]float64, transits)
-	for i := range t.transit {
-		t.transit[i] = make([]float64, transits)
-	}
 	for i := 0; i < transits; i++ {
 		for j := i + 1; j < transits; j++ {
 			d := transitMin + rng.Float64()*(transitMax-transitMin)
@@ -48,10 +50,8 @@ func New(seed int64) *Topology {
 	}
 	nStubs := transits * stubsPerTransit
 	t.uplink = make([]float64, nStubs)
-	t.stubOf = make([]int, nStubs)
 	for s := 0; s < nStubs; s++ {
 		t.uplink[s] = uplinkMin + rng.Float64()*(uplinkMax-uplinkMin)
-		t.stubOf[s] = s / stubsPerTransit
 	}
 	return t
 }
@@ -60,7 +60,7 @@ func New(seed int64) *Topology {
 func (t *Topology) NumStubs() int { return len(t.uplink) }
 
 // NumNodes returns the number of placed end nodes.
-func (t *Topology) NumNodes() int { return len(t.nodeStub) }
+func (t *Topology) NumNodes() int { return len(t.nodes) }
 
 // Place attaches a new end node to a uniformly random stub domain and
 // returns its node index. Node indices are dense and start at zero.
@@ -75,16 +75,17 @@ func (t *Topology) PlaceAt(stub int) int {
 		panic(fmt.Sprintf("topology: stub %d out of range [0,%d)", stub, len(t.uplink)))
 	}
 	hop := stubMin + t.rng.Float64()*(stubMax-stubMin)
-	t.nodeStub = append(t.nodeStub, stub)
-	t.nodeHop = append(t.nodeHop, hop)
-	return len(t.nodeStub) - 1
+	t.nodes = append(t.nodes, place{
+		stub: int32(stub), transit: int32(stub / stubsPerTransit), hop: hop, uplink: t.uplink[stub],
+	})
+	return len(t.nodes) - 1
 }
 
 // Stub returns the stub domain of node i.
-func (t *Topology) Stub(i int) int { return t.nodeStub[i] }
+func (t *Topology) Stub(i int) int { return int(t.nodes[i].stub) }
 
 // Transit returns the transit domain of node i.
-func (t *Topology) Transit(i int) int { return t.stubOf[t.nodeStub[i]] }
+func (t *Topology) Transit(i int) int { return int(t.nodes[i].transit) }
 
 // LookaheadBound returns a lower bound on the delivery latency between
 // any two end nodes in DIFFERENT transit domains: two intra-stub hops,
@@ -104,16 +105,15 @@ func (t *Topology) Distance(a, b int) float64 {
 	if a == b {
 		return 0
 	}
-	sa, sb := t.nodeStub[a], t.nodeStub[b]
-	if sa == sb {
-		return t.nodeHop[a] + t.nodeHop[b]
+	pa, pb := &t.nodes[a], &t.nodes[b]
+	if pa.stub == pb.stub {
+		return pa.hop + pb.hop
 	}
-	ta, tb := t.stubOf[sa], t.stubOf[sb]
 	// Group the symmetric pairs so floating-point non-associativity cannot
 	// make Distance(a,b) != Distance(b,a).
-	d := (t.nodeHop[a] + t.nodeHop[b]) + (t.uplink[sa] + t.uplink[sb])
-	if ta != tb {
-		d += t.transit[ta][tb]
+	d := (pa.hop + pb.hop) + (pa.uplink + pb.uplink)
+	if pa.transit != pb.transit {
+		d += t.transit[pa.transit][pb.transit]
 	}
 	return d
 }

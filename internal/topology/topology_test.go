@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -112,5 +113,49 @@ func BenchmarkDistance(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = top.Distance(i%1000, (i*7)%1000)
+	}
+}
+
+// TestDistancePinned hashes the bits of Distance over every ordered pair
+// of 2,000 nodes placed on New(1), one FNV-1a hash per kind of pair (same
+// stub, same transit domain, across transit domains). The values were
+// recorded before the per-node record replaced the per-node stub and hop
+// arrays; any change to a float operation or its order moves them.
+func TestDistancePinned(t *testing.T) {
+	top := build(t, 2000)
+	const (
+		sameStub = iota
+		sameTransit
+		crossTransit
+	)
+	var (
+		hashes [3]uint64
+		pairs  [3]int
+	)
+	for k := range hashes {
+		hashes[k] = 14695981039346656037
+	}
+	for i := 0; i < top.NumNodes(); i++ {
+		for j := 0; j < top.NumNodes(); j++ {
+			if i == j {
+				continue
+			}
+			k := crossTransit
+			if top.Stub(i) == top.Stub(j) {
+				k = sameStub
+			} else if top.Transit(i) == top.Transit(j) {
+				k = sameTransit
+			}
+			pairs[k]++
+			bits := math.Float64bits(top.Distance(i, j))
+			for b := 0; b < 64; b += 8 {
+				hashes[k] = (hashes[k] ^ (bits >> b & 0xff)) * 1099511628211
+			}
+		}
+	}
+	wantPairs := [3]int{31058, 470488, 3496454}
+	wantHashes := [3]uint64{0xe70c9970c1b348b5, 0x7568853c39ebea65, 0x3c1251df5fc026b5}
+	if pairs != wantPairs || hashes != wantHashes {
+		t.Fatalf("pairs %v, hashes %#x; want pairs %v, hashes %#x", pairs, hashes, wantPairs, wantHashes)
 	}
 }

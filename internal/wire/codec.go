@@ -264,15 +264,97 @@ func (e *encoder) reclaimCert(c *ReclaimCertificate) {
 	e.bytes(c.Sig)
 }
 
+// Tag returns the byte AppendFrame writes ahead of m's fields, the one
+// mapping from message type to tag; it is 0 for a type the codec cannot
+// encode.
+func Tag(m Msg) byte {
+	switch m.(type) {
+	case Routed:
+		return tagRouted
+	case JoinRequest:
+		return tagJoinRequest
+	case RouteRows:
+		return tagRouteRows
+	case LeafSetReply:
+		return tagLeafSetReply
+	case LeafSetRequest:
+		return tagLeafSetRequest
+	case NeighborhoodReply:
+		return tagNeighborhoodReply
+	case Announce:
+		return tagAnnounce
+	case Heartbeat:
+		return tagHeartbeat
+	case Ping:
+		return tagPing
+	case Pong:
+		return tagPong
+	case RTRepairRequest:
+		return tagRTRepairRequest
+	case RTRepairReply:
+		return tagRTRepairReply
+	case FileCertificate:
+		return tagFileCertificate
+	case ReclaimCertificate:
+		return tagReclaimCertificate
+	case InsertRequest:
+		return tagInsertRequest
+	case ReplicaStore:
+		return tagReplicaStore
+	case StoreReceipt:
+		return tagStoreReceipt
+	case InsertReject:
+		return tagInsertReject
+	case DivertReject:
+		return tagDivertReject
+	case LookupRequest:
+		return tagLookupRequest
+	case LookupReply:
+		return tagLookupReply
+	case LookupMiss:
+		return tagLookupMiss
+	case LookupAbort:
+		return tagLookupAbort
+	case ReclaimRequest:
+		return tagReclaimRequest
+	case ReclaimForward:
+		return tagReclaimForward
+	case ReclaimReceipt:
+		return tagReclaimReceipt
+	case Replicate:
+		return tagReplicate
+	case SyncOffer:
+		return tagSyncOffer
+	case SyncRequest:
+		return tagSyncRequest
+	case Depart:
+		return tagDepart
+	case CacheCopy:
+		return tagCacheCopy
+	case FetchRequest:
+		return tagFetchRequest
+	case AuditChallenge:
+		return tagAuditChallenge
+	case AuditResponse:
+		return tagAuditResponse
+	}
+	return 0
+}
+
 // msg appends m's tag and fields. nested is set for a Routed's payload.
 func (e *encoder) msg(m Msg, nested bool) {
+	tag := Tag(m)
+	if tag == 0 {
+		e.fail(fmt.Errorf("wire: cannot encode message of type %T", m))
+		return
+	}
+	e.u8(tag)
 	switch m := m.(type) {
 	case Routed:
 		if nested || m.Payload == nil {
 			e.fail(errors.New("wire: Routed payload must be a non-Routed message"))
 			return
 		}
-		e.u8(tagRouted)
 		e.node(m.Key)
 		e.msg(m.Payload, true)
 		e.ref(m.Origin)
@@ -280,10 +362,8 @@ func (e *encoder) msg(m Msg, nested bool) {
 		e.f64(m.Distance)
 		e.u64(m.Nonce)
 	case JoinRequest:
-		e.u8(tagJoinRequest)
 		e.ref(m.New)
 	case RouteRows:
-		e.u8(tagRouteRows)
 		e.ref(m.From)
 		e.i64(int64(m.FirstRow))
 		e.count(len(m.Rows))
@@ -291,56 +371,43 @@ func (e *encoder) msg(m Msg, nested bool) {
 			e.refs(row)
 		}
 	case LeafSetReply:
-		e.u8(tagLeafSetReply)
 		e.ref(m.From)
 		e.refs(m.Leaves)
 		e.bool(m.Terminal)
 	case LeafSetRequest:
-		e.u8(tagLeafSetRequest)
 		e.ref(m.From)
 	case NeighborhoodReply:
-		e.u8(tagNeighborhoodReply)
 		e.ref(m.From)
 		e.refs(m.Neighbors)
 	case Announce:
-		e.u8(tagAnnounce)
 		e.ref(m.From)
 	case Heartbeat:
-		e.u8(tagHeartbeat)
 		e.ref(m.From)
 	case Ping:
-		e.u8(tagPing)
 		e.ref(m.From)
 		e.u64(m.Nonce)
 	case Pong:
-		e.u8(tagPong)
 		e.ref(m.From)
 		e.u64(m.Nonce)
 	case RTRepairRequest:
-		e.u8(tagRTRepairRequest)
 		e.ref(m.From)
 		e.i64(int64(m.Row))
 		e.i64(int64(m.Col))
 	case RTRepairReply:
-		e.u8(tagRTRepairReply)
 		e.ref(m.From)
 		e.i64(int64(m.Row))
 		e.i64(int64(m.Col))
 		e.ref(m.Entry)
 	case FileCertificate:
-		e.u8(tagFileCertificate)
 		e.cert(&m)
 	case ReclaimCertificate:
-		e.u8(tagReclaimCertificate)
 		e.reclaimCert(&m)
 	case InsertRequest:
-		e.u8(tagInsertRequest)
 		e.cert(&m.Cert)
 		e.bytes(m.Data)
 		e.ref(m.Client)
 		e.u64(m.ReqID)
 	case ReplicaStore:
-		e.u8(tagReplicaStore)
 		e.cert(&m.Cert)
 		e.bytes(m.Data)
 		e.ref(m.Client)
@@ -348,7 +415,6 @@ func (e *encoder) msg(m Msg, nested bool) {
 		e.ref(m.Primary)
 		e.bool(m.Diverted)
 	case StoreReceipt:
-		e.u8(tagStoreReceipt)
 		e.file(m.FileID)
 		e.ref(m.StoredBy)
 		e.ref(m.OnBehalfOf)
@@ -358,24 +424,20 @@ func (e *encoder) msg(m Msg, nested bool) {
 		e.bytes(m.Sig)
 		e.u64(m.ReqID)
 	case InsertReject:
-		e.u8(tagInsertReject)
 		e.file(m.FileID)
 		e.u64(m.ReqID)
 		e.str(m.Reason)
 	case DivertReject:
-		e.u8(tagDivertReject)
 		e.file(m.FileID)
 		e.u64(m.ReqID)
 		e.ref(m.From)
 	case LookupRequest:
-		e.u8(tagLookupRequest)
 		e.file(m.FileID)
 		e.ref(m.Client)
 		e.u64(m.ReqID)
 		e.ref(m.PrevHop)
 		e.bool(m.Redirected)
 	case LookupReply:
-		e.u8(tagLookupReply)
 		e.cert(&m.Cert)
 		e.bytes(m.Data)
 		e.ref(m.From)
@@ -384,27 +446,22 @@ func (e *encoder) msg(m Msg, nested bool) {
 		e.f64(m.Distance)
 		e.bool(m.Cached)
 	case LookupMiss:
-		e.u8(tagLookupMiss)
 		e.file(m.FileID)
 		e.u64(m.ReqID)
 	case LookupAbort:
-		e.u8(tagLookupAbort)
 		e.file(m.FileID)
 		e.u64(m.ReqID)
 		e.i64(int64(m.Hops))
 		e.ref(m.From)
 	case ReclaimRequest:
-		e.u8(tagReclaimRequest)
 		e.reclaimCert(&m.Cert)
 		e.ref(m.Client)
 		e.u64(m.ReqID)
 	case ReclaimForward:
-		e.u8(tagReclaimForward)
 		e.reclaimCert(&m.Cert)
 		e.ref(m.Client)
 		e.u64(m.ReqID)
 	case ReclaimReceipt:
-		e.u8(tagReclaimReceipt)
 		e.file(m.FileID)
 		e.i64(m.Freed)
 		e.ref(m.By)
@@ -412,12 +469,10 @@ func (e *encoder) msg(m Msg, nested bool) {
 		e.bytes(m.Sig)
 		e.u64(m.ReqID)
 	case Replicate:
-		e.u8(tagReplicate)
 		e.cert(&m.Cert)
 		e.bytes(m.Data)
 		e.ref(m.From)
 	case SyncOffer:
-		e.u8(tagSyncOffer)
 		e.ref(m.From)
 		e.files(m.Files)
 		e.count(len(m.Sizes))
@@ -425,36 +480,28 @@ func (e *encoder) msg(m Msg, nested bool) {
 			e.i64(s)
 		}
 	case SyncRequest:
-		e.u8(tagSyncRequest)
 		e.ref(m.From)
 		e.files(m.Files)
 	case Depart:
-		e.u8(tagDepart)
 		e.ref(m.From)
 	case CacheCopy:
-		e.u8(tagCacheCopy)
 		e.cert(&m.Cert)
 		e.bytes(m.Data)
 	case FetchRequest:
-		e.u8(tagFetchRequest)
 		e.file(m.FileID)
 		e.ref(m.Client)
 		e.u64(m.ReqID)
 	case AuditChallenge:
-		e.u8(tagAuditChallenge)
 		e.file(m.FileID)
 		e.u64(m.Nonce)
 		e.ref(m.From)
 		e.u64(m.ReqID)
 	case AuditResponse:
-		e.u8(tagAuditResponse)
 		e.file(m.FileID)
 		e.hash(m.Proof)
 		e.ref(m.From)
 		e.u64(m.ReqID)
 		e.bool(m.Held)
-	default:
-		e.fail(fmt.Errorf("wire: cannot encode message of type %T", m))
 	}
 }
 

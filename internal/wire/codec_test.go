@@ -326,6 +326,35 @@ func TestFrameLenIsTheEncoding(t *testing.T) {
 	}
 }
 
+// TestTagIsTheEncodedByte: for the same messages, Tag is the byte the
+// encoder writes after the sender's address, and distinct types have
+// distinct tags; a type the codec cannot encode has tag 0.
+func TestTagIsTheEncodedByte(t *testing.T) {
+	const from = "127.0.0.1:7001"
+	owner := map[byte]string{}
+	for _, mode := range []sliceMode{sliceFull, sliceEmpty, sliceNil} {
+		for _, m := range filledTable(mode) {
+			b := mustEncode(t, from, m)
+			tag, name := Tag(m), reflect.TypeOf(m).Name()
+			if want := b[4+len(from)]; tag != want || tag == 0 {
+				t.Fatalf("%s: Tag %d, encoder wrote %d", name, tag, want)
+			}
+			if o, ok := owner[tag]; ok && o != name {
+				t.Fatalf("%s and %s share tag %d", o, name, tag)
+			}
+			owner[tag] = name
+		}
+	}
+	if len(owner) != len(allMsgs) {
+		t.Fatalf("%d tags for %d message types", len(owner), len(allMsgs))
+	}
+	for _, m := range []Msg{alien{}, &Ping{}, nil} {
+		if tag := Tag(m); tag != 0 {
+			t.Errorf("%T: Tag %d, want 0", m, tag)
+		}
+	}
+}
+
 // TestTableIsComplete parses wire.go and fails when a type with a Kind
 // method is missing from allMsgs — and with it from every codec test.
 func TestTableIsComplete(t *testing.T) {
