@@ -52,7 +52,7 @@ var censusUnseen = map[string]string{
 // must be read inside the read function of a telemetry Counts series
 // whose field list names it in snake_case (aim 4: anything the code
 // counts is exported or deleted).
-var censusCounters = []string{"past/internal/past.Stats", "past/internal/transport.TCPStats"}
+var censusCounters = []string{"past/internal/past.Stats", "past/internal/transport.TCPStats", "past/internal/storage.DiskStats"}
 
 // censusLoader type-checks the module from source. A package is its
 // non-test files plus its in-package tests, imported as one unit (no

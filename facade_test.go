@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -672,5 +674,111 @@ func TestPeerWholeFileOverOneFrame(t *testing.T) {
 	}
 	if _, err := peers[1].Insert(nil, "8MiB-4KiB", make([]byte, 8<<20-4<<10), 2); err != nil {
 		t.Fatalf("8 MiB - 4 KiB insert: %v", err)
+	}
+}
+
+// TestPeerQuarantinesRottedReplica flips a byte of a replica in a disk-
+// backed peer's log while the peer runs: no lookup ever returns the
+// flipped byte, the peer's first read of the record quarantines it out of
+// its index, and anti-entropy brings the replica back from the others.
+func TestPeerQuarantinesRottedReplica(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	broker, err := past.NewBroker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := past.DefaultStorageConfig()
+	scfg.K = 3
+	scfg.Capacity = 1 << 20
+	scfg.LookupRetries = 3
+	scfg.RequestTimeout = time.Second
+	scfg.AntiEntropyEvery = 200 * time.Millisecond
+	var peers []*past.Peer
+	var dirs []string
+	for range 5 {
+		card, err := broker.IssueCard(1<<30, scfg.Capacity, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		p, err := past.ListenPeer(past.PeerConfig{
+			Card: card, BrokerPub: broker.PublicKey(), Storage: scfg, DataDir: dir,
+			KeepAlive: 100 * time.Millisecond, FailTimeout: 10 * time.Second, OpTimeout: 5 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		peers, dirs = append(peers, p), append(dirs, dir)
+	}
+	peers[0].Bootstrap()
+	for i := 1; i < len(peers); i++ {
+		admit(t, peers[:i], peers[i])
+	}
+	data := bytes.Repeat([]byte("rot "), 1024)
+	ins, err := peers[0].Insert(nil, "rot.bin", data, 3)
+	if err != nil {
+		t.Fatalf("insert: %v", err)
+	}
+	holder := -1
+	for i, p := range peers {
+		if p.StoredFiles() == 1 && holder < 0 {
+			holder = i
+		}
+	}
+	if holder < 0 {
+		t.Fatal("no peer holds the file")
+	}
+	log := filepath.Join(dirs[holder], "replicas.log")
+	raw, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(raw, data) + len(data)/2
+	rotted := bytes.Clone(data)
+	rotted[len(data)/2] ^= 0x01
+	f, err := os.OpenFile(log, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(rotted[len(data)/2:len(data)/2+1], int64(at)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close() //nolint:errcheck // written
+
+	lookup := func(p *past.Peer) {
+		t.Helper()
+		got, err := p.Lookup(ins.FileID)
+		if err == nil && !bytes.Equal(got.Data, data) {
+			t.Fatal("a lookup returned content that is not what was inserted")
+		}
+	}
+	for i, p := range peers {
+		if i != holder {
+			lookup(p)
+		}
+	}
+	lookup(peers[holder]) // served by the holder itself: reads the rotted record
+	q, err := os.ReadFile(filepath.Join(dirs[holder], "quarantine.corrupt"))
+	if err != nil || !bytes.Contains(q, rotted) {
+		t.Fatalf("the rotted record is not in quarantine (%d bytes, %v)", len(q), err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		total := 0
+		for _, p := range peers {
+			total += p.StoredFiles()
+		}
+		if total == 3 && peers[holder].StoredFiles() == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replicas never restored: the holder stores %d files, the cluster %d", peers[holder].StoredFiles(), total)
+		}
+	}
+	got, err := peers[holder].Lookup(ins.FileID)
+	if err != nil || !bytes.Equal(got.Data, data) {
+		t.Fatalf("the restored replica: %v", err)
 	}
 }

@@ -121,8 +121,12 @@ func NewNode(cfg Config, pn *pastry.Node, card *seccrypt.Smartcard, brokerPub ed
 // UseDisk makes ds the node's replica store: lookups and capacity
 // accounting run against ds.Mem() (already populated by crash recovery),
 // and every replica and diversion-pointer store/delete goes through the
-// disk so a restart finds them again. Must be called before the node
-// handles traffic — right after NewNode, before Bootstrap/Join.
+// disk so a restart finds them again. A replica's content then stays in
+// the log: replies carry its storage.Record as their Body, which the
+// transport must encode into frames (TCP does; the simulator hands
+// messages over as values and keeps replicas in memory). Must be called
+// before the node handles traffic — right after NewNode, before
+// Bootstrap/Join.
 func (n *Node) UseDisk(ds *storage.DiskStore) {
 	n.disk = ds
 	n.store = ds.Mem()
@@ -680,8 +684,7 @@ func (n *Node) handleStoreReceipt(m wire.StoreReceipt) {
 // cache. midRoute marks Forward-time interception. It reports whether the
 // request was satisfied (or delegated to a pointer target).
 func (n *Node) serveLookup(r *wire.Routed, m wire.LookupRequest, midRoute bool) bool {
-	if it, err := n.store.Get(m.FileID); err == nil {
-		n.replyLookup(r, m, it, false)
+	if it, err := n.store.Get(m.FileID); err == nil && n.replyLookup(r, m, it, false) {
 		return true
 	}
 	if n.cfg.Caching {
@@ -704,10 +707,12 @@ func (n *Node) serveLookup(r *wire.Routed, m wire.LookupRequest, midRoute bool) 
 	return false
 }
 
-func (n *Node) replyLookup(r *wire.Routed, m wire.LookupRequest, it storage.Item, cached bool) {
-	n.mu.Lock()
-	n.stats.LookupsServed++
-	n.mu.Unlock()
+// replyLookup answers a lookup with it. A disk-backed replica leaves in
+// its Body, read from the log into the frame, and is read into a buffer
+// of its own for a client on this node; it reports false, having sent
+// nothing, when that read fails (the replica is quarantined and gone, so
+// the lookup goes on elsewhere).
+func (n *Node) replyLookup(r *wire.Routed, m wire.LookupRequest, it storage.Item, cached bool) bool {
 	reply := wire.LookupReply{
 		Cert:     it.Cert,
 		Data:     it.Data,
@@ -716,8 +721,20 @@ func (n *Node) replyLookup(r *wire.Routed, m wire.LookupRequest, it storage.Item
 		Hops:     r.Hops,
 		Distance: r.Distance,
 		Cached:   cached,
+		Body:     it.Body,
 	}
-	if m.Client.ID == n.pn.ID() {
+	local := m.Client.ID == n.pn.ID()
+	if local {
+		data, err := it.Content()
+		if err != nil {
+			return false
+		}
+		reply.Data, reply.Body = data, nil
+	}
+	n.mu.Lock()
+	n.stats.LookupsServed++
+	n.mu.Unlock()
+	if local {
 		n.handleLookupReply(reply)
 	} else {
 		n.pn.Send(m.Client, reply)
@@ -731,9 +748,10 @@ func (n *Node) replyLookup(r *wire.Routed, m wire.LookupRequest, it storage.Item
 		n.stats.CachePushes++
 		n.mu.Unlock()
 		if m.PrevHop.ID != m.Client.ID {
-			n.pn.Send(m.PrevHop, wire.CacheCopy{Cert: it.Cert, Data: it.Data})
+			n.pn.Send(m.PrevHop, wire.CacheCopy{Cert: it.Cert, Data: it.Data, Body: it.Body})
 		}
 	}
+	return true
 }
 
 // handleLookupRoot runs when a lookup reaches the root without being
@@ -766,7 +784,7 @@ func (n *Node) handleFetch(m wire.FetchRequest) {
 		return
 	}
 	n.pn.Send(m.Client, wire.LookupReply{
-		Cert: it.Cert, Data: it.Data, From: n.pn.Ref(), ReqID: m.ReqID,
+		Cert: it.Cert, Data: it.Data, From: n.pn.Ref(), ReqID: m.ReqID, Body: it.Body,
 	})
 }
 
@@ -971,7 +989,7 @@ func (n *Node) handleSyncRequest(m wire.SyncRequest) {
 		if err != nil {
 			continue // reclaimed or never held; the requester will re-sync later
 		}
-		rep := wire.Replicate{Cert: it.Cert, Data: it.Data, From: self}
+		rep := wire.Replicate{Cert: it.Cert, Data: it.Data, From: self, Body: it.Body}
 		reps++
 		bytes += int64(wire.FrameLen(self.Addr, rep))
 		n.pn.Send(m.From, rep)
@@ -1027,8 +1045,10 @@ func (n *Node) handleReplicate(m wire.Replicate) {
 func (n *Node) handleAuditChallenge(m wire.AuditChallenge) {
 	resp := wire.AuditResponse{FileID: m.FileID, From: n.pn.Ref(), ReqID: m.ReqID}
 	if it, err := n.store.Get(m.FileID); err == nil {
-		resp.Held = true
-		resp.Proof = seccrypt.AuditProof(m.Nonce, it.Data)
+		if data, err := it.Content(); err == nil {
+			resp.Held = true
+			resp.Proof = seccrypt.AuditProof(m.Nonce, data)
+		}
 	}
 	n.pn.Send(m.From, resp)
 }

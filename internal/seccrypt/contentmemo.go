@@ -8,29 +8,42 @@ package seccrypt
 // re-hashed it — VerifyContent runs at the root, at each of the k
 // replicas and at every caching node, so one 4 KiB insert paid ~6
 // SHA-256 passes over identical bytes. The memo below caches the digest
-// keyed by buffer identity (base pointer + length), collapsing those
-// passes to one.
+// keyed by buffer identity, collapsing those passes to one.
 //
-// Safety: a hit requires the exact same backing array and length, and
-// the wire contract forbids mutating a buffer once sent. The map holds
-// the base pointer, which keeps the buffer alive; the map is swapped
-// out wholesale when the cap is reached, so at most ~contentMemoCap
-// stored bodies are pinned (they are almost always pinned by replica
-// stores anyway). A sync.Map keeps the hit path lock-free: experiment
-// points run their clusters concurrently, and a single global mutex here
-// would serialize them.
+// Identity is the buffer's address and length, confirmed by a weak
+// pointer to its first byte: a hit requires the weak pointer to still
+// lead to that address, so the hashed buffer is alive and is the one at
+// hand (two live objects never share an address), and the wire contract
+// forbids mutating it once sent. The memo holds no strong reference: a
+// body the node has stopped using — a frame after its handler returned,
+// a client's lookup reply once the caller dropped it, a record buffer
+// after boot verified it — is collected as if never hashed, and a new
+// buffer allocated at its address misses, since the old weak pointer
+// then leads nowhere. The map is swapped out wholesale when the cap is
+// reached. A sync.Map keeps the hit path lock-free: experiment points run
+// their clusters concurrently, and a single global mutex here would
+// serialize them.
 
 import (
 	"crypto/sha256"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
+	"weak"
 )
 
 const contentMemoCap = 1024
 
 type contentKey struct {
-	p *byte
-	n int
+	addr uintptr
+	n    int
+}
+
+// contentEntry is a memoized digest and the buffer it was taken over.
+type contentEntry struct {
+	buf weak.Pointer[byte]
+	h   [sha256.Size]byte
 }
 
 var contentMemo struct {
@@ -57,12 +70,14 @@ func ContentHash(data []byte) [sha256.Size]byte {
 	if len(data) == 0 {
 		return sha256.Sum256(nil)
 	}
-	k := contentKey{&data[0], len(data)}
-	if h, ok := contentMap().Load(k); ok {
-		return h.([sha256.Size]byte)
+	p := &data[0]
+	if e, ok := contentMap().Load(contentKey{uintptr(unsafe.Pointer(p)), len(data)}); ok {
+		if e := e.(contentEntry); e.buf.Value() == p {
+			return e.h
+		}
 	}
 	h := sha256.Sum256(data)
-	storeContentHash(k, h)
+	storeContentHash(p, len(data), h)
 	return h
 }
 
@@ -75,12 +90,15 @@ func ContentHash(data []byte) [sha256.Size]byte {
 func ContentHashFresh(data []byte) [sha256.Size]byte {
 	h := sha256.Sum256(data)
 	if len(data) > 0 {
-		storeContentHash(contentKey{&data[0], len(data)}, h)
+		storeContentHash(&data[0], len(data), h)
 	}
 	return h
 }
 
-func storeContentHash(k contentKey, h [sha256.Size]byte) {
+func storeContentHash(p *byte, n int, h [sha256.Size]byte) {
+	if !onHeap(p) {
+		return // weak.Make would abort the process; such buffers go unmemoized
+	}
 	// The cap check races benignly: a burst may overshoot by a few
 	// entries or drop a few early, but the map is always bounded within
 	// a small constant of contentMemoCap and correctness never depends
@@ -89,5 +107,25 @@ func storeContentHash(k contentKey, h [sha256.Size]byte) {
 		contentMemo.entries.Store(0)
 		contentMemo.m.Store(&sync.Map{})
 	}
-	contentMap().Store(k, h)
+	contentMap().Store(contentKey{uintptr(unsafe.Pointer(p)), n}, contentEntry{weak.Make(p), h})
+}
+
+// onHeap reports whether p points into the Go heap, the only memory
+// weak.Make accepts: a package-level buffer (linker-allocated) or memory
+// the runtime does not manage would abort it. runtime.AddCleanup is the
+// public probe that tells them apart — it registers nothing for a global,
+// returning the zero Cleanup, and panics for foreign memory — and the
+// cleanup it does register is stopped at once.
+func onHeap(p *byte) (ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	c := runtime.AddCleanup(p, func(struct{}) {}, struct{}{})
+	if c == (runtime.Cleanup{}) {
+		return false
+	}
+	c.Stop()
+	return true
 }

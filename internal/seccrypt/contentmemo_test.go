@@ -1,6 +1,12 @@
 package seccrypt
 
-import "testing"
+import (
+	"crypto/sha256"
+	"runtime"
+	"testing"
+	"unsafe"
+	"weak"
+)
 
 // TestContentHashFreshDetectsMutation pins the two halves of the
 // content-memo contract: ContentHash may serve a stale digest for a
@@ -25,3 +31,57 @@ func TestContentHashFreshDetectsMutation(t *testing.T) {
 		t.Fatal("fresh hash did not refresh the memo entry")
 	}
 }
+
+// TestContentMemoHoldsNoBuffer: a hashed buffer is collected once its
+// holder drops it, and a new buffer of the same length that the
+// allocator places at the same address, holding other bytes, is hashed
+// anew — never served the digest of the buffer that lived there before.
+func TestContentMemoHoldsNoBuffer(t *testing.T) {
+	const n = 48
+	old := make([]byte, n)
+	for i := range old {
+		old[i] = 'a'
+	}
+	ContentHash(old)
+	addr := uintptr(unsafe.Pointer(&old[0]))
+	w := weak.Make(&old[0])
+	old = nil
+	runtime.GC()
+	if w.Value() != nil {
+		t.Fatal("the memo keeps a hashed buffer alive")
+	}
+	var keep [][]byte // occupy the other slots until the allocator reuses addr
+	for range 1 << 17 {
+		b := make([]byte, n)
+		if uintptr(unsafe.Pointer(&b[0])) != addr {
+			keep = append(keep, b)
+			continue
+		}
+		for i := range b {
+			b[i] = 'b'
+		}
+		if ContentHash(b) != sha256.Sum256(b) {
+			t.Fatal("a new buffer at a reused address got the old buffer's digest")
+		}
+		return
+	}
+	t.Fatalf("the allocator never reused %#x in %d allocations", addr, len(keep))
+}
+
+// TestContentHashUnmemoizedGlobal: a package-level buffer, which weak
+// pointers cannot reference, is hashed correctly and not memoized.
+func TestContentHashUnmemoizedGlobal(t *testing.T) {
+	for range 2 {
+		if ContentHash(globalBody[:]) != sha256.Sum256(globalBody[:]) {
+			t.Fatal("wrong digest for a package-level buffer")
+		}
+	}
+	if onHeap(&globalBody[0]) {
+		t.Fatal("a package-level buffer reported as heap memory")
+	}
+	if !onHeap(&make([]byte, 8)[0]) {
+		t.Fatal("a heap buffer reported as not heap memory")
+	}
+}
+
+var globalBody = [16]byte{1, 2, 3}

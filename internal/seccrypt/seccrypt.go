@@ -435,7 +435,7 @@ func VerifyFileCertificate(brokerPub ed25519.PublicKey, cert *wire.FileCertifica
 // every replica and every caching node see the same backing buffer, so
 // the bytes are hashed once instead of once per hop.
 func VerifyContent(cert *wire.FileCertificate, data []byte) error {
-	return verifyContentWith(cert, data, false)
+	return verifyContentWith(cert, data, ContentHash)
 }
 
 // VerifyContentFresh is VerifyContent with the memo bypassed (the bytes
@@ -444,16 +444,21 @@ func VerifyContent(cert *wire.FileCertificate, data []byte) error {
 // the bytes as they are NOW, even if a contract-violating caller
 // mutated a shared buffer after insert.
 func VerifyContentFresh(cert *wire.FileCertificate, data []byte) error {
-	return verifyContentWith(cert, data, true)
+	return verifyContentWith(cert, data, ContentHashFresh)
 }
 
-func verifyContentWith(cert *wire.FileCertificate, data []byte, fresh bool) error {
+// VerifyContentOnce is VerifyContent for bytes that are hashed once and
+// then dropped — a log record replayed at boot, whose index keeps only
+// where it lies — so the memo is neither read nor filled: an entry would
+// never be hit, and a replay's worth of them would evict the ones that
+// are.
+func VerifyContentOnce(cert *wire.FileCertificate, data []byte) error {
+	return verifyContentWith(cert, data, sha256.Sum256)
+}
+
+func verifyContentWith(cert *wire.FileCertificate, data []byte, h func([]byte) [sha256.Size]byte) error {
 	if int64(len(data)) != cert.Size {
 		return fmt.Errorf("%w: size %d != certificate size %d", ErrContentMismatch, len(data), cert.Size)
-	}
-	h := ContentHash
-	if fresh {
-		h = ContentHashFresh
 	}
 	if h(data) != cert.ContentHash {
 		return ErrContentMismatch

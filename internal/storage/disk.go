@@ -16,6 +16,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"past/internal/id"
 	"past/internal/wire"
@@ -27,9 +28,12 @@ import (
 // in-memory Store).
 //
 // Layout: one append-only log per directory, under an in-memory index
-// (mem) that holds every live entry — a key directory over a log, as in
-// Bitcask (Sheehy & Smith, Basho 2010). The log is written on every
-// mutation and read only when the store opens:
+// (mem) — a key directory over a log, as in Bitcask (Sheehy & Smith,
+// Basho 2010). The index holds every live pointer, and for every live
+// replica its certificate (its byte fields copied into one small
+// allocation) and its Record: where its put record lies in the log. The
+// content lives only in the log, and is read from it when a replica is
+// served (see Record):
 //
 //	log       = header record*
 //	header    = "PASTLOG" format(1)         format = 2, the only one read
@@ -44,18 +48,39 @@ import (
 // both under mu, so the log order is the index order: a reclaim that
 // races a replica store replays the way it was served. A delete or a
 // replaced pointer leaves dead bytes; once they exceed both the live bytes
-// and compactSlack the log is rewritten from the index (log-structured
-// cleaning, Rosenblum & Ousterhout, SOSP 1991), so the file stays under
-// 2 × live + compactSlack. Nothing is fsynced (ROADMAP 6(a)).
+// and compactSlack the log is rewritten, its live records copied as they
+// are (log-structured cleaning, Rosenblum & Ousterhout, SOSP 1991), so the
+// file stays under 2 × live + compactSlack. Nothing is fsynced (ROADMAP
+// 6(a)).
 type DiskStore struct {
 	dir string
-	mem *Store // the index: every live replica and pointer, and capacity
+	mem *Store // the index: every live replica's Record and pointer, and capacity
 
 	mu   sync.Mutex
-	log  *os.File // opened for append; nil once closed
+	log  *logFile // the current log, read and appended; nil once closed
 	size int64    // bytes in the log
 	live int64    // bytes of the records the index still needs
 	err  error    // sticky: why the log takes no more writes
+
+	staleReads, corruptReads atomic.Int64
+}
+
+// DiskStats counts the reads of a DiskStore's records that failed closed.
+type DiskStats struct {
+	// StaleReads counts Records read after their log was rewritten or the
+	// store closed: a reply already queued when compaction ran, dropped.
+	StaleReads int64
+	// CorruptReads counts Records whose bytes no longer checked out when
+	// read back; each was quarantined and left the index.
+	CorruptReads int64
+}
+
+// logFile is one generation of the log: opened for reading and
+// appending, and replaced — then closed — by a rewrite. The Records of
+// its replicas read from it.
+type logFile struct {
+	*os.File
+	ds *DiskStore
 }
 
 const (
@@ -90,10 +115,16 @@ var ErrOldLayout = errors.New("storage: data dir holds per-file records of an ea
 
 var errClosed = errors.New("storage: disk store closed")
 
+// Why a Record's read failed closed.
+var (
+	errStale   = errors.New("storage: record read after its log was rewritten or closed")
+	errCorrupt = errors.New("storage: record no longer reads back as stored; quarantined")
+)
+
 // recordBufs recycles encode buffers so a put leaves no garbage the size
 // of its body. They are write buffers — nothing keeps a reference past
-// the write — unlike read buffers, which Data aliases and which are
-// therefore never reused.
+// the write — unlike read buffers, which a decoded entry aliases and
+// which are therefore never reused.
 var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // VerifyFunc re-checks one entry recovered from disk before it is served
@@ -117,21 +148,25 @@ func OpenDiskStore(dir string, capacity int64) (*DiskStore, error) {
 }
 
 // OpenDiskStoreVerify is OpenDiskStore with crash recovery. It replays
-// the log, reading each record into its own buffer (a replica's Data
-// aliases only its record), and passes every live replica through verify
-// (when non-nil) before serving it again:
+// the log in one pass, reading each record into a buffer of its own,
+// checking its CRC, decoding it and passing every replica through verify
+// (when non-nil); what the index keeps of a replica is its Record and a
+// compact copy of its certificate, so the buffer is garbage once the
+// record is checked:
 //   - A record cut short or failing its CRC at the end of the log is the
 //     torn tail of a write a crash interrupted. It was never acknowledged,
 //     so it is truncated and not counted. A length corrupted to point past
 //     the end of the log looks the same and is treated the same.
-//   - A record that fails its CRC, its decoding or verify mid-log is
-//     quarantined and counted: its raw bytes are appended to
-//     quarantine.corrupt in dir, which nothing reads. When the record
-//     after it does not check out either, its length is what is corrupt,
-//     and everything from it to the end is quarantined as one entry.
+//   - A record that fails its CRC or its decoding mid-log, or a live
+//     replica that fails verify, is quarantined and counted: its raw bytes
+//     are appended to quarantine.corrupt in dir, which nothing reads. When
+//     the record after a CRC failure does not check out either, its length
+//     is what is corrupt, and everything from it to the end is quarantined
+//     as one entry. A replica deleted later in the log is dead whatever
+//     verify said of it.
 //   - If anything was dropped — quarantined, or over capacity — or the
-//     dead bytes exceed the live ones, the log is rewritten from the index
-//     before the store serves.
+//     dead bytes exceed the live ones, the log is rewritten before the
+//     store serves.
 //
 // A directory holding an earlier layout fails with ErrOldLayout before
 // anything in it is touched.
@@ -146,7 +181,7 @@ func OpenDiskStoreVerify(dir string, capacity int64, verify VerifyFunc) (*DiskSt
 	ds := &DiskStore{dir: dir, mem: NewStore(capacity)}
 	path := ds.logPath()
 	os.Remove(path + ".tmp") //nolint:errcheck // a rewrite a crash cut short; the log it was replacing is whole
-	f, err := os.Open(path)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
 	if errors.Is(err, fs.ErrNotExist) {
 		if err := ds.rewriteLocked(); err != nil {
 			return nil, rep, err
@@ -156,18 +191,39 @@ func OpenDiskStoreVerify(dir string, capacity int64, verify VerifyFunc) (*DiskSt
 	if err != nil {
 		return nil, rep, fmt.Errorf("storage: open disk store: %w", err)
 	}
-	defer f.Close() //nolint:errcheck // read-only
-	idx, end, bad, err := replayLog(f)
-	if err != nil {
+	ds.log = &logFile{f, ds}
+	if err := ds.recover(verify, &rep); err != nil {
+		f.Close() //nolint:errcheck // already failing
 		return nil, rep, err
+	}
+	return ds, rep, nil
+}
+
+// recover indexes what the freshly opened log replays to (see
+// OpenDiskStoreVerify).
+func (ds *DiskStore) recover(verify VerifyFunc, rep *RecoveryReport) error {
+	idx := newLogIndex()
+	failed := map[span]bool{} // puts verify rejected; quarantined if still live at the end
+	end, bad, err := replayLog(ds.log.File, func(e entry, at span, crc uint32) {
+		if e.kind != kindPut {
+			idx.apply(e, at)
+			return
+		}
+		if verify != nil && verify(e.item.Cert, e.item.Data) != nil {
+			failed[at] = true
+		}
+		idx.put(e.file, ds.log.indexed(e.item, at, crc), at)
+	})
+	if err != nil {
+		return err
 	}
 	dropped := false
 	for _, it := range idx.itemsInLogOrder() {
-		if verify != nil && verify(it.v.Cert, it.v.Data) != nil {
+		if failed[it.at] {
 			bad = append(bad, it.at)
 			continue
 		}
-		if ds.mem.Put(it.v) != nil {
+		if ds.mem.put(it.v) != nil {
 			dropped = true
 			continue
 		}
@@ -178,26 +234,19 @@ func OpenDiskStoreVerify(dir string, capacity int64, verify VerifyFunc) (*DiskSt
 		ds.live += p.at.len()
 	}
 	rep.Recovered, rep.Quarantined = ds.mem.Len(), len(bad)
-	if err := quarantine(filepath.Join(dir, quarantineName), f, bad); err != nil {
-		return nil, rep, err
-	}
-	dead := end - int64(len(logHeader)) - ds.live
-	if len(bad) > 0 || dropped || dead > ds.live || end < int64(len(logHeader)) {
-		if err := ds.rewriteLocked(); err != nil {
-			return nil, rep, err
-		}
-		return ds, rep, nil
-	}
-	if info, err := f.Stat(); err == nil && info.Size() > end {
-		if err := os.Truncate(path, end); err != nil {
-			return nil, rep, fmt.Errorf("storage: truncate torn tail: %w", err)
-		}
-	}
-	if ds.log, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0); err != nil {
-		return nil, rep, fmt.Errorf("storage: open disk store: %w", err)
+	if err := quarantine(filepath.Join(ds.dir, quarantineName), ds.log, bad); err != nil {
+		return err
 	}
 	ds.size = end
-	return ds, rep, nil
+	if dead := end - int64(len(logHeader)) - ds.live; len(bad) > 0 || dropped || dead > ds.live || end < int64(len(logHeader)) {
+		return ds.rewriteLocked()
+	}
+	if info, err := ds.log.Stat(); err == nil && info.Size() > end {
+		if err := ds.log.Truncate(end); err != nil {
+			return fmt.Errorf("storage: truncate torn tail: %w", err)
+		}
+	}
+	return nil
 }
 
 // LiveFiles replays the log in dir read-only and returns the fileIds of
@@ -217,7 +266,11 @@ func LiveFiles(dir string) ([]id.File, RecoveryReport, error) {
 		return nil, rep, err
 	}
 	defer f.Close() //nolint:errcheck // read-only
-	idx, _, bad, err := replayLog(f)
+	idx := newLogIndex()
+	_, bad, err := replayLog(f, func(e entry, at span, _ uint32) {
+		e.item = Item{} // only the fileId is wanted
+		idx.apply(e, at)
+	})
 	if err != nil {
 		return nil, rep, err
 	}
@@ -251,24 +304,46 @@ func refuseOldLayout(dir string) error {
 func (ds *DiskStore) Dir() string { return ds.dir }
 
 // Mem returns the in-memory index (capacity, utilization, lookups run
-// against it; its contents mirror the live records of the log).
+// against it; its contents mirror the live records of the log). Its
+// replicas carry a Record as their Body and no Data.
 func (ds *DiskStore) Mem() *Store { return ds.mem }
+
+// Stats returns the counts of failed record reads.
+func (ds *DiskStore) Stats() DiskStats {
+	return DiskStats{StaleReads: ds.staleReads.Load(), CorruptReads: ds.corruptReads.Load()}
+}
 
 func (ds *DiskStore) logPath() string { return filepath.Join(ds.dir, logName) }
 
-// Put indexes an item and appends its record.
+// Put appends item's record and indexes it. Data must hold the content
+// and be Cert.Size bytes long — a record that is not would be quarantined
+// at the next boot — and is not kept: the index reads it back from the
+// log.
 func (ds *DiskStore) Put(item Item) error {
+	if int64(len(item.Data)) != item.Cert.Size {
+		return fmt.Errorf("storage: %d bytes of content, certificate says %d", len(item.Data), item.Cert.Size)
+	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	if err := ds.mem.Put(item); err != nil {
+	if ds.err != nil {
+		return ds.err
+	}
+	buf := recordBufs.Get().(*[]byte)
+	defer recordBufs.Put(buf)
+	rec, err := appendEntry((*buf)[:0], entry{kind: kindPut, file: item.Cert.FileID, item: item})
+	if err != nil {
 		return err
 	}
-	n, err := ds.appendLocked(entry{kind: kindPut, file: item.Cert.FileID, item: item})
-	if err != nil {
+	*buf = rec // keep what the encoder grew
+	at := span{ds.size, ds.size + int64(len(rec))}
+	if err := ds.mem.put(ds.log.indexed(item, at, binary.BigEndian.Uint32(rec[4:]))); err != nil {
+		return err
+	}
+	if err := ds.writeLocked(rec); err != nil {
 		ds.mem.Delete(item.Cert.FileID) //nolint:errcheck // rollback of a just-inserted key
 		return err
 	}
-	ds.live += n
+	ds.live += at.len()
 	return nil
 }
 
@@ -285,7 +360,7 @@ func (ds *DiskStore) Delete(f id.File) (int64, error) {
 		return 0, err
 	}
 	freed, err := ds.mem.Delete(f)
-	ds.live -= recordLen(entry{kind: kindPut, file: f, item: it})
+	ds.live -= it.Body.(*Record).at.len()
 	ds.compactLocked()
 	return freed, err
 }
@@ -330,8 +405,19 @@ func (ds *DiskStore) DeletePointer(f id.File) (bool, error) {
 	return true, nil
 }
 
-// Get returns the stored item for f (served from the in-memory index).
-func (ds *DiskStore) Get(f id.File) (Item, error) { return ds.mem.Get(f) }
+// Get returns the stored item for f with its content read back from the
+// log into a fresh buffer: Data set, Body nil.
+func (ds *DiskStore) Get(f id.File) (Item, error) {
+	it, err := ds.mem.Get(f)
+	if err != nil {
+		return Item{}, err
+	}
+	if it.Data, err = it.Content(); err != nil {
+		return Item{}, err
+	}
+	it.Body = nil
+	return it, nil
+}
 
 // Has reports whether f is stored.
 func (ds *DiskStore) Has(f id.File) bool { return ds.mem.Has(f) }
@@ -339,8 +425,9 @@ func (ds *DiskStore) Has(f id.File) bool { return ds.mem.Has(f) }
 // Files lists stored fileIds in sorted order.
 func (ds *DiskStore) Files() []id.File { return ds.mem.Files() }
 
-// Close closes the log. Every later mutation fails; the index still
-// answers reads. Closing twice is harmless.
+// Close closes the log. Every later mutation fails, and so does every
+// read of a replica's content (counted as stale); the index still answers
+// everything else. Closing twice is harmless.
 func (ds *DiskStore) Close() error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -353,8 +440,6 @@ func (ds *DiskStore) Close() error {
 }
 
 // appendLocked appends e's record with one write and returns its length.
-// A failed write is cut back off the log, so no torn record ever sits
-// mid-log; if even that fails, the log takes no more writes.
 func (ds *DiskStore) appendLocked(e entry) (int64, error) {
 	if ds.err != nil {
 		return 0, ds.err
@@ -366,14 +451,27 @@ func (ds *DiskStore) appendLocked(e entry) (int64, error) {
 		return 0, err
 	}
 	*buf = rec // keep what the encoder grew
+	if err := ds.writeLocked(rec); err != nil {
+		return 0, err
+	}
+	return int64(len(rec)), nil
+}
+
+// writeLocked appends one encoded record with one write. A failed write
+// is cut back off the log, so no torn record ever sits mid-log; if even
+// that fails, the log takes no more writes.
+func (ds *DiskStore) writeLocked(rec []byte) error {
+	if ds.err != nil {
+		return ds.err
+	}
 	if _, err := ds.log.Write(rec); err != nil {
 		if terr := ds.log.Truncate(ds.size); terr != nil {
 			ds.err = fmt.Errorf("storage: log unusable after a failed append: %w", terr)
 		}
-		return 0, fmt.Errorf("storage: append to %s: %w", ds.logPath(), err)
+		return fmt.Errorf("storage: append to %s: %w", ds.logPath(), err)
 	}
 	ds.size += int64(len(rec))
-	return int64(len(rec)), nil
+	return nil
 }
 
 // recordLen is the length of e's record.
@@ -395,17 +493,36 @@ func (ds *DiskStore) compactLocked() {
 }
 
 // rewriteLocked replaces the log with one holding exactly the index —
-// written to a .tmp beside it and renamed over it — and appends to that
-// from then on.
+// every replica's record copied byte for byte from the current log, in
+// log order, then every pointer — written to a .tmp beside it and renamed
+// over it, and appends to that from then on. The index's Records move to
+// the new log; a Record handed out before reads the old one until it is
+// closed here, and fails closed as stale after.
 func (ds *DiskStore) rewriteLocked() error {
+	ds.mem.mu.Lock()
+	items := make([]*Item, 0, len(ds.mem.files))
+	for _, it := range ds.mem.files {
+		items = append(items, it)
+	}
+	ds.mem.mu.Unlock()
+	slices.SortFunc(items, func(a, b *Item) int { return cmp.Compare(a.Body.(*Record).at.off, b.Body.(*Record).at.off) })
+	recs := make([]span, len(items))
+	for i, it := range items {
+		recs[i] = it.Body.(*Record).at
+	}
+
 	path := ds.logPath()
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: rewrite %s: %w", path, err)
 	}
+	var src io.ReaderAt // nothing to copy from for a new store
+	if ds.log != nil {
+		src = ds.log
+	}
 	w := bufio.NewWriterSize(f, 1<<20)
-	size, err := writeLog(w, ds.mem.Items(), ds.mem.Pointers())
+	moved, size, err := writeLog(w, src, recs, ds.mem.Pointers())
 	err = cmp.Or(err, w.Flush())
 	if err = cmp.Or(err, f.Close()); err == nil {
 		err = os.Rename(tmp, path)
@@ -414,39 +531,157 @@ func (ds *DiskStore) rewriteLocked() error {
 		os.Remove(tmp) //nolint:errcheck // already failing
 		return fmt.Errorf("storage: rewrite %s: %w", path, err)
 	}
-	if f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0); err != nil {
+	if f, err = os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0); err != nil {
 		// The old handle, if any, now appends to an unlinked file.
 		ds.err = fmt.Errorf("storage: reopen rewritten log: %w", err)
 		return ds.err
 	}
-	if ds.log != nil {
-		ds.log.Close() //nolint:errcheck // replaced: nothing more is written through it
+	next := &logFile{f, ds}
+	ds.mem.mu.Lock()
+	for i, it := range items {
+		r := *it.Body.(*Record)
+		r.log, r.at = next, moved[i]
+		it.Body = &r
 	}
-	ds.log, ds.size, ds.live = f, size, size-int64(len(logHeader))
+	ds.mem.mu.Unlock()
+	if ds.log != nil {
+		ds.log.Close() //nolint:errcheck // replaced: what still reads it fails closed
+	}
+	ds.log, ds.size, ds.live = next, size, size-int64(len(logHeader))
 	return nil
 }
 
-// writeLog writes a whole log holding exactly items and pointers to w and
-// returns its length.
-func writeLog(w io.Writer, items []Item, pointers map[id.File]wire.NodeRef) (int64, error) {
+// writeLog writes a whole log to w: the records at spans recs of src,
+// copied byte for byte in that order, then pointers. It returns where the
+// copied records sit in it, and its length.
+func writeLog(w io.Writer, src io.ReaderAt, recs []span, pointers map[id.File]wire.NodeRef) ([]span, int64, error) {
 	n, err := w.Write(logHeader)
 	size := int64(n)
+	moved := make([]span, len(recs))
+	for i, s := range recs {
+		if err != nil {
+			break
+		}
+		var c int64
+		c, err = io.Copy(w, io.NewSectionReader(src, s.off, s.len()))
+		if err == nil && c != s.len() {
+			err = fmt.Errorf("storage: copy a %d-byte record: %d bytes read", s.len(), c)
+		}
+		moved[i] = span{size, size + c}
+		size += c
+	}
 	var rec []byte
-	emit := func(e entry) {
-		if err == nil {
-			if rec, err = appendEntry(rec[:0], e); err == nil {
-				n, err = w.Write(rec)
-				size += int64(n)
-			}
+	for f, holder := range pointers {
+		if err != nil {
+			break
+		}
+		if rec, err = appendEntry(rec[:0], entry{kind: kindPointer, file: f, holder: holder}); err == nil {
+			n, err = w.Write(rec)
+			size += int64(n)
 		}
 	}
-	for _, it := range items {
-		emit(entry{kind: kindPut, file: it.Cert.FileID, item: it})
+	return moved, size, err
+}
+
+// Record is a replica at rest: where its put record lies in the log, and
+// what the record must check out to when read back. A DiskStore's index
+// holds one as the Body of each replica's Item; as a wire.Stored it
+// serves the replica by reading its record from the log straight into
+// the frame that carries it. A read checks the record's CRC-32C and its
+// fileId, so the bytes it returns are the bytes the put or the boot
+// replay proved (the client's fresh content hash is the end-to-end
+// check). A read that fails sends nothing: a record whose log was
+// rewritten or closed meanwhile is stale and only counted; one whose
+// bytes changed on disk is counted and quarantined — it leaves the index
+// and the log, its bytes go to quarantine.corrupt, and anti-entropy
+// restores the replica.
+type Record struct {
+	log  *logFile
+	at   span   // the whole record: header, kind, body
+	pre  int    // the leading bytes of the body that encode Cert and Data
+	crc  uint32 // over kind and body
+	file id.File
+}
+
+// putCRC is the CRC-32C of a put record's kind byte, which the CRC of its
+// body continues.
+var putCRC = crc32.Checksum([]byte{kindPut}, castagnoli)
+
+// indexed is it as a DiskStore's index holds it once its put record sits
+// at at in l: its Record instead of Data, and its certificate compacted.
+// The item and its Record are one allocation: the index is what the
+// collector scans, one object per replica fewer.
+func (l *logFile) indexed(it Item, at span, crc uint32) *Item {
+	x := &struct {
+		Item
+		rec Record
+	}{Item: it, rec: Record{log: l, at: at, pre: wire.ReplicaPrefixLen(&it.Cert, len(it.Data)), crc: crc, file: it.Cert.FileID}}
+	x.Body = &x.rec
+	x.Cert, x.Data = compactCert(it.Cert), nil
+	return &x.Item
+}
+
+// compactCert returns c with its four byte fields copied into one
+// allocation, so an indexed certificate keeps no frame or record buffer
+// alive.
+func compactCert(c wire.FileCertificate) wire.FileCertificate {
+	fields := [...]*[]byte{&c.Salt, &c.OwnerPub, &c.CardCert, &c.Sig}
+	n := 0
+	for _, f := range fields {
+		n += len(*f)
 	}
-	for f, holder := range pointers {
-		emit(entry{kind: kindPointer, file: f, holder: holder})
+	buf := make([]byte, 0, n)
+	for _, f := range fields {
+		if len(*f) == 0 {
+			*f = nil // as decoded: an empty slice would still pin its buffer
+			continue
+		}
+		start := len(buf)
+		buf = append(buf, *f...)
+		*f = buf[start:len(buf):len(buf)]
 	}
-	return size, err
+	return c
+}
+
+// Len implements wire.Stored.
+func (r *Record) Len() int { return r.pre }
+
+// AppendTo implements wire.Stored: it reads the record's body into dst,
+// checks it, and keeps the part that encodes the certificate and content.
+func (r *Record) AppendTo(dst []byte) ([]byte, error) {
+	start := len(dst)
+	n := int(r.at.len()) - recHeader - 1
+	dst = slices.Grow(dst, n)[:start+n]
+	body := dst[start:]
+	_, err := r.log.ReadAt(body, r.at.off+recHeader+1)
+	switch {
+	case errors.Is(err, os.ErrClosed):
+		r.log.ds.staleReads.Add(1)
+		return dst[:start], fmt.Errorf("%w: %s", errStale, r.file.Short())
+	case err == nil && crc32.Update(putCRC, castagnoli, body) == r.crc && bytes.HasPrefix(body, r.file[:]):
+		return dst[:start+r.pre], nil
+	}
+	r.log.ds.quarantineRecord(r)
+	return dst[:start], fmt.Errorf("%w: %s", errCorrupt, r.file.Short())
+}
+
+// quarantineRecord sets aside a record that failed its read: its bytes go
+// to quarantine.corrupt, and its replica leaves the index and, by a
+// tombstone, the log — unless a delete or a rewrite got there first. A
+// replica the index no longer holds is one anti-entropy can restore.
+func (ds *DiskStore) quarantineRecord(r *Record) {
+	ds.corruptReads.Add(1)
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	if it, err := ds.mem.Get(r.file); err != nil || it.Body != r {
+		return
+	}
+	quarantine(filepath.Join(ds.dir, quarantineName), r.log, []span{r.at}) //nolint:errcheck // the replica leaves the index regardless
+	ds.mem.Delete(r.file)                                                  //nolint:errcheck // present: checked above
+	ds.live -= r.at.len()
+	if _, err := ds.appendLocked(entry{kind: kindDelete, file: r.file}); err == nil {
+		ds.compactLocked()
+	}
 }
 
 // entry is one log record, decoded.
@@ -533,21 +768,24 @@ type logged[T any] struct {
 }
 
 // logIndex is what a log replays to: its live replicas and pointers.
+// Replicas are kept in log order as they replay, so indexing them in that
+// order needs no sort.
 type logIndex struct {
-	items    map[id.File]logged[Item]
+	puts     []logged[*Item] // every put replayed, in log order; a dead one's span is zeroed
+	items    map[id.File]int // a live replica's put in puts
 	pointers map[id.File]logged[wire.NodeRef]
 }
 
-func newLogIndex() logIndex {
-	return logIndex{items: map[id.File]logged[Item]{}, pointers: map[id.File]logged[wire.NodeRef]{}}
+func newLogIndex() *logIndex {
+	return &logIndex{items: map[id.File]int{}, pointers: map[id.File]logged[wire.NodeRef]{}}
 }
 
-func (x logIndex) apply(e entry, at span) {
+func (x *logIndex) apply(e entry, at span) {
 	switch e.kind {
 	case kindPut:
-		x.items[e.file] = logged[Item]{e.item, at}
+		x.put(e.file, &e.item, at)
 	case kindDelete:
-		delete(x.items, e.file)
+		x.drop(e.file)
 	case kindPointer:
 		x.pointers[e.file] = logged[wire.NodeRef]{e.holder, at}
 	case kindUnpointer:
@@ -555,46 +793,62 @@ func (x logIndex) apply(e entry, at span) {
 	}
 }
 
-func (x logIndex) itemsInLogOrder() []logged[Item] {
-	out := make([]logged[Item], 0, len(x.items))
-	for _, it := range x.items {
-		out = append(out, it)
+// put replays a put record of f, it, at at.
+func (x *logIndex) put(f id.File, it *Item, at span) {
+	x.drop(f)
+	x.items[f] = len(x.puts)
+	x.puts = append(x.puts, logged[*Item]{it, at})
+}
+
+// drop replays a delete of f: its put, if live, is dead.
+func (x *logIndex) drop(f id.File) {
+	if i, ok := x.items[f]; ok {
+		x.puts[i].at = span{}
+		delete(x.items, f)
 	}
-	slices.SortFunc(out, func(a, b logged[Item]) int { return cmp.Compare(a.at.off, b.at.off) })
+}
+
+func (x *logIndex) itemsInLogOrder() []logged[*Item] {
+	out := make([]logged[*Item], 0, len(x.items))
+	for _, it := range x.puts {
+		if it.at != (span{}) {
+			out = append(out, it)
+		}
+	}
 	return out
 }
 
-// replayLog checks f's header and replays its records. It returns the
-// index, where the intact log ends (a torn tail follows) and the spans
-// set aside. A file shorter than the header that begins it is an empty
-// log (end 0).
-func replayLog(f *os.File) (logIndex, int64, []span, error) {
-	idx := newLogIndex()
+// replayLog checks f's header and replays its records through keep (see
+// scanLog). It returns where the intact log ends (a torn tail follows)
+// and the spans set aside. A file shorter than the header that begins it
+// is an empty log (end 0).
+func replayLog(f *os.File, keep func(e entry, at span, crc uint32)) (int64, []span, error) {
 	info, err := f.Stat()
 	if err != nil {
-		return idx, 0, nil, err
+		return 0, nil, err
 	}
 	hdr := make([]byte, len(logHeader))
 	n, err := f.ReadAt(hdr, 0)
 	switch {
 	case int64(n) == info.Size() && n < len(hdr) && bytes.HasPrefix(logHeader, hdr[:n]):
-		return idx, 0, nil, nil
+		return 0, nil, nil
 	case err != nil && n < len(hdr):
-		return idx, 0, nil, fmt.Errorf("storage: read %s: %w", f.Name(), err)
+		return 0, nil, fmt.Errorf("storage: read %s: %w", f.Name(), err)
 	case !bytes.Equal(hdr[:len(hdr)-1], logHeader[:len(hdr)-1]):
-		return idx, 0, nil, fmt.Errorf("storage: %s is not a replica log", f.Name())
+		return 0, nil, fmt.Errorf("storage: %s is not a replica log", f.Name())
 	case hdr[len(hdr)-1] != logHeader[len(hdr)-1]:
-		return idx, 0, nil, fmt.Errorf("storage: %s is log format %d; only %d is read", f.Name(), hdr[len(hdr)-1], logHeader[len(hdr)-1])
+		return 0, nil, fmt.Errorf("storage: %s is log format %d; only %d is read", f.Name(), hdr[len(hdr)-1], logHeader[len(hdr)-1])
 	}
-	end, bad, err := scanLog(f, info.Size(), idx.apply)
-	return idx, end, bad, err
+	return scanLog(f, info.Size(), keep)
 }
 
 // scanLog walks the records after the header of a log of size bytes and
-// calls keep with each one that passes its CRC and decodes, in log order.
+// calls keep with each one that passes its CRC and decodes, in log order,
+// with its CRC. Each record is read into a buffer of its own, which the
+// entry's byte fields alias; nothing here keeps it after keep returns.
 // It returns where the intact log ends and the spans it set aside; see
 // OpenDiskStoreVerify for which bad record is which.
-func scanLog(r io.ReaderAt, size int64, keep func(entry, span)) (int64, []span, error) {
+func scanLog(r io.ReaderAt, size int64, keep func(e entry, at span, crc uint32)) (int64, []span, error) {
 	var bad []span
 	off := int64(len(logHeader))
 	br := bufio.NewReaderSize(io.NewSectionReader(r, off, size-off), 64<<10)
@@ -612,9 +866,9 @@ func scanLog(r io.ReaderAt, size int64, keep func(entry, span)) (int64, []span, 
 		if _, err := io.ReadFull(br, rec); err != nil {
 			return off, bad, err
 		}
-		if n > 0 && crc32.Checksum(rec, castagnoli) == binary.BigEndian.Uint32(hdr[4:]) {
+		if crc := binary.BigEndian.Uint32(hdr[4:]); n > 0 && crc32.Checksum(rec, castagnoli) == crc {
 			if e, err := decodeEntry(rec); err == nil {
-				keep(e, span{off, next})
+				keep(e, span{off, next}, crc)
 			} else {
 				bad = append(bad, span{off, next})
 			}

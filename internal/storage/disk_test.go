@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -83,6 +84,20 @@ func logOf(recs ...[]byte) []byte {
 func installLog(t testing.TB, dir string, b []byte) {
 	t.Helper()
 	if err := os.WriteFile(filepath.Join(dir, logName), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// overwrite writes b over the bytes of the file at path from off on, as a
+// stray writer or bit rot would under an open store.
+func overwrite(t testing.TB, path string, off int64, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err == nil {
+		_, err = f.WriteAt(b, off)
+		err = cmp.Or(err, f.Close())
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 }
@@ -639,8 +654,9 @@ func TestDiskStoreCapacity(t *testing.T) {
 }
 
 // FuzzDiskRecord replays whatever follows a log header: it never panics,
-// every record it accepts re-encodes to the same bytes, and the log
-// rewritten from its index replays to the same index.
+// every record it accepts re-encodes to the same bytes, and the log a
+// rewrite copies its live records into replays to the same index, each
+// record where the copy put it.
 func FuzzDiskRecord(f *testing.F) {
 	a, b := diskItem(1, 4096), divertedItem(2, 64)
 	pointer := pointerRec(f, a.Cert.FileID, b.Primary)
@@ -660,11 +676,14 @@ func FuzzDiskRecord(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, records []byte) {
 		log := logOf(records)
-		replay := func(log []byte) (logIndex, []span) {
+		replay := func(log []byte) (*logIndex, []span) {
 			idx := newLogIndex()
-			end, bad, err := scanLog(bytes.NewReader(log), int64(len(log)), func(e entry, at span) {
+			end, bad, err := scanLog(bytes.NewReader(log), int64(len(log)), func(e entry, at span, crc uint32) {
 				if re := mustEntry(t, e); !bytes.Equal(re, log[at.off:at.end]) {
 					t.Fatalf("re-encoding differs:\n in  %x\n out %x", log[at.off:at.end], re)
+				}
+				if crc != binary.BigEndian.Uint32(log[at.off+4:]) {
+					t.Fatalf("record at %d: CRC %08x reported, %x logged", at.off, crc, log[at.off+4:at.off+8])
 				}
 				idx.apply(e, at)
 			})
@@ -674,31 +693,103 @@ func FuzzDiskRecord(f *testing.F) {
 			return idx, bad
 		}
 		idx, _ := replay(log)
-		var items []Item
-		pointers := map[id.File]wire.NodeRef{}
-		for _, it := range idx.items {
-			items = append(items, it.v)
+		live := idx.itemsInLogOrder()
+		recs := make([]span, len(live))
+		for i, it := range live {
+			recs[i] = it.at
 		}
+		pointers := map[id.File]wire.NodeRef{}
 		for f, p := range idx.pointers {
 			pointers[f] = p.v
 		}
 		var rewritten bytes.Buffer
-		if _, err := writeLog(&rewritten, items, pointers); err != nil {
-			t.Fatal(err)
+		moved, size, err := writeLog(&rewritten, bytes.NewReader(log), recs, pointers)
+		if err != nil || size != int64(rewritten.Len()) {
+			t.Fatalf("rewrite: %d bytes of %d written, %v", size, rewritten.Len(), err)
 		}
 		again, bad := replay(rewritten.Bytes())
 		if len(bad) != 0 || len(again.items) != len(idx.items) || len(again.pointers) != len(idx.pointers) {
 			t.Fatalf("rewritten log replays to %d replicas and %d pointers (%d bad), want %d and %d",
 				len(again.items), len(again.pointers), len(bad), len(idx.items), len(idx.pointers))
 		}
-		for f, it := range idx.items {
-			if !reflect.DeepEqual(again.items[f].v, it.v) {
-				t.Fatalf("replica %s differs after the rewrite", f.Short())
+		for i, got := range again.itemsInLogOrder() {
+			it := live[i]
+			if !reflect.DeepEqual(got.v, it.v) || got.at != moved[i] {
+				t.Fatalf("replica %s differs after the rewrite, or sits at %v, not %v", it.v.Cert.FileID.Short(), got.at, moved[i])
 			}
 		}
 		for f, p := range idx.pointers {
 			if again.pointers[f].v != p.v {
 				t.Fatalf("pointer %s differs after the rewrite", f.Short())
+			}
+		}
+	})
+}
+
+// FuzzRecordRead overwrites an indexed put record in the log with
+// arbitrary bytes of its length, as bit rot or a stray writer would, and
+// serves it: the read either returns exactly the bytes of the record it
+// found — which the record's CRC-32C and fileId vouch for — or fails
+// closed, leaving the buffer it was handed as it was, quarantining those
+// bytes and dropping the replica from the index, while its neighbours
+// are served intact.
+func FuzzRecordRead(f *testing.F) {
+	before, victim, after := diskItem(1, 64), divertedItem(2, 512), diskItem(3, 64)
+	good := putRec(f, victim)
+	flip := func(at int) []byte { b := bytes.Clone(good); b[at] ^= 0x20; return b }
+	f.Add(good)
+	f.Add(flip(2))                     // the length: not read, the index knows it
+	f.Add(flip(recHeader + 3))         // the fileId
+	f.Add(flip(len(good) - 100))       // the content
+	f.Add(flip(len(good) - 1))         // Diverted, past what is served
+	f.Add(putRec(f, diskItem(4, 512))) // another replica's record, CRC and all
+	f.Add(make([]byte, len(good)))     // zeroed
+	f.Add([]byte("short"))             // padded with the record's own tail
+	want, err := wire.AppendReplica(nil, wire.ReplicaStore{Cert: victim.Cert, Data: victim.Data})
+	if err != nil {
+		f.Fatal(err)
+	}
+	want = want[:wire.ReplicaPrefixLen(&victim.Cert, len(victim.Data))]
+	f.Fuzz(func(t *testing.T, region []byte) {
+		dir := t.TempDir()
+		ds, err := OpenDiskStore(dir, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close() //nolint:errcheck // test teardown
+		for _, it := range []Item{before, victim, after} {
+			if err := ds.Put(it); err != nil {
+				t.Fatal(err)
+			}
+		}
+		it, err := ds.Mem().Get(victim.Cert.FileID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := it.Body.(*Record)
+		region = append(bytes.Clone(region[:min(len(region), len(good))]), good[min(len(region), len(good)):]...)
+		overwrite(t, filepath.Join(dir, logName), rec.at.off, region)
+		body := region[recHeader+1:]
+		got, err := it.Body.AppendTo([]byte("dst:"))
+		switch {
+		case err == nil && bytes.Equal(got[4:], want):
+		case err == nil:
+			if crc32.Update(putCRC, castagnoli, body) != rec.crc || !bytes.Equal(got[4:], body[:rec.pre]) {
+				t.Fatalf("served %d bytes the record does not vouch for", len(got)-4)
+			}
+		case bytes.Equal(body, good[recHeader+1:]):
+			t.Fatalf("an intact body failed: %v", err)
+		case string(got) != "dst:" || !errors.Is(err, errCorrupt):
+			t.Fatalf("a failed read left %q, err %v", got, err)
+		case ds.Has(victim.Cert.FileID) || ds.Stats() != (DiskStats{CorruptReads: 1}):
+			t.Fatalf("a corrupt replica stayed indexed (%v), stats %+v", ds.Has(victim.Cert.FileID), ds.Stats())
+		case !bytes.Equal(readFile(t, filepath.Join(dir, quarantineName)), region):
+			t.Fatal("quarantine does not hold the bytes that failed")
+		}
+		for _, it := range []Item{before, after} {
+			got, err := ds.Get(it.Cert.FileID)
+			if err != nil || !bytes.Equal(got.Data, it.Data) {
+				t.Fatalf("neighbour %s: %v", it.Cert.FileID.Short(), err)
 			}
 		}
 	})

@@ -30,12 +30,18 @@ var (
 // ownership of the slice to the store (or cache) at Put and must treat
 // the bytes as immutable from then on — the same rule package wire
 // imposes on message payloads ("immutable after Send"). In the simulator
-// every replica of one insert therefore aliases a single backing array;
-// over the TCP transport each process's copy is the frame buffer the
-// bytes arrived in, which the decoded message aliases; after a restart
-// it is the buffer the replica's log record was read into. Content
-// authenticity never depends on this: every node re-checks Data against
-// Cert.ContentHash before serving it.
+// every replica of one insert therefore aliases a single backing array,
+// and over the TCP transport a cached copy is the frame buffer the bytes
+// arrived in, which the decoded message aliases.
+//
+// A replica a DiskStore indexes holds no Data: its Body, a Record, says
+// where in the log the content lives, and a reply carries the Body so the
+// transport reads the record straight into the frame (see wire.Stored);
+// Content reads it into a fresh buffer for local use. No node re-hashes
+// content before serving it: a stored replica was verified against
+// Cert.ContentHash when it was stored or replayed, a re-read from disk is
+// checked against its record's CRC-32C, and the client re-hashes what it
+// receives (VerifyContentFresh).
 type Item struct {
 	Cert wire.FileCertificate
 	Data []byte
@@ -44,6 +50,30 @@ type Item struct {
 	Diverted bool
 	// Primary names the node responsible in nodeId space when Diverted.
 	Primary wire.NodeRef
+	// Body, set instead of Data, is where the content is read from.
+	Body wire.Stored
+}
+
+// Content returns the item's content: Data, or read from its Body into a
+// fresh buffer of its own, which fails when the Body does (see Record).
+func (it *Item) Content() ([]byte, error) {
+	if it.Body == nil {
+		return it.Data, nil
+	}
+	b, err := it.Body.AppendTo(nil)
+	if err != nil {
+		return nil, err
+	}
+	return b[len(b)-int(it.Cert.Size) : len(b) : len(b)], nil
+}
+
+// size is the bytes the item's content takes: Data's, or for a Body the
+// certificate's Size, which a DiskStore holds its content to.
+func (it *Item) size() int64 {
+	if it.Body != nil {
+		return it.Cert.Size
+	}
+	return int64(len(it.Data))
 }
 
 // Store is a capacity-accounted in-memory content store. It is safe for
@@ -106,17 +136,21 @@ func (s *Store) Len() int {
 // of item.Data without copying (see Item); the caller must not mutate the
 // slice afterwards.
 func (s *Store) Put(item Item) error {
-	size := int64(len(item.Data))
+	return s.put(&item)
+}
+
+// put is Put indexing it itself rather than a copy.
+func (s *Store) put(it *Item) error {
+	size := it.size()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.files[item.Cert.FileID]; ok {
-		return fmt.Errorf("%w: %s", ErrDuplicate, item.Cert.FileID.Short())
+	if _, ok := s.files[it.Cert.FileID]; ok {
+		return fmt.Errorf("%w: %s", ErrDuplicate, it.Cert.FileID.Short())
 	}
 	if s.used+size > s.capacity {
 		return fmt.Errorf("%w: need %d, free %d", ErrNoSpace, size, s.capacity-s.used)
 	}
-	cp := item
-	s.files[item.Cert.FileID] = &cp
+	s.files[it.Cert.FileID] = it
 	s.used += size
 	return nil
 }
@@ -149,7 +183,7 @@ func (s *Store) Delete(f id.File) (int64, error) {
 	if !ok {
 		return 0, ErrNotFound
 	}
-	size := int64(len(it.Data))
+	size := it.size()
 	delete(s.files, f)
 	s.used -= size
 	return size, nil

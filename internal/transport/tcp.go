@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -211,12 +212,14 @@ var errOversize = errors.New("transport: frame exceeds limit")
 // address, message. A frame that would encode beyond maxFrame is refused
 // (errOversize) before it is encoded, so buf neither receives the copy nor
 // grows to its size: better to drop one message than to ship something
-// every receiver will kill the connection over.
+// every receiver will kill the connection over. Otherwise buf grows to
+// the frame's size at once, not by doublings as the fields go in.
 func encodeFrame(buf []byte, from string, m wire.Msg, maxFrame int) ([]byte, error) {
-	if n := wire.FrameLen(from, m); n > maxFrame {
+	n := wire.FrameLen(from, m)
+	if n > maxFrame {
 		return buf, fmt.Errorf("%w: %d bytes, limit %d", errOversize, n, maxFrame)
 	}
-	out, err := wire.AppendFrame(append(buf[:0], 0, 0, 0, 0), from, m)
+	out, err := wire.AppendFrame(append(slices.Grow(buf[:0], 4+n), 0, 0, 0, 0), from, m)
 	if err != nil {
 		return buf, err
 	}
@@ -428,33 +431,50 @@ func (t *TCP) connect(to string, p *tcpPeer) {
 	go t.watch(to, p, conn)
 }
 
-// writeLoop drains the peer's queue onto conn, one Write per frame out of
-// one reused buffer. A frame that cannot be encoded (oversized, counted in
-// Oversize, or not a wire message) is dropped alone; a failed Write means
-// the connection broke, so the peer is forgotten and the next Send redials
-// fresh.
+// writeBufs are the frame buffers every connection's writer encodes into,
+// one per frame in flight, as storage.recordBufs are for log records: a
+// buffer goes back once its frame is written, so the process holds about
+// one per concurrent write, not one per connection grown to the largest
+// frame that connection ever sent. Nothing keeps a reference past the
+// Write, unlike read buffers, which decoded messages alias.
+var writeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeLoop drains the peer's queue onto conn, one Write per frame. A
+// frame that cannot be encoded (oversized, counted in Oversize; a stored
+// body that fails its read, counted by its store; or not a wire message)
+// is dropped alone; a failed Write means the connection broke, so the peer
+// is forgotten and the next Send redials fresh.
 func (t *TCP) writeLoop(to string, p *tcpPeer, conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close() // also ends the watcher's Read
-	var buf []byte
 	for {
 		select {
 		case <-p.done:
 			return
 		case m := <-p.out:
-			var err error
-			if buf, err = encodeFrame(buf, t.addr, m, t.maxFrame); err != nil {
-				if errors.Is(err, errOversize) {
-					t.oversize.Add(1)
-				}
-				continue
-			}
-			if _, err := conn.Write(buf); err != nil {
+			if !t.writeFrame(conn, m) {
 				t.forget(to, p)
 				return
 			}
 		}
 	}
+}
+
+// writeFrame encodes m into a pooled buffer and writes it to conn. It
+// reports false when the Write failed.
+func (t *TCP) writeFrame(conn net.Conn, m wire.Msg) bool {
+	buf := writeBufs.Get().(*[]byte)
+	defer writeBufs.Put(buf)
+	out, err := encodeFrame(*buf, t.addr, m, t.maxFrame)
+	*buf = out // keep what the encoder grew
+	if err != nil {
+		if errors.Is(err, errOversize) {
+			t.oversize.Add(1)
+		}
+		return true
+	}
+	_, err = conn.Write(out)
+	return err == nil
 }
 
 // watch blocks reading the outbound connection, which the peer never

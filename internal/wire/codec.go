@@ -26,11 +26,13 @@ import (
 //	[]T     = u32 count, then the elements
 //	NodeRef = id.Node str(Addr)
 //
-// Fields follow in struct declaration order. Routed carries its payload
-// inline as another msg, which must not itself be a Routed. Every frame is
-// self-contained: there is no handshake and no per-connection state, so a
-// proxy may drop, delay or reorder individual frames. The encoding is
-// canonical — a body that decodes re-encodes to the same bytes.
+// Fields follow in struct declaration order; a Body is not a field but
+// the source of the Cert and Data fields it stands in for (see Stored).
+// Routed carries its payload inline as another msg, which must not itself
+// be a Routed. Every frame is self-contained: there is no handshake and no
+// per-connection state, so a proxy may drop, delay or reorder individual
+// frames. The encoding is canonical — a body that decodes re-encodes to
+// the same bytes.
 
 // Message tags. The values are the wire format: append, never renumber.
 const (
@@ -139,6 +141,16 @@ func AppendReplica(dst []byte, m ReplicaStore) ([]byte, error) {
 		return dst, e.err
 	}
 	return e.b, nil
+}
+
+// ReplicaPrefixLen is the length of the bytes a replica's certificate
+// and content encode to — the part of AppendReplica's output a Stored
+// appends — for content of size bytes.
+func ReplicaPrefixLen(c *FileCertificate, size int) int {
+	e := encoder{sizing: true}
+	e.cert(c)
+	e.count(size)
+	return e.n + size
 }
 
 // DecodeReplica decodes what AppendReplica wrote, aliasing b as
@@ -254,6 +266,24 @@ func (e *encoder) cert(c *FileCertificate) {
 	e.bytes(c.OwnerPub)
 	e.bytes(c.CardCert)
 	e.bytes(c.Sig)
+}
+
+// replica writes a certificate and its content, from body when set.
+func (e *encoder) replica(c *FileCertificate, data []byte, body Stored) {
+	switch {
+	case body == nil:
+		e.cert(c)
+		e.bytes(data)
+	case e.sizing:
+		e.n += body.Len()
+	case e.err == nil:
+		b, err := body.AppendTo(e.b)
+		if err != nil {
+			e.fail(err)
+			return
+		}
+		e.b = b
+	}
 }
 
 func (e *encoder) reclaimCert(c *ReclaimCertificate) {
@@ -438,8 +468,7 @@ func (e *encoder) msg(m Msg, nested bool) {
 		e.ref(m.PrevHop)
 		e.bool(m.Redirected)
 	case LookupReply:
-		e.cert(&m.Cert)
-		e.bytes(m.Data)
+		e.replica(&m.Cert, m.Data, m.Body)
 		e.ref(m.From)
 		e.u64(m.ReqID)
 		e.i64(int64(m.Hops))
@@ -469,8 +498,7 @@ func (e *encoder) msg(m Msg, nested bool) {
 		e.bytes(m.Sig)
 		e.u64(m.ReqID)
 	case Replicate:
-		e.cert(&m.Cert)
-		e.bytes(m.Data)
+		e.replica(&m.Cert, m.Data, m.Body)
 		e.ref(m.From)
 	case SyncOffer:
 		e.ref(m.From)
@@ -485,8 +513,7 @@ func (e *encoder) msg(m Msg, nested bool) {
 	case Depart:
 		e.ref(m.From)
 	case CacheCopy:
-		e.cert(&m.Cert)
-		e.bytes(m.Data)
+		e.replica(&m.Cert, m.Data, m.Body)
 	case FetchRequest:
 		e.file(m.FileID)
 		e.ref(m.Client)

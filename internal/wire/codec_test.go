@@ -76,7 +76,10 @@ func (f *filler) fill(v reflect.Value) {
 				f.fill(v.Index(i))
 			}
 		}
-	case reflect.Interface: // Routed.Payload
+	case reflect.Interface: // Routed.Payload; a Body is no field of the frame
+		if v.Type() == reflect.TypeFor[Stored]() {
+			return
+		}
 		v.Set(reflect.ValueOf(f.filled(InsertRequest{})))
 	default:
 		panic("filler: unhandled kind " + v.Kind().String())

@@ -18,8 +18,11 @@
 // extends the same rule to stored content — message payloads, replica
 // content, and cache entries all share one immutable backing array, which
 // is what makes replication zero-copy (see the package past doc comment).
-// Every node still re-checks content hashes before serving, so a violated
-// contract is detected rather than silently propagated.
+// Content is hashed where it is accepted — by the root, each replica
+// holder and each caching node — and again by the client that receives
+// it, so a violated contract is detected rather than silently
+// propagated. A replica a disk-backed node serves is not in memory at
+// all: its reply carries a Stored in place of Data (codec.go).
 //
 // The rule covers received messages too: DecodeFrame does not copy byte
 // fields (Data, signatures, keys) but slices them out of the frame buffer

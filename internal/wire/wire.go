@@ -270,6 +270,8 @@ type LookupReply struct {
 	Hops     int
 	Distance float64
 	Cached   bool
+	// Body, when set, is where Cert and Data are encoded from (see Stored).
+	Body Stored
 }
 
 func (LookupReply) Kind() string { return "lookup-reply" }
@@ -334,6 +336,8 @@ type Replicate struct {
 	Cert FileCertificate
 	Data []byte
 	From NodeRef
+	// Body, when set, is where Cert and Data are encoded from (see Stored).
+	Body Stored
 }
 
 func (Replicate) Kind() string { return "replicate" }
@@ -382,6 +386,29 @@ func (Depart) Kind() string { return "depart" }
 type CacheCopy struct {
 	Cert FileCertificate
 	Data []byte
+	// Body, when set, is where Cert and Data are encoded from (see Stored).
+	Body Stored
+}
+
+// Stored is a replica's certificate and content held outside memory: a
+// storage.DiskStore log record, whose body begins with exactly the bytes
+// the codec writes for a Cert and a Data field — AppendReplica's first
+// two fields, and the first two of LookupReply, Replicate and CacheCopy.
+// A message of those three types whose Body is set leaves Data nil (its
+// Cert may stay set for local use) and is encoded by reading those bytes
+// from the record straight into the frame: the node serves a replica
+// without holding it in memory. The frame is byte-identical to the one
+// the message with Cert and Data filled in encodes to, and a frame
+// decodes with Body nil. A message carrying a Body must cross a
+// transport that encodes it; an in-process hand-over (the simulator,
+// local delivery) needs Data instead.
+type Stored interface {
+	// Len is the number of bytes AppendTo appends.
+	Len() int
+	// AppendTo appends the encoded certificate and content to dst, each
+	// checked against the record, or fails leaving dst's contents as they
+	// were: a body that no longer reads back as stored is never sent.
+	AppendTo(dst []byte) ([]byte, error)
 }
 
 func (CacheCopy) Kind() string { return "cache-copy" }

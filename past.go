@@ -44,9 +44,10 @@
 // wire package's "immutable after Send" rule extended to storage — byte
 // slices handed to Insert, and slices returned by Lookup, must not be
 // mutated afterwards. Re-inserting changed content under a new name (or
-// after Reclaim) is the supported way to change data; every node still
-// re-checks content hashes before serving, so a violated contract is
-// detected rather than silently propagated.
+// after Reclaim) is the supported way to change data; content is hashed
+// where a node accepts it and again by the client that receives it, so a
+// violated contract is detected rather than silently propagated. A peer
+// with a DataDir keeps no replica in memory: it serves each from its log.
 package past
 
 import (

@@ -145,7 +145,7 @@ func ListenPeer(cfg PeerConfig) (*Peer, error) {
 	p := &Peer{cfg: cfg, tr: tr, node: node, past: pn}
 	if cfg.DataDir != "" {
 		ds, rep, err := storage.OpenDiskStoreVerify(cfg.DataDir, scfg.Capacity, func(cert wire.FileCertificate, data []byte) error {
-			return seccrypt.VerifyContent(&cert, data)
+			return seccrypt.VerifyContentOnce(&cert, data)
 		})
 		if err != nil {
 			tr.Close() //nolint:errcheck // already failing; listener must not leak
@@ -299,7 +299,10 @@ func (p *Peer) TransportStats() TransportStats { return p.tr.Stats() }
 
 // RegisterTelemetry registers this peer's series on rec: the storage
 // layer's per-window counts ("past"), the transport's ("transport", the
-// TransportStats counters), and stored_files and known_peers gauges.
+// TransportStats counters), with a DataDir the log's failed reads
+// ("storage": replies dropped because compaction moved their record, and
+// records quarantined because they no longer read back as stored), and
+// stored_files and known_peers gauges.
 // The caller owns the recorder's clock — the daemon ticks it from a
 // periodic task and sets PeerConfig-independent wall-clock epochs.
 func (p *Peer) RegisterTelemetry(rec *telemetry.Recorder) {
@@ -312,6 +315,12 @@ func (p *Peer) RegisterTelemetry(rec *telemetry.Recorder) {
 			tot[i] = uint64(v)
 		}
 	})
+	if p.disk != nil {
+		rec.Counts("storage", []string{"stale_reads", "corrupt_reads"}, func(tot []uint64) {
+			s := p.disk.Stats()
+			tot[0], tot[1] = uint64(s.StaleReads), uint64(s.CorruptReads)
+		})
+	}
 	rec.Gauge("stored_files", []string{"value"}, func(v []float64) { v[0] = float64(p.StoredFiles()) })
 	rec.Gauge("known_peers", []string{"value"}, func(v []float64) { v[0] = float64(p.KnownPeers()) })
 }
