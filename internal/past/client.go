@@ -612,9 +612,11 @@ func (n *Node) handleLookupMiss(m wire.LookupMiss) {
 // Reclaim
 
 // Reclaim frees the storage of a file the card's owner inserted. The
-// callback fires once, after the first receipts arrive or the timeout
-// elapses; per section 1 the operation does not guarantee the file is no
-// longer available anywhere.
+// callback fires once, when the reclaim window (RequestTimeout) closes,
+// with every receipt that arrived inside it: it always waits the whole
+// window, however early the receipts come (returning on the k-th receipt
+// is ROADMAP item 5). Per section 1 the operation does not guarantee the
+// file is no longer available anywhere.
 func (n *Node) Reclaim(card *seccrypt.Smartcard, fileID id.File, cb func(ReclaimResult)) {
 	rc, err := card.IssueReclaimCertificate(fileID, n.nowUnix())
 	if err != nil {

@@ -16,8 +16,7 @@ package seccrypt
 // hand (two live objects never share an address), and the wire contract
 // forbids mutating it once sent. The memo holds no strong reference: a
 // body the node has stopped using — a frame after its handler returned,
-// a client's lookup reply once the caller dropped it, a record buffer
-// after boot verified it — is collected as if never hashed, and a new
+// a cached copy once evicted — is collected as if never hashed, and a new
 // buffer allocated at its address misses, since the old weak pointer
 // then leads nowhere. The map is swapped out wholesale when the cap is
 // reached. A sync.Map keeps the hit path lock-free: experiment points run
@@ -81,16 +80,27 @@ func ContentHash(data []byte) [sha256.Size]byte {
 	return h
 }
 
-// ContentHashFresh rehashes data unconditionally and refreshes the
-// memo. Client-facing verification uses it so that a caller who
-// violates the immutability contract (mutating a buffer after handing
-// it to Insert) still gets the documented "content hash mismatch"
-// DETECTION on lookup rather than a stale memo hit silently approving
-// corrupted bytes.
+// ContentHashFresh rehashes data unconditionally. Client-facing
+// verification uses it so that a caller who violates the immutability
+// contract (mutating a buffer after handing it to Insert) still gets the
+// documented "content hash mismatch" DETECTION on lookup rather than a
+// stale memo hit silently approving corrupted bytes. It corrects an entry
+// the memo already holds for this very buffer when the digest disagrees,
+// so later ContentHash callers see the bytes as they are now, but it never
+// adds one: a client's lookup reply is hashed once and dropped, and an
+// entry for it would cost a heap probe, a weak pointer and a map store
+// that nothing reads.
 func ContentHashFresh(data []byte) [sha256.Size]byte {
 	h := sha256.Sum256(data)
-	if len(data) > 0 {
-		storeContentHash(&data[0], len(data), h)
+	if len(data) == 0 {
+		return h
+	}
+	p := &data[0]
+	m, k := contentMap(), contentKey{uintptr(unsafe.Pointer(p)), len(data)}
+	if v, ok := m.Load(k); ok {
+		if e := v.(contentEntry); e.buf.Value() == p && e.h != h {
+			m.CompareAndSwap(k, v, contentEntry{e.buf, h})
+		}
 	}
 	return h
 }

@@ -85,3 +85,24 @@ func TestContentHashUnmemoizedGlobal(t *testing.T) {
 }
 
 var globalBody = [16]byte{1, 2, 3}
+
+// TestContentHashFreshAddsNoEntry: the client's verdict on a buffer the
+// memo has never seen hashes it and records nothing — the entry count
+// stays where it was, the buffer has no entry for ContentHash to find, and
+// the call allocates nothing (no cleanup probe, no weak pointer).
+func TestContentHashFreshAddsNoEntry(t *testing.T) {
+	data := []byte("a lookup reply the memo has never seen")
+	before := contentMemo.entries.Load()
+	if ContentHashFresh(data) != sha256.Sum256(data) {
+		t.Fatal("wrong digest")
+	}
+	if n := contentMemo.entries.Load(); n != before {
+		t.Fatalf("memo entry count %d → %d", before, n)
+	}
+	if _, ok := contentMap().Load(contentKey{uintptr(unsafe.Pointer(&data[0])), len(data)}); ok {
+		t.Fatal("ContentHashFresh added an entry for a buffer the memo had not seen")
+	}
+	if a := testing.AllocsPerRun(100, func() { ContentHashFresh(data) }); a != 0 {
+		t.Fatalf("%v allocations per call", a)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"past/internal/wire"
@@ -73,12 +74,15 @@ type TCPStats struct {
 // a handshake) and one message in package wire's frame encoding — so the
 // reader can reject oversized frames before allocating and detect
 // truncation (a peer dying mid-frame) as a short read rather than a
-// corrupted stream. Prefix and body leave in one Write. Send never blocks
-// on the network: dialing happens on a connector goroutine per peer (a
-// slow or dead destination never stalls sends to healthy ones), and each
-// peer connection has a writer goroutine fed by a bounded queue whose
-// overflow drops (UDP-like semantics, matching the simulator), plus a
-// watcher goroutine that notices the peer hanging up.
+// corrupted stream. Prefix and body leave in one Write, and arrive, most
+// often, in one read: an inbound connection reads ahead into a staging
+// buffer borrowed from a process-wide pool only while a read is under way
+// (see frameReader), so an idle connection holds no read buffer. Send
+// never blocks on the network: dialing happens on a connector goroutine
+// per peer (a slow or dead destination never stalls sends to healthy
+// ones), and each peer connection has a writer goroutine fed by a bounded
+// queue whose overflow drops (UDP-like semantics, matching the
+// simulator), plus a watcher goroutine that notices the peer hanging up.
 type TCP struct {
 	addr        string
 	ln          net.Listener
@@ -105,16 +109,27 @@ type TCP struct {
 
 // tcpPeer is one outbound destination: a bounded send queue plus a done
 // channel that stops its writer, closed once by whoever gets there first:
-// Close, or the connection's watcher when the peer hangs up. The entry is
-// installed in the peer map before the dial completes, so concurrent
-// senders share one connection attempt instead of racing to dial.
+// Close, or the connection's watcher when the peer hangs up. The writer
+// waits on the queue alone, so stop also posts a nil message to wake a
+// writer parked on an empty queue (a full queue wakes it anyway), and the
+// writer looks at done after each message. The entry is installed in the
+// peer map before the dial completes, so concurrent senders share one
+// connection attempt instead of racing to dial.
 type tcpPeer struct {
 	out  chan wire.Msg
 	done chan struct{}
 	once sync.Once
 }
 
-func (p *tcpPeer) stop() { p.once.Do(func() { close(p.done) }) }
+func (p *tcpPeer) stop() {
+	p.once.Do(func() {
+		close(p.done)
+		select {
+		case p.out <- nil:
+		default:
+		}
+	})
+}
 
 // ListenTCP starts a transport listening on the given address
 // ("127.0.0.1:0" picks a free port) with default options.
@@ -238,14 +253,23 @@ func ReadRawFrame(r io.Reader, maxFrame int) ([]byte, error) {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > uint32(maxFrame) {
-		return nil, fmt.Errorf("transport: announced frame size %d outside (0, %d]", n, maxFrame)
+	if err := checkFrameLen(n, maxFrame); err != nil {
+		return nil, err
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// checkFrameLen refuses an announced frame length of zero or past
+// maxFrame, before anything is allocated for it.
+func checkFrameLen(n uint32, maxFrame int) error {
+	if n == 0 || n > uint32(maxFrame) {
+		return fmt.Errorf("transport: announced frame size %d outside (0, %d]", n, maxFrame)
+	}
+	return nil
 }
 
 // WriteRawFrame writes payload as one length-prefixed frame, the inverse
@@ -344,6 +368,101 @@ func (t *TCP) dial(addr string, timeout time.Duration) (net.Conn, error) {
 	return conn, nil
 }
 
+// stagingSize is the size of the buffer one read of an inbound connection
+// lands in: a lookup request, a 4 KiB reply, a receipt or a heartbeat
+// arrives whole in one read, and back-to-back frames share it.
+const stagingSize = 16 << 10
+
+// stagingBufs lend a staging buffer to one read at a time, on every
+// inbound connection: a read borrows one only once its socket is readable
+// and returns it before any frame it held is handled. Every frame is
+// copied out into its own body first, so nothing aliases a staging buffer
+// once it is back (read buffers proper — the bodies — are never pooled).
+var stagingBufs = sync.Pool{New: func() any { return new([stagingSize]byte) }}
+
+// frameReader is one inbound connection's framing state between reads.
+// Only a partial header (at most 3 bytes) survives a read: every frame a
+// read completes is copied into its own exact-size body, and a frame it
+// begins is allocated whole and its tail read straight into it.
+type frameReader struct {
+	maxFrame int
+	hdr      [4]byte
+	nhdr     int      // bytes of hdr received; below 4 between reads
+	frames   [][]byte // the frames the last read completed, in order
+	body     []byte   // a frame the last read began but did not finish
+	have     int      // bytes of body received
+	err      error    // why the last read ended the connection
+}
+
+// feed splits b, the next bytes of the stream, into frames. Each frame b
+// completes is appended to r.frames as a fresh copy; a frame b begins and
+// does not finish is left in r.body[:r.have]; up to 3 bytes of the next
+// header stay in r.hdr. A zero or over-limit announced length is an error
+// before anything is allocated for it. r.body must be nil on entry.
+func (r *frameReader) feed(b []byte) error {
+	for len(b) > 0 {
+		k := copy(r.hdr[r.nhdr:], b)
+		r.nhdr += k
+		b = b[k:]
+		if r.nhdr < len(r.hdr) {
+			return nil
+		}
+		r.nhdr = 0
+		n := binary.BigEndian.Uint32(r.hdr[:])
+		if err := checkFrameLen(n, r.maxFrame); err != nil {
+			return err
+		}
+		body := make([]byte, n)
+		k = copy(body, b)
+		b = b[k:]
+		if k < len(body) {
+			r.body, r.have = body, k
+			return nil
+		}
+		r.frames = append(r.frames, body)
+	}
+	return nil
+}
+
+// tail reads the rest of the frame the last read began from src straight
+// into its body, and returns the body.
+func (r *frameReader) tail(src io.Reader) ([]byte, error) {
+	body := r.body
+	r.body = nil
+	_, err := io.ReadFull(src, body[r.have:])
+	return body, err
+}
+
+// readFd is the syscall.RawConn read callback: one non-blocking read into
+// a borrowed staging buffer. EAGAIN returns the buffer at once and asks
+// to wait for the socket (false); anything else is split by feed and ends
+// the call.
+func (r *frameReader) readFd(fd uintptr) bool {
+	buf := stagingBufs.Get().(*[stagingSize]byte)
+	defer stagingBufs.Put(buf)
+	n, err := syscall.Read(int(fd), buf[:])
+	for err == syscall.EINTR {
+		n, err = syscall.Read(int(fd), buf[:])
+	}
+	switch {
+	case err == syscall.EAGAIN:
+		return false
+	case err != nil:
+		r.err = err
+	case n == 0:
+		r.err = io.EOF
+	default:
+		r.err = r.feed(buf[:n])
+	}
+	return true
+}
+
+// readLoop reads conn's frames and hands them to the handler in order.
+// Each read is one syscall made by readFd once the socket is readable;
+// the frames it completed are handled after its staging buffer went back,
+// and a frame it only began is finished with io.ReadFull into its body.
+// EOF, a read error, a truncated, zero or oversized frame, or one that
+// does not decode drops the connection.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -352,25 +471,55 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
+	rc, err := conn.(*net.TCPConn).SyscallConn()
+	if err != nil {
+		return
+	}
+	r := &frameReader{maxFrame: t.maxFrame}
+	read := r.readFd // one method value for the connection's life
 	for {
-		// One fresh buffer per frame, never pooled: the decoded message's
-		// byte fields alias it and outlive this loop iteration.
-		body, err := ReadRawFrame(conn, t.maxFrame)
-		if err != nil {
-			return // EOF, truncated or oversized frame: drop the connection
+		if err := rc.Read(read); err != nil {
+			return
 		}
-		from, m, err := wire.DecodeFrame(body)
-		if err != nil {
-			t.decodeErrors.Add(1)
-			return // garbage: drop the connection
+		for i, body := range r.frames {
+			r.frames[i] = nil
+			if !t.deliver(body) {
+				return
+			}
 		}
-		t.handlerM.RLock()
-		h := t.handler
-		t.handlerM.RUnlock()
-		if h != nil {
-			h(from, m)
+		r.frames = r.frames[:0]
+		if cap(r.frames) > 8 {
+			r.frames = nil // a burst of small frames leaves no long list behind
+		}
+		if r.err != nil {
+			return
+		}
+		if r.body != nil {
+			body, err := r.tail(conn)
+			if err != nil || !t.deliver(body) {
+				return
+			}
 		}
 	}
+}
+
+// deliver decodes one frame body and hands the message to the handler.
+// The body is the message's for good: decoded byte fields alias it. It
+// reports false for a frame that does not decode, which costs the
+// connection.
+func (t *TCP) deliver(body []byte) bool {
+	from, m, err := wire.DecodeFrame(body)
+	if err != nil {
+		t.decodeErrors.Add(1)
+		return false
+	}
+	t.handlerM.RLock()
+	h := t.handler
+	t.handlerM.RUnlock()
+	if h != nil {
+		h(from, m)
+	}
+	return true
 }
 
 // Send implements Transport. It connects lazily and enqueues the message;
@@ -399,8 +548,6 @@ func (t *TCP) Send(to string, m wire.Msg) error {
 	t.mu.Unlock()
 	select {
 	case p.out <- m:
-	case <-p.done:
-		// Transport shut down, or the peer hung up, while enqueueing.
 	default:
 		t.queueDrops.Add(1) // queue full: drop
 	}
@@ -439,23 +586,25 @@ func (t *TCP) connect(to string, p *tcpPeer) {
 // Write, unlike read buffers, which decoded messages alias.
 var writeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeLoop drains the peer's queue onto conn, one Write per frame. A
-// frame that cannot be encoded (oversized, counted in Oversize; a stored
-// body that fails its read, counted by its store; or not a wire message)
-// is dropped alone; a failed Write means the connection broke, so the peer
-// is forgotten and the next Send redials fresh.
+// writeLoop drains the peer's queue onto conn, one Write per frame, and
+// returns once the peer is stopped: it waits on the queue alone and looks
+// at done after each message (stop's nil wake-up included). A frame that
+// cannot be encoded (oversized, counted in Oversize; a stored body that
+// fails its read, counted by its store; or not a wire message) is dropped
+// alone; a failed Write means the connection broke, so the peer is
+// forgotten and the next Send redials fresh.
 func (t *TCP) writeLoop(to string, p *tcpPeer, conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close() // also ends the watcher's Read
 	for {
+		if m := <-p.out; m != nil && !t.writeFrame(conn, m) {
+			t.forget(to, p)
+			return
+		}
 		select {
 		case <-p.done:
 			return
-		case m := <-p.out:
-			if !t.writeFrame(conn, m) {
-				t.forget(to, p)
-				return
-			}
+		default:
 		}
 	}
 }

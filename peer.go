@@ -281,8 +281,10 @@ func (p *Peer) LookupCtx(ctx context.Context, f FileID) (LookupResult, error) {
 	return r, cmp.Or(err, r.Err)
 }
 
-// Reclaim frees a file's storage, blocking until receipts arrive or the
-// reclaim window closes. card nil uses the peer's own card.
+// Reclaim frees a file's storage, blocking until the reclaim window (the
+// storage RequestTimeout, OpTimeout by default) closes: it always waits
+// the whole window, even when every receipt arrived early (returning on
+// the k-th receipt is ROADMAP item 5). card nil uses the peer's own card.
 func (p *Peer) Reclaim(card *Smartcard, f FileID) (ReclaimResult, error) {
 	r, err := wait(context.Background(), 2*p.cfg.OpTimeout, func(cb func(ReclaimResult)) { p.past.Reclaim(p.own(card), f, cb) })
 	return r, cmp.Or(err, r.Err)
