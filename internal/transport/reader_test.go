@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -22,45 +24,54 @@ func rawFrame(payload []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
-// readStats counts what the reader did over one stream.
-type readStats struct{ reads, tails int }
+// readStats counts what the reader did over one stream: its reads, those
+// that landed straight in a begun frame's body, and those wasted on
+// EAGAIN after a read that had already drained the socket.
+type readStats struct{ reads, direct, wasted int }
 
-// readChunks runs a frameReader over stream as readLoop runs it over a
-// socket: each read returns the next sizes[i] bytes (cycling; at most
-// stagingSize, what one staging buffer holds), the frames a read completed
-// come out in order, and a frame a read began is finished by tail reading
-// straight from the bytes that follow, after which the next read starts
-// where the tail ended. The end of the stream is a read of 0 bytes.
+// readChunks runs a frameReader's readFd over stream as RawConn.Read runs
+// it over a socket: the stream arrives sizes[i] bytes at a time (cycling;
+// all of it at once when sizes is empty), readFd is called once per
+// arrival, and a read of an empty socket returns EAGAIN until the stream
+// has all arrived, then 0 (EOF). A call that returns false must have
+// drained what arrived. The frames come out in the order delivered.
 func readChunks(stream []byte, sizes []int, maxFrame int) ([][]byte, readStats, error) {
-	r := &frameReader{maxFrame: maxFrame}
 	var out [][]byte
 	var st readStats
-	for pos := 0; ; {
+	pos, avail, filled := 0, 0, false
+	r := &frameReader{maxFrame: maxFrame, deliver: func(body []byte) bool {
+		out = append(out, body)
+		return true
+	}}
+	r.read = func(_ int, p []byte) (int, error) {
 		st.reads++
-		if pos == len(stream) {
-			return out, st, io.EOF
+		if r.body != nil && &p[0] == &r.body[r.have] {
+			st.direct++
 		}
-		size := stagingSize
-		if len(sizes) > 0 {
-			size = min(max(sizes[(st.reads-1)%len(sizes)], 1), stagingSize)
-		}
-		size = min(size, len(stream)-pos)
-		err := r.feed(stream[pos : pos+size])
-		pos += size
-		out = append(out, r.frames...)
-		r.frames = r.frames[:0]
-		if err != nil {
-			return out, st, err
-		}
-		if r.body != nil {
-			st.tails++
-			src := bytes.NewReader(stream[pos:])
-			body, err := r.tail(src)
-			pos = len(stream) - src.Len()
-			if err != nil {
-				return out, st, err
+		if avail == 0 {
+			if pos == len(stream) {
+				return 0, nil
 			}
-			out = append(out, body)
+			if !filled {
+				st.wasted++
+			}
+			return -1, syscall.EAGAIN
+		}
+		n := copy(p, stream[pos:pos+avail])
+		pos, avail, filled = pos+n, avail-n, n == len(p)
+		return n, nil
+	}
+	for i := 0; ; i++ {
+		size := len(stream)
+		if len(sizes) > 0 {
+			size = max(sizes[i%len(sizes)], 1)
+		}
+		avail, filled = min(size, len(stream)-pos), false
+		if r.readFd(0) {
+			return out, st, r.err
+		}
+		if avail != 0 {
+			return out, st, fmt.Errorf("readFd waits with %d bytes unread", avail)
 		}
 	}
 }
@@ -95,17 +106,17 @@ func TestFrameReaderSplits(t *testing.T) {
 		want   []string
 		size   bool // the stream ends in a refused length
 		reads  int  // reads made, counting the one that ends the stream
-		tails  int
+		direct int  // reads straight into a begun frame's body
 	}{
-		{"header split across reads", rawFrame([]byte("hello")), []int{2, 5}, []string{"hello"}, false, 3, 1},
-		{"header split at each byte", cat(rawFrame([]byte("a")), rawFrame([]byte("bc"))), []int{1}, []string{"a", "bc"}, false, 9, 2},
+		{"header split across reads", rawFrame([]byte("hello")), []int{2, 5}, []string{"hello"}, false, 4, 1},
+		{"header split at each byte", cat(rawFrame([]byte("a")), rawFrame([]byte("bc"))), []int{1}, []string{"a", "bc"}, false, 13, 3},
 		{"several frames in one read", cat(rawFrame([]byte("one")), rawFrame([]byte("two")), rawFrame([]byte("three"))), nil, []string{"one", "two", "three"}, false, 2, 0},
-		{"a frame larger than the staging buffer", cat(rawFrame(big), rawFrame([]byte("after"))), nil, []string{string(big), "after"}, false, 3, 1},
-		{"a frame that fills the staging buffer", cat(rawFrame(exact), rawFrame([]byte("after"))), nil, []string{string(exact), "after"}, false, 3, 0},
-		{"a header that ends a read", cat(rawFrame([]byte("x")), rawFrame([]byte("yz"))), []int{9}, []string{"x", "yz"}, false, 2, 1},
+		{"a frame larger than the staging buffer", cat(rawFrame(big), rawFrame([]byte("after"))), []int{stagingSize}, []string{string(big), "after"}, false, 5, 2},
+		{"a frame that fills the staging buffer", cat(rawFrame(exact), rawFrame([]byte("after"))), []int{stagingSize}, []string{string(exact), "after"}, false, 4, 0},
+		{"a header that ends a read", cat(rawFrame([]byte("x")), rawFrame([]byte("yz"))), []int{9}, []string{"x", "yz"}, false, 3, 1},
 		{"a zero length", cat(rawFrame([]byte("kept")), []byte{0, 0, 0, 0}, rawFrame([]byte("lost"))), nil, []string{"kept"}, true, 1, 0},
 		{"an oversize length", cat(rawFrame([]byte("kept")), binary.BigEndian.AppendUint32(nil, maxFrame+1)), nil, []string{"kept"}, true, 1, 0},
-		{"a truncated frame", cat(rawFrame([]byte("kept")), binary.BigEndian.AppendUint32(nil, 1000), make([]byte, 10)), nil, []string{"kept"}, false, 1, 1},
+		{"a truncated frame", cat(rawFrame([]byte("kept")), binary.BigEndian.AppendUint32(nil, 1000), make([]byte, 10)), nil, []string{"kept"}, false, 2, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, st, err := readChunks(tc.stream, tc.sizes, maxFrame)
@@ -119,8 +130,8 @@ func TestFrameReaderSplits(t *testing.T) {
 			if isSizeRefusal(err) != tc.size || err == nil {
 				t.Fatalf("ended with %v; size refusal wanted: %v", err, tc.size)
 			}
-			if st.reads != tc.reads || st.tails != tc.tails {
-				t.Fatalf("%d reads and %d tails, want %d and %d", st.reads, st.tails, tc.reads, tc.tails)
+			if st.reads != tc.reads || st.direct != tc.direct || st.wasted != 0 {
+				t.Fatalf("%d reads, %d into a body, %d wasted on EAGAIN; want %d, %d and 0", st.reads, st.direct, st.wasted, tc.reads, tc.direct)
 			}
 			want, wantErr := rawFrames(tc.stream, maxFrame)
 			if len(want) != len(got) || isSizeRefusal(wantErr) != tc.size {
@@ -282,9 +293,12 @@ func FuzzFrameReader(f *testing.F) {
 		maxFrame := int(limit)
 		var sizes []int
 		for i := 0; i+1 < len(cuts); i += 2 {
-			sizes = append(sizes, int(binary.BigEndian.Uint16(cuts[i:]))%stagingSize+1)
+			sizes = append(sizes, int(binary.BigEndian.Uint16(cuts[i:]))%(2*stagingSize)+1)
 		}
-		got, _, err := readChunks(stream, sizes, maxFrame)
+		got, st, err := readChunks(stream, sizes, maxFrame)
+		if st.wasted != 0 {
+			t.Fatalf("%d reads wasted on EAGAIN after a read that drained the socket", st.wasted)
+		}
 		want, wantErr := rawFrames(stream, maxFrame)
 		if len(got) != len(want) {
 			t.Fatalf("%d frames, ReadRawFrame yields %d", len(got), len(want))

@@ -252,7 +252,7 @@ func TestTCPConcurrentRedial(t *testing.T) {
 	record(b2)
 	wg.Wait()
 
-	// Drain: sends still in writer queues flush or drop; then verify no
+	// Drain: sends still queued or with a flusher go out or drop; then verify no
 	// nonce ever arrived twice.
 	time.Sleep(200 * time.Millisecond)
 	mu.Lock()
@@ -278,7 +278,7 @@ func TestTCPConcurrentRedial(t *testing.T) {
 	if err := b2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// All writer/connector/reader goroutines must be gone.
+	// All connector, flusher, watcher and reader goroutines must be gone.
 	waitFor(t, func() bool {
 		runtime.GC()
 		return runtime.NumGoroutine() <= baseline+2

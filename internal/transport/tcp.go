@@ -57,7 +57,7 @@ type TCPStats struct {
 	// failed half-open probe).
 	BreakerOpens int64
 	// QueueDrops counts sends dropped because the peer's send queue was
-	// full: the writer could not keep up with the sender.
+	// full: its dial was pending, or its socket pushed back for too long.
 	QueueDrops int64
 	// DecodeErrors counts inbound frames that were well framed but did
 	// not decode; each one also cost its connection.
@@ -74,15 +74,15 @@ type TCPStats struct {
 // a handshake) and one message in package wire's frame encoding — so the
 // reader can reject oversized frames before allocating and detect
 // truncation (a peer dying mid-frame) as a short read rather than a
-// corrupted stream. Prefix and body leave in one Write, and arrive, most
-// often, in one read: an inbound connection reads ahead into a staging
-// buffer borrowed from a process-wide pool only while a read is under way
-// (see frameReader), so an idle connection holds no read buffer. Send
-// never blocks on the network: dialing happens on a connector goroutine
-// per peer (a slow or dead destination never stalls sends to healthy
-// ones), and each peer connection has a writer goroutine fed by a bounded
-// queue whose overflow drops (UDP-like semantics, matching the
-// simulator), plus a watcher goroutine that notices the peer hanging up.
+// corrupted stream. A frame leaves in one write on the sending goroutine
+// and arrives, most often, in one read into a pooled staging buffer (see
+// frameReader), so an idle connection holds no read buffer. Send never
+// blocks on the network: dialing happens on a connector goroutine per
+// peer (a slow or dead destination never stalls sends to healthy ones),
+// a frame the socket does not take whole is finished by a flusher
+// goroutine, and meanwhile sends wait in a bounded queue whose overflow
+// drops (UDP-like semantics, matching the simulator). A watcher goroutine
+// per outbound connection notices the peer hanging up.
 type TCP struct {
 	addr        string
 	ln          net.Listener
@@ -97,7 +97,7 @@ type TCP struct {
 	peers   map[string]*tcpPeer
 	inbound map[net.Conn]bool
 	probes  map[string]*time.Timer
-	closed  bool
+	closed  atomic.Bool // set under mu; read bare by the readers' deliver
 
 	proxMu sync.Mutex
 	prox   map[string]float64
@@ -107,28 +107,34 @@ type TCP struct {
 	wg sync.WaitGroup
 }
 
-// tcpPeer is one outbound destination: a bounded send queue plus a done
-// channel that stops its writer, closed once by whoever gets there first:
-// Close, or the connection's watcher when the peer hangs up. The writer
-// waits on the queue alone, so stop also posts a nil message to wake a
-// writer parked on an empty queue (a full queue wakes it anyway), and the
-// writer looks at done after each message. The entry is installed in the
+// maxQueue bounds the sends a peer holds while its dial or flusher runs.
+const maxQueue = 256
+
+// tcpPeer is one outbound destination. While it is connected and not
+// busy, Send encodes a message and makes one non-blocking write (write,
+// p.writeFd's method value) under mu. A frame the socket does not take
+// whole goes, with its pooled buffer, to a flusher goroutine (busy), which
+// finishes it, drains the queue and exits. The entry is installed in the
 // peer map before the dial completes, so concurrent senders share one
 // connection attempt instead of racing to dial.
 type tcpPeer struct {
-	out  chan wire.Msg
-	done chan struct{}
-	once sync.Once
+	mu    sync.Mutex
+	conn  net.Conn // nil while the dial is pending
+	rc    syscall.RawConn
+	queue []wire.Msg
+	busy  bool // a flusher owns the connection's writes
+
+	write func(uintptr) bool // p.writeFd
+	frame []byte             // writeFd writes frame, leaving n and err
+	n     int
+	err   error
 }
 
-func (p *tcpPeer) stop() {
-	p.once.Do(func() {
-		close(p.done)
-		select {
-		case p.out <- nil:
-		default:
-		}
-	})
+// writeFd is the syscall.RawConn write callback: one non-blocking write,
+// never a wait for the socket.
+func (p *tcpPeer) writeFd(fd uintptr) bool {
+	p.n, p.err = syscall.Write(int(fd), p.frame)
+	return true
 }
 
 // ListenTCP starts a transport listening on the given address
@@ -208,7 +214,7 @@ func (t *TCP) acceptLoop() {
 			return // listener closed
 		}
 		t.mu.Lock()
-		if t.closed {
+		if t.closed.Load() {
 			t.mu.Unlock()
 			conn.Close()
 			return
@@ -383,9 +389,11 @@ var stagingBufs = sync.Pool{New: func() any { return new([stagingSize]byte) }}
 // frameReader is one inbound connection's framing state between reads.
 // Only a partial header (at most 3 bytes) survives a read: every frame a
 // read completes is copied into its own exact-size body, and a frame it
-// begins is allocated whole and its tail read straight into it.
+// begins is allocated whole and the next reads land straight in it.
 type frameReader struct {
 	maxFrame int
+	read     func(fd int, p []byte) (int, error) // syscall.Read
+	deliver  func(body []byte) bool              // false ends the connection
 	hdr      [4]byte
 	nhdr     int      // bytes of hdr received; below 4 between reads
 	frames   [][]byte // the frames the last read completed, in order
@@ -424,45 +432,62 @@ func (r *frameReader) feed(b []byte) error {
 	return nil
 }
 
-// tail reads the rest of the frame the last read began from src straight
-// into its body, and returns the body.
-func (r *frameReader) tail(src io.Reader) ([]byte, error) {
-	body := r.body
-	r.body = nil
-	_, err := io.ReadFull(src, body[r.have:])
-	return body, err
-}
-
-// readFd is the syscall.RawConn read callback: one non-blocking read into
-// a borrowed staging buffer. EAGAIN returns the buffer at once and asks
-// to wait for the socket (false); anything else is split by feed and ends
-// the call.
+// readFd is the syscall.RawConn read callback, called for the connection's
+// life. Each pass is one non-blocking read, into a begun frame's body or a
+// staging buffer that goes back before the frames it held are delivered.
+// A read that did not fill its buffer drained the socket, so readFd waits
+// for the next arrival (false) without reading EAGAIN: RawConn.Read
+// clears readiness once, before the first pass, and edge-triggered epoll
+// sets it again on every arrival. The connection's end returns true.
 func (r *frameReader) readFd(fd uintptr) bool {
-	buf := stagingBufs.Get().(*[stagingSize]byte)
-	defer stagingBufs.Put(buf)
-	n, err := syscall.Read(int(fd), buf[:])
-	for err == syscall.EINTR {
-		n, err = syscall.Read(int(fd), buf[:])
+	for {
+		var buf *[stagingSize]byte
+		dst := r.body[r.have:]
+		if r.body == nil {
+			buf = stagingBufs.Get().(*[stagingSize]byte)
+			dst = buf[:]
+		}
+		n, err := r.read(int(fd), dst)
+		switch {
+		case err == syscall.EAGAIN || err == syscall.EINTR:
+		case err != nil:
+			r.err = err
+		case n == 0:
+			r.err = io.EOF
+		case buf != nil:
+			r.err = r.feed(buf[:n])
+		case n == len(dst):
+			r.frames = append(r.frames, r.body)
+			r.body, r.have = nil, 0
+		default:
+			r.have += n
+		}
+		if buf != nil {
+			stagingBufs.Put(buf)
+		}
+		for i, body := range r.frames {
+			r.frames[i] = nil
+			if !r.deliver(body) {
+				return true
+			}
+		}
+		r.frames = r.frames[:0]
+		if cap(r.frames) > 8 {
+			r.frames = nil // a burst of small frames leaves no long list behind
+		}
+		if r.err != nil {
+			return true
+		}
+		if n < len(dst) && err != syscall.EINTR {
+			return false
+		}
 	}
-	switch {
-	case err == syscall.EAGAIN:
-		return false
-	case err != nil:
-		r.err = err
-	case n == 0:
-		r.err = io.EOF
-	default:
-		r.err = r.feed(buf[:n])
-	}
-	return true
 }
 
-// readLoop reads conn's frames and hands them to the handler in order.
-// Each read is one syscall made by readFd once the socket is readable;
-// the frames it completed are handled after its staging buffer went back,
-// and a frame it only began is finished with io.ReadFull into its body.
-// EOF, a read error, a truncated, zero or oversized frame, or one that
-// does not decode drops the connection.
+// readLoop reads conn's frames and hands them to the handler in order,
+// from inside one RawConn.Read call (see readFd). EOF, a read error, a
+// truncated, zero or oversized frame, one that does not decode, or the
+// transport closing drops the connection.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -475,39 +500,19 @@ func (t *TCP) readLoop(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	r := &frameReader{maxFrame: t.maxFrame}
-	read := r.readFd // one method value for the connection's life
-	for {
-		if err := rc.Read(read); err != nil {
-			return
-		}
-		for i, body := range r.frames {
-			r.frames[i] = nil
-			if !t.deliver(body) {
-				return
-			}
-		}
-		r.frames = r.frames[:0]
-		if cap(r.frames) > 8 {
-			r.frames = nil // a burst of small frames leaves no long list behind
-		}
-		if r.err != nil {
-			return
-		}
-		if r.body != nil {
-			body, err := r.tail(conn)
-			if err != nil || !t.deliver(body) {
-				return
-			}
-		}
-	}
+	r := &frameReader{maxFrame: t.maxFrame, read: syscall.Read, deliver: t.deliver}
+	rc.Read(r.readFd) //nolint:errcheck // it returns once the connection ends, however it ends
 }
 
 // deliver decodes one frame body and hands the message to the handler.
 // The body is the message's for good: decoded byte fields alias it. It
 // reports false for a frame that does not decode, which costs the
-// connection.
+// connection, and once Close waits for the read: a sender that never
+// pauses cannot hold it up.
 func (t *TCP) deliver(body []byte) bool {
+	if t.closed.Load() {
+		return false
+	}
 	from, m, err := wire.DecodeFrame(body)
 	if err != nil {
 		t.decodeErrors.Add(1)
@@ -522,14 +527,15 @@ func (t *TCP) deliver(body []byte) bool {
 	return true
 }
 
-// Send implements Transport. It connects lazily and enqueues the message;
-// when the peer's queue is full the message is dropped, matching the
-// unreliable-datagram semantics the protocol layer expects. The dial
-// itself runs on a connector goroutine — Send never blocks on the
-// network, and concurrent senders to one new peer share a single attempt.
+// Send implements Transport. It connects lazily, then writes the message
+// on the caller's goroutine, or queues it while a dial or flusher runs;
+// a full queue drops it, the unreliable-datagram semantics the protocol
+// layer expects. A failed write closes the connection, which the watcher
+// sees. The dial runs on a connector goroutine — Send never blocks on the
+// network, and concurrent senders to one new peer share one attempt.
 func (t *TCP) Send(to string, m wire.Msg) error {
 	t.mu.Lock()
-	if t.closed {
+	if t.closed.Load() {
 		t.mu.Unlock()
 		return errors.New("transport: closed")
 	}
@@ -540,23 +546,50 @@ func (t *TCP) Send(to string, m wire.Msg) error {
 			t.suppressed.Add(1)
 			return nil // breaker open: drop without hammering the dead peer
 		}
-		p = &tcpPeer{out: make(chan wire.Msg, 256), done: make(chan struct{})}
+		p = &tcpPeer{}
+		p.write = p.writeFd
 		t.peers[to] = p
 		t.wg.Add(1)
 		go t.connect(to, p)
 	}
 	t.mu.Unlock()
-	select {
-	case p.out <- m:
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.conn == nil || p.busy {
+		if len(p.queue) < maxQueue {
+			p.queue = append(p.queue, m)
+		} else {
+			t.queueDrops.Add(1) // queue full: drop
+		}
+		return nil
+	}
+	buf := t.encode(m)
+	if buf == nil {
+		return nil
+	}
+	p.frame = *buf
+	if err := p.rc.Write(p.write); err != nil {
+		p.err = err
+	}
+	p.frame = nil
+	switch {
+	case p.err == nil && p.n == len(*buf):
+		writeBufs.Put(buf)
+	case p.err == nil || p.err == syscall.EAGAIN || p.err == syscall.EINTR:
+		p.busy = true // the flusher writes the rest, from this buffer
+		t.wg.Add(1)
+		go t.flush(p, buf, max(p.n, 0))
 	default:
-		t.queueDrops.Add(1) // queue full: drop
+		writeBufs.Put(buf)
+		p.conn.Close() //nolint:errcheck // the watcher sees it and forgets the peer
 	}
 	return nil
 }
 
-// connect dials the peer and hands the connection to a writer; on failure
-// it informs the breaker and forgets the peer so queued frames are lost
-// (silent-loss semantics) and a later Send retries.
+// connect dials the peer and starts its watcher, and a flusher for what
+// queued meanwhile; on failure it informs the breaker and forgets the peer
+// so queued frames are lost (silent-loss semantics) and a later Send
+// retries.
 func (t *TCP) connect(to string, p *tcpPeer) {
 	defer t.wg.Done()
 	conn, err := t.dial(to, t.dialTimeout)
@@ -567,78 +600,94 @@ func (t *TCP) connect(to string, p *tcpPeer) {
 		return
 	}
 	t.breaker.Success(to)
-	select {
-	case <-p.done:
-		conn.Close() //nolint:errcheck // transport closed mid-dial
+	rc, err := conn.(*net.TCPConn).SyscallConn()
+	p.mu.Lock()
+	if t.closed.Load() || err != nil {
+		p.mu.Unlock()
+		conn.Close() //nolint:errcheck // closed mid-dial
+		t.forget(to, p)
 		return
-	default:
 	}
-	t.wg.Add(2)
-	go t.writeLoop(to, p, conn)
+	p.conn, p.rc = conn, rc
+	if len(p.queue) > 0 {
+		p.busy = true
+		t.wg.Add(1)
+		go t.flush(p, nil, 0)
+	}
+	p.mu.Unlock()
+	t.wg.Add(1)
 	go t.watch(to, p, conn)
 }
 
-// writeBufs are the frame buffers every connection's writer encodes into,
-// one per frame in flight, as storage.recordBufs are for log records: a
-// buffer goes back once its frame is written, so the process holds about
-// one per concurrent write, not one per connection grown to the largest
-// frame that connection ever sent. Nothing keeps a reference past the
-// Write, unlike read buffers, which decoded messages alias.
+// writeBufs are the frame buffers every send encodes into, one per frame
+// in flight, as storage.recordBufs are for log records: a buffer goes back
+// once its frame is written (by the sender, or by a flusher that finished
+// it), so the process holds about one per concurrent write, not one per
+// connection grown to the largest frame that connection ever sent.
+// Nothing keeps a reference past the write, unlike read buffers, which
+// decoded messages alias.
 var writeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeLoop drains the peer's queue onto conn, one Write per frame, and
-// returns once the peer is stopped: it waits on the queue alone and looks
-// at done after each message (stop's nil wake-up included). A frame that
-// cannot be encoded (oversized, counted in Oversize; a stored body that
-// fails its read, counted by its store; or not a wire message) is dropped
-// alone; a failed Write means the connection broke, so the peer is
-// forgotten and the next Send redials fresh.
-func (t *TCP) writeLoop(to string, p *tcpPeer, conn net.Conn) {
-	defer t.wg.Done()
-	defer conn.Close() // also ends the watcher's Read
-	for {
-		if m := <-p.out; m != nil && !t.writeFrame(conn, m) {
-			t.forget(to, p)
-			return
-		}
-		select {
-		case <-p.done:
-			return
-		default:
-		}
-	}
-}
-
-// writeFrame encodes m into a pooled buffer and writes it to conn. It
-// reports false when the Write failed.
-func (t *TCP) writeFrame(conn net.Conn, m wire.Msg) bool {
+// encode encodes m into a pooled buffer, or drops it and returns nil: a
+// frame that would pass MaxFrame (counted in Oversize), a stored body that
+// fails its read (counted by its store) or a value that is no wire
+// message costs only itself.
+func (t *TCP) encode(m wire.Msg) *[]byte {
 	buf := writeBufs.Get().(*[]byte)
-	defer writeBufs.Put(buf)
 	out, err := encodeFrame(*buf, t.addr, m, t.maxFrame)
 	*buf = out // keep what the encoder grew
 	if err != nil {
 		if errors.Is(err, errOversize) {
 			t.oversize.Add(1)
 		}
-		return true
+		writeBufs.Put(buf)
+		return nil
 	}
-	_, err = conn.Write(out)
-	return err == nil
+	return buf
+}
+
+// flush is the peer's flusher: it writes buf from off (nil after a dial),
+// then each queued message, with blocking writes, and clears busy and
+// exits once the queue is empty. A failed write closes the connection, so
+// the watcher forgets the peer; what it still queued is lost.
+func (t *TCP) flush(p *tcpPeer, buf *[]byte, off int) {
+	defer t.wg.Done()
+	for {
+		if buf != nil {
+			_, err := p.conn.Write((*buf)[off:])
+			writeBufs.Put(buf)
+			if err != nil {
+				p.conn.Close() //nolint:errcheck // the watcher sees it
+				return
+			}
+		}
+		p.mu.Lock()
+		if len(p.queue) == 0 {
+			p.busy, p.queue = false, nil
+			p.mu.Unlock()
+			return
+		}
+		m := p.queue[0]
+		p.queue[0], p.queue = nil, p.queue[1:]
+		p.mu.Unlock()
+		buf, off = t.encode(m), 0
+	}
 }
 
 // watch blocks reading the outbound connection, which the peer never
 // writes to, so Read returns only when the connection dies. A write alone
 // cannot tell: the first frame written after the peer closed still
-// succeeds locally, and with one Write per frame that frame would be lost
-// without anyone noticing. On EOF or error the peer is forgotten and its
-// writer stopped at once, so the next Send redials.
+// succeeds locally, and with one write per frame that frame would be lost
+// without anyone noticing. On EOF or error (a failed write closes the
+// connection too) the peer is forgotten and its connection closed, so the
+// next Send redials.
 func (t *TCP) watch(to string, p *tcpPeer, conn net.Conn) {
 	defer t.wg.Done()
 	var b [1]byte
 	for {
 		if _, err := conn.Read(b[:]); err != nil {
 			t.forget(to, p)
-			p.stop()
+			conn.Close() //nolint:errcheck // a second close is harmless
 			return
 		}
 	}
@@ -656,7 +705,7 @@ func (t *TCP) scheduleProbe(to string) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
+	if t.closed.Load() {
 		return
 	}
 	if _, pending := t.probes[to]; pending {
@@ -673,7 +722,7 @@ func (t *TCP) probePeer(to string) {
 	defer t.wg.Done()
 	t.mu.Lock()
 	delete(t.probes, to)
-	closed := t.closed
+	closed := t.closed.Load()
 	t.mu.Unlock()
 	if closed || !t.breaker.Allow(to, time.Now()) {
 		return
@@ -727,29 +776,34 @@ func (t *TCP) Proximity(to string) float64 {
 	return rtt
 }
 
-// Close implements Transport.
+// Close implements Transport. Closing an inbound connection waits for the
+// handler its read runs, which may call Send: so not under t.mu.
 func (t *TCP) Close() error {
 	t.mu.Lock()
-	if t.closed {
+	if t.closed.Load() {
 		t.mu.Unlock()
 		return nil
 	}
-	t.closed = true
-	for to, p := range t.peers {
-		p.stop()
-		delete(t.peers, to)
-	}
+	t.closed.Store(true)
+	peers, inbound := t.peers, t.inbound
+	t.peers, t.inbound = nil, nil
 	for to, timer := range t.probes {
 		if timer.Stop() {
 			t.wg.Done() // probe never ran; release its wg slot
 		}
 		delete(t.probes, to)
 	}
-	// Unblock inbound readers: their Read returns once the conn closes.
-	for conn := range t.inbound {
-		conn.Close()
-	}
 	t.mu.Unlock()
+	for _, p := range peers {
+		p.mu.Lock() // a dial still pending sees t.closed and closes its own
+		if p.conn != nil {
+			p.conn.Close() // ends its watcher and flusher
+		}
+		p.mu.Unlock()
+	}
+	for conn := range inbound {
+		conn.Close() // ends its reader's Read
+	}
 	err := t.ln.Close()
 	t.wg.Wait()
 	return err

@@ -148,7 +148,7 @@ func TestTCPOversizedSendRefusedLocally(t *testing.T) {
 }
 
 // TestEncodeFrameRefusesBeforeEncoding: an oversize message is refused by
-// its size alone, so the writer's reused buffer comes back untouched and
+// its size alone, so the sender's pooled buffer comes back untouched and
 // the message is never copied.
 func TestEncodeFrameRefusesBeforeEncoding(t *testing.T) {
 	buf := make([]byte, 0, 64)

@@ -78,7 +78,7 @@ func TestFailedBodyDropsItsFrameOnly(t *testing.T) {
 			close(done)
 		}
 	})
-	a.Send(b.Addr(), wire.LookupReply{Body: failingBody{}, ReqID: 1}) //nolint:errcheck // dropped by the writer
+	a.Send(b.Addr(), wire.LookupReply{Body: failingBody{}, ReqID: 1}) //nolint:errcheck // dropped by the sender
 	a.Send(b.Addr(), wire.Ping{Nonce: 2})                             //nolint:errcheck // delivered
 	select {
 	case <-done:

@@ -407,7 +407,7 @@ var benchFrames = func() map[string]Msg {
 var benchSink Msg
 
 // BenchmarkFrameRoundTrip encodes one frame into a reused buffer, as the
-// transport's writer does, and decodes it.
+// TCP transport's Send does, and decodes it.
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	for _, name := range []string{"heartbeat", "lookup_request", "lookup_reply_4k", "replica_store_256k"} {
 		m := benchFrames[name]
