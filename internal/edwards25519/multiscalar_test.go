@@ -41,20 +41,20 @@ func scalarFromBig(t *testing.T, x *big.Int) *Scalar {
 }
 
 // edgeScalars are scalars whose NAF digits sit on or straddle the edges
-// of the split table's 64-bit chunks: a carry out of one chunk lands as
-// the lowest digit of the next.
+// of the split table's splitBits-bit chunks: for each edge 2^e, the
+// values 2^e − 1, 2^e and 2^e + 1, where a carry out of one chunk lands
+// as the lowest digit of the next; plus 0, 1 and l − 1.
 func edgeScalars(t *testing.T) []*Scalar {
 	t.Helper()
 	one := big.NewInt(1)
-	pow := func(n uint) *big.Int { return new(big.Int).Lsh(one, n) }
 	l, _ := new(big.Int).SetString("7237005577332262213973186563042994240857116359379907606001950938285454250989", 10)
+	xs := []*big.Int{big.NewInt(0), one, new(big.Int).Sub(l, one)}
+	for j := 1; j < splitWays; j++ {
+		edge := new(big.Int).Lsh(one, uint(j*splitBits))
+		xs = append(xs, new(big.Int).Sub(edge, one), edge, new(big.Int).Add(edge, one))
+	}
 	var out []*Scalar
-	for _, x := range []*big.Int{
-		big.NewInt(0), one,
-		new(big.Int).Sub(pow(64), one), pow(64),
-		new(big.Int).Sub(pow(128), one), new(big.Int).Add(pow(128), one),
-		pow(192), new(big.Int).Sub(l, one),
-	} {
+	for _, x := range xs {
 		out = append(out, scalarFromBig(t, x))
 	}
 	return out

@@ -13,6 +13,7 @@
 package seccrypt
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
@@ -22,6 +23,7 @@ import (
 	"io"
 	"sync"
 
+	"past/internal/edwards25519"
 	"past/internal/id"
 	"past/internal/wire"
 )
@@ -41,8 +43,8 @@ var (
 // balances storage supply and demand. Its knowledge is limited to the
 // cards it has circulated, their quotas and expiration dates.
 type Broker struct {
-	pub  ed25519.PublicKey
-	priv ed25519.PrivateKey
+	pub ed25519.PublicKey
+	key *edwards25519.SigningKey
 
 	mu          sync.Mutex
 	issued      int
@@ -60,7 +62,12 @@ func NewBroker(rng io.Reader) (*Broker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("seccrypt: broker keygen: %w", err)
 	}
-	return &Broker{pub: pub, priv: priv}, nil
+	return &Broker{pub: pub, key: signingKey(priv)}, nil
+}
+
+// signingKey expands priv once for all the signatures its holder makes.
+func signingKey(priv ed25519.PrivateKey) *edwards25519.SigningKey {
+	return edwards25519.NewSigningKey((*[ed25519.PrivateKeySize]byte)(priv))
 }
 
 // PublicKey returns the broker's certification key. Every node in a PAST
@@ -107,6 +114,7 @@ func (b *Broker) IssueCard(quota, contribution int64, expiresUnix int64, rng io.
 	return &Smartcard{
 		pub:          pub,
 		priv:         priv,
+		key:          signingKey(priv),
 		cardCert:     cert,
 		expires:      expiresUnix,
 		quota:        quota,
@@ -129,7 +137,7 @@ func cardCertBody(pub ed25519.PublicKey, expiresUnix int64) []byte {
 }
 
 func (b *Broker) signCard(pub ed25519.PublicKey, expiresUnix int64) []byte {
-	sig := ed25519.Sign(b.priv, cardCertBody(pub, expiresUnix))
+	sig := b.key.Sign(cardCertBody(pub, expiresUnix))
 	// A card certificate is expiry ‖ signature so verifiers can reproduce
 	// the signed body from the card's public key.
 	cert := make([]byte, 8+len(sig))
@@ -160,10 +168,12 @@ func VerifyCardCert(brokerPub ed25519.PublicKey, pub, cardCert []byte, nowUnix i
 // Smartcard
 
 // Smartcard models the per-user/per-node tamper-resistant card. All
-// signing happens "inside" the card; the private key never leaves it.
+// signing happens "inside" the card; the private key never leaves it
+// except through Export.
 type Smartcard struct {
 	pub          ed25519.PublicKey
-	priv         ed25519.PrivateKey
+	priv         ed25519.PrivateKey // kept for Export only; key signs
+	key          *edwards25519.SigningKey
 	cardCert     []byte
 	expires      int64
 	brokerPub    ed25519.PublicKey
@@ -246,7 +256,7 @@ func (c *Smartcard) IssueFileCertificate(name string, content []byte, replicas i
 	}
 	bp := getBody()
 	body := appendFileCertBody((*bp)[:0], &cert)
-	cert.Sig = ed25519.Sign(c.priv, body)
+	cert.Sig = c.key.Sign(body)
 	*bp = body
 	putBody(bp)
 	return cert, nil
@@ -288,7 +298,7 @@ func (c *Smartcard) IssueReclaimCertificate(fileID id.File, nowUnix int64) (wire
 		OwnerPub: append([]byte(nil), c.pub...),
 		CardCert: c.cardCert,
 	}
-	cert.Sig = ed25519.Sign(c.priv, reclaimCertBody(&cert))
+	cert.Sig = c.key.Sign(reclaimCertBody(&cert))
 	return cert, nil
 }
 
@@ -312,7 +322,7 @@ func (c *Smartcard) CreditReclaimReceipt(r *wire.ReclaimReceipt, nowUnix int64) 
 // receipt").
 func (c *Smartcard) SignStoreReceipt(r *wire.StoreReceipt) {
 	r.NodePub = append([]byte(nil), c.pub...)
-	r.Sig = ed25519.Sign(c.priv, storeReceiptBody(r))
+	r.Sig = c.key.Sign(storeReceiptBody(r))
 }
 
 // appendStoreReceiptBody serializes the signed portion of a store receipt
@@ -368,7 +378,7 @@ func VerifyStoreReceiptBinding(r *wire.StoreReceipt) error {
 // receipt for storage it freed.
 func (c *Smartcard) SignReclaimReceipt(r *wire.ReclaimReceipt) {
 	r.NodePub = append([]byte(nil), c.pub...)
-	r.Sig = ed25519.Sign(c.priv, reclaimReceiptBody(r))
+	r.Sig = c.key.Sign(reclaimReceiptBody(r))
 }
 
 // appendReclaimReceiptBody serializes the signed portion of a reclaim
@@ -494,25 +504,13 @@ func VerifyReclaimAuthorized(brokerPub ed25519.PublicKey, rc *wire.ReclaimCertif
 	}) {
 		return ErrBadSignature
 	}
-	if !equalBytes(rc.OwnerPub, fc.OwnerPub) {
+	if !bytes.Equal(rc.OwnerPub, fc.OwnerPub) {
 		return ErrWrongOwner
 	}
 	if rc.FileID != fc.FileID {
 		return fmt.Errorf("%w: reclaim certificate names a different file", ErrBadFileID)
 	}
 	return nil
-}
-
-func equalBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // AuditProof computes the proof-of-storage hash for a random audit
@@ -568,7 +566,7 @@ func ImportCard(data []byte) (*Smartcard, error) {
 	// re-derived, not trusted: a card whose two halves disagree would take
 	// its NodeID from one key and sign with the other.
 	priv := ed25519.NewKeyFromSeed(data[p : p+ed25519.SeedSize])
-	if !equalBytes(priv[ed25519.SeedSize:], data[p+ed25519.SeedSize:p+privLen]) {
+	if !bytes.Equal(priv[ed25519.SeedSize:], data[p+ed25519.SeedSize:p+privLen]) {
 		return nil, errors.New("seccrypt: card export's public key does not match its private key")
 	}
 	p += privLen
@@ -593,6 +591,7 @@ func ImportCard(data []byte) (*Smartcard, error) {
 	return &Smartcard{
 		pub:          priv.Public().(ed25519.PublicKey),
 		priv:         priv,
+		key:          signingKey(priv),
 		cardCert:     cardCert,
 		expires:      expires,
 		brokerPub:    brokerPub,

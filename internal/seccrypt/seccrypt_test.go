@@ -403,6 +403,19 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if err := VerifyReclaimAuthorized(b.PublicKey(), &rc, &cert, now); err != nil {
 		t.Fatalf("imported card signature rejected: %v", err)
 	}
+	// The imported card signs exactly as the original: the same
+	// certificate body yields the same signature.
+	orig, err := c.IssueFileCertificate("h", []byte("same bytes"), 1, []byte("salt"), now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := back.IssueFileCertificate("h", []byte("same bytes"), 1, []byte("salt"), now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(orig.Sig, again.Sig) {
+		t.Fatalf("imported card signs %x, original %x", again.Sig, orig.Sig)
+	}
 	// Expiry survives export.
 	if _, err := back.IssueFileCertificate("g", []byte("x"), 1, nil, now+2000); !errors.Is(err, ErrExpired) {
 		t.Fatal("expiry lost in export")

@@ -9,8 +9,9 @@ package seccrypt
 // their certificates with one card, and every storage node signs each
 // receipt it returns with its own — so the decompressed point and a
 // split table of it are computed once per key and reused. The split
-// table (edwards25519.VarTimeTable) cuts a verification's doubling chain
-// from 256 steps to 64; the additions stay as they were.
+// table (edwards25519.VarTimeTable, eight ways) cuts a verification's
+// doubling chain from 256 steps to 32; the additions stay as they were.
+// The signing side is edwards25519.SigningKey, one per broker and card.
 //
 // Semantics: verifySingle is exactly crypto/ed25519.Verify's check — the
 // cofactorless equation and the canonical-s requirement — so every
@@ -26,11 +27,12 @@ import (
 	"past/internal/edwards25519"
 )
 
-// pubKeyCacheCap bounds the cache; one entry is ~5 KiB, so the cache
-// tops out around 5 MiB. Long churn runs mint cards continuously; when
-// the cap is hit the map is simply cleared (rebuild is cheap relative
-// to the verifications each entry saves).
-const pubKeyCacheCap = 1024
+// pubKeyCacheCap bounds the cache; one entry is a 10 KiB split table, so
+// the cache tops out around 5 MiB (TestPubKeyCacheCeiling). Long churn
+// runs mint cards continuously; when the cap is hit the map is simply
+// cleared (a rebuild costs a few cached verifications, which a key that
+// signs repeatedly soon repays).
+const pubKeyCacheCap = 512
 
 var pubKeys struct {
 	sync.RWMutex

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"past/internal/edwards25519"
 	"past/internal/id"
@@ -53,6 +54,14 @@ func TestVerifySingleMatchesStdlib(t *testing.T) {
 				t.Fatalf("trial %d %s: verifySingle=%v stdlib=%v", trial, c.name, got, want)
 			}
 		}
+	}
+}
+
+// TestPubKeyCacheCeiling pins the public-key cache's memory ceiling:
+// a wider split table must come with a smaller cap.
+func TestPubKeyCacheCeiling(t *testing.T) {
+	if size := unsafe.Sizeof(edwards25519.VarTimeTable{}) * pubKeyCacheCap; size > 5.5*(1<<20) {
+		t.Fatalf("%d keys of %d B each hold %.1f MiB, want at most 5.5", pubKeyCacheCap, unsafe.Sizeof(edwards25519.VarTimeTable{}), float64(size)/(1<<20))
 	}
 }
 
