@@ -11,6 +11,7 @@ import (
 
 	"past"
 	"past/internal/seccrypt"
+	"past/internal/storage"
 	"past/internal/telemetry"
 )
 
@@ -476,6 +477,70 @@ func TestPeerLookupMissAndReclaimByNonOwner(t *testing.T) {
 	// The file survives.
 	if _, err := b.Lookup(ins.FileID); err != nil {
 		t.Fatalf("file should survive: %v", err)
+	}
+}
+
+// TestDiskPeerReclaim: disk-backed peers hold a replica's certificate
+// only in its log record, and judge a reclaim against the certificate
+// read back from it: another card's reclaim is refused and the replicas
+// stay; the owner's frees them, and no log replays to the file.
+func TestDiskPeerReclaim(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	broker, err := past.NewBroker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := past.DefaultStorageConfig()
+	scfg.K = 2
+	scfg.Capacity = 1 << 20
+	scfg.RequestTimeout = time.Second
+	var peers []*past.Peer
+	var dirs []string
+	for range 3 {
+		card, err := broker.IssueCard(1<<30, scfg.Capacity, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		p, err := past.ListenPeer(past.PeerConfig{
+			Card: card, BrokerPub: broker.PublicKey(), Storage: scfg, DataDir: dir, OpTimeout: 2 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		peers, dirs = append(peers, p), append(dirs, dir)
+	}
+	peers[0].Bootstrap()
+	for i := 1; i < len(peers); i++ {
+		admit(t, peers[:i], peers[i])
+	}
+	stored := func() (n int) {
+		for _, p := range peers {
+			n += p.StoredFiles()
+		}
+		return n
+	}
+	ins, err := peers[0].Insert(nil, "owned", bytes.Repeat([]byte("mine"), 1024), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stored(); got != 2 {
+		t.Fatalf("%d replicas stored, want 2", got)
+	}
+	if _, err := peers[2].Reclaim(nil, ins.FileID); err == nil || stored() != 2 {
+		t.Fatalf("another card's reclaim: %v, %d replicas left", err, stored())
+	}
+	rec, err := peers[0].Reclaim(nil, ins.FileID)
+	if err != nil || len(rec.Receipts) != 2 || stored() != 0 {
+		t.Fatalf("the owner's reclaim: %d receipts, %v, %d replicas left", len(rec.Receipts), err, stored())
+	}
+	for _, dir := range dirs {
+		if live, _, err := storage.LiveFiles(dir); err != nil || len(live) != 0 {
+			t.Fatalf("%s replays to %v (%v)", dir, live, err)
+		}
 	}
 }
 

@@ -675,13 +675,9 @@ func (n *Node) AuditPeer(peer wire.NodeRef, fileID id.File, cb func(bool)) error
 	if err != nil {
 		return fmt.Errorf("past: audit requires a local copy: %w", err)
 	}
-	data, err := it.Content()
-	if err != nil {
-		return fmt.Errorf("past: audit requires a local copy: %w", err)
-	}
 	nonce := n.pn.Rand()
 	reqID := n.newReqID()
-	op := &pendingOp{kind: opAudit, auditWant: seccrypt.AuditProof(nonce, data), auditCB: cb}
+	op := &pendingOp{kind: opAudit, auditWant: seccrypt.AuditProof(nonce, it.Data), auditCB: cb}
 	n.armOp(reqID, op, func() {
 		n.mu.Lock()
 		still := n.pending[reqID]

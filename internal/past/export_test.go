@@ -5,3 +5,6 @@ var (
 	ReplicaSet    = (*Node).replicaSet
 	NearestHolder = (*Node).nearestHolder
 )
+
+// ReReplicate runs one anti-entropy sweep.
+var ReReplicate = (*Node).reReplicate

@@ -1,7 +1,11 @@
 package past
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/ed25519"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -19,11 +23,8 @@ type Node struct {
 	pn        *pastry.Node
 	card      *seccrypt.Smartcard
 	brokerPub ed25519.PublicKey
-	store     *storage.Store
+	store     replicas
 	cache     *storage.Cache
-	// disk, when set via UseDisk, persists every replica and pointer
-	// mutation; store remains the in-memory index over the on-disk set.
-	disk *storage.DiskStore
 
 	// mischief, when set, makes this node cheat on storage (experiment
 	// harness only; see SetMischief). Configured before the node handles
@@ -79,6 +80,26 @@ type Stats struct {
 	MaintenanceBytes int64
 }
 
+// replicas is a node's replica store: the in-memory storage.Store of a
+// simulated node, or the storage.DiskStore UseDisk installs. Get returns
+// a replica whole, Serve as a reply carries it — from a DiskStore, its
+// record with only the certificate's FileID, Size and Replicas, which is
+// all a lookup, a fetch and a sync need; the rare paths that need the
+// whole certificate or the content (reclaim, audits, a client on the
+// holder, a diverted store's check) read it back with Get.
+type replicas interface {
+	Put(storage.Item) error
+	Get(id.File) (storage.Item, error)
+	Serve(id.File) (storage.Item, error)
+	Has(id.File) bool
+	Delete(id.File) (int64, error)
+	Free() int64
+	Walk(func(f id.File, size int64, replicas int, diverted bool))
+	SetPointer(id.File, wire.NodeRef) error
+	Pointer(id.File) (wire.NodeRef, bool)
+	DeletePointer(id.File) (bool, error)
+}
+
 // NewNode creates a PAST node bound to pn. The node's smartcard signs
 // receipts and fixes its nodeId; brokerPub is the certification key this
 // node trusts.
@@ -118,64 +139,28 @@ func NewNode(cfg Config, pn *pastry.Node, card *seccrypt.Smartcard, brokerPub ed
 	return n
 }
 
-// UseDisk makes ds the node's replica store: lookups and capacity
-// accounting run against ds.Mem() (already populated by crash recovery),
-// and every replica and diversion-pointer store/delete goes through the
-// disk so a restart finds them again. A replica's content then stays in
-// the log: replies carry its storage.Record as their Body, which the
-// transport must encode into frames (TCP does; the simulator hands
-// messages over as values and keeps replicas in memory). Must be called
-// before the node handles traffic — right after NewNode, before
+// UseDisk makes ds the node's replica store (already populated by crash
+// recovery): every replica and diversion-pointer store/delete goes
+// through the disk so a restart finds them again. A replica's content
+// then stays in the log: replies carry its storage.Record as their Body,
+// which the transport must encode into frames (TCP does; the simulator
+// hands messages over as values and keeps replicas in memory). Must be
+// called before the node handles traffic — right after NewNode, before
 // Bootstrap/Join.
 func (n *Node) UseDisk(ds *storage.DiskStore) {
-	n.disk = ds
-	n.store = ds.Mem()
+	n.store = ds
 	n.syncCache()
-}
-
-// putStore writes a replica through the persistent tier when configured.
-func (n *Node) putStore(item storage.Item) error {
-	if n.disk != nil {
-		return n.disk.Put(item)
-	}
-	return n.store.Put(item)
-}
-
-// deleteStore removes a replica through the persistent tier when
-// configured.
-func (n *Node) deleteStore(f id.File) (int64, error) {
-	if n.disk != nil {
-		return n.disk.Delete(f)
-	}
-	return n.store.Delete(f)
-}
-
-// setPointer records a diversion pointer through the persistent tier when
-// configured. A pointer the disk cannot take is not kept: the lookup falls
-// back to routing, as for a pointer lost with its node.
-func (n *Node) setPointer(f id.File, holder wire.NodeRef) {
-	if n.disk != nil {
-		n.disk.SetPointer(f, holder) //nolint:errcheck // see above
-		return
-	}
-	n.store.SetPointer(f, holder)
-}
-
-// deletePointer removes a diversion pointer through the persistent tier
-// when configured.
-func (n *Node) deletePointer(f id.File) {
-	if n.disk != nil {
-		n.disk.DeletePointer(f) //nolint:errcheck // the pointer stays, and a reclaim is weak anyway (section 1)
-		return
-	}
-	n.store.DeletePointer(f)
 }
 
 // Pastry returns the underlying overlay node.
 func (n *Node) Pastry() *pastry.Node { return n.pn }
 
-// Store exposes the replica store (read-mostly; used by experiments).
-func (n *Node) Store() *storage.Store { return n.store }
+// Store exposes a simulated node's in-memory replica store (read-mostly;
+// used by experiments); it is nil once UseDisk installed a DiskStore.
+func (n *Node) Store() *storage.Store {
+	s, _ := n.store.(*storage.Store)
+	return s
+}
 
 // Cache exposes the file cache.
 func (n *Node) Cache() *storage.Cache { return n.cache }
@@ -536,7 +521,7 @@ func (n *Node) handleReplicaStore(m wire.ReplicaStore) {
 	}
 	if n.accept(m.Cert.Size, m.Diverted) {
 		item := storage.Item{Cert: m.Cert, Data: m.Data, Diverted: m.Diverted, Primary: m.Primary}
-		if err := n.putStore(item); err == nil {
+		if err := n.store.Put(item); err == nil {
 			n.syncCache()
 			n.mu.Lock()
 			if m.Diverted {
@@ -662,7 +647,9 @@ func (n *Node) handleStoreReceipt(m wire.StoreReceipt) {
 		// We are the primary: the diverted replica found a home; keep the
 		// pointer and close the diversion op.
 		if seccrypt.VerifyStoreReceipt(&m) == nil {
-			n.setPointer(m.FileID, m.StoredBy)
+			// A pointer the disk cannot take is not kept: the lookup falls
+			// back to routing, as for a pointer lost with its node.
+			n.store.SetPointer(m.FileID, m.StoredBy) //nolint:errcheck // see above
 			n.mu.Lock()
 			delete(n.pending, divertKey(m.FileID, m.ReqID))
 			n.mu.Unlock()
@@ -684,7 +671,7 @@ func (n *Node) handleStoreReceipt(m wire.StoreReceipt) {
 // cache. midRoute marks Forward-time interception. It reports whether the
 // request was satisfied (or delegated to a pointer target).
 func (n *Node) serveLookup(r *wire.Routed, m wire.LookupRequest, midRoute bool) bool {
-	if it, err := n.store.Get(m.FileID); err == nil && n.replyLookup(r, m, it, false) {
+	if it, err := n.store.Serve(m.FileID); err == nil && n.replyLookup(r, m, it, false) {
 		return true
 	}
 	if n.cfg.Caching {
@@ -708,11 +695,18 @@ func (n *Node) serveLookup(r *wire.Routed, m wire.LookupRequest, midRoute bool) 
 }
 
 // replyLookup answers a lookup with it. A disk-backed replica leaves in
-// its Body, read from the log into the frame, and is read into a buffer
-// of its own for a client on this node; it reports false, having sent
-// nothing, when that read fails (the replica is quarantined and gone, so
-// the lookup goes on elsewhere).
+// its Body, read from the log into the frame, and is read back whole for
+// a client on this node; it reports false, having sent nothing, when that
+// read fails (the replica is quarantined and gone, so the lookup goes on
+// elsewhere).
 func (n *Node) replyLookup(r *wire.Routed, m wire.LookupRequest, it storage.Item, cached bool) bool {
+	local := m.Client.ID == n.pn.ID()
+	if local && it.Body != nil {
+		var err error
+		if it, err = n.store.Get(m.FileID); err != nil {
+			return false
+		}
+	}
 	reply := wire.LookupReply{
 		Cert:     it.Cert,
 		Data:     it.Data,
@@ -722,14 +716,6 @@ func (n *Node) replyLookup(r *wire.Routed, m wire.LookupRequest, it storage.Item
 		Distance: r.Distance,
 		Cached:   cached,
 		Body:     it.Body,
-	}
-	local := m.Client.ID == n.pn.ID()
-	if local {
-		data, err := it.Content()
-		if err != nil {
-			return false
-		}
-		reply.Data, reply.Body = data, nil
 	}
 	n.mu.Lock()
 	n.stats.LookupsServed++
@@ -770,7 +756,7 @@ func (n *Node) handleLookupRoot(r wire.Routed, m wire.LookupRequest) {
 
 // handleFetch serves a direct fetch (pointer chase or recovery transfer).
 func (n *Node) handleFetch(m wire.FetchRequest) {
-	it, err := n.store.Get(m.FileID)
+	it, err := n.store.Serve(m.FileID)
 	if err != nil {
 		if n.cfg.Caching {
 			if cit, ok := n.cache.Get(m.FileID); ok {
@@ -799,7 +785,7 @@ func (n *Node) handleReclaimRoot(r wire.Routed, m wire.ReclaimRequest) {
 	// certificate, so use the larger of the node's default and the stored
 	// certificate's replication factor when known.
 	k := n.cfg.K
-	if it, err := n.store.Get(m.Cert.FileID); err == nil && it.Cert.Replicas > k {
+	if it, err := n.store.Serve(m.Cert.FileID); err == nil && it.Cert.Replicas > k {
 		k = it.Cert.Replicas
 	}
 	for _, ref := range n.replicaSet(m.Cert.FileID.Key(), k) {
@@ -815,18 +801,18 @@ func (n *Node) handleReclaimRoot(r wire.Routed, m wire.ReclaimRequest) {
 func (n *Node) handleReclaimForward(m wire.ReclaimForward) {
 	// Pointer first: the diverted holder does the physical free.
 	if holder, ok := n.store.Pointer(m.Cert.FileID); ok {
-		n.deletePointer(m.Cert.FileID)
+		n.store.DeletePointer(m.Cert.FileID) //nolint:errcheck // the pointer stays, and a reclaim is weak anyway (section 1)
 		n.pn.Send(holder, m)
 		return
 	}
-	it, err := n.store.Get(m.Cert.FileID)
+	it, err := n.store.Get(m.Cert.FileID) // the owner's key is in the certificate, at rest in the log
 	if err != nil {
 		return // nothing stored here; weak reclaim semantics (section 1)
 	}
 	if seccrypt.VerifyReclaimAuthorized(n.brokerPub, &m.Cert, &it.Cert, n.nowUnix()) != nil {
 		return // unauthorized reclaim silently ignored
 	}
-	freed, err := n.deleteStore(m.Cert.FileID)
+	freed, err := n.store.Delete(m.Cert.FileID)
 	if err != nil {
 		return
 	}
@@ -869,40 +855,58 @@ func (n *Node) markSwept() {
 // the peer fetches only what it is missing (SyncRequest → Replicate).
 func (n *Node) reReplicate() {
 	n.markSwept()
-	if items := n.store.Items(); len(items) > 0 {
-		n.antiEntropy(n.pn.Ref(), items)
+	n.antiEntropy(n.pn.Ref())
+}
+
+// offer is one anti-entropy digest being built: the files and sizes a
+// peer should hold. first and pos place it among the others: the least
+// fileId in it, and where the peer stands in that file's replica set.
+type offer struct {
+	ref   wire.NodeRef
+	files []id.File
+	sizes []int64
+	first id.File
+	pos   int
+}
+
+// add offers f, of size bytes, to which the peer stands at pos in f's
+// replica set.
+func (o *offer) add(f id.File, size int64, pos int) {
+	if len(o.files) == 0 || bytes.Compare(f[:], o.first[:]) < 0 {
+		o.first, o.pos = f, pos
 	}
+	o.files = append(o.files, f)
+	o.sizes = append(o.sizes, size)
+}
+
+// sort.Interface over the files, moving each size with its file.
+func (o *offer) Len() int           { return len(o.files) }
+func (o *offer) Less(i, j int) bool { return bytes.Compare(o.files[i][:], o.files[j][:]) < 0 }
+func (o *offer) Swap(i, j int) {
+	o.files[i], o.files[j] = o.files[j], o.files[i]
+	o.sizes[i], o.sizes[j] = o.sizes[j], o.sizes[i]
 }
 
 // antiEntropy sends one digest per replica-set peer covering every stored
-// primary file that peer should hold. Store.Items returns files in sorted
-// fileId order, so the digest contents and the peer send order are
-// deterministic.
-func (n *Node) antiEntropy(self wire.NodeRef, items []storage.Item) {
-	type offer struct {
-		ref   wire.NodeRef
-		files []id.File
-		sizes []int64
-	}
+// primary file that peer should hold. It walks the store in place, in no
+// set order, so each digest is sorted by fileId, and the digests are sent
+// in the order a walk in fileId order would have met their peers: by
+// their least fileId, then by the peer's place in its replica set. The
+// digest contents and the send order are therefore deterministic, and
+// the sweep allocates only the digests.
+func (n *Node) antiEntropy(self wire.NodeRef) {
 	var offers []*offer
 	index := make(map[id.Node]*offer)
-	for i := range items {
-		it := &items[i]
-		if it.Diverted {
-			continue // the primary is responsible for diverted copies
+	var set []wire.NodeRef
+	n.store.Walk(func(f id.File, size int64, replicas int, diverted bool) {
+		if diverted {
+			return // the primary is responsible for diverted copies
 		}
-		set := n.replicaSet(it.Cert.FileID.Key(), it.Cert.Replicas)
-		selfIn := false
-		for _, ref := range set {
-			if ref.ID == self.ID {
-				selfIn = true
-				break
-			}
+		set = n.pn.AppendClosestK(set[:0], f.Key(), replicas)
+		if !slices.ContainsFunc(set, func(ref wire.NodeRef) bool { return ref.ID == self.ID }) {
+			return // stale extra copy; harmless, acts as cache
 		}
-		if !selfIn {
-			continue // stale extra copy; harmless, acts as cache
-		}
-		for _, ref := range set {
+		for pos, ref := range set {
 			if ref.ID == self.ID {
 				continue
 			}
@@ -912,22 +916,25 @@ func (n *Node) antiEntropy(self wire.NodeRef, items []storage.Item) {
 				index[ref.ID] = o
 				offers = append(offers, o)
 			}
-			o.files = append(o.files, it.Cert.FileID)
-			o.sizes = append(o.sizes, it.Cert.Size)
+			o.add(f, size, pos)
 		}
-	}
+	})
 	if len(offers) == 0 {
 		return
 	}
-	var bytes int64
+	slices.SortFunc(offers, func(a, b *offer) int {
+		return cmp.Or(bytes.Compare(a.first[:], b.first[:]), cmp.Compare(a.pos, b.pos))
+	})
+	var sent int64
 	for _, o := range offers {
+		sort.Sort(o)
 		m := wire.SyncOffer{From: self, Files: o.files, Sizes: o.sizes}
-		bytes += int64(wire.FrameLen(self.Addr, m))
+		sent += int64(wire.FrameLen(self.Addr, m))
 		n.pn.Send(o.ref, m)
 	}
 	n.mu.Lock()
 	n.stats.SyncOffers += len(offers)
-	n.stats.MaintenanceBytes += bytes
+	n.stats.MaintenanceBytes += sent
 	n.mu.Unlock()
 }
 
@@ -985,7 +992,7 @@ func (n *Node) handleSyncRequest(m wire.SyncRequest) {
 	reps := 0
 	var bytes int64
 	for _, f := range m.Files {
-		it, err := n.store.Get(f)
+		it, err := n.store.Serve(f)
 		if err != nil {
 			continue // reclaimed or never held; the requester will re-sync later
 		}
@@ -1035,7 +1042,7 @@ func (n *Node) handleReplicate(m wire.Replicate) {
 	if !n.accept(m.Cert.Size, false) {
 		return
 	}
-	if err := n.putStore(storage.Item{Cert: m.Cert, Data: m.Data}); err == nil {
+	if err := n.store.Put(storage.Item{Cert: m.Cert, Data: m.Data}); err == nil {
 		n.syncCache()
 	}
 }
@@ -1045,10 +1052,8 @@ func (n *Node) handleReplicate(m wire.Replicate) {
 func (n *Node) handleAuditChallenge(m wire.AuditChallenge) {
 	resp := wire.AuditResponse{FileID: m.FileID, From: n.pn.Ref(), ReqID: m.ReqID}
 	if it, err := n.store.Get(m.FileID); err == nil {
-		if data, err := it.Content(); err == nil {
-			resp.Held = true
-			resp.Proof = seccrypt.AuditProof(m.Nonce, data)
-		}
+		resp.Held = true
+		resp.Proof = seccrypt.AuditProof(m.Nonce, it.Data)
 	}
 	n.pn.Send(m.From, resp)
 }

@@ -282,7 +282,7 @@ func TestLeafSetMatchesReference(t *testing.T) {
 				t.Fatalf("round %d: SideOf(%s) = %v, want %v", round, key, got, want)
 			}
 			for _, k := range []int{0, 1, 3, 5, 8, 100} {
-				if got, want := s.ClosestK(self, key, k), sorted[:min(k, len(sorted))]; !sameRefs(got, want) {
+				if got, want := s.AppendClosestK(nil, self, key, k), sorted[:min(k, len(sorted))]; !sameRefs(got, want) {
 					t.Fatalf("round %d (l=%d, %d members): ClosestK(%s, %d)\n got %v\nwant %v",
 						round, l, len(members), key, k, got, want)
 				}

@@ -406,12 +406,18 @@ func (n *Node) LeafMembers() []wire.NodeRef {
 }
 
 // ClosestK returns the k nodes numerically closest to key among this node
-// and its leaf set, closest first (LeafSet.ClosestK): the replica set of
-// section 2 as this node sees it.
+// and its leaf set, closest first (LeafSet.AppendClosestK): the replica
+// set of section 2 as this node sees it.
 func (n *Node) ClosestK(key id.Node, k int) []wire.NodeRef {
+	return n.AppendClosestK(nil, key, k)
+}
+
+// AppendClosestK is ClosestK appending to dst, which a caller asking for
+// many keys reuses.
+func (n *Node) AppendClosestK(dst []wire.NodeRef, key id.Node, k int) []wire.NodeRef {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.leaf.ClosestK(n.ref, key, k)
+	return n.leaf.AppendClosestK(dst, n.ref, key, k)
 }
 
 // LeafSmaller returns the counter-clockwise leaf half, closest first.

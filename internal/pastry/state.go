@@ -8,6 +8,7 @@
 package pastry
 
 import (
+	"slices"
 	"sort"
 
 	"past/internal/id"
@@ -424,17 +425,19 @@ func (s *LeafSet) Closest(key id.Node) (best wire.NodeRef, selfBest bool) {
 	return best, selfBest
 }
 
-// ClosestK returns the k nodes numerically closest to key among self (the
-// owner's reference) and the members, closest first: exactly the k first
-// of a full sort under id.Closer's total order, at one ring distance per
-// slot and with nothing allocated but the result (while k <= 8). A node in
-// both halves is listed once, by its larger-half entry.
-func (s *LeafSet) ClosestK(self wire.NodeRef, key id.Node, k int) []wire.NodeRef {
+// AppendClosestK appends to dst the k nodes numerically closest to key
+// among self (the owner's reference) and the members, closest first:
+// exactly the k first of a full sort under id.Closer's total order, at one
+// ring distance per slot and with nothing allocated but the room dst lacks
+// (while k <= 8). A node in both halves is listed once, by its
+// larger-half entry.
+func (s *LeafSet) AppendClosestK(dst []wire.NodeRef, self wire.NodeRef, key id.Node, k int) []wire.NodeRef {
 	k = min(k, 1+len(s.larger)+len(s.smaller))
 	if k <= 0 {
-		return nil
+		return dst
 	}
-	out := make([]wire.NodeRef, 0, k)
+	all := slices.Grow(dst, k)
+	out := all[len(dst):len(dst)]
 	dists := make([]id.Offset, 0, 8) // dists[i] is out[i]'s; on the stack for the usual k
 	k0 := key.Words()
 	offer := func(c *wire.NodeRef) {
@@ -473,7 +476,7 @@ func (s *LeafSet) ClosestK(self wire.NodeRef, key id.Node, k int) []wire.NodeRef
 	for i := range s.smaller {
 		offer(&s.smaller[i])
 	}
-	return out
+	return all[:len(dst)+len(out)]
 }
 
 // Extreme returns the farthest member on one side (clockwise = larger),

@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -22,18 +23,16 @@ import (
 	"past/internal/wire"
 )
 
-// DiskStore persists a Store's replicas and diversion pointers under a
+// DiskStore persists a node's replicas and diversion pointers under a
 // directory so a storage node can restart without losing them (the
 // paper's storage nodes are long-lived disks; the simulator uses the
 // in-memory Store).
 //
-// Layout: one append-only log per directory, under an in-memory index
-// (mem) — a key directory over a log, as in Bitcask (Sheehy & Smith,
-// Basho 2010). The index holds every live pointer, and for every live
-// replica its certificate (its byte fields copied into one small
-// allocation) and its Record: where its put record lies in the log. The
-// content lives only in the log, and is read from it when a replica is
-// served (see Record):
+// Layout: one append-only log per directory under an in-memory key
+// directory, as in Bitcask (Sheehy & Smith, Basho 2010): every live
+// pointer, and per live replica one fixed-size slot without pointers.
+// The certificate and the content live only in the log, and are read
+// from it when a replica is served (Record) or read back whole (Get):
 //
 //	log       = header record*
 //	header    = "PASTLOG" format(1)         format = 2, the only one read
@@ -44,25 +43,64 @@ import (
 //	pointer   = kind 3, wire.AppendPointer: fileId, holder
 //	unpointer = kind 4, fileId(20)
 //
-// Each mutation updates the index and appends one record with one write,
-// both under mu, so the log order is the index order: a reclaim that
-// races a replica store replays the way it was served. A delete or a
-// replaced pointer leaves dead bytes; once they exceed both the live bytes
-// and compactSlack the log is rewritten, its live records copied as they
-// are (log-structured cleaning, Rosenblum & Ousterhout, SOSP 1991), so the
+// Each mutation appends one record with one write and then updates the
+// index, both under mu, so the log order is the index order: a reclaim
+// that races a replica store replays the way it was served, and a replica
+// is served only once its record is written. A delete or a replaced
+// pointer leaves dead bytes; once they exceed both the live bytes and
+// compactSlack the log is rewritten, its live records copied as they are
+// (log-structured cleaning, Rosenblum & Ousterhout, SOSP 1991), so the
 // file stays under 2 × live + compactSlack. Nothing is fsynced (ROADMAP
 // 6(a)).
 type DiskStore struct {
-	dir string
-	mem *Store // the index: every live replica's Record and pointer, and capacity
+	dir      string
+	capacity int64
 
+	// mu serialises mutations: the log's appends and rewrites, and every
+	// write to the index. A mutation takes imu after it.
 	mu   sync.Mutex
-	log  *logFile // the current log, read and appended; nil once closed
-	size int64    // bytes in the log
-	live int64    // bytes of the records the index still needs
-	err  error    // sticky: why the log takes no more writes
+	size int64 // bytes in the log
+	live int64 // bytes of the records the index still needs
+	err  error // sticky: why the log takes no more writes
+
+	// imu guards the index against the reads that do not take mu — a
+	// lookup takes imu alone. The index, used and log are written under
+	// both locks, so either one reads them.
+	imu    sync.Mutex
+	log    *logFile // the current log, read and appended; closed by Close
+	keydir          // the index
+	used   int64    // content bytes of the indexed replicas
 
 	staleReads, corruptReads atomic.Int64
+}
+
+// slot is a replica's entry in the index. It holds no pointer, so the
+// index is never marked by the collector, and costs ~100 B a replica with
+// its map slot (TestDiskIndexHeapPerReplica). The record's log
+// generation is the store's.
+type slot struct {
+	off      int64  // where the put record begins in the log
+	n        uint32 // the record's length field: its kind and body
+	crc      uint32 // CRC-32C over kind and body
+	pre      uint32 // the leading bytes of the body that encode Cert and Data
+	size     uint32 // Cert.Size; a record's u32 length bounds it
+	replicas int32  // Cert.Replicas, clamped: ClosestK reads any count past the leaf set as all of it
+	diverted bool
+}
+
+// at is the span of the log the slot's record occupies.
+func (s slot) at() span { return span{s.off, s.off + recHeader + int64(s.n)} }
+
+// slotOf is the index entry of it's put record at at, whose CRC is crc.
+// Data must be Cert.Size bytes long, as Put and the replay check.
+func slotOf(it *Item, at span, crc uint32) slot {
+	return slot{
+		off: at.off, n: uint32(at.len() - recHeader), crc: crc,
+		pre:      uint32(wire.ReplicaPrefixLen(&it.Cert, len(it.Data))),
+		size:     uint32(len(it.Data)),
+		replicas: int32(max(min(it.Cert.Replicas, math.MaxInt32), math.MinInt32)),
+		diverted: it.Diverted,
+	}
 }
 
 // DiskStats counts the reads of a DiskStore's records that failed closed.
@@ -150,9 +188,8 @@ func OpenDiskStore(dir string, capacity int64) (*DiskStore, error) {
 // OpenDiskStoreVerify is OpenDiskStore with crash recovery. It replays
 // the log in one pass, reading each record into a buffer of its own,
 // checking its CRC, decoding it and passing every replica through verify
-// (when non-nil); what the index keeps of a replica is its Record and a
-// compact copy of its certificate, so the buffer is garbage once the
-// record is checked:
+// (when non-nil); what the index keeps of a replica is its slot, so the
+// buffer is garbage once the record is checked:
 //   - A record cut short or failing its CRC at the end of the log is the
 //     torn tail of a write a crash interrupted. It was never acknowledged,
 //     so it is truncated and not counted. A length corrupted to point past
@@ -178,7 +215,7 @@ func OpenDiskStoreVerify(dir string, capacity int64, verify VerifyFunc) (*DiskSt
 	if err := refuseOldLayout(dir); err != nil {
 		return nil, rep, err
 	}
-	ds := &DiskStore{dir: dir, mem: NewStore(capacity)}
+	ds := &DiskStore{dir: dir, capacity: capacity, keydir: newKeydir()}
 	path := ds.logPath()
 	os.Remove(path + ".tmp") //nolint:errcheck // a rewrite a crash cut short; the log it was replacing is whole
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
@@ -202,38 +239,34 @@ func OpenDiskStoreVerify(dir string, capacity int64, verify VerifyFunc) (*DiskSt
 // recover indexes what the freshly opened log replays to (see
 // OpenDiskStoreVerify).
 func (ds *DiskStore) recover(verify VerifyFunc, rep *RecoveryReport) error {
-	idx := newLogIndex()
 	failed := map[span]bool{} // puts verify rejected; quarantined if still live at the end
 	end, bad, err := replayLog(ds.log.File, func(e entry, at span, crc uint32) {
-		if e.kind != kindPut {
-			idx.apply(e, at)
-			return
-		}
-		if verify != nil && verify(e.item.Cert, e.item.Data) != nil {
+		if e.kind == kindPut && verify != nil && verify(e.item.Cert, e.item.Data) != nil {
 			failed[at] = true
 		}
-		idx.put(e.file, ds.log.indexed(e.item, at, crc), at)
+		ds.apply(e, at, crc)
 	})
 	if err != nil {
 		return err
 	}
 	dropped := false
-	for _, it := range idx.itemsInLogOrder() {
-		if failed[it.at] {
-			bad = append(bad, it.at)
-			continue
-		}
-		if ds.mem.put(it.v) != nil {
+	for _, p := range ds.inLogOrder() {
+		switch {
+		case failed[p.at()]:
+			bad = append(bad, p.at())
+		case ds.used+int64(p.size) > ds.capacity:
 			dropped = true
+		default:
+			ds.used += int64(p.size)
+			ds.live += p.at().len()
 			continue
 		}
-		ds.live += it.at.len()
+		delete(ds.items, p.file)
 	}
-	for file, p := range idx.pointers {
-		ds.mem.SetPointer(file, p.v)
-		ds.live += p.at.len()
+	for file, holder := range ds.pointers {
+		ds.live += recordLen(entry{kind: kindPointer, file: file, holder: holder})
 	}
-	rep.Recovered, rep.Quarantined = ds.mem.Len(), len(bad)
+	rep.Recovered, rep.Quarantined = len(ds.items), len(bad)
 	if err := quarantine(filepath.Join(ds.dir, quarantineName), ds.log, bad); err != nil {
 		return err
 	}
@@ -266,19 +299,12 @@ func LiveFiles(dir string) ([]id.File, RecoveryReport, error) {
 		return nil, rep, err
 	}
 	defer f.Close() //nolint:errcheck // read-only
-	idx := newLogIndex()
-	_, bad, err := replayLog(f, func(e entry, at span, _ uint32) {
-		e.item = Item{} // only the fileId is wanted
-		idx.apply(e, at)
-	})
+	idx := newKeydir()
+	_, bad, err := replayLog(f, idx.apply)
 	if err != nil {
 		return nil, rep, err
 	}
-	files := make([]id.File, 0, len(idx.items))
-	for file := range idx.items {
-		files = append(files, file)
-	}
-	slices.SortFunc(files, func(a, b id.File) int { return bytes.Compare(a[:], b[:]) })
+	files := slices.SortedFunc(maps.Keys(idx.items), func(a, b id.File) int { return bytes.Compare(a[:], b[:]) })
 	rep.Recovered, rep.Quarantined = len(files), len(bad)
 	return files, rep, nil
 }
@@ -303,11 +329,6 @@ func refuseOldLayout(dir string) error {
 // Dir returns the store's root directory.
 func (ds *DiskStore) Dir() string { return ds.dir }
 
-// Mem returns the in-memory index (capacity, utilization, lookups run
-// against it; its contents mirror the live records of the log). Its
-// replicas carry a Record as their Body and no Data.
-func (ds *DiskStore) Mem() *Store { return ds.mem }
-
 // Stats returns the counts of failed record reads.
 func (ds *DiskStore) Stats() DiskStats {
 	return DiskStats{StaleReads: ds.staleReads.Load(), CorruptReads: ds.corruptReads.Load()}
@@ -318,7 +339,8 @@ func (ds *DiskStore) logPath() string { return filepath.Join(ds.dir, logName) }
 // Put appends item's record and indexes it. Data must hold the content
 // and be Cert.Size bytes long — a record that is not would be quarantined
 // at the next boot — and is not kept: the index reads it back from the
-// log.
+// log. Like Store.Put it fails with ErrDuplicate or ErrNoSpace, writing
+// nothing.
 func (ds *DiskStore) Put(item Item) error {
 	if int64(len(item.Data)) != item.Cert.Size {
 		return fmt.Errorf("storage: %d bytes of content, certificate says %d", len(item.Data), item.Cert.Size)
@@ -328,41 +350,45 @@ func (ds *DiskStore) Put(item Item) error {
 	if ds.err != nil {
 		return ds.err
 	}
-	buf := recordBufs.Get().(*[]byte)
-	defer recordBufs.Put(buf)
-	rec, err := appendEntry((*buf)[:0], entry{kind: kindPut, file: item.Cert.FileID, item: item})
+	f := item.Cert.FileID // the index is written only under mu
+	if _, dup := ds.items[f]; dup {
+		return fmt.Errorf("%w: %s", ErrDuplicate, f.Short())
+	}
+	if free := ds.capacity - ds.used; item.Cert.Size > free {
+		return fmt.Errorf("%w: need %d, free %d", ErrNoSpace, item.Cert.Size, free)
+	}
+	at, crc, err := ds.appendLocked(entry{kind: kindPut, file: f, item: item})
 	if err != nil {
 		return err
 	}
-	*buf = rec // keep what the encoder grew
-	at := span{ds.size, ds.size + int64(len(rec))}
-	if err := ds.mem.put(ds.log.indexed(item, at, binary.BigEndian.Uint32(rec[4:]))); err != nil {
-		return err
-	}
-	if err := ds.writeLocked(rec); err != nil {
-		ds.mem.Delete(item.Cert.FileID) //nolint:errcheck // rollback of a just-inserted key
-		return err
-	}
+	s := slotOf(&item, at, crc)
+	ds.imu.Lock()
+	ds.items[f] = s
+	ds.used += int64(s.size)
+	ds.imu.Unlock()
 	ds.live += at.len()
 	return nil
 }
 
 // Delete appends a tombstone for f and removes it from the index,
-// returning the freed bytes.
+// returning the freed bytes, or ErrNotFound itself.
 func (ds *DiskStore) Delete(f id.File) (int64, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	it, err := ds.mem.Get(f)
-	if err != nil {
+	s, ok := ds.items[f] // written only under mu
+	if !ok {
+		return 0, ErrNotFound
+	}
+	if _, _, err := ds.appendLocked(entry{kind: kindDelete, file: f}); err != nil {
 		return 0, err
 	}
-	if _, err := ds.appendLocked(entry{kind: kindDelete, file: f}); err != nil {
-		return 0, err
-	}
-	freed, err := ds.mem.Delete(f)
-	ds.live -= it.Body.(*Record).at.len()
+	ds.imu.Lock()
+	delete(ds.items, f)
+	ds.used -= int64(s.size)
+	ds.imu.Unlock()
+	ds.live -= s.at().len()
 	ds.compactLocked()
-	return freed, err
+	return int64(s.size), nil
 }
 
 // SetPointer records, in the index and the log, that this node's replica
@@ -370,16 +396,18 @@ func (ds *DiskStore) Delete(f id.File) (int64, error) {
 func (ds *DiskStore) SetPointer(f id.File, holder wire.NodeRef) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	old, had := ds.mem.Pointer(f)
+	old, had := ds.pointers[f]
 	if had && old == holder {
 		return nil
 	}
-	n, err := ds.appendLocked(entry{kind: kindPointer, file: f, holder: holder})
+	at, _, err := ds.appendLocked(entry{kind: kindPointer, file: f, holder: holder})
 	if err != nil {
 		return err
 	}
-	ds.mem.SetPointer(f, holder)
-	ds.live += n
+	ds.imu.Lock()
+	ds.pointers[f] = holder
+	ds.imu.Unlock()
+	ds.live += at.len()
 	if had {
 		ds.live -= recordLen(entry{kind: kindPointer, file: f, holder: old})
 		ds.compactLocked()
@@ -392,86 +420,136 @@ func (ds *DiskStore) SetPointer(f id.File, holder wire.NodeRef) error {
 func (ds *DiskStore) DeletePointer(f id.File) (bool, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	old, had := ds.mem.Pointer(f)
+	old, had := ds.pointers[f]
 	if !had {
 		return false, nil
 	}
-	if _, err := ds.appendLocked(entry{kind: kindUnpointer, file: f}); err != nil {
+	if _, _, err := ds.appendLocked(entry{kind: kindUnpointer, file: f}); err != nil {
 		return true, err
 	}
-	ds.mem.DeletePointer(f)
+	ds.imu.Lock()
+	delete(ds.pointers, f)
+	ds.imu.Unlock()
 	ds.live -= recordLen(entry{kind: kindPointer, file: f, holder: old})
 	ds.compactLocked()
 	return true, nil
 }
 
-// Get returns the stored item for f with its content read back from the
-// log into a fresh buffer: Data set, Body nil.
+// Pointer returns the diversion target for f, if any.
+func (ds *DiskStore) Pointer(f id.File) (wire.NodeRef, bool) {
+	ds.imu.Lock()
+	defer ds.imu.Unlock()
+	h, ok := ds.pointers[f]
+	return h, ok
+}
+
+// Get reads f's replica back whole from its record, checked as a serve
+// checks it (see Record): certificate, content in a fresh buffer of its
+// own, Primary and Diverted; Body is nil.
 func (ds *DiskStore) Get(f id.File) (Item, error) {
-	it, err := ds.mem.Get(f)
+	it, err := ds.Serve(f)
 	if err != nil {
 		return Item{}, err
 	}
-	if it.Data, err = it.Content(); err != nil {
+	body, err := it.Body.(*Record).appendBody(nil)
+	if err != nil {
 		return Item{}, err
 	}
-	it.Body = nil
-	return it, nil
+	rs, err := wire.DecodeReplica(body) // decoded once already, when put or replayed
+	if err != nil {
+		return Item{}, err
+	}
+	return Item{Cert: rs.Cert, Data: rs.Data, Diverted: rs.Diverted, Primary: rs.Primary}, nil
+}
+
+// Serve returns f's replica as a reply carries it, from the index alone:
+// Body is its Record in the current log, Data is nil, and of the
+// certificate only FileID, Size and Replicas are set — a frame encodes
+// the rest from the record. Get reads the whole replica back.
+func (ds *DiskStore) Serve(f id.File) (Item, error) {
+	ds.imu.Lock()
+	defer ds.imu.Unlock()
+	s, ok := ds.items[f]
+	if !ok {
+		return Item{}, ErrNotFound
+	}
+	return Item{
+		Cert:     wire.FileCertificate{FileID: f, Size: int64(s.size), Replicas: int(s.replicas)},
+		Diverted: s.diverted,
+		Body:     &Record{log: ds.log, file: f, slot: s},
+	}, nil
 }
 
 // Has reports whether f is stored.
-func (ds *DiskStore) Has(f id.File) bool { return ds.mem.Has(f) }
+func (ds *DiskStore) Has(f id.File) bool {
+	ds.imu.Lock()
+	defer ds.imu.Unlock()
+	_, ok := ds.items[f]
+	return ok
+}
 
-// Files lists stored fileIds in sorted order.
-func (ds *DiskStore) Files() []id.File { return ds.mem.Files() }
+// Len returns the number of stored replicas.
+func (ds *DiskStore) Len() int {
+	ds.imu.Lock()
+	defer ds.imu.Unlock()
+	return len(ds.items)
+}
+
+// Free returns capacity minus replica usage.
+func (ds *DiskStore) Free() int64 {
+	ds.imu.Lock()
+	defer ds.imu.Unlock()
+	return ds.capacity - ds.used
+}
+
+// Walk is Store.Walk over the index.
+func (ds *DiskStore) Walk(fn func(f id.File, size int64, replicas int, diverted bool)) {
+	ds.imu.Lock()
+	defer ds.imu.Unlock()
+	for f, s := range ds.items {
+		ds.imu.Unlock()
+		fn(f, int64(s.size), int(s.replicas), s.diverted)
+		ds.imu.Lock()
+	}
+}
 
 // Close closes the log. Every later mutation fails, and so does every
-// read of a replica's content (counted as stale); the index still answers
+// read of a replica's record (counted as stale); the index still answers
 // everything else. Closing twice is harmless.
 func (ds *DiskStore) Close() error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	if ds.log == nil {
+	if ds.err == errClosed {
 		return nil
 	}
-	err := ds.log.Close()
-	ds.log, ds.err = nil, errClosed
-	return err
+	ds.err = errClosed
+	return ds.log.Close()
 }
 
-// appendLocked appends e's record with one write and returns its length.
-func (ds *DiskStore) appendLocked(e entry) (int64, error) {
+// appendLocked appends e's record with one write and returns where it
+// lies and its CRC. A failed write is cut back off the log, so no torn
+// record ever sits mid-log; if even that fails, the log takes no more
+// writes.
+func (ds *DiskStore) appendLocked(e entry) (span, uint32, error) {
 	if ds.err != nil {
-		return 0, ds.err
+		return span{}, 0, ds.err
 	}
 	buf := recordBufs.Get().(*[]byte)
 	defer recordBufs.Put(buf)
 	rec, err := appendEntry((*buf)[:0], e)
 	if err != nil {
-		return 0, err
+		return span{}, 0, err
 	}
 	*buf = rec // keep what the encoder grew
-	if err := ds.writeLocked(rec); err != nil {
-		return 0, err
-	}
-	return int64(len(rec)), nil
-}
-
-// writeLocked appends one encoded record with one write. A failed write
-// is cut back off the log, so no torn record ever sits mid-log; if even
-// that fails, the log takes no more writes.
-func (ds *DiskStore) writeLocked(rec []byte) error {
-	if ds.err != nil {
-		return ds.err
-	}
 	if _, err := ds.log.Write(rec); err != nil {
 		if terr := ds.log.Truncate(ds.size); terr != nil {
 			ds.err = fmt.Errorf("storage: log unusable after a failed append: %w", terr)
 		}
-		return fmt.Errorf("storage: append to %s: %w", ds.logPath(), err)
+		return span{}, 0, fmt.Errorf("storage: append to %s: %w", ds.logPath(), err)
 	}
-	ds.size += int64(len(rec))
-	return nil
+	at := span{ds.size, ds.size + int64(len(rec))}
+	ds.size = at.end
+	return at, binary.BigEndian.Uint32(rec[4:]), nil
 }
 
 // recordLen is the length of e's record.
@@ -495,22 +573,11 @@ func (ds *DiskStore) compactLocked() {
 // rewriteLocked replaces the log with one holding exactly the index —
 // every replica's record copied byte for byte from the current log, in
 // log order, then every pointer — written to a .tmp beside it and renamed
-// over it, and appends to that from then on. The index's Records move to
+// over it, and appends to that from then on. The index's slots move to
 // the new log; a Record handed out before reads the old one until it is
 // closed here, and fails closed as stale after.
 func (ds *DiskStore) rewriteLocked() error {
-	ds.mem.mu.Lock()
-	items := make([]*Item, 0, len(ds.mem.files))
-	for _, it := range ds.mem.files {
-		items = append(items, it)
-	}
-	ds.mem.mu.Unlock()
-	slices.SortFunc(items, func(a, b *Item) int { return cmp.Compare(a.Body.(*Record).at.off, b.Body.(*Record).at.off) })
-	recs := make([]span, len(items))
-	for i, it := range items {
-		recs[i] = it.Body.(*Record).at
-	}
-
+	puts := ds.inLogOrder() // the index is written only under mu
 	path := ds.logPath()
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -521,8 +588,8 @@ func (ds *DiskStore) rewriteLocked() error {
 	if ds.log != nil {
 		src = ds.log
 	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	moved, size, err := writeLog(w, src, recs, ds.mem.Pointers())
+	w := bufio.NewWriterSize(f, int(min(int64(len(logHeader))+ds.live, 1<<20))) // what it copies, up to 1 MiB
+	size, err := writeLog(w, src, puts, ds.pointers)
 	err = cmp.Or(err, w.Flush())
 	if err = cmp.Or(err, f.Close()); err == nil {
 		err = os.Rename(tmp, path)
@@ -536,38 +603,37 @@ func (ds *DiskStore) rewriteLocked() error {
 		ds.err = fmt.Errorf("storage: reopen rewritten log: %w", err)
 		return ds.err
 	}
-	next := &logFile{f, ds}
-	ds.mem.mu.Lock()
-	for i, it := range items {
-		r := *it.Body.(*Record)
-		r.log, r.at = next, moved[i]
-		it.Body = &r
+	old := ds.log
+	ds.imu.Lock()
+	for _, p := range puts {
+		ds.items[p.file] = p.slot
 	}
-	ds.mem.mu.Unlock()
-	if ds.log != nil {
-		ds.log.Close() //nolint:errcheck // replaced: what still reads it fails closed
+	ds.log = &logFile{f, ds}
+	ds.imu.Unlock()
+	if old != nil {
+		old.Close() //nolint:errcheck // replaced: what still reads it fails closed
 	}
-	ds.log, ds.size, ds.live = next, size, size-int64(len(logHeader))
+	ds.size, ds.live = size, size-int64(len(logHeader))
 	return nil
 }
 
-// writeLog writes a whole log to w: the records at spans recs of src,
-// copied byte for byte in that order, then pointers. It returns where the
-// copied records sit in it, and its length.
-func writeLog(w io.Writer, src io.ReaderAt, recs []span, pointers map[id.File]wire.NodeRef) ([]span, int64, error) {
+// writeLog writes a whole log to w: the records of puts, copied byte for
+// byte from src in that order, then pointers. It moves each put's offset
+// to where its record sits in the new log, and returns its length.
+func writeLog(w io.Writer, src io.ReaderAt, puts []put, pointers map[id.File]wire.NodeRef) (int64, error) {
 	n, err := w.Write(logHeader)
 	size := int64(n)
-	moved := make([]span, len(recs))
-	for i, s := range recs {
+	for i := range puts {
 		if err != nil {
 			break
 		}
+		s := puts[i].at()
 		var c int64
 		c, err = io.Copy(w, io.NewSectionReader(src, s.off, s.len()))
 		if err == nil && c != s.len() {
 			err = fmt.Errorf("storage: copy a %d-byte record: %d bytes read", s.len(), c)
 		}
-		moved[i] = span{size, size + c}
+		puts[i].off = size
 		size += c
 	}
 	var rec []byte
@@ -580,86 +646,54 @@ func writeLog(w io.Writer, src io.ReaderAt, recs []span, pointers map[id.File]wi
 			size += int64(n)
 		}
 	}
-	return moved, size, err
+	return size, err
 }
 
-// Record is a replica at rest: where its put record lies in the log, and
-// what the record must check out to when read back. A DiskStore's index
-// holds one as the Body of each replica's Item; as a wire.Stored it
-// serves the replica by reading its record from the log straight into
-// the frame that carries it. A read checks the record's CRC-32C and its
-// fileId, so the bytes it returns are the bytes the put or the boot
-// replay proved (the client's fresh content hash is the end-to-end
-// check). A read that fails sends nothing: a record whose log was
-// rewritten or closed meanwhile is stale and only counted; one whose
-// bytes changed on disk is counted and quarantined — it leaves the index
-// and the log, its bytes go to quarantine.corrupt, and anti-entropy
-// restores the replica.
+// Record is a replica at rest, as a serve reads it: its put record's slot
+// in a log generation. As a wire.Stored it serves the replica by reading
+// its record from the log straight into the frame that carries it. A
+// read checks the record's CRC-32C and its fileId, so the bytes it
+// returns are the bytes the put or the boot replay proved (the client's
+// fresh content hash is the end-to-end check). A read that fails sends
+// nothing: a record whose log was rewritten or closed meanwhile is stale
+// and only counted; one whose bytes changed on disk is counted and
+// quarantined — it leaves the index and the log, its bytes go to
+// quarantine.corrupt, and anti-entropy restores the replica.
 type Record struct {
 	log  *logFile
-	at   span   // the whole record: header, kind, body
-	pre  int    // the leading bytes of the body that encode Cert and Data
-	crc  uint32 // over kind and body
 	file id.File
+	slot
 }
 
 // putCRC is the CRC-32C of a put record's kind byte, which the CRC of its
 // body continues.
 var putCRC = crc32.Checksum([]byte{kindPut}, castagnoli)
 
-// indexed is it as a DiskStore's index holds it once its put record sits
-// at at in l: its Record instead of Data, and its certificate compacted.
-// The item and its Record are one allocation: the index is what the
-// collector scans, one object per replica fewer.
-func (l *logFile) indexed(it Item, at span, crc uint32) *Item {
-	x := &struct {
-		Item
-		rec Record
-	}{Item: it, rec: Record{log: l, at: at, pre: wire.ReplicaPrefixLen(&it.Cert, len(it.Data)), crc: crc, file: it.Cert.FileID}}
-	x.Body = &x.rec
-	x.Cert, x.Data = compactCert(it.Cert), nil
-	return &x.Item
-}
-
-// compactCert returns c with its four byte fields copied into one
-// allocation, so an indexed certificate keeps no frame or record buffer
-// alive.
-func compactCert(c wire.FileCertificate) wire.FileCertificate {
-	fields := [...]*[]byte{&c.Salt, &c.OwnerPub, &c.CardCert, &c.Sig}
-	n := 0
-	for _, f := range fields {
-		n += len(*f)
-	}
-	buf := make([]byte, 0, n)
-	for _, f := range fields {
-		if len(*f) == 0 {
-			*f = nil // as decoded: an empty slice would still pin its buffer
-			continue
-		}
-		start := len(buf)
-		buf = append(buf, *f...)
-		*f = buf[start:len(buf):len(buf)]
-	}
-	return c
-}
-
 // Len implements wire.Stored.
-func (r *Record) Len() int { return r.pre }
+func (r *Record) Len() int { return int(r.pre) }
 
 // AppendTo implements wire.Stored: it reads the record's body into dst,
 // checks it, and keeps the part that encodes the certificate and content.
 func (r *Record) AppendTo(dst []byte) ([]byte, error) {
 	start := len(dst)
-	n := int(r.at.len()) - recHeader - 1
+	dst, err := r.appendBody(dst)
+	return dst[:min(len(dst), start+int(r.pre))], err // a failed read leaves dst[:start]
+}
+
+// appendBody reads the record's body (after its kind byte) onto dst and
+// checks it, or fails closed leaving dst's contents as they were.
+func (r *Record) appendBody(dst []byte) ([]byte, error) {
+	start := len(dst)
+	n := int(r.n) - 1
 	dst = slices.Grow(dst, n)[:start+n]
 	body := dst[start:]
-	_, err := r.log.ReadAt(body, r.at.off+recHeader+1)
+	_, err := r.log.ReadAt(body, r.off+recHeader+1)
 	switch {
 	case errors.Is(err, os.ErrClosed):
 		r.log.ds.staleReads.Add(1)
 		return dst[:start], fmt.Errorf("%w: %s", errStale, r.file.Short())
 	case err == nil && crc32.Update(putCRC, castagnoli, body) == r.crc && bytes.HasPrefix(body, r.file[:]):
-		return dst[:start+r.pre], nil
+		return dst, nil
 	}
 	r.log.ds.quarantineRecord(r)
 	return dst[:start], fmt.Errorf("%w: %s", errCorrupt, r.file.Short())
@@ -673,13 +707,16 @@ func (ds *DiskStore) quarantineRecord(r *Record) {
 	ds.corruptReads.Add(1)
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	if it, err := ds.mem.Get(r.file); err != nil || it.Body != r {
+	if s, ok := ds.items[r.file]; !ok || s != r.slot || ds.log != r.log {
 		return
 	}
-	quarantine(filepath.Join(ds.dir, quarantineName), r.log, []span{r.at}) //nolint:errcheck // the replica leaves the index regardless
-	ds.mem.Delete(r.file)                                                  //nolint:errcheck // present: checked above
-	ds.live -= r.at.len()
-	if _, err := ds.appendLocked(entry{kind: kindDelete, file: r.file}); err == nil {
+	quarantine(filepath.Join(ds.dir, quarantineName), r.log, []span{r.at()}) //nolint:errcheck // the replica leaves the index regardless
+	ds.imu.Lock()
+	delete(ds.items, r.file)
+	ds.used -= int64(r.size)
+	ds.imu.Unlock()
+	ds.live -= r.at().len()
+	if _, _, err := ds.appendLocked(entry{kind: kindDelete, file: r.file}); err == nil {
 		ds.compactLocked()
 	}
 }
@@ -761,61 +798,46 @@ type span struct{ off, end int64 }
 
 func (s span) len() int64 { return s.end - s.off }
 
-// logged is an index entry and where its record sits.
-type logged[T any] struct {
-	v  T
-	at span
+// keydir is what a log replays to: the slot of each live replica and
+// each live pointer.
+type keydir struct {
+	items    map[id.File]slot
+	pointers map[id.File]wire.NodeRef
 }
 
-// logIndex is what a log replays to: its live replicas and pointers.
-// Replicas are kept in log order as they replay, so indexing them in that
-// order needs no sort.
-type logIndex struct {
-	puts     []logged[*Item] // every put replayed, in log order; a dead one's span is zeroed
-	items    map[id.File]int // a live replica's put in puts
-	pointers map[id.File]logged[wire.NodeRef]
+func newKeydir() keydir {
+	return keydir{items: map[id.File]slot{}, pointers: map[id.File]wire.NodeRef{}}
 }
 
-func newLogIndex() *logIndex {
-	return &logIndex{items: map[id.File]int{}, pointers: map[id.File]logged[wire.NodeRef]{}}
-}
-
-func (x *logIndex) apply(e entry, at span) {
+// apply replays e, whose record at at has CRC crc.
+func (k *keydir) apply(e entry, at span, crc uint32) {
 	switch e.kind {
 	case kindPut:
-		x.put(e.file, &e.item, at)
+		k.items[e.file] = slotOf(&e.item, at, crc)
 	case kindDelete:
-		x.drop(e.file)
+		delete(k.items, e.file)
 	case kindPointer:
-		x.pointers[e.file] = logged[wire.NodeRef]{e.holder, at}
+		k.pointers[e.file] = e.holder
 	case kindUnpointer:
-		delete(x.pointers, e.file)
+		delete(k.pointers, e.file)
 	}
 }
 
-// put replays a put record of f, it, at at.
-func (x *logIndex) put(f id.File, it *Item, at span) {
-	x.drop(f)
-	x.items[f] = len(x.puts)
-	x.puts = append(x.puts, logged[*Item]{it, at})
+// put is a replica's slot and its fileId.
+type put struct {
+	file id.File
+	slot
 }
 
-// drop replays a delete of f: its put, if live, is dead.
-func (x *logIndex) drop(f id.File) {
-	if i, ok := x.items[f]; ok {
-		x.puts[i].at = span{}
-		delete(x.items, f)
+// inLogOrder lists the replicas in the order their records lie in the
+// log.
+func (k *keydir) inLogOrder() []put {
+	puts := make([]put, 0, len(k.items))
+	for f, s := range k.items {
+		puts = append(puts, put{f, s})
 	}
-}
-
-func (x *logIndex) itemsInLogOrder() []logged[*Item] {
-	out := make([]logged[*Item], 0, len(x.items))
-	for _, it := range x.puts {
-		if it.at != (span{}) {
-			out = append(out, it)
-		}
-	}
-	return out
+	slices.SortFunc(puts, func(a, b put) int { return cmp.Compare(a.off, b.off) })
+	return puts
 }
 
 // replayLog checks f's header and replays its records through keep (see

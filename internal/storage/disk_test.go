@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -128,8 +129,8 @@ func dirNames(t testing.TB, dir string) []string {
 // exactly pointers.
 func wantServed(t testing.TB, ds *DiskStore, items []Item, pointers map[id.File]wire.NodeRef) {
 	t.Helper()
-	if len(ds.Files()) != len(items) {
-		t.Fatalf("serves %d replicas, want %d", len(ds.Files()), len(items))
+	if ds.Len() != len(items) {
+		t.Fatalf("serves %d replicas, want %d", ds.Len(), len(items))
 	}
 	for _, want := range items {
 		got, err := ds.Get(want.Cert.FileID)
@@ -140,9 +141,16 @@ func wantServed(t testing.TB, ds *DiskStore, items []Item, pointers map[id.File]
 			t.Fatalf("replica %s differs from what was stored", want.Cert.FileID.Short())
 		}
 	}
-	if got := ds.Mem().Pointers(); len(got) != len(pointers) || (len(got) > 0 && !reflect.DeepEqual(got, pointers)) {
+	if got := pointersOf(ds); len(got) != len(pointers) || (len(got) > 0 && !reflect.DeepEqual(got, pointers)) {
 		t.Fatalf("pointers = %v, want %v", got, pointers)
 	}
+}
+
+// pointersOf copies ds's diversion pointers.
+func pointersOf(ds *DiskStore) map[id.File]wire.NodeRef {
+	ds.imu.Lock()
+	defer ds.imu.Unlock()
+	return maps.Clone(ds.pointers)
 }
 
 func TestDiskStorePutGetDelete(t *testing.T) {
@@ -158,7 +166,7 @@ func TestDiskStorePutGetDelete(t *testing.T) {
 	if err != nil || string(got.Data) != string(it.Data) {
 		t.Fatalf("Get: %v", err)
 	}
-	if !ds.Has(it.Cert.FileID) || len(ds.Files()) != 1 {
+	if !ds.Has(it.Cert.FileID) || ds.Len() != 1 {
 		t.Fatal("index wrong")
 	}
 	freed, err := ds.Delete(it.Cert.FileID)
@@ -199,8 +207,8 @@ func TestDiskStoreSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Recovered != 3 || rep.Quarantined != 0 || ds2.Mem().Used() != 64+128 {
-		t.Fatalf("after restart: report %+v, used %d", rep, ds2.Mem().Used())
+	if used := 1<<20 - ds2.Free(); rep.Recovered != 3 || rep.Quarantined != 0 || used != 64+128 {
+		t.Fatalf("after restart: report %+v, used %d", rep, used)
 	}
 	wantServed(t, ds2, items, nil)
 }
@@ -235,13 +243,13 @@ func TestDiskStorePointersSurviveRestart(t *testing.T) {
 	if err != nil || rep != (RecoveryReport{}) {
 		t.Fatalf("reopen: %+v %v", rep, err)
 	}
-	if h, ok := ds2.Mem().Pointer(kept); !ok || h != a {
+	if h, ok := ds2.Pointer(kept); !ok || h != a {
 		t.Fatalf("kept pointer = %v %v", h, ok)
 	}
-	if h, ok := ds2.Mem().Pointer(moved); !ok || h != b {
+	if h, ok := ds2.Pointer(moved); !ok || h != b {
 		t.Fatalf("replaced pointer = %v %v", h, ok)
 	}
-	if _, ok := ds2.Mem().Pointer(gone); ok {
+	if _, ok := ds2.Pointer(gone); ok {
 		t.Fatal("deleted pointer came back")
 	}
 }
@@ -549,7 +557,7 @@ func TestDiskStoreCrashConsistency(t *testing.T) {
 		if ds.Has(f) {
 			items = []Item{it}
 		}
-		ptrs := ds.Mem().Pointers()
+		ptrs := pointersOf(ds)
 		ds.Close() //nolint:errcheck // reopened below
 		ds, rep := open(t, dir)
 		if rep.Quarantined != 0 {
@@ -626,7 +634,7 @@ func TestDiskStoreRefusesForeignLog(t *testing.T) {
 		dir := t.TempDir()
 		installLog(t, dir, cut)
 		ds, rep, err := OpenDiskStoreVerify(dir, 1<<20, verifyHash)
-		if err != nil || rep != (RecoveryReport{}) || len(ds.Files()) != 0 {
+		if err != nil || rep != (RecoveryReport{}) || ds.Len() != 0 {
 			t.Fatalf("open over a %d-byte log: %+v %v", len(cut), rep, err)
 		}
 		if got := readFile(t, filepath.Join(dir, logName)); !bytes.Equal(got, logHeader) {
@@ -676,8 +684,8 @@ func FuzzDiskRecord(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, records []byte) {
 		log := logOf(records)
-		replay := func(log []byte) (*logIndex, []span) {
-			idx := newLogIndex()
+		replay := func(log []byte) (keydir, []span) {
+			idx := newKeydir()
 			end, bad, err := scanLog(bytes.NewReader(log), int64(len(log)), func(e entry, at span, crc uint32) {
 				if re := mustEntry(t, e); !bytes.Equal(re, log[at.off:at.end]) {
 					t.Fatalf("re-encoding differs:\n in  %x\n out %x", log[at.off:at.end], re)
@@ -685,7 +693,7 @@ func FuzzDiskRecord(f *testing.F) {
 				if crc != binary.BigEndian.Uint32(log[at.off+4:]) {
 					t.Fatalf("record at %d: CRC %08x reported, %x logged", at.off, crc, log[at.off+4:at.off+8])
 				}
-				idx.apply(e, at)
+				idx.apply(e, at, crc)
 			})
 			if err != nil || end < int64(len(logHeader)) || end > int64(len(log)) {
 				t.Fatalf("end %d of %d, err %v", end, len(log), err)
@@ -693,17 +701,9 @@ func FuzzDiskRecord(f *testing.F) {
 			return idx, bad
 		}
 		idx, _ := replay(log)
-		live := idx.itemsInLogOrder()
-		recs := make([]span, len(live))
-		for i, it := range live {
-			recs[i] = it.at
-		}
-		pointers := map[id.File]wire.NodeRef{}
-		for f, p := range idx.pointers {
-			pointers[f] = p.v
-		}
+		moved := idx.inLogOrder() // writeLog moves each to where it copies it
 		var rewritten bytes.Buffer
-		moved, size, err := writeLog(&rewritten, bytes.NewReader(log), recs, pointers)
+		size, err := writeLog(&rewritten, bytes.NewReader(log), moved, idx.pointers)
 		if err != nil || size != int64(rewritten.Len()) {
 			t.Fatalf("rewrite: %d bytes of %d written, %v", size, rewritten.Len(), err)
 		}
@@ -712,14 +712,13 @@ func FuzzDiskRecord(f *testing.F) {
 			t.Fatalf("rewritten log replays to %d replicas and %d pointers (%d bad), want %d and %d",
 				len(again.items), len(again.pointers), len(bad), len(idx.items), len(idx.pointers))
 		}
-		for i, got := range again.itemsInLogOrder() {
-			it := live[i]
-			if !reflect.DeepEqual(got.v, it.v) || got.at != moved[i] {
-				t.Fatalf("replica %s differs after the rewrite, or sits at %v, not %v", it.v.Cert.FileID.Short(), got.at, moved[i])
+		for i, got := range again.inLogOrder() {
+			if want := moved[i]; got != want {
+				t.Fatalf("replica %s differs after the rewrite, or sits at %v, not %v", want.file.Short(), got.at(), want.at())
 			}
 		}
-		for f, p := range idx.pointers {
-			if again.pointers[f].v != p.v {
+		for f, h := range idx.pointers {
+			if again.pointers[f] != h {
 				t.Fatalf("pointer %s differs after the rewrite", f.Short())
 			}
 		}
@@ -762,19 +761,19 @@ func FuzzRecordRead(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		it, err := ds.Mem().Get(victim.Cert.FileID)
+		it, err := ds.Serve(victim.Cert.FileID)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := it.Body.(*Record)
 		region = append(bytes.Clone(region[:min(len(region), len(good))]), good[min(len(region), len(good)):]...)
-		overwrite(t, filepath.Join(dir, logName), rec.at.off, region)
+		overwrite(t, filepath.Join(dir, logName), rec.off, region)
 		body := region[recHeader+1:]
 		got, err := it.Body.AppendTo([]byte("dst:"))
 		switch {
 		case err == nil && bytes.Equal(got[4:], want):
 		case err == nil:
-			if crc32.Update(putCRC, castagnoli, body) != rec.crc || !bytes.Equal(got[4:], body[:rec.pre]) {
+			if crc32.Update(putCRC, castagnoli, body) != rec.crc || !bytes.Equal(got[4:], body[:int(rec.pre)]) {
 				t.Fatalf("served %d bytes the record does not vouch for", len(got)-4)
 			}
 		case bytes.Equal(body, good[recHeader+1:]):
@@ -820,8 +819,9 @@ func BenchmarkDiskStorePut(b *testing.B) {
 				}
 				if i%live == live-1 {
 					b.StopTimer()
-					for _, f := range ds.Files() {
-						if _, err := ds.Delete(f); err != nil {
+					for j := i - live + 1; j <= i; j++ {
+						binary.BigEndian.PutUint64(it.Cert.FileID[:], uint64(j))
+						if _, err := ds.Delete(it.Cert.FileID); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -26,9 +26,9 @@ func TestRecordEncodesAsMaterialised(t *testing.T) {
 		if err := ds.Put(want); err != nil {
 			t.Fatal(err)
 		}
-		it, err := ds.Mem().Get(want.Cert.FileID)
+		it, err := ds.Serve(want.Cert.FileID)
 		if err != nil || it.Data != nil || it.Body == nil {
-			t.Fatalf("indexed item: Data %d bytes, Body %v (%v)", len(it.Data), it.Body, err)
+			t.Fatalf("served item: Data %d bytes, Body %v (%v)", len(it.Data), it.Body, err)
 		}
 		for _, m := range []struct{ byRef, inMem wire.Msg }{
 			{wire.LookupReply{Cert: it.Cert, Body: it.Body, From: ref, ReqID: 7, Hops: 2, Distance: 1.5, Cached: true},
@@ -51,9 +51,9 @@ func TestRecordEncodesAsMaterialised(t *testing.T) {
 				t.Fatalf("%s: FrameLen %d by reference, %d in memory, frame %d", m.byRef.Kind(), n, mn, len(exp)-4)
 			}
 		}
-		data, err := it.Content()
-		if err != nil || !bytes.Equal(data, want.Data) || cap(data) != len(data) {
-			t.Fatalf("Content: %d bytes (cap %d), %v", len(data), cap(data), err)
+		whole, err := ds.Get(want.Cert.FileID)
+		if err != nil || !bytes.Equal(putRec(t, whole), putRec(t, want)) || cap(whole.Data) != len(whole.Data) || whole.Body != nil {
+			t.Fatalf("Get: %d bytes (cap %d), Body %v, %v", len(whole.Data), cap(whole.Data), whole.Body, err)
 		}
 	}
 	if ds.Stats() != (DiskStats{}) {
@@ -100,19 +100,21 @@ func TestDiskStoreReadsRaceCompaction(t *testing.T) {
 				default:
 				}
 				want := items[(round*7+g)%len(items)]
-				it, err := ds.Mem().Get(want.Cert.FileID)
-				if err != nil {
-					continue // deleted
-				}
+				var it Item
+				var err error
 				if g == 0 {
+					if it, err = ds.Serve(want.Cert.FileID); err != nil {
+						continue // deleted
+					}
 					buf, err = wire.AppendFrame(buf[:0], "r", wire.LookupReply{Cert: it.Cert, Body: it.Body, ReqID: 1})
 					if err == nil && !bytes.Equal(buf, frames[want.Cert.FileID]) {
 						t.Errorf("served frame of %s differs", want.Cert.FileID.Short())
 					}
 				} else {
-					var data []byte
-					data, err = it.Content()
-					if err == nil && !bytes.Equal(data, want.Data) {
+					if it, err = ds.Get(want.Cert.FileID); errors.Is(err, ErrNotFound) {
+						continue // deleted
+					}
+					if err == nil && !bytes.Equal(it.Data, want.Data) {
 						t.Errorf("content of %s differs", want.Cert.FileID.Short())
 					}
 				}

@@ -58,8 +58,8 @@ func TestStoreCapacityEnforced(t *testing.T) {
 	if err := s.Put(item(3, 40)); err != nil {
 		t.Fatalf("fitting file rejected: %v", err)
 	}
-	if s.Utilization() != 1.0 {
-		t.Fatalf("utilization = %f", s.Utilization())
+	if s.Used() != s.Capacity() {
+		t.Fatalf("used = %d of %d", s.Used(), s.Capacity())
 	}
 }
 
@@ -116,16 +116,18 @@ func TestStorePointers(t *testing.T) {
 	if _, ok := s.Pointer(f); ok {
 		t.Fatal("pointer present before set")
 	}
-	s.SetPointer(f, holder)
+	if err := s.SetPointer(f, holder); err != nil {
+		t.Fatal(err)
+	}
 	got, ok := s.Pointer(f)
 	if !ok || got.ID != holder.ID {
 		t.Fatal("pointer lost")
 	}
-	if len(s.Pointers()) != 1 {
-		t.Fatal("Pointers map wrong")
+	if had, err := s.DeletePointer(f); !had || err != nil {
+		t.Fatal("DeletePointer of a pointer held")
 	}
-	if !s.DeletePointer(f) || s.DeletePointer(f) {
-		t.Fatal("DeletePointer semantics wrong")
+	if had, _ := s.DeletePointer(f); had {
+		t.Fatal("second DeletePointer found it")
 	}
 }
 

@@ -34,14 +34,14 @@ var (
 // and over the TCP transport a cached copy is the frame buffer the bytes
 // arrived in, which the decoded message aliases.
 //
-// A replica a DiskStore indexes holds no Data: its Body, a Record, says
-// where in the log the content lives, and a reply carries the Body so the
-// transport reads the record straight into the frame (see wire.Stored);
-// Content reads it into a fresh buffer for local use. No node re-hashes
-// content before serving it: a stored replica was verified against
-// Cert.ContentHash when it was stored or replayed, a re-read from disk is
-// checked against its record's CRC-32C, and the client re-hashes what it
-// receives (VerifyContentFresh).
+// A replica a DiskStore serves holds no Data: its Body, a Record, says
+// where in the log the certificate and content live, and a reply carries
+// the Body so the transport reads the record straight into the frame (see
+// wire.Stored); DiskStore.Get reads the whole replica back for local use.
+// No node re-hashes content before serving it: a stored replica was
+// verified against Cert.ContentHash when it was stored or replayed, a
+// re-read from disk is checked against its record's CRC-32C, and the
+// client re-hashes what it receives (VerifyContentFresh).
 type Item struct {
 	Cert wire.FileCertificate
 	Data []byte
@@ -50,30 +50,9 @@ type Item struct {
 	Diverted bool
 	// Primary names the node responsible in nodeId space when Diverted.
 	Primary wire.NodeRef
-	// Body, set instead of Data, is where the content is read from.
+	// Body, set instead of Data on a replica DiskStore.Serve returns, is
+	// where a frame encodes the certificate and content from.
 	Body wire.Stored
-}
-
-// Content returns the item's content: Data, or read from its Body into a
-// fresh buffer of its own, which fails when the Body does (see Record).
-func (it *Item) Content() ([]byte, error) {
-	if it.Body == nil {
-		return it.Data, nil
-	}
-	b, err := it.Body.AppendTo(nil)
-	if err != nil {
-		return nil, err
-	}
-	return b[len(b)-int(it.Cert.Size) : len(b) : len(b)], nil
-}
-
-// size is the bytes the item's content takes: Data's, or for a Body the
-// certificate's Size, which a DiskStore holds its content to.
-func (it *Item) size() int64 {
-	if it.Body != nil {
-		return it.Cert.Size
-	}
-	return int64(len(it.Data))
 }
 
 // Store is a capacity-accounted in-memory content store. It is safe for
@@ -114,16 +93,6 @@ func (s *Store) Free() int64 {
 	return s.capacity - s.used
 }
 
-// Utilization returns used/capacity in [0,1].
-func (s *Store) Utilization() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.capacity == 0 {
-		return 0
-	}
-	return float64(s.used) / float64(s.capacity)
-}
-
 // Len returns the number of stored files.
 func (s *Store) Len() int {
 	s.mu.Lock()
@@ -136,12 +105,8 @@ func (s *Store) Len() int {
 // of item.Data without copying (see Item); the caller must not mutate the
 // slice afterwards.
 func (s *Store) Put(item Item) error {
-	return s.put(&item)
-}
-
-// put is Put indexing it itself rather than a copy.
-func (s *Store) put(it *Item) error {
-	size := it.size()
+	it := &item
+	size := int64(len(it.Data))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.files[it.Cert.FileID]; ok {
@@ -167,6 +132,9 @@ func (s *Store) Get(f id.File) (Item, error) {
 	return *it, nil
 }
 
+// Serve is Get: a replica in memory is served as it is held.
+func (s *Store) Serve(f id.File) (Item, error) { return s.Get(f) }
+
 // Has reports whether f is stored (replica or diverted replica).
 func (s *Store) Has(f id.File) bool {
 	s.mu.Lock()
@@ -183,7 +151,7 @@ func (s *Store) Delete(f id.File) (int64, error) {
 	if !ok {
 		return 0, ErrNotFound
 	}
-	size := it.size()
+	size := int64(len(it.Data))
 	delete(s.files, f)
 	s.used -= size
 	return size, nil
@@ -208,6 +176,21 @@ func (s *Store) Files() []id.File {
 	return out
 }
 
+// Walk calls fn with every stored replica's fileId, its certificate's
+// Size and Replicas, and its diversion flag, in no set order, copying
+// nothing. The store is unlocked while fn runs, so a replica stored or
+// deleted meanwhile may or may not be yielded, as for a map ranged over
+// while it changes.
+func (s *Store) Walk(fn func(f id.File, size int64, replicas int, diverted bool)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for f, it := range s.files {
+		s.mu.Unlock()
+		fn(f, it.Cert.Size, it.Cert.Replicas, it.Diverted)
+		s.mu.Lock()
+	}
+}
+
 // Items returns copies of all stored items in Files() order.
 func (s *Store) Items() []Item {
 	files := s.Files()
@@ -223,11 +206,12 @@ func (s *Store) Items() []Item {
 }
 
 // SetPointer records that this node's replica responsibility for f is
-// delegated to holder.
-func (s *Store) SetPointer(f id.File, holder wire.NodeRef) {
+// delegated to holder. It never fails; the error is DiskStore's.
+func (s *Store) SetPointer(f id.File, holder wire.NodeRef) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pointers[f] = holder
+	return nil
 }
 
 // Pointer returns the diversion target for f, if any.
@@ -239,21 +223,11 @@ func (s *Store) Pointer(f id.File) (wire.NodeRef, bool) {
 }
 
 // DeletePointer removes a diversion pointer, reporting whether it existed.
-func (s *Store) DeletePointer(f id.File) bool {
+// It never fails; the error is DiskStore's.
+func (s *Store) DeletePointer(f id.File) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.pointers[f]
 	delete(s.pointers, f)
-	return ok
-}
-
-// Pointers returns all diversion pointers (fileId → holder).
-func (s *Store) Pointers() map[id.File]wire.NodeRef {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[id.File]wire.NodeRef, len(s.pointers))
-	for k, v := range s.pointers {
-		out[k] = v
-	}
-	return out
+	return ok, nil
 }

@@ -500,20 +500,21 @@ func (t *TCP) readLoop(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	r := &frameReader{maxFrame: t.maxFrame, read: syscall.Read, deliver: t.deliver}
+	var addrs wire.Addrs // the addresses this connection's frames name
+	r := &frameReader{maxFrame: t.maxFrame, read: syscall.Read, deliver: func(body []byte) bool { return t.deliver(&addrs, body) }}
 	rc.Read(r.readFd) //nolint:errcheck // it returns once the connection ends, however it ends
 }
 
-// deliver decodes one frame body and hands the message to the handler.
-// The body is the message's for good: decoded byte fields alias it. It
-// reports false for a frame that does not decode, which costs the
-// connection, and once Close waits for the read: a sender that never
-// pauses cannot hold it up.
-func (t *TCP) deliver(body []byte) bool {
+// deliver decodes one frame body, taking addresses already seen from
+// addrs, and hands the message to the handler. The body is the message's
+// for good: decoded byte fields alias it. It reports false for a frame
+// that does not decode, which costs the connection, and once Close waits
+// for the read: a sender that never pauses cannot hold it up.
+func (t *TCP) deliver(addrs *wire.Addrs, body []byte) bool {
 	if t.closed.Load() {
 		return false
 	}
-	from, m, err := wire.DecodeFrame(body)
+	from, m, err := addrs.DecodeFrame(body)
 	if err != nil {
 		t.decodeErrors.Add(1)
 		return false

@@ -115,8 +115,27 @@ func FrameLen(from string, m Msg) int {
 // doc). Truncated, trailing, oversized-count and unknown-tag input is an
 // error, never a panic.
 func DecodeFrame(b []byte) (from string, m Msg, err error) {
-	d := decoder{b: b}
-	from = d.str()
+	return (*Addrs)(nil).DecodeFrame(b)
+}
+
+// Addrs is a bounded table of the addresses frames name — a frame's
+// sender and each NodeRef's Addr — from which a decoder returns an
+// address it has seen already instead of allocating a string for it. A
+// transport keeps one per connection, whose frames keep naming the same
+// few peers. Its zero value is empty. It holds at most maxAddrs addresses
+// of at most maxAddrLen bytes and starts over when full, so frames naming
+// ever new addresses cannot grow it; a nil *Addrs allocates every one.
+type Addrs struct{ m map[string]string }
+
+const (
+	maxAddrs   = 128
+	maxAddrLen = 64
+)
+
+// DecodeFrame is the package's DecodeFrame, taking addresses from a.
+func (a *Addrs) DecodeFrame(b []byte) (from string, m Msg, err error) {
+	d := decoder{b: b, addrs: a}
+	from = d.addr()
 	m = d.msg(false)
 	if d.err == nil && len(d.b) != 0 {
 		d.err = fmt.Errorf("wire: %d trailing bytes after %s", len(d.b), m.Kind())
@@ -542,8 +561,9 @@ func (e *encoder) fail(err error) {
 // every later read returns a zero value, so message decoding is written
 // straight-line and checked once at the end.
 type decoder struct {
-	b   []byte
-	err error
+	b     []byte
+	err   error
+	addrs *Addrs // where addresses come from; nil allocates each
 }
 
 func (d *decoder) fail(err error) {
@@ -641,7 +661,27 @@ func (d *decoder) bytes() []byte {
 
 func (d *decoder) str() string { return string(d.take(d.count(1))) }
 
-func (d *decoder) ref() NodeRef { return NodeRef{ID: d.node(), Addr: d.str()} }
+// addr reads a str that names a node, through the decoder's table.
+func (d *decoder) addr() string {
+	b := d.take(d.count(1))
+	a := d.addrs
+	if a == nil || d.err != nil || len(b) > maxAddrLen {
+		return string(b)
+	}
+	if s, ok := a.m[string(b)]; ok {
+		return s
+	}
+	if a.m == nil {
+		a.m = make(map[string]string)
+	} else if len(a.m) == maxAddrs {
+		clear(a.m)
+	}
+	s := string(b)
+	a.m[s] = s
+	return s
+}
+
+func (d *decoder) ref() NodeRef { return NodeRef{ID: d.node(), Addr: d.addr()} }
 
 func (d *decoder) refs() []NodeRef {
 	n := d.count(minRefBytes)

@@ -451,6 +451,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add([]byte("this is not a frame")) // the transport fault suite's garbage
 	f.Add(make([]byte, 10))              // and its truncated frame
+	var addrs Addrs                      // one table across inputs, as across a connection's frames
 	f.Fuzz(func(t *testing.T, b []byte) {
 		from, m, err := DecodeFrame(b)
 		if err != nil {
@@ -467,14 +468,44 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("re-encoding differs:\n in  %x\n out %x", b, re)
 		}
 		frameLenChecks(t, from, m, b)
-		from2, m2, err := DecodeFrame(re)
-		if err != nil || from2 != from {
+		from2, m2, err := addrs.DecodeFrame(re)
+		if err != nil || from2 != from || len(addrs.m) > maxAddrs {
 			t.Fatalf("re-decode: from %q (want %q), err %v", from2, from, err)
 		}
 		if !reflect.DeepEqual(m, m2) && !hasNaN(m) {
 			t.Fatalf("re-decode differs:\n got %#v\nwant %#v", m2, m)
 		}
 	})
+}
+
+// A connection's address table hands back an address it has seen rather
+// than allocating it again, and frames naming ever new addresses — or one
+// longer than any peer's — cannot grow it past its cap.
+func TestAddrsBounded(t *testing.T) {
+	hb := func(addr string) []byte {
+		return mustEncode(t, addr, Heartbeat{From: NodeRef{ID: id.Rand(1), Addr: addr}})
+	}
+	seen := hb("127.0.0.1:40001")
+	var a Addrs
+	fresh := testing.AllocsPerRun(100, func() { DecodeFrame(seen) })    //nolint:errcheck // a well-formed frame
+	reused := testing.AllocsPerRun(100, func() { a.DecodeFrame(seen) }) //nolint:errcheck // a well-formed frame
+	if fresh-reused != 2 {
+		t.Fatalf("a heartbeat decodes with %.0f allocations through the table, %.0f without: want the sender's and the NodeRef's addresses saved", reused, fresh)
+	}
+	for i := range 10 * maxAddrs {
+		addr := fmt.Sprintf("10.%d.%d.%d:7001", i>>16&0xff, i>>8&0xff, i&0xff)
+		from, m, err := a.DecodeFrame(hb(addr))
+		if err != nil || from != addr || m.(Heartbeat).From.Addr != addr {
+			t.Fatalf("frame %d decodes to %q, %v (%v)", i, from, m, err)
+		}
+		if len(a.m) > maxAddrs {
+			t.Fatalf("after %d distinct addresses the table holds %d, cap %d", i+1, len(a.m), maxAddrs)
+		}
+	}
+	long := strings.Repeat("x", maxAddrLen+1)
+	if from, _, err := a.DecodeFrame(hb(long)); err != nil || from != long || a.m[long] != "" {
+		t.Fatalf("a %d-byte address: %v, kept %v", len(long), err, a.m[long] != "")
+	}
 }
 
 func TestFrameSizes(t *testing.T) {

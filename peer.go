@@ -291,7 +291,12 @@ func (p *Peer) Reclaim(card *Smartcard, f FileID) (ReclaimResult, error) {
 }
 
 // StoredFiles returns how many replicas this node currently stores.
-func (p *Peer) StoredFiles() int { return p.past.Store().Len() }
+func (p *Peer) StoredFiles() int {
+	if p.disk != nil {
+		return p.disk.Len()
+	}
+	return p.past.Store().Len()
+}
 
 // TransportStats returns the TCP transport's counters: dials, dial
 // failures, breaker opens, sends suppressed by an open breaker, sends
