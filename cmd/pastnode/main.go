@@ -1,8 +1,9 @@
 // Command pastnode runs one PAST storage node over TCP as a long-lived
-// daemon: it bootstraps into the network with retry and backoff, keeps
-// its membership fresh, persists replicas to disk when given -data (and
-// re-verifies them against their certificates on restart), and shuts
-// down cleanly on SIGINT/SIGTERM.
+// daemon: it joins the network with retry and backoff, re-joins through
+// the same seeds by itself when a partition cuts it off (the keep-alive
+// tick notices its leaf set fell below half its largest), persists
+// replicas to disk when given -data (and re-verifies them against their
+// certificates on restart), and shuts down cleanly on SIGINT/SIGTERM.
 //
 // All nodes of a deployment must share the same -broker-seed: the broker
 // key pair is derived deterministically from it, standing in for the real
@@ -25,7 +26,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -35,13 +35,11 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"past"
 	"past/internal/seccrypt"
-	"past/internal/tasks"
 	"past/internal/telemetry"
 )
 
@@ -65,7 +63,7 @@ func main() {
 		telAddr    = flag.String("telemetry", "", "TCP address serving a plaintext line-protocol telemetry dump per connection (empty disables)")
 		telWindow  = flag.Duration("telemetry-window", 10*time.Second, "telemetry aggregation window")
 		pprofAddr  = flag.String("pprof", "", "TCP address serving net/http/pprof's /debug/pprof/ endpoints (empty disables)")
-		joinWait   = flag.Duration("join-timeout", 5*time.Second, "bound on one join attempt through one seed; the bootstrap task cycles the seed list with backoff, so a dead seed costs this much, not a full operation timeout")
+		joinWait   = flag.Duration("join-timeout", 5*time.Second, "bound on one join attempt through one seed; a join pass gives each seed in turn this long, so a dead seed costs this much, not a full operation timeout")
 		dialVia    = flag.String("dial-via", "", "route all outbound connections through the egress proxy at this address (chaos/fault-injection harness); empty dials peers directly")
 		brkFails   = flag.Int("breaker-threshold", 0, "consecutive dial failures before the per-peer circuit breaker opens (0 disables; suppressed peers are probed before reinstatement)")
 		brkCool    = flag.Duration("breaker-cooldown", time.Second, "initial circuit-breaker cooldown (doubles per failed probe)")
@@ -135,22 +133,6 @@ func main() {
 		tot[0], tot[1] = seccrypt.MemoStats()
 	})
 
-	run := tasks.New(func(format string, args ...any) {
-		fmt.Printf("pastnode: "+format+"\n", args...)
-	})
-	rec.Counts("tasks", []string{"runs", "failures"}, func(tot []uint64) {
-		for _, st := range run.Statuses() {
-			tot[0] += uint64(st.Runs)
-			tot[1] += uint64(st.Failures)
-		}
-	})
-	// The flush job is the daemon's analogue of the simulator's window
-	// barrier: it ticks the recorder on the real clock. Half-window
-	// cadence bounds how late a boundary can be noticed.
-	run.Every("telemetry", *telWindow/2, func(context.Context) error {
-		rec.Tick(time.Since(start))
-		return nil
-	})
 	if *telAddr != "" {
 		ln, err := net.Listen("tcp", *telAddr)
 		if err != nil {
@@ -191,109 +173,74 @@ func main() {
 		peer.Bootstrap()
 		fmt.Println("pastnode: bootstrapped new PAST network")
 	} else {
-		// Seed rotation shared by the bootstrap and membership-sync tasks:
-		// each failed pass leaves the cursor past the seeds it burned, so
-		// the next attempt starts at a fresh seed instead of hammering the
-		// first (possibly long-dead) entry of the list forever.
-		var joinMu sync.Mutex
-		joinNext := 0
-		rejoin := func() error {
-			joinMu.Lock()
-			defer joinMu.Unlock()
-			next, err := peer.JoinAnyFrom(seeds, joinNext)
-			joinNext = next
-			return err
-		}
-		// Join as a run-until-success task: a node started before its
-		// seeds keeps retrying with capped backoff forever instead of
-		// dying, and a restarted node re-enters the network the same way.
-		run.Until("bootstrap", 500*time.Millisecond, 15*time.Second, func(context.Context) error {
-			if err := rejoin(); err != nil {
-				return err
-			}
-			fmt.Printf("pastnode: joined network (%d peers known)\n", peer.KnownPeers())
-			return nil
-		})
-		// Membership sync: re-anchor through the static seeds when the
-		// membership view collapses. Total isolation (every neighbor
-		// vanished) is the obvious trigger; the subtler one is a partition
-		// survivor on the small side of a split — it still knows its
-		// fellow minority members, so it compares against the largest
-		// membership it ever saw and re-joins once it has lost more than
-		// half of that. Re-join on a live node merges the seed's state and
-		// re-announces without disturbing existing membership, so a false
-		// positive costs one round of join traffic, not an outage.
-		maxSeen := 0
-		run.Every("membership-sync", 4**keepAlive, func(context.Context) error {
-			known := peer.KnownPeers()
-			if known > maxSeen {
-				maxSeen = known
-			}
-			if known > 0 && known >= (maxSeen+1)/2 {
-				return nil
-			}
-			if err := rejoin(); err != nil {
-				if known == 0 {
-					return fmt.Errorf("isolated; rejoin failed: %w", err)
+		// Join until it succeeds, with capped backoff: a node started
+		// before its seeds keeps retrying instead of dying, and each pass
+		// starts past the seeds the last one burned. Once joined, the
+		// node's keep-alive tick re-joins through the same seeds whenever
+		// its view collapses (the small side of a partition), so nothing
+		// here watches membership. Shutdown does not wait for this loop:
+		// a pass still pending ends with the process.
+		go func() {
+			for delay := 500 * time.Millisecond; ; delay = min(2*delay, 15*time.Second) {
+				err := peer.Join(seeds...)
+				if err == nil {
+					fmt.Printf("pastnode: joined network (%d peers known)\n", peer.KnownPeers())
+					return
 				}
-				return fmt.Errorf("membership shrunk to %d/%d; rejoin failed: %w", known, maxSeen, err)
+				fmt.Printf("pastnode: join: %v; retrying in %s\n", err, delay)
+				time.Sleep(delay)
 			}
-			fmt.Printf("pastnode: rejoined network (%d peers known)\n", peer.KnownPeers())
-			return nil
-		})
+		}()
 	}
-	if *status > 0 {
-		run.Every("status", *status, func(context.Context) error {
-			recovered, quarantined := peer.Recovered()
-			line := fmt.Sprintf("pastnode: storing %d files, %d peers known", peer.StoredFiles(), peer.KnownPeers())
-			if *dataDir != "" {
-				line += fmt.Sprintf(", disk recovered %d / quarantined %d", recovered, quarantined)
-			}
-			var failures int
-			for _, st := range run.Statuses() {
-				failures += st.Failures
-			}
-			if failures > 0 {
-				line += fmt.Sprintf(", %d task failures", failures)
-			}
-			fmt.Println(line)
-			return nil
-		})
-	}
-	run.Start()
 
 	// snapshot flushes the telemetry ring buffers and prints the full
-	// operator view: disk recovery counts, per-task scheduler stats and
-	// every series (transport and breaker counters included) in line
-	// protocol. Used by
-	// SIGUSR1 on demand and once more on graceful shutdown, so the last
-	// partial window is never lost.
+	// operator view: disk recovery counts and every series (transport and
+	// breaker counters included) in line protocol. Used by SIGUSR1 on
+	// demand and once more on graceful shutdown, so the last partial
+	// window is never lost.
 	snapshot := func(label string) {
 		rec.Tick(time.Since(start))
 		recovered, quarantined := peer.Recovered()
 		fmt.Printf("pastnode: %s (uptime %s)\n", label, time.Since(start).Round(time.Second))
 		fmt.Printf("pastnode: disk: recovered %d, quarantined %d\n", recovered, quarantined)
-		for _, st := range run.Statuses() {
-			fmt.Printf("pastnode: task %s\n", st)
-		}
 		_ = rec.WriteLP(os.Stdout)
 	}
 
+	// The periodic work is one loop. The telemetry flush is the daemon's
+	// analogue of the simulator's window barrier: it ticks the recorder on
+	// the real clock, at half-window cadence to bound how late a boundary
+	// can be noticed.
+	flush := time.NewTicker(*telWindow / 2)
+	defer flush.Stop()
+	var statusC <-chan time.Time
+	if *status > 0 {
+		st := time.NewTicker(*status)
+		defer st.Stop()
+		statusC = st.C
+	}
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGUSR1)
-	for s := range sig {
-		if s == syscall.SIGUSR1 {
-			snapshot("telemetry snapshot")
-			continue
+	for {
+		select {
+		case <-flush.C:
+			rec.Tick(time.Since(start))
+		case <-statusC:
+			recovered, quarantined := peer.Recovered()
+			line := fmt.Sprintf("pastnode: storing %d files, %d peers known", peer.StoredFiles(), peer.KnownPeers())
+			if *dataDir != "" {
+				line += fmt.Sprintf(", disk recovered %d / quarantined %d", recovered, quarantined)
+			}
+			fmt.Println(line)
+		case s := <-sig:
+			if s == syscall.SIGUSR1 {
+				snapshot("telemetry snapshot")
+				continue
+			}
+			fmt.Printf("pastnode: %s: shutting down\n", s)
+			snapshot("final telemetry snapshot")
+			return // peer.Close (deferred) leaves silently and closes the transport
 		}
-		fmt.Printf("pastnode: %s: shutting down\n", s)
-		break
 	}
-	if !run.Stop(10 * time.Second) {
-		fmt.Println("pastnode: background tasks did not drain in time")
-	}
-	snapshot("final telemetry snapshot")
-	// peer.Close (deferred) leaves silently and closes the transport.
 }
 
 // bootstrapSeeds merges the -join list and the -join-file contents.

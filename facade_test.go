@@ -163,10 +163,9 @@ func TestParseFileID(t *testing.T) {
 // not heard the previous announce yet leaves the two newcomers unaware of
 // each other until a keep-alive round (seconds), and an operation racing
 // such a partial view is routed, or replicated, against a stale leaf set.
-func admit(t *testing.T, members []*past.Peer, p *past.Peer) {
-	t.Helper()
+func admit(members []*past.Peer, p *past.Peer) error {
 	if err := p.Join(members[0].Addr()); err != nil {
-		t.Fatalf("join: %v", err)
+		return fmt.Errorf("join: %w", err)
 	}
 	all := append(append([]*past.Peer(nil), members...), p)
 	converged := func() bool {
@@ -179,9 +178,10 @@ func admit(t *testing.T, members []*past.Peer, p *past.Peer) {
 	}
 	for deadline := time.Now().Add(10 * time.Second); !converged(); time.Sleep(2 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("membership did not converge after peer %d joined", len(members))
+			return fmt.Errorf("membership did not converge after peer %d joined", len(members))
 		}
 	}
+	return nil
 }
 
 // TestTCPPeersEndToEnd runs a real five-node TCP cluster on loopback and
@@ -217,7 +217,9 @@ func TestTCPPeersEndToEnd(t *testing.T) {
 	}
 	peers[0].Bootstrap()
 	for i := 1; i < 5; i++ {
-		admit(t, peers[:i], peers[i])
+		if err := admit(peers[:i], peers[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	data := []byte("over real TCP")
 	ins, err := peers[1].Insert(nil, "tcp.txt", data, 3)
@@ -409,7 +411,9 @@ func TestPeerTransportSeriesExact(t *testing.T) {
 		peers, recs = append(peers, p), append(recs, rec)
 	}
 	peers[0].Bootstrap()
-	admit(t, peers[:1], peers[1])
+	if err := admit(peers[:1], peers[1]); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := peers[1].Insert(nil, "counted", []byte("x"), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -426,6 +430,36 @@ func TestPeerTransportSeriesExact(t *testing.T) {
 func TestListenPeerValidation(t *testing.T) {
 	if _, err := past.ListenPeer(past.PeerConfig{}); err == nil {
 		t.Fatal("missing card accepted")
+	}
+}
+
+// TestPeerJoinPassesDeadSeeds joins through two dead seeds and a live
+// one: the pass gives each dead seed JoinTimeout, so the wait must allow
+// for every seed in the list, not one.
+func TestPeerJoinPassesDeadSeeds(t *testing.T) {
+	broker, err := past.NewBroker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peers []*past.Peer
+	for range 2 {
+		card, err := broker.IssueCard(1<<30, 0, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := past.ListenPeer(past.PeerConfig{Card: card, BrokerPub: broker.PublicKey(), JoinTimeout: 200 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		peers = append(peers, p)
+	}
+	peers[0].Bootstrap()
+	if err := peers[1].Join("127.0.0.1:1", "127.0.0.1:2", peers[0].Addr()); err != nil {
+		t.Fatalf("join through two dead seeds and a live one: %v", err)
+	}
+	if err := peers[1].Join(); err == nil {
+		t.Fatal("a join with no seeds succeeded")
 	}
 }
 
@@ -458,8 +492,12 @@ func TestPeerLookupMissAndReclaimByNonOwner(t *testing.T) {
 	}
 	a, b, c := mk(), mk(), mk()
 	a.Bootstrap()
-	admit(t, []*past.Peer{a}, b)
-	admit(t, []*past.Peer{a, b}, c)
+	if err := admit([]*past.Peer{a}, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := admit([]*past.Peer{a, b}, c); err != nil {
+		t.Fatal(err)
+	}
 	// Lookup of a nonexistent file over TCP returns not-found.
 	var missing past.FileID
 	copy(missing[:], bytes.Repeat([]byte{0x42}, len(missing)))
@@ -515,7 +553,9 @@ func TestDiskPeerReclaim(t *testing.T) {
 	}
 	peers[0].Bootstrap()
 	for i := 1; i < len(peers); i++ {
-		admit(t, peers[:i], peers[i])
+		if err := admit(peers[:i], peers[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	stored := func() (n int) {
 		for _, p := range peers {
@@ -698,6 +738,61 @@ func ExampleNetwork_Reclaim() {
 	// owner reclaim freed: 10
 }
 
+// ExampleListenPeer runs five PAST nodes over real TCP sockets on
+// loopback, the code path a wide-area deployment uses (binary frames,
+// measured RTT as the proximity metric, the real clock, keep-alive failure
+// detection), and pushes a file through them.
+func ExampleListenPeer() {
+	broker, err := past.NewBroker()
+	if err != nil {
+		panic(err)
+	}
+	scfg := past.DefaultStorageConfig()
+	scfg.K = 3
+	scfg.Capacity = 1 << 20
+	var peers []*past.Peer
+	for i := 0; i < 5; i++ {
+		card, err := broker.IssueCard(1<<30, scfg.Capacity, 0, nil)
+		if err != nil {
+			panic(err)
+		}
+		p, err := past.ListenPeer(past.PeerConfig{Card: card, BrokerPub: broker.PublicKey(), Storage: scfg})
+		if err != nil {
+			panic(err)
+		}
+		defer p.Close()
+		// The first peer starts the network. Each later one joins through
+		// it (admit calls p.Join(peers[0].Addr()) and waits until every
+		// member knows every other).
+		if i == 0 {
+			p.Bootstrap()
+		} else if err := admit(peers, p); err != nil {
+			panic(err)
+		}
+		peers = append(peers, p)
+	}
+
+	ins, err := peers[1].Insert(nil, "wire.txt", []byte("sent across real TCP connections"), 3)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("receipts:", len(ins.Receipts))
+	got, err := peers[4].Lookup(ins.FileID)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("retrieved: %s\n", got.Data)
+	stored := 0
+	for _, p := range peers {
+		stored += p.StoredFiles()
+	}
+	fmt.Println("replicas in the network:", stored)
+	// Output:
+	// receipts: 3
+	// retrieved: sent across real TCP connections
+	// replicas in the network: 3
+}
+
 // TestPeerWholeFileOverOneFrame drives the frame cliff on real sockets: a
 // file plus its certificate travel in one frame, so the workload's largest
 // file (8 MiB) cannot be inserted over TCP. The inserting peer's writer
@@ -730,7 +825,9 @@ func TestPeerWholeFileOverOneFrame(t *testing.T) {
 		peers = append(peers, p)
 	}
 	peers[0].Bootstrap()
-	admit(t, peers[:1], peers[1])
+	if err := admit(peers[:1], peers[1]); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := peers[1].Insert(nil, "8MiB", make([]byte, 8<<20), 2); !errors.Is(err, past.ErrTimeout) {
 		t.Fatalf("8 MiB insert: %v, want ErrTimeout", err)
 	}
@@ -780,7 +877,9 @@ func TestPeerQuarantinesRottedReplica(t *testing.T) {
 	}
 	peers[0].Bootstrap()
 	for i := 1; i < len(peers); i++ {
-		admit(t, peers[:i], peers[i])
+		if err := admit(peers[:i], peers[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	data := bytes.Repeat([]byte("rot "), 1024)
 	ins, err := peers[0].Insert(nil, "rot.bin", data, 3)

@@ -184,7 +184,7 @@ func (c *Cluster) addNode(i int) error {
 	seed := c.nearbyNode(i)
 	joinErr := error(nil)
 	done := false
-	nd.Join(simnet.Addr(seed), func(err error) {
+	nd.Join([]string{simnet.Addr(seed)}, func(err error) {
 		joinErr = err
 		done = true
 	})
@@ -251,7 +251,7 @@ func (c *Cluster) AddNodeAsync() int {
 	// Hidden until the join resolves; a failed join then never becomes
 	// visible at all.
 	c.down[i] = true
-	nd.Join(simnet.Addr(seed), func(err error) {
+	nd.Join([]string{simnet.Addr(seed)}, func(err error) {
 		st.done = true
 		st.err = err
 	})

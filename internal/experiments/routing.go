@@ -356,7 +356,7 @@ func E7JoinCost(scale Scale, seed int64) Result {
 		ep := c.Net.NewEndpoint()
 		nd := pastry.New(c.Opts.Pastry, id.Rand(uint64(seed)+0xbeef), ep, ep.Clock(), nil)
 		done := false
-		nd.Join(simnet.Addr(0), func(error) { done = true })
+		nd.Join([]string{simnet.Addr(0)}, func(error) { done = true })
 		c.Net.RunUntil(func() bool { return done }, 10_000_000)
 		c.Net.RunUntilIdle()
 		msgs[i] = c.Net.Messages()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -455,15 +456,16 @@ func TestRebootstrapAfterOutage(t *testing.T) {
 	if _, err := seed.WaitLine("bootstrapped", 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// The rotating bootstrap task reaches the late seed within its capped
-	// backoff (15s ceiling) and joins.
+	// The join loop's passes rotate through the list and reach the late
+	// seed within its capped backoff (15s ceiling).
 	if _, err := node.WaitLine("joined network", 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	// A few windows with nothing left to retry.
+	time.Sleep(2 * time.Second)
 
 	// Graceful SIGTERM flushes the telemetry rings and prints the final
-	// operator snapshot: disk, per-task status, then every series in line
-	// protocol.
+	// operator snapshot: disk, then every series in line protocol.
 	if err := node.Stop(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -476,15 +478,8 @@ func TestRebootstrapAfterOutage(t *testing.T) {
 	}
 	snapshot := string(log)[strings.LastIndex(string(log), "final telemetry snapshot"):]
 	var dump strings.Builder
-	taskRuns := 0
 	for _, line := range strings.Split(snapshot, "\n")[1:] {
-		if status, ok := strings.CutPrefix(line, "pastnode: task "); ok {
-			var runs int
-			if _, err := fmt.Sscanf(status[strings.Index(status, "runs="):], "runs=%d", &runs); err != nil {
-				t.Fatalf("task line %q: %v", line, err)
-			}
-			taskRuns += runs
-		} else if !strings.HasPrefix(line, "pastnode: ") {
+		if !strings.HasPrefix(line, "pastnode: ") {
 			dump.WriteString(line + "\n")
 		}
 	}
@@ -494,34 +489,47 @@ func TestRebootstrapAfterOutage(t *testing.T) {
 	}
 	// The daemon exports what it counts: the transport counters are a
 	// series, not a hand-formatted line.
-	var transport, runs []map[string]float64
+	var transport []telemetry.LPPoint
+	known := map[int64]float64{}
 	for _, p := range points {
 		switch p.Name {
 		case "transport":
-			transport = append(transport, p.Fields)
-		case "tasks":
-			runs = append(runs, p.Fields)
+			transport = append(transport, p)
+		case "known_peers":
+			known[p.TS] = p.Fields["value"]
 		}
 	}
-	if len(transport) == 0 || len(runs) < 4 || len(GaugeValues(points, "known_peers")) == 0 {
-		t.Fatalf("final snapshot lacks series: %d transport, %d tasks points\n%s", len(transport), len(runs), dump.String())
+	if len(transport) < 4 || len(known) == 0 {
+		t.Fatalf("final snapshot lacks series: %d transport, %d known_peers points\n%s", len(transport), len(known), dump.String())
 	}
 	for _, f := range []string{"dials", "dial_failures", "suppressed", "breaker_opens", "queue_drops", "decode_errors", "oversize"} {
-		if _, ok := transport[0][f]; !ok {
-			t.Fatalf("transport point %v lacks %s", transport[0], f)
+		if _, ok := transport[0].Fields[f]; !ok {
+			t.Fatalf("transport point %v lacks %s", transport[0].Fields, f)
 		}
 	}
-	// tasks counts per window, so an idling daemon's values level off
-	// instead of growing with every window, and they add up to no more
-	// than the runs the task lines report.
-	rising, sum := true, 0.0
-	for i, r := range runs {
-		if i > 0 && r["runs"] <= runs[i-1]["runs"] {
-			rising = false
+	// transport counts per window: dial_failures climbs while the orphan
+	// burns its dead seeds and falls back to zero once it has joined. A
+	// cumulative series would never fall.
+	sort.Slice(transport, func(i, j int) bool { return transport[i].TS < transport[j].TS })
+	var before, after float64
+	joinedWindows := 0
+	for _, p := range transport {
+		failures := p.Fields["dial_failures"]
+		if known[p.TS] == 0 {
+			before += failures
+			continue
 		}
-		sum += r["runs"]
+		// The window the join lands in may still hold the last pass's
+		// dial to the dead seed.
+		if joinedWindows++; joinedWindows > 1 {
+			after += failures
+		}
 	}
-	if rising || sum > float64(taskRuns) {
-		t.Fatalf("tasks runs per window %v sum to %v against %d task runs: cumulative, not per window", runs, sum, taskRuns)
+	if before == 0 || joinedWindows < 3 || after != 0 {
+		var series []string
+		for _, p := range transport {
+			series = append(series, fmt.Sprintf("%v/%v", p.Fields["dial_failures"], known[p.TS]))
+		}
+		t.Fatalf("dial_failures/known_peers per window %v: want failures before the join and none in the windows after it", series)
 	}
 }

@@ -201,9 +201,9 @@ func (rc *RealCluster) NewClientOpts(opTimeout time.Duration, mutate func(*past.
 	}
 	// A few join rounds with backoff: on a lossy chaos network the first
 	// attempt's handshake frames may simply vanish.
-	joinErr := fmt.Errorf("harness: no join attempt made")
-	for attempt, next := 0, 0; attempt < 5; attempt++ {
-		if next, joinErr = peer.JoinAnyFrom(rc.liveAddrs(), next); joinErr == nil {
+	var joinErr error
+	for attempt := 0; attempt < 5; attempt++ {
+		if joinErr = peer.Join(rc.liveAddrs()...); joinErr == nil {
 			break
 		}
 		time.Sleep(time.Duration(attempt+1) * 200 * time.Millisecond)

@@ -29,7 +29,7 @@ func joinClient(t *testing.T, pc *cluster.PAST, cfg past.Config, cardSeed uint64
 	nd := pastry.New(pc.Opts.Pastry, card.NodeID(), pc.Net.NewEndpoint(), pc.Net.Clock(), nil)
 	client := past.NewNode(cfg, nd, card, pc.Broker.PublicKey())
 	done := false
-	nd.Join(simnet.Addr(0), func(error) { done = true })
+	nd.Join([]string{simnet.Addr(0)}, func(error) { done = true })
 	pc.Net.RunUntil(func() bool { return done }, 50_000_000)
 	pc.Net.RunUntilIdle()
 	return client

@@ -315,7 +315,7 @@ func TestNewNodeReceivesReplicasForItsKeyspace(t *testing.T) {
 	nd := pastry.New(pcfg, newID, ep, pc.Net.Clock(), nil)
 	pnew := past.NewNode(cfg, nd, card, pc.Broker.PublicKey())
 	done := false
-	nd.Join(simnet.Addr(0), func(error) { done = true })
+	nd.Join([]string{simnet.Addr(0)}, func(error) { done = true })
 	pc.Net.RunUntil(func() bool { return done }, 50_000_000)
 	pc.Net.RunUntilIdle()
 	if !pnew.Store().Has(res.FileID) {
@@ -578,7 +578,7 @@ func TestZeroCapacityClientNode(t *testing.T) {
 	nd := pastry.New(pc.Opts.Pastry, card.NodeID(), ep, pc.Net.Clock(), nil)
 	client := past.NewNode(zeroCfg, nd, card, pc.Broker.PublicKey())
 	done := false
-	nd.Join(simnet.Addr(0), func(error) { done = true })
+	nd.Join([]string{simnet.Addr(0)}, func(error) { done = true })
 	pc.Net.RunUntil(func() bool { return done }, 50_000_000)
 	pc.Net.RunUntilIdle()
 

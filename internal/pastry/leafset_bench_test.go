@@ -100,7 +100,7 @@ func simNodes(tb testing.TB, n int) []*Node {
 		}
 		var joinErr error
 		done := false
-		nodes[i].Join(simnet.Addr(0), func(err error) { joinErr, done = err, true })
+		nodes[i].Join([]string{simnet.Addr(0)}, func(err error) { joinErr, done = err, true })
 		if !net.RunUntil(func() bool { return done }, 1_000_000) || joinErr != nil {
 			tb.Fatalf("join of node %d: done=%v, %v", i, done, joinErr)
 		}

@@ -378,7 +378,7 @@ func TestJoinTimeout(t *testing.T) {
 	c.Eps[1].Crash()
 	var joinErr error
 	done := false
-	nd.Join(simnet.Addr(1), func(err error) { joinErr = err; done = true })
+	nd.Join([]string{simnet.Addr(1)}, func(err error) { joinErr = err; done = true })
 	c.Net.RunUntil(func() bool { return done }, 1_000_000)
 	if joinErr == nil {
 		t.Fatal("join via dead seed should fail")
@@ -402,7 +402,7 @@ func TestRejoinBeforeFailTimeout(t *testing.T) {
 		nd := pastry.New(c.Opts.Pastry, xid, c.Net.NewEndpoint(), c.Net.Clock(), nil)
 		var joinErr error
 		done := false
-		nd.Join(simnet.Addr(0), func(err error) { joinErr = err; done = true })
+		nd.Join([]string{simnet.Addr(0)}, func(err error) { joinErr = err; done = true })
 		if !c.Net.RunUntil(func() bool { return done }, 1_000_000) {
 			t.Fatal("join callback never ran")
 		}
@@ -474,7 +474,7 @@ func TestMessageCountPerJoinLogarithmic(t *testing.T) {
 		ep := c.Net.NewEndpoint()
 		nd := pastry.New(c.Opts.Pastry, id.Rand(999999), ep, c.Net.Clock(), nil)
 		done := false
-		nd.Join(simnet.Addr(0), func(error) { done = true })
+		nd.Join([]string{simnet.Addr(0)}, func(error) { done = true })
 		c.Net.RunUntil(func() bool { return done }, 10_000_000)
 		c.Net.RunUntilIdle()
 		return c.Net.Messages()

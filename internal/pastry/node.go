@@ -35,7 +35,8 @@ type Config struct {
 	// FailTimeout is the silence period T after which a leaf-set member
 	// is presumed failed (section 2.2, "Node addition and failure").
 	FailTimeout time.Duration
-	// JoinTimeout bounds how long a join waits for the state transfer.
+	// JoinTimeout bounds how long a join waits for the state transfer
+	// through one seed.
 	JoinTimeout time.Duration
 	// Randomize enables the randomized routing of section 2.2
 	// ("Fault-tolerance"): the next hop is drawn from all admissible
@@ -139,9 +140,19 @@ type Node struct {
 	probe func(addr string) bool
 
 	joined    bool
-	joinDone  func(error)
+	joinDone  func(error) // non-nil while a join is pending
 	joinTimer transport.Timer
 	joinSeen  map[id.Node]bool // nodes discovered during join, to announce to
+	// seeds is the list the last Join was given, and seedNext the cursor
+	// into it: a seed that times out moves the cursor past itself, so the
+	// next pass starts at a seed that has not just failed. joinLeft counts
+	// the seeds the pending pass has still to try.
+	seeds    []string
+	seedNext int
+	joinLeft int
+	// leafMax is the largest leaf set a keep-alive tick has seen; a tick
+	// that finds fewer than half of it re-joins through the seeds.
+	leafMax int
 
 	// lastSeen is the silence clock per directly heard peer, plus what
 	// noteAlive needs to tell a repeat offer from a new one (sighting). It
@@ -300,53 +311,77 @@ func (n *Node) Bootstrap() {
 }
 
 // Join initiates the join protocol of section 2.2 via a seed node ("a
-// nearby node A"). done is invoked exactly once, with nil on success.
-// Calling Join on a node that is already a member re-anchors it: the
-// seed's state is merged, arrival is re-announced, and existing
-// membership stays intact throughout — how a daemon on the small side of
-// a healed partition stitches itself back to the main component.
-func (n *Node) Join(seed string, done func(error)) {
+// nearby node A"). It makes one pass over seeds (at least one), starting
+// at the node's rotation cursor and giving each seed JoinTimeout. done is
+// invoked exactly once: with nil on the first completed join, or with
+// ErrJoinTimeout once every seed has failed. The node keeps a copy of
+// seeds for the keep-alive tick's re-join. Calling Join on a node that is
+// already a member re-anchors it: the seed's state is merged, arrival is
+// re-announced, and its membership is kept (the nodes on the join's path
+// drop its entry until the announce puts it back) — how a node on the
+// small side of a healed partition stitches itself back to the main
+// component.
+func (n *Node) Join(seeds []string, done func(error)) {
 	n.mu.Lock()
 	n.alive = true
 	// A retry supersedes any still-armed attempt: stop the previous
 	// timeout first, or it would fire ErrJoinTimeout into the NEW
-	// attempt's callback and kill a join that was about to succeed (the
-	// daemon's re-bootstrap loop calls Join repeatedly with backoff).
+	// attempt's callback and kill a join that was about to succeed.
 	if n.joinTimer != nil {
 		n.joinTimer.Stop()
 		n.joinTimer.Release()
 		n.joinTimer = nil
 	}
+	n.seeds = append(n.seeds[:0], seeds...)
 	n.joinDone = done
 	n.joinSeen = make(map[id.Node]bool)
+	n.joinLeft = len(seeds)
+	seed, msg := n.joinNextLocked()
+	n.mu.Unlock()
+	n.tr.Send(seed, msg)
+}
+
+// joinNextLocked arms the pending join's timeout and returns its request
+// and the seed under the cursor to send it to. Lock held.
+func (n *Node) joinNextLocked() (string, wire.Routed) {
+	n.joinLeft--
 	if n.cfg.JoinTimeout > 0 {
 		n.joinTimer = n.clock.AfterFunc(n.cfg.JoinTimeout, n.joinTimedOut)
 	}
-	msg := wire.Routed{
+	return n.seeds[n.seedNext%len(n.seeds)], wire.Routed{
 		Key:     n.ref.ID,
 		Payload: wire.JoinRequest{New: n.ref},
 		Origin:  n.ref,
 		Nonce:   n.nextNonce(),
 	}
-	n.mu.Unlock()
-	n.tr.Send(seed, msg)
 }
 
+// joinTimedOut moves the cursor past the seed that did not answer and
+// tries the next one, or ends the pass with ErrJoinTimeout.
 func (n *Node) joinTimedOut() {
 	n.mu.Lock()
-	done := n.joinDone
-	n.joinDone = nil
 	if n.joinTimer != nil {
 		n.joinTimer.Release() // fired; recycle the handle
 		n.joinTimer = nil
 	}
-	n.mu.Unlock()
-	if done != nil {
-		// Even an already-joined node's re-anchor attempt must report its
-		// timeout, or the caller's retry loop stalls on a seed that never
-		// answered.
-		done(ErrJoinTimeout)
+	done := n.joinDone
+	if done == nil {
+		n.mu.Unlock()
+		return
 	}
+	n.seedNext++
+	if n.joinLeft > 0 && n.alive {
+		seed, msg := n.joinNextLocked()
+		n.mu.Unlock()
+		n.tr.Send(seed, msg)
+		return
+	}
+	n.joinDone = nil
+	n.mu.Unlock()
+	// Even an already-joined node's re-anchor attempt must report its
+	// timeout, or the caller's retry loop stalls on a seed that never
+	// answered.
+	done(ErrJoinTimeout)
 }
 
 func (n *Node) nextNonce() uint64 {
@@ -826,11 +861,17 @@ func (n *Node) handleJoinRouted(from string, r wire.Routed, jr wire.JoinRequest)
 	next, deliver := n.nextHop(x.ID)
 	var act func()
 	if !deliver && next.ID == x.ID {
-		// X cannot be its own next hop. An entry under X's id is what X's
-		// previous process left behind (a silent Leave or a kill tells
-		// nobody), and a join forwarded into it is lost: drop the entry
-		// and pick again.
-		if n.removeDeadLocked(x.ID) {
+		// X cannot be its own next hop: a join forwarded into the entry
+		// is lost, so drop it and pick again. An entry at another address
+		// is what X's previous process left behind (a silent Leave or a
+		// kill tells nobody): suspect it, so gossip cannot bring it back.
+		// One at X's address is X itself re-anchoring: forget it without
+		// suspicion, so X's announce brings it back.
+		drop := n.forgetLocked
+		if next.Addr != x.Addr {
+			drop = n.removeDeadLocked
+		}
+		if drop(x.ID) {
 			act = n.app.LeafSetChanged
 		}
 		next, deliver = n.nextHop(x.ID)
@@ -1001,9 +1042,26 @@ func (n *Node) keepAliveTick() {
 		}
 		n.tr.Send(w.ref.Addr, hb)
 	}
+	// The watch list mirrors the leaf set: it holds len(n.watch) members
+	// now and len(dead) fewer once this tick's deaths are applied.
+	n.leafMax = max(n.leafMax, len(n.watch))
+	left := len(n.watch) - len(dead)
 	var acts []func()
 	for _, d := range dead {
 		acts = append(acts, n.declareDeadLocked(d)...)
+	}
+	// Re-join when the view has collapsed: on the small side of a
+	// partition a node still knows its fellow members, so the trigger is
+	// losing half of the largest leaf set held, not only all of it. Each
+	// tick is the retry of a pass that failed. A re-join of a live node
+	// keeps its membership, so a false positive costs one join's traffic.
+	if (left == 0 || 2*left < n.leafMax) && len(n.seeds) > 0 && n.joinDone == nil {
+		// Start past the seed the last join went through: on the small
+		// side of a cut it answers from inside it.
+		n.seedNext++
+		n.joinDone = func(error) {}
+		n.joinLeft = len(n.seeds)
+		n.tr.Send(n.joinNextLocked())
 	}
 	n.kaTicks++
 	if n.cfg.LeafSync > 0 && n.kaTicks%uint64(n.cfg.LeafSync) == 0 {
@@ -1045,13 +1103,18 @@ func (n *Node) declareDeadLocked(ref wire.NodeRef) []func() {
 	return []func(){app.LeafSetChanged}
 }
 
-// removeDeadLocked purges a node from all local state and requests a lazy
-// routing-table repair for the vacated slot. Lock held.
+// removeDeadLocked suspects a node and forgets it. Lock held.
 func (n *Node) removeDeadLocked(dead id.Node) bool {
 	if n.suspect == nil {
 		n.suspect = make(map[id.Node]time.Duration)
 	}
 	n.suspect[dead] = n.clock.Now()
+	return n.forgetLocked(dead)
+}
+
+// forgetLocked purges a node from all local state and requests a lazy
+// routing-table repair for the vacated slot. Lock held.
+func (n *Node) forgetLocked(dead id.Node) bool {
 	inLeaf := n.leaf.Remove(dead)
 	row, col, ok := n.rt.coords(dead)
 	inRT := n.rt.Remove(dead)

@@ -460,7 +460,7 @@ func TestKeepAliveWatchMatchesLastSeen(t *testing.T) {
 		if seed == nil {
 			nd.Bootstrap()
 		} else {
-			nd.Join(seed.ref.Addr, func(error) {})
+			nd.Join([]string{seed.ref.Addr}, func(error) {})
 		}
 		live = append(live, nd)
 		return nd

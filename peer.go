@@ -52,8 +52,8 @@ type PeerConfig struct {
 	// OpTimeout bounds blocking client operations (default 30s).
 	OpTimeout time.Duration
 	// JoinTimeout bounds one Join attempt through one seed (default:
-	// OpTimeout). The daemon's re-bootstrap loop sets it well below
-	// OpTimeout so cycling through dead seeds is cheap.
+	// OpTimeout). The daemon sets it well below OpTimeout so a pass over
+	// dead seeds is cheap.
 	JoinTimeout time.Duration
 	// DialVia, when set, routes all outbound connections through the
 	// egress proxy at this address (see transport.TCPOptions.DialVia).
@@ -175,53 +175,27 @@ func (p *Peer) Ref() NodeRef { return p.node.Ref() }
 // member.
 func (p *Peer) Bootstrap() { p.node.Bootstrap() }
 
-// Join joins an existing network via the given seed address, blocking
-// until the state transfer completes. One attempt is bounded by
-// PeerConfig.JoinTimeout (default OpTimeout); a failed attempt leaves
-// the node cleanly re-joinable, so callers retry freely.
-func (p *Peer) Join(seed string) error {
+// Join joins an existing network via the given seed addresses, blocking
+// until the state transfer completes. It makes one pass over the seeds,
+// each bounded by PeerConfig.JoinTimeout (default OpTimeout), and starts
+// where the last pass left off, past any seed that did not answer; a
+// failed pass leaves the node cleanly re-joinable, so callers retry
+// freely. Once joined, the node re-joins through the same seeds by itself
+// whenever its leaf set falls below half the largest it has held.
+func (p *Peer) Join(seeds ...string) error {
+	if len(seeds) == 0 {
+		return fmt.Errorf("past: no bootstrap seeds")
+	}
 	errc := make(chan error, 1)
-	p.node.Join(seed, func(err error) { errc <- err })
+	p.node.Join(seeds, func(err error) { errc <- err })
 	select {
 	case err := <-errc:
 		return err
-	case <-time.After(p.cfg.JoinTimeout + p.cfg.JoinTimeout/2):
-		// Backstop only: the node's own JoinTimeout normally fires first
-		// and delivers ErrJoinTimeout through errc.
+	case <-time.After(time.Duration(len(seeds))*p.cfg.JoinTimeout + p.cfg.JoinTimeout/2):
+		// Backstop only: the node's own JoinTimeout per seed normally
+		// ends the pass first and delivers ErrJoinTimeout through errc.
 		return ErrTimeout
 	}
-}
-
-// JoinAnyFrom tries each seed address in order, starting at index
-// start%len(seeds) and wrapping around the full list, and returns on the
-// first successful join. It is one bootstrap round; callers wanting retry
-// with backoff (the daemon) wrap it in a run-until-success task. It
-// returns the index after the seed that answered (or after the last one
-// tried), so a retry loop can rotate through the seed list across rounds
-// instead of burning every round's budget on the same dead first entry —
-// the re-bootstrap fallback of a daemon whose seeds are temporarily
-// unreachable.
-func (p *Peer) JoinAnyFrom(seeds []string, start int) (next int, err error) {
-	if len(seeds) == 0 {
-		return 0, fmt.Errorf("past: no bootstrap seeds")
-	}
-	var lastErr error
-	for i := 0; i < len(seeds); i++ {
-		idx := (start + i) % len(seeds)
-		s := seeds[idx]
-		if s == "" {
-			continue
-		}
-		if err := p.Join(s); err != nil {
-			lastErr = err
-			continue
-		}
-		return idx + 1, nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("past: no usable bootstrap seeds")
-	}
-	return start + len(seeds), lastErr
 }
 
 // wait starts one asynchronous client operation and blocks until its
