@@ -184,6 +184,60 @@ func admit(members []*past.Peer, p *past.Peer) error {
 	return nil
 }
 
+// TestAdmittedPeersDialOnce admits TCP peers one at a time, with the
+// keep-alive and leaf-sync settings bench's cluster uses: each peer dials
+// every other exactly once, and keeps those connections through keep-alive
+// rounds. Proximity measures a peer by the connection the node keeps, so
+// it adds no dial of its own.
+func TestAdmittedPeersDialOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const n = 8
+	broker, err := past.NewBroker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := past.DefaultStorageConfig()
+	scfg.Capacity = 1 << 20
+	var peers []*past.Peer
+	for i := 0; i < n; i++ {
+		card, err := broker.IssueCard(1<<30, scfg.Capacity, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := past.ListenPeer(past.PeerConfig{Card: card, BrokerPub: broker.PublicKey(), Storage: scfg, KeepAlive: time.Second, LeafSync: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		peers = append(peers, p)
+	}
+	peers[0].Bootstrap()
+	for i := 1; i < n; i++ {
+		if err := admit(peers[:i], peers[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dialled := func() bool {
+		for _, p := range peers {
+			if p.TransportStats().Dials < n-1 {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(5 * time.Second); !dialled() && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+	}
+	time.Sleep(1500 * time.Millisecond) // a keep-alive round and more: no dial may follow
+	for i, p := range peers {
+		if s := p.TransportStats(); s.Dials != n-1 || s.DialFailures != 0 {
+			t.Errorf("peer %d: %d dials, %d failed; want %d, none failed", i, s.Dials, s.DialFailures, n-1)
+		}
+	}
+}
+
 // TestTCPPeersEndToEnd runs a real five-node TCP cluster on loopback and
 // pushes a file through it.
 func TestTCPPeersEndToEnd(t *testing.T) {

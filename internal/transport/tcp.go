@@ -48,7 +48,8 @@ const (
 
 // TCPStats counts transport-level events since the transport started.
 type TCPStats struct {
-	// Dials and DialFailures count outbound connection attempts.
+	// Dials counts outbound connection attempts, each for a connection the
+	// transport keeps for its sends, and DialFailures the failed ones.
 	Dials, DialFailures int64
 	// Suppressed counts sends dropped without a dial because the peer's
 	// circuit breaker was open.
@@ -82,7 +83,8 @@ type TCPStats struct {
 // a frame the socket does not take whole is finished by a flusher
 // goroutine, and meanwhile sends wait in a bounded queue whose overflow
 // drops (UDP-like semantics, matching the simulator). A watcher goroutine
-// per outbound connection notices the peer hanging up.
+// per outbound connection notices the peer hanging up. The RTT of the dial
+// that opened a peer's connection is its proximity.
 type TCP struct {
 	addr        string
 	ln          net.Listener
@@ -99,8 +101,7 @@ type TCP struct {
 	probes  map[string]*time.Timer
 	closed  atomic.Bool // set under mu; read bare by the readers' deliver
 
-	proxMu sync.Mutex
-	prox   map[string]float64
+	prox sync.Map // address → float64: connect's last dial RTT, or far if it failed
 
 	dials, dialFailures, suppressed, queueDrops, decodeErrors, oversize atomic.Int64
 
@@ -109,6 +110,9 @@ type TCP struct {
 
 // maxQueue bounds the sends a peer holds while its dial or flusher runs.
 const maxQueue = 256
+
+// far is the proximity of an address with no measured RTT.
+const far = 1e9
 
 // tcpPeer is one outbound destination. While it is connected and not
 // busy, Send encodes a message and makes one non-blocking write (write,
@@ -165,7 +169,6 @@ func ListenTCPOpts(listen string, opts TCPOptions) (*TCP, error) {
 		peers:       make(map[string]*tcpPeer),
 		inbound:     make(map[net.Conn]bool),
 		probes:      make(map[string]*time.Timer),
-		prox:        make(map[string]float64),
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -337,22 +340,22 @@ func ReadViaPreamble(r io.Reader) (from, to string, err error) {
 // dial opens a connection to the peer at addr — directly, or through the
 // DialVia egress proxy with the preamble handshake. In both modes a
 // returned nil error means the destination (not just the proxy) accepted
-// the connection within the timeout.
-func (t *TCP) dial(addr string, timeout time.Duration) (net.Conn, error) {
+// the connection within DialTimeout. connect is its one caller.
+func (t *TCP) dial(addr string) (net.Conn, error) {
 	t.dials.Add(1)
 	if t.dialVia == "" {
-		conn, err := net.DialTimeout("tcp", addr, timeout)
+		conn, err := net.DialTimeout("tcp", addr, t.dialTimeout)
 		if err != nil {
 			t.dialFailures.Add(1)
 		}
 		return conn, err
 	}
-	conn, err := net.DialTimeout("tcp", t.dialVia, timeout)
+	conn, err := net.DialTimeout("tcp", t.dialVia, t.dialTimeout)
 	if err != nil {
 		t.dialFailures.Add(1)
 		return nil, err
 	}
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+	if err := conn.SetDeadline(time.Now().Add(t.dialTimeout)); err != nil {
 		conn.Close()
 		t.dialFailures.Add(1)
 		return nil, err
@@ -540,20 +543,12 @@ func (t *TCP) Send(to string, m wire.Msg) error {
 		t.mu.Unlock()
 		return errors.New("transport: closed")
 	}
-	p, ok := t.peers[to]
-	if !ok {
-		if !t.breaker.Allow(to, time.Now()) {
-			t.mu.Unlock()
-			t.suppressed.Add(1)
-			return nil // breaker open: drop without hammering the dead peer
-		}
-		p = &tcpPeer{}
-		p.write = p.writeFd
-		t.peers[to] = p
-		t.wg.Add(1)
-		go t.connect(to, p)
-	}
+	p := t.peerLocked(to)
 	t.mu.Unlock()
+	if p == nil {
+		t.suppressed.Add(1)
+		return nil // breaker open: drop without hammering the dead peer
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.conn == nil || p.busy {
@@ -587,19 +582,41 @@ func (t *TCP) Send(to string, m wire.Msg) error {
 	return nil
 }
 
-// connect dials the peer and starts its watcher, and a flusher for what
-// queued meanwhile; on failure it informs the breaker and forgets the peer
-// so queued frames are lost (silent-loss semantics) and a later Send
-// retries.
+// peerLocked returns the outbound entry for to, first installing one and
+// starting its connection if there is none, or nil once the transport is
+// closed or while the breaker holds to open. t.mu held.
+func (t *TCP) peerLocked(to string) *tcpPeer {
+	if p := t.peers[to]; p != nil {
+		return p
+	}
+	if t.closed.Load() || !t.breaker.Allow(to, time.Now()) {
+		return nil
+	}
+	p := &tcpPeer{}
+	p.write = p.writeFd
+	t.peers[to] = p
+	t.wg.Add(1)
+	go t.connect(to, p)
+	return p
+}
+
+// connect is the transport's one dial: it records the dial's RTT as the
+// peer's proximity and starts the peer's watcher, and a flusher for what
+// queued meanwhile. On failure it marks the peer far, forgets it so
+// queued frames are lost (silent-loss semantics) and a later Send
+// retries, and informs the breaker.
 func (t *TCP) connect(to string, p *tcpPeer) {
 	defer t.wg.Done()
-	conn, err := t.dial(to, t.dialTimeout)
+	start := time.Now()
+	conn, err := t.dial(to)
 	if err != nil {
+		t.prox.Store(to, far) // before forget, so Proximity never redials a refused address
+		t.forget(to, p)
 		t.breaker.Fail(to, time.Now())
 		t.scheduleProbe(to)
-		t.forget(to, p)
 		return
 	}
+	t.prox.Store(to, max(float64(time.Since(start))/float64(time.Millisecond), 0.01))
 	t.breaker.Success(to)
 	rc, err := conn.(*net.TCPConn).SyscallConn()
 	p.mu.Lock()
@@ -695,10 +712,13 @@ func (t *TCP) watch(to string, p *tcpPeer, conn net.Conn) {
 }
 
 // scheduleProbe arms the peer's half-open probe: when the breaker holds
-// the peer open, a timer fires at cooldown expiry and the transport dials
-// the peer itself. Routing treats an open peer as unreachable, so no user
-// traffic would otherwise ever test it — the probe is what reinstates a
-// healed peer ("probe before reinstating"). One pending probe per peer.
+// the peer open, a timer fires at cooldown expiry and starts the
+// connection a Send would. Routing treats an open peer as unreachable, so
+// no user traffic would otherwise ever test it — the probe is what
+// reinstates a healed peer ("probe before reinstating"), and its
+// connection stays for the traffic that follows; a failed one re-opens
+// the breaker with a doubled cooldown and re-arms the probe. One pending
+// probe per peer.
 func (t *TCP) scheduleProbe(to string) {
 	delay, open := t.breaker.NextProbe(to, time.Now())
 	if !open {
@@ -713,29 +733,13 @@ func (t *TCP) scheduleProbe(to string) {
 		return
 	}
 	t.wg.Add(1)
-	t.probes[to] = time.AfterFunc(delay, func() { t.probePeer(to) })
-}
-
-// probePeer performs one half-open probe dial. Success fully reinstates
-// the peer (Reachable flips true, sends flow again); failure re-opens the
-// breaker with a doubled cooldown and re-arms the probe.
-func (t *TCP) probePeer(to string) {
-	defer t.wg.Done()
-	t.mu.Lock()
-	delete(t.probes, to)
-	closed := t.closed.Load()
-	t.mu.Unlock()
-	if closed || !t.breaker.Allow(to, time.Now()) {
-		return
-	}
-	conn, err := t.dial(to, t.dialTimeout)
-	if err != nil {
-		t.breaker.Fail(to, time.Now())
-		t.scheduleProbe(to)
-		return
-	}
-	t.breaker.Success(to)
-	conn.Close() //nolint:errcheck // liveness check only; real traffic redials
+	t.probes[to] = time.AfterFunc(delay, func() {
+		defer t.wg.Done()
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		delete(t.probes, to)
+		t.peerLocked(to)
+	})
 }
 
 // forget removes p from the peer map if it is still the current entry for
@@ -748,33 +752,23 @@ func (t *TCP) forget(to string, p *tcpPeer) {
 	t.mu.Unlock()
 }
 
-// Proximity implements Transport: round-trip time to the peer, measured
-// once by TCP connect and cached. The scalar proximity metric of the
-// paper ("such as the number of IP hops, geographic distance...") maps to
-// RTT in a real deployment. With DialVia set the measurement includes the
-// proxy's connect-time faults, so injected gray failures show up in the
-// metric exactly as real ones would.
+// Proximity implements Transport: the RTT of connect's last dial to the
+// peer (the paper's scalar proximity metric, "such as the number of IP
+// hops, geographic distance...", is RTT in a real deployment), or far if
+// it failed. It never waits on the network: for an address never dialled
+// it starts the connection a Send would and answers far. With DialVia set
+// the RTT includes the proxy's connect-time faults, so injected gray
+// failures show up in the metric exactly as real ones would.
 func (t *TCP) Proximity(to string) float64 {
-	t.proxMu.Lock()
-	if v, ok := t.prox[to]; ok {
-		t.proxMu.Unlock()
-		return v
+	if v, ok := t.prox.Load(to); ok {
+		return v.(float64)
 	}
-	t.proxMu.Unlock()
-	start := time.Now()
-	conn, err := t.dial(to, 2*time.Second)
-	if err != nil {
-		return 1e9
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.prox.Load(to); !ok { // else a connect ended meanwhile
+		t.peerLocked(to)
 	}
-	rtt := float64(time.Since(start)) / float64(time.Millisecond)
-	conn.Close()
-	if rtt <= 0 {
-		rtt = 0.01
-	}
-	t.proxMu.Lock()
-	t.prox[to] = rtt
-	t.proxMu.Unlock()
-	return rtt
+	return far
 }
 
 // Close implements Transport. Closing an inbound connection waits for the

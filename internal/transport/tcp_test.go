@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -131,18 +132,91 @@ func TestTCPSendToDeadPeerSilent(t *testing.T) {
 	}
 }
 
+// TestTCPProximityCached pins Proximity to the RTT of the connection the
+// transport keeps: the first call answers far and dials nothing inline,
+// it starts the one connection a Send then shares, whose RTT every later
+// call reads; a refused address stays far and is not redialled per call.
 func TestTCPProximityCached(t *testing.T) {
 	a, b := newPair(t)
+	if p := a.Proximity(b.Addr()); p != far {
+		t.Fatalf("first call = %v, want far (%v) while the connection is pending", p, far)
+	}
+	waitFor(t, func() bool { return a.Proximity(b.Addr()) < far })
 	p1 := a.Proximity(b.Addr())
 	if p1 <= 0 || p1 > 1000 {
 		t.Fatalf("loopback RTT %f implausible", p1)
 	}
-	p2 := a.Proximity(b.Addr())
-	if p1 != p2 {
-		t.Fatal("proximity not cached")
+	got := countHandler(b)
+	a.Send(b.Addr(), wire.Ping{Nonce: 1})
+	waitFor(t, func() bool { return got() == 1 })
+	if p2 := a.Proximity(b.Addr()); p2 != p1 {
+		t.Fatalf("proximity moved %v -> %v without a new connection", p1, p2)
 	}
-	if a.Proximity("127.0.0.1:1") < 1e8 {
-		t.Fatal("unreachable peer should be far")
+	if s := a.Stats(); s.Dials != 1 {
+		t.Fatalf("%d dials; Proximity and Send must share one connection", s.Dials)
+	}
+
+	dead, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr()
+	dead.Close()
+	a.Proximity(deadAddr)
+	waitFor(t, func() bool { return a.Stats().DialFailures == 1 })
+	for range 3 {
+		if p := a.Proximity(deadAddr); p != far {
+			t.Fatalf("refused address at %v, want far", p)
+		}
+	}
+	if s := a.Stats(); s.Dials != 2 || s.DialFailures != 1 {
+		t.Fatalf("dials %d, failures %d; a refused address must not be redialled by Proximity", s.Dials, s.DialFailures)
+	}
+}
+
+// TestProximityNeverWaitsOnDial routes the dial through a DialVia proxy
+// that accepts and never acks, so the connection stays pending for the
+// whole DialTimeout: Proximity, which pastry calls under its node lock,
+// answers far at once throughout.
+func TestProximityNeverWaitsOnDial(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := ListenTCPOpts("127.0.0.1:0", TCPOptions{DialVia: ln.Addr().String(), DialTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	t.Cleanup(func() { ln.Close() })
+	const peer = "127.0.0.1:9"
+	check := func() {
+		t.Helper()
+		start := time.Now()
+		p := a.Proximity(peer)
+		if d := time.Since(start); d > 10*time.Millisecond || p != far {
+			t.Fatalf("Proximity = %v after %v; want far within 10ms", p, d)
+		}
+	}
+	check()
+	var held net.Conn
+	select {
+	case held = <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the dial never reached the proxy")
+	}
+	t.Cleanup(func() { held.Close() }) // fails the pending dial before a.Close waits for it
+	for range 10 {
+		check()
+	}
+	if s := a.Stats(); s.Dials != 1 || s.DialFailures != 0 {
+		t.Fatalf("dials %d, failures %d; want the one dial, still pending", s.Dials, s.DialFailures)
 	}
 }
 

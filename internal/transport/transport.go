@@ -27,7 +27,9 @@ type Transport interface {
 	SetHandler(h Handler)
 	// Proximity returns the scalar proximity metric (section 1, footnote:
 	// "a scalar metric, such as the number of IP hops, geographic
-	// distance...") between this node and addr, in milliseconds.
+	// distance...") between this node and addr, in milliseconds. It
+	// never blocks: a metric that must be measured is measured in the
+	// background, and the answer meanwhile is "far".
 	Proximity(to string) float64
 	// Close releases resources. After Close, Send returns an error.
 	Close() error

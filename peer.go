@@ -272,10 +272,11 @@ func (p *Peer) StoredFiles() int {
 	return p.past.Store().Len()
 }
 
-// TransportStats returns the TCP transport's counters: dials, dial
-// failures, breaker opens, sends suppressed by an open breaker, sends
-// dropped on a full peer queue, inbound frames that did not decode, and
-// outbound messages dropped for a frame past MaxFrame.
+// TransportStats returns the TCP transport's counters: dials (one per
+// connection the node opens and keeps for its sends), dial failures,
+// breaker opens, sends suppressed by an open breaker, sends dropped on a
+// full peer queue, inbound frames that did not decode, and outbound
+// messages dropped for a frame past MaxFrame.
 func (p *Peer) TransportStats() TransportStats { return p.tr.Stats() }
 
 // RegisterTelemetry registers this peer's series on rec: the storage
