@@ -65,9 +65,6 @@ func main() {
 		pprofAddr  = flag.String("pprof", "", "TCP address serving net/http/pprof's /debug/pprof/ endpoints (empty disables)")
 		joinWait   = flag.Duration("join-timeout", 5*time.Second, "bound on one join attempt through one seed; a join pass gives each seed in turn this long, so a dead seed costs this much, not a full operation timeout")
 		dialVia    = flag.String("dial-via", "", "route all outbound connections through the egress proxy at this address (chaos/fault-injection harness); empty dials peers directly")
-		brkFails   = flag.Int("breaker-threshold", 0, "consecutive dial failures before the per-peer circuit breaker opens (0 disables; suppressed peers are probed before reinstatement)")
-		brkCool    = flag.Duration("breaker-cooldown", time.Second, "initial circuit-breaker cooldown (doubles per failed probe)")
-		brkMax     = flag.Duration("breaker-max-cooldown", 30*time.Second, "cap on the doubled circuit-breaker cooldown; bounds how long a healed peer waits for its reinstatement probe")
 	)
 	flag.Parse()
 	if *brokerSeed == "" {
@@ -108,7 +105,6 @@ func main() {
 		LeafSync:    4,
 		JoinTimeout: *joinWait,
 		DialVia:     *dialVia,
-		Breaker:     past.BreakerOptions{Threshold: *brkFails, Cooldown: *brkCool, MaxCooldown: *brkMax},
 	})
 	if err != nil {
 		fatal(err)

@@ -2,6 +2,7 @@ package past_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"past"
+	"past/internal/id"
 	"past/internal/seccrypt"
 	"past/internal/storage"
 	"past/internal/telemetry"
@@ -234,6 +236,102 @@ func TestAdmittedPeersDialOnce(t *testing.T) {
 	for i, p := range peers {
 		if s := p.TransportStats(); s.Dials != n-1 || s.DialFailures != 0 {
 			t.Errorf("peer %d: %d dials, %d failed; want %d, none failed", i, s.Dials, s.DialFailures, n-1)
+		}
+	}
+}
+
+// TestDefaultPeersRouteAroundClosedHolder closes a replica holder in a
+// cluster of peers with default PeerConfigs. The client's sends to it, a
+// lookup's and then the keep-alive's, fail their dials; the third opens
+// its address, and every lookup of a file it served then succeeds inside
+// a short deadline. The files are those the holder is not numerically
+// closest to: the client's routing drops an open peer from its leaf set,
+// so its view of a file's replica set gains a node that holds no replica,
+// and a lookup sent there is forwarded to the file's root, which must be
+// alive (the other peers may not have given up on the holder yet).
+func TestDefaultPeersRouteAroundClosedHolder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const n = 6
+	broker, err := past.NewBroker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := past.DefaultStorageConfig()
+	scfg.Capacity = 1 << 20
+	scfg.Caching = false // every lookup below goes to a replica holder
+	var peers []*past.Peer
+	for range n {
+		card, err := broker.IssueCard(1<<30, scfg.Capacity, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := past.ListenPeer(past.PeerConfig{Card: card, BrokerPub: broker.PublicKey(), Storage: scfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		peers = append(peers, p)
+	}
+	peers[0].Bootstrap()
+	for i := 1; i < n; i++ {
+		if err := admit(peers[:i], peers[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client := peers[0]
+	lookup := func(f past.FileID, d time.Duration) (past.LookupResult, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		return client.LookupCtx(ctx, f)
+	}
+	// served[p] lists the files whose lookups from the client p answered
+	// and that p is not numerically closest to. Which holder answers
+	// depends on measured RTTs, so files are inserted until some peer
+	// other than the client has answered for want of them.
+	const want, maxFiles = 3, 240
+	served := map[past.NodeID][]past.FileID{}
+	var holder *past.Peer
+	for i := 0; holder == nil; i++ {
+		if i == maxFiles {
+			t.Fatalf("after %d files no peer but the client served %d it does not root", maxFiles, want)
+		}
+		ins, err := client.Insert(nil, fmt.Sprintf("f%d", i), []byte{byte(i)}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := lookup(ins.FileID, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := peers[0].Ref().ID
+		for _, p := range peers[1:] {
+			if id.Closer(ins.FileID.Key(), p.Ref().ID, root) {
+				root = p.Ref().ID
+			}
+		}
+		if got.From.ID != root {
+			served[got.From.ID] = append(served[got.From.ID], ins.FileID)
+		}
+		for _, p := range peers[1:] {
+			if len(served[p.Ref().ID]) == want {
+				holder = p
+			}
+		}
+	}
+	held := served[holder.Ref().ID]
+	closed := time.Now()
+	holder.Close()
+	for client.TransportStats().BreakerOpens == 0 {
+		if time.Since(closed) > 12*time.Second {
+			t.Fatalf("12 s after the holder closed its address is not open: %+v", client.TransportStats())
+		}
+		lookup(held[0], 200*time.Millisecond) //nolint:errcheck // only the sends it makes matter here
+	}
+	for _, f := range held {
+		if _, err := lookup(f, time.Second); err != nil {
+			t.Errorf("lookup of %s after the holder closed: %v", f, err)
 		}
 	}
 }

@@ -43,7 +43,7 @@ type PartitionHealReport struct {
 
 // chaosExtraArgs are the daemon knobs every chaos scenario switches on:
 // route through the proxy, fast failure detection, seed cycling with a
-// short join bound, the dial circuit breaker, and a telemetry port to
+// short join bound, and a telemetry port to
 // scrape. (The replica-repair sweep needs no switch: it rides the
 // keep-alive tick at nodeArgs' -anti-entropy period.)
 func chaosExtraArgs(proxyAddr string, failTimeout time.Duration) []string {
@@ -51,9 +51,6 @@ func chaosExtraArgs(proxyAddr string, failTimeout time.Duration) []string {
 		"-dial-via", proxyAddr,
 		"-failtimeout", failTimeout.String(),
 		"-join-timeout", "2s",
-		"-breaker-threshold", "3",
-		"-breaker-cooldown", "500ms",
-		"-breaker-max-cooldown", "2s",
 		"-telemetry", "127.0.0.1:0",
 		"-telemetry-window", "1s",
 	}
@@ -116,10 +113,6 @@ func RunPartitionHeal(bin, dir string, logf func(format string, args ...any)) (*
 		pc.DialVia = proxy.Addr()
 		pc.JoinTimeout = 2 * time.Second
 		pc.FailTimeout = 1500 * time.Millisecond
-		// The breaker doubles as the client's reachability oracle: without
-		// it a diversion pointer to a partitioned holder would black-hole
-		// lookup attempts (the fetch is fire-and-forget).
-		pc.Breaker = past.BreakerOptions{Threshold: 3, Cooldown: 500 * time.Millisecond, MaxCooldown: 2 * time.Second}
 		pc.Storage.LookupRetries = 4
 		pc.Storage.RetryBackoff = 150 * time.Millisecond
 		pc.Storage.InsertResends = 3

@@ -236,7 +236,6 @@ func TestChaosGrayFailure(t *testing.T) {
 		pc.DialVia = proxy.Addr()
 		pc.JoinTimeout = 2 * time.Second
 		pc.FailTimeout = 2 * time.Second
-		pc.Breaker = past.BreakerOptions{Threshold: 3, Cooldown: 500 * time.Millisecond}
 		pc.Storage.LookupRetries = 2
 		pc.Storage.RetryBackoff = 150 * time.Millisecond
 		pc.Storage.InsertResends = 2
@@ -293,9 +292,6 @@ func TestChaosCrashStorm(t *testing.T) {
 		ExtraArgs: []string{
 			"-failtimeout", "1500ms",
 			"-join-timeout", "2s",
-			"-breaker-threshold", "3",
-			"-breaker-cooldown", "500ms",
-			"-breaker-max-cooldown", "2s",
 		},
 	})
 	if err != nil {

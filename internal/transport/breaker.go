@@ -1,182 +1,78 @@
 package transport
 
 import (
-	"sync"
+	"math"
+	"sync/atomic"
 	"time"
 )
 
-// BreakerOptions configure the per-peer dial circuit breaker. The breaker
-// protects a node from hammering dead peers with connection attempts:
-// after Threshold consecutive dial failures to one address the breaker
-// opens and sends to that address are dropped without dialing; after
-// Cooldown a single half-open probe dial is allowed, and only its success
-// reinstates the peer. Each failed probe doubles the cooldown up to
-// MaxCooldown, so a long-dead peer costs one dial attempt per cooldown
-// instead of one per send.
-//
-// The zero value disables the breaker entirely — the default, keeping
-// healthy-network behavior (and every recorded experiment) byte-identical
-// to the pre-breaker transport.
-type BreakerOptions struct {
-	// Threshold is the number of consecutive dial failures that opens the
-	// breaker for a peer. 0 disables the breaker.
-	Threshold int
-	// Cooldown is the first open period (default 1s).
-	Cooldown time.Duration
-	// MaxCooldown caps the exponential cooldown growth (default 30s).
-	MaxCooldown time.Duration
+// The dial circuit breaker. After breakerThreshold consecutive failed
+// dials to one address the address is open: sends to it are dropped
+// without a dial, and Reachable reports false, so routing goes around it.
+// The first use of the address after the cooldown dials it again (the
+// half-open attempt): a successful dial closes the address, a failed one
+// opens it again with the cooldown doubled, up to maxCooldown. So a dead
+// address costs one dial per cooldown while something uses it, and none
+// once nothing does.
+const (
+	breakerThreshold = 3
+	firstCooldown    = 500 * time.Millisecond
+	maxCooldown      = 2 * time.Second
+)
+
+// addrRecord is what the transport knows of one peer address beyond a
+// connection: the last dial's RTT and the breaker's state. It is written
+// under TCP.mu, by the address's one connection attempt at a time; rtt
+// and openUntil are atomics so Proximity and Reachable read them bare.
+type addrRecord struct {
+	rtt       atomic.Uint64 // math.Float64bits of the last dial's RTT in ms; 0 while none succeeded since the last failure
+	openUntil atomic.Int64  // UnixNano before which no dial starts; 0 while closed
+	fails     int           // consecutive failed dials
+	cooldown  time.Duration // the next open period
 }
 
-func (o BreakerOptions) withDefaults() BreakerOptions {
-	if o.Threshold <= 0 {
-		return BreakerOptions{} // disabled
+// proximity is the last dial's RTT in milliseconds, or far.
+func (r *addrRecord) proximity() float64 {
+	if b := r.rtt.Load(); b != 0 {
+		return math.Float64frombits(b)
 	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = time.Second
-	}
-	if o.MaxCooldown <= 0 {
-		o.MaxCooldown = 30 * time.Second
-	}
-	if o.MaxCooldown < o.Cooldown {
-		o.MaxCooldown = o.Cooldown
-	}
-	return o
+	return far
 }
 
-// breaker tracks per-peer dial health. All methods are safe for
-// concurrent use; a disabled breaker (Threshold 0) short-circuits to
-// allow-everything without taking the lock.
-type breaker struct {
-	opts BreakerOptions
-
-	mu    sync.Mutex
-	peers map[string]*breakerEntry
-	opens int64
-}
-
-type breakerEntry struct {
-	fails     int           // consecutive dial failures
-	openUntil time.Time     // zero when closed
-	cooldown  time.Duration // next open period
-	probing   bool          // a half-open probe dial is in flight
-}
-
-func newBreaker(opts BreakerOptions) *breaker {
-	opts = opts.withDefaults()
-	b := &breaker{opts: opts}
-	if opts.Threshold > 0 {
-		b.peers = make(map[string]*breakerEntry)
-	}
-	return b
-}
-
-func (b *breaker) enabled() bool { return b.opts.Threshold > 0 }
-
-// Opens returns how many times any peer's breaker opened (including
-// re-opens after failed probes).
-func (b *breaker) Opens() int64 {
-	if !b.enabled() {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
-}
-
-// Allow reports whether a dial to the peer may proceed now. While open it
-// returns false; once the cooldown expires it admits exactly one half-open
-// probe (subsequent callers keep getting false until the probe resolves
-// via Fail or Success).
-func (b *breaker) Allow(to string, now time.Time) bool {
-	if !b.enabled() {
+// admit reports whether a dial to the address may start at now. An open
+// address whose cooldown is over admits this one dial, the half-open
+// attempt, and stays open while it runs, so that uses meanwhile neither
+// dial again nor take a lock to learn so.
+func (r *addrRecord) admit(now time.Time) bool {
+	until := r.openUntil.Load()
+	if until == 0 {
 		return true
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e, ok := b.peers[to]
-	if !ok || e.openUntil.IsZero() {
-		return true
-	}
-	if now.Before(e.openUntil) {
+	if now.UnixNano() < until {
 		return false
 	}
-	if e.probing {
-		return false
-	}
-	e.probing = true
+	r.openUntil.Store(now.Add(r.cooldown).UnixNano())
 	return true
 }
 
-// Fail records a dial failure. Crossing the threshold — or failing a
-// half-open probe — (re)opens the breaker with an exponentially growing
-// cooldown.
-func (b *breaker) Fail(to string, now time.Time) {
-	if !b.enabled() {
-		return
+// failed records a failed dial at now and reports whether it opened the
+// address: the threshold's failure, or any failure after it (a failed
+// half-open attempt).
+func (r *addrRecord) failed(now time.Time) bool {
+	r.rtt.Store(0)
+	r.fails++
+	if r.fails < breakerThreshold {
+		return false
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e, ok := b.peers[to]
-	if !ok {
-		e = &breakerEntry{cooldown: b.opts.Cooldown}
-		b.peers[to] = e
-	}
-	e.fails++
-	wasProbe := e.probing
-	e.probing = false
-	if e.fails < b.opts.Threshold && !wasProbe {
-		return
-	}
-	e.openUntil = now.Add(e.cooldown)
-	e.cooldown *= 2
-	if e.cooldown > b.opts.MaxCooldown {
-		e.cooldown = b.opts.MaxCooldown
-	}
-	b.opens++
+	r.cooldown = max(r.cooldown, firstCooldown)
+	r.openUntil.Store(now.Add(r.cooldown).UnixNano())
+	r.cooldown = min(2*r.cooldown, maxCooldown)
+	return true
 }
 
-// Success records a successful dial, fully reinstating the peer.
-func (b *breaker) Success(to string) {
-	if !b.enabled() {
-		return
-	}
-	b.mu.Lock()
-	delete(b.peers, to)
-	b.mu.Unlock()
-}
-
-// Reachable reports, without side effects, whether the peer is currently
-// believed alive: false from the moment the breaker opens until a probe
-// dial succeeds (cooldown expiry alone is not evidence of life). It backs
-// the routing layer's reachability oracle, so lookups and pointer chases
-// route around peers the transport already knows are dead instead of
-// timing out against them; the transport's own background probe — not
-// user traffic — reinstates the peer.
-func (b *breaker) Reachable(to string) bool {
-	if !b.enabled() {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e, ok := b.peers[to]
-	return !ok || e.openUntil.IsZero()
-}
-
-// NextProbe returns how long until the peer's open breaker admits its
-// half-open probe dial, and whether the breaker is open at all.
-func (b *breaker) NextProbe(to string, now time.Time) (time.Duration, bool) {
-	if !b.enabled() {
-		return 0, false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e, ok := b.peers[to]
-	if !ok || e.openUntil.IsZero() {
-		return 0, false
-	}
-	d := e.openUntil.Sub(now)
-	if d < 0 {
-		d = 0
-	}
-	return d, true
+// dialled records a successful dial's RTT and closes the address.
+func (r *addrRecord) dialled(rtt time.Duration) {
+	r.rtt.Store(math.Float64bits(max(float64(rtt)/float64(time.Millisecond), 0.01)))
+	r.fails, r.cooldown = 0, 0
+	r.openUntil.Store(0)
 }

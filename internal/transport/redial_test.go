@@ -11,120 +11,105 @@ import (
 	"past/internal/wire"
 )
 
-// TestBreakerStateMachine drives the breaker through its full lifecycle
-// with explicit clocks: closed → open at threshold → suppressing while
-// open → exactly one half-open probe → reopen with doubled cooldown on
-// probe failure → fully reinstated on probe success.
+// TestBreakerStateMachine drives one address's record through its
+// lifecycle with explicit clocks: closed below 3 failed dials, open for
+// 500 ms at the third, one half-open dial admitted after the cooldown and
+// none while it runs, reopened at each failed one with the cooldown
+// doubled to its 2 s cap, and closed with its history gone by a dial that
+// succeeds.
 func TestBreakerStateMachine(t *testing.T) {
-	b := newBreaker(BreakerOptions{Threshold: 3, Cooldown: time.Second, MaxCooldown: 4 * time.Second})
+	var r addrRecord
 	t0 := time.Unix(1000, 0)
-	// Below threshold: always allowed.
-	for i := 0; i < 2; i++ {
-		if !b.Allow("x", t0) {
-			t.Fatalf("fail %d: breaker open below threshold", i)
+	for i := range breakerThreshold - 1 {
+		if r.failed(t0) {
+			t.Fatalf("failure %d opened the address", i+1)
 		}
-		b.Fail("x", t0)
-	}
-	if !b.Allow("x", t0) {
-		t.Fatal("breaker open at 2/3 failures")
-	}
-	b.Fail("x", t0) // third consecutive failure: opens for 1s
-	if got := b.Opens(); got != 1 {
-		t.Fatalf("opens = %d, want 1", got)
-	}
-	if b.Allow("x", t0.Add(500*time.Millisecond)) {
-		t.Fatal("allowed while open")
-	}
-	if !b.Allow("y", t0) {
-		t.Fatal("unrelated peer affected")
-	}
-	// Cooldown expired: exactly one probe.
-	t1 := t0.Add(1100 * time.Millisecond)
-	if !b.Allow("x", t1) {
-		t.Fatal("probe not admitted after cooldown")
-	}
-	if b.Allow("x", t1) {
-		t.Fatal("second concurrent probe admitted")
-	}
-	// Probe fails: reopens immediately with doubled cooldown (2s).
-	b.Fail("x", t1)
-	if got := b.Opens(); got != 2 {
-		t.Fatalf("opens = %d, want 2", got)
-	}
-	if b.Allow("x", t1.Add(1500*time.Millisecond)) {
-		t.Fatal("allowed during doubled cooldown")
-	}
-	t2 := t1.Add(2100 * time.Millisecond)
-	if !b.Allow("x", t2) {
-		t.Fatal("probe not admitted after doubled cooldown")
-	}
-	// Probe succeeds: peer fully reinstated, failure history gone.
-	b.Success("x")
-	for i := 0; i < 2; i++ {
-		if !b.Allow("x", t2) {
-			t.Fatal("not reinstated after successful probe")
+		if !r.admit(t0) {
+			t.Fatalf("dial refused after %d failures", i+1)
 		}
-		b.Fail("x", t2)
 	}
-	if !b.Allow("x", t2) {
-		t.Fatal("stale failure count survived Success")
+	if !r.failed(t0) {
+		t.Fatal("third consecutive failure did not open the address")
+	}
+	if r.proximity() != far {
+		t.Fatalf("proximity %v after a failed dial, want far", r.proximity())
+	}
+	now := t0
+	for _, cooldown := range []time.Duration{firstCooldown, time.Second, maxCooldown, maxCooldown} {
+		if r.admit(now.Add(cooldown - time.Millisecond)) {
+			t.Fatalf("dial admitted inside a %v cooldown", cooldown)
+		}
+		now = now.Add(cooldown)
+		if !r.admit(now) {
+			t.Fatalf("no half-open dial after a %v cooldown", cooldown)
+		}
+		if r.admit(now) {
+			t.Fatal("a second dial admitted while the half-open one runs")
+		}
+		if !r.failed(now) {
+			t.Fatal("a failed half-open dial did not reopen the address")
+		}
+	}
+	now = now.Add(maxCooldown)
+	if !r.admit(now) {
+		t.Fatal("no half-open dial after the capped cooldown")
+	}
+	r.dialled(3 * time.Millisecond)
+	if r.openUntil.Load() != 0 || r.proximity() != 3 {
+		t.Fatalf("after a successful dial: open until %d, proximity %v", r.openUntil.Load(), r.proximity())
+	}
+	for range breakerThreshold - 1 {
+		if r.failed(now) {
+			t.Fatal("failure history survived a successful dial")
+		}
 	}
 }
 
-// TestBreakerDisabledZeroValue pins the off-by-default contract: the zero
-// options never suppress and never count opens.
-func TestBreakerDisabledZeroValue(t *testing.T) {
-	b := newBreaker(BreakerOptions{})
-	now := time.Unix(1000, 0)
-	for i := 0; i < 100; i++ {
-		b.Fail("x", now)
-		if !b.Allow("x", now) {
-			t.Fatal("disabled breaker suppressed a dial")
-		}
-	}
-	if b.Opens() != 0 {
-		t.Fatal("disabled breaker counted opens")
-	}
-}
-
-// TestTCPBreakerSuppressesThenReinstates exercises the breaker through
-// the real transport: repeated sends to a dead address open the breaker
-// (dials stop), and once the peer comes back a half-open probe reinstates
-// it and traffic flows again.
-func TestTCPBreakerSuppressesThenReinstates(t *testing.T) {
-	a, err := ListenTCPOpts("127.0.0.1:0", TCPOptions{
-		DialTimeout: 500 * time.Millisecond,
-		Breaker:     BreakerOptions{Threshold: 2, Cooldown: 300 * time.Millisecond, MaxCooldown: time.Second},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close() })
-
-	// A port that refuses connections: listen, grab the addr, close.
+// deadAddr returns a loopback address that refuses connections.
+func deadAddr(t *testing.T) string {
+	t.Helper()
 	probe, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead := probe.Addr()
+	addr := probe.Addr()
 	probe.Close()
+	return addr
+}
 
-	// Sends to the dead peer fail their dials until the breaker opens.
-	waitFor(t, func() bool {
-		a.Send(dead, wire.Ping{Nonce: 1})
-		return a.Stats().BreakerOpens >= 1
-	})
-	// While open, sends are suppressed without dialing.
-	dials := a.Stats().Dials
-	a.Send(dead, wire.Ping{Nonce: 2})
-	if st := a.Stats(); st.Suppressed == 0 {
-		t.Fatalf("no suppressed sends while breaker open: %+v", st)
-	} else if st.Dials != dials {
-		t.Fatalf("breaker open but dial count moved %d -> %d", dials, st.Dials)
+// openAddr sends to addr until its third consecutive dial fails, which
+// opens it, and returns when that has happened.
+func openAddr(t *testing.T, a *TCP, addr string) {
+	t.Helper()
+	for i := range int64(breakerThreshold) {
+		a.Send(addr, wire.Ping{Nonce: uint64(i)})
+		waitFor(t, func() bool { return a.Stats().DialFailures == i+1 })
+	}
+	if s := a.Stats(); s.BreakerOpens != 1 || s.Dials != breakerThreshold {
+		t.Fatalf("after %d failed dials: %+v, want one open", breakerThreshold, s)
+	}
+}
+
+// TestTCPBreakerSuppressesThenReinstates exercises the breaker through
+// the real transport: three failed dials open a dead address, sends to it
+// are then dropped without a dial, and once the peer is back the first
+// send after the cooldown dials it, delivers, and reinstates it.
+func TestTCPBreakerSuppressesThenReinstates(t *testing.T) {
+	a, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	dead := deadAddr(t)
+	openAddr(t, a, dead)
+	a.Send(dead, wire.Ping{Nonce: 10})
+	if s := a.Stats(); s.Suppressed != 1 || s.Dials != breakerThreshold {
+		t.Fatalf("a send to the open address: %+v, want it suppressed without a dial", s)
+	}
+	if a.Reachable(dead) {
+		t.Fatal("open address reported reachable")
 	}
 
-	// Heal: restart the peer on the same address. The next probe dial
-	// succeeds, reinstates the peer, and delivers.
 	var b *TCP
 	waitFor(t, func() bool {
 		b, err = ListenTCP(dead)
@@ -132,44 +117,37 @@ func TestTCPBreakerSuppressesThenReinstates(t *testing.T) {
 	})
 	t.Cleanup(func() { b.Close() })
 	got := countHandler(b)
-	waitFor(t, func() bool {
-		a.Send(dead, wire.Ping{Nonce: 3})
-		return got() >= 1
-	})
+	time.Sleep(firstCooldown)
+	a.Send(dead, wire.Ping{Nonce: 11})
+	waitFor(t, func() bool { return got() == 1 })
+	if !a.Reachable(dead) {
+		t.Fatal("peer not reinstated by the dial that delivered")
+	}
+	if s := a.Stats(); s.Dials != breakerThreshold+1 || s.DialFailures != breakerThreshold {
+		t.Fatalf("%+v; want one more dial, and it succeeded", s)
+	}
 }
 
-// TestTCPReachableProbeReinstates pins the active probe path: once the
-// breaker opens, Reachable reports false (routing avoids the peer) and no
-// user traffic flows — so the transport itself must probe the peer and
-// flip Reachable back when the probe dial succeeds, with zero sends from
-// the application in between.
+// TestTCPReachableProbeReinstates pins reinstatement when the application
+// sends nothing: routing treats an open address as unreachable, so the
+// only use of it is Reachable itself. Its first call after the cooldown
+// starts the connection a Send would, and once that dial succeeds
+// Reachable reports true again.
 func TestTCPReachableProbeReinstates(t *testing.T) {
-	a, err := ListenTCPOpts("127.0.0.1:0", TCPOptions{
-		DialTimeout: 500 * time.Millisecond,
-		Breaker:     BreakerOptions{Threshold: 2, Cooldown: 200 * time.Millisecond, MaxCooldown: time.Second},
-	})
+	a, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close() })
-
-	probe, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := probe.Addr()
-	probe.Close()
+	dead := deadAddr(t)
 	if !a.Reachable(dead) {
 		t.Fatal("peer unreachable before any dial failed")
 	}
+	openAddr(t, a, dead)
+	if a.Reachable(dead) {
+		t.Fatal("open address reported reachable")
+	}
 
-	waitFor(t, func() bool {
-		a.Send(dead, wire.Ping{Nonce: 1})
-		return !a.Reachable(dead)
-	})
-
-	// Heal the peer. From here on the application sends nothing: only the
-	// transport's own probe can reinstate the peer.
 	var b *TCP
 	waitFor(t, func() bool {
 		b, err = ListenTCP(dead)
@@ -177,13 +155,77 @@ func TestTCPReachableProbeReinstates(t *testing.T) {
 	})
 	t.Cleanup(func() { b.Close() })
 	waitFor(t, func() bool { return a.Reachable(dead) })
+	if s := a.Stats(); s.Dials != breakerThreshold+1 {
+		t.Fatalf("%d dials; want one more, the one Reachable started", s.Dials)
+	}
 
-	// And reinstatement is real: a send now delivers.
 	got := countHandler(b)
-	waitFor(t, func() bool {
-		a.Send(dead, wire.Ping{Nonce: 2})
-		return got() >= 1
-	})
+	a.Send(dead, wire.Ping{Nonce: 2})
+	waitFor(t, func() bool { return got() == 1 })
+}
+
+// TestUnusedDeadAddressIsNotRedialled pins that nothing but a use redials
+// an open address: 12 s with no use, six times the longest cooldown, add
+// no dial, and one Send after the cooldown makes exactly one.
+func TestUnusedDeadAddressIsNotRedialled(t *testing.T) {
+	a, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	dead := deadAddr(t)
+	openAddr(t, a, dead)
+	time.Sleep(12 * time.Second)
+	if d := a.Stats().Dials; d != breakerThreshold {
+		t.Fatalf("%d dials after 12 s unused, want %d", d, breakerThreshold)
+	}
+	a.Send(dead, wire.Ping{Nonce: 10})
+	waitFor(t, func() bool { return a.Stats().DialFailures == breakerThreshold+1 })
+	a.Send(dead, wire.Ping{Nonce: 11})
+	if s := a.Stats(); s.Dials != breakerThreshold+1 || s.BreakerOpens != 2 || s.Suppressed != 1 {
+		t.Fatalf("after one send past the cooldown and one inside the next: %+v; want one dial more, one open more, one suppressed", s)
+	}
+}
+
+// TestAddressRecordConcurrentUse hammers one dead and one live address
+// with Send, Reachable and Proximity from many goroutines while the dead
+// one opens and its cooldowns run out: under -race this pins the record's
+// lock-free reads against its writes. Each dial to the dead address is
+// the one attempt its state admits.
+func TestAddressRecordConcurrentUse(t *testing.T) {
+	a, b := newPair(t)
+	dead := deadAddr(t)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 400 {
+				for _, to := range []string{dead, b.Addr()} {
+					switch (g + i) % 3 {
+					case 0:
+						a.Send(to, wire.Ping{Nonce: uint64(i)})
+					case 1:
+						a.Reachable(to)
+					default:
+						a.Proximity(to)
+					}
+				}
+				if i%50 == 49 {
+					time.Sleep(100 * time.Millisecond) // let cooldowns run out mid-hammer
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	waitFor(t, func() bool { s := a.Stats(); return s.Dials == s.DialFailures+1 })
+	s := a.Stats()
+	if s.BreakerOpens < 1 || s.Dials > 2*breakerThreshold {
+		t.Fatalf("%+v; want the dead address open, and a handful of dials, not one per send", s)
+	}
+	if a.Reachable(dead) || !a.Reachable(b.Addr()) || a.Proximity(b.Addr()) == far {
+		t.Fatal("records disagree with what the dials found")
+	}
 }
 
 // TestTCPConcurrentRedial hammers one receiver from many concurrent

@@ -15,7 +15,7 @@ import (
 )
 
 // tcpGoroutines counts the goroutines running a *TCP method, by method:
-// acceptLoop, readLoop, connect, watch, flush, scheduleProbe (its timer).
+// acceptLoop, readLoop, connect, watch, flush.
 func tcpGoroutines() map[string]int {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)

@@ -35,10 +35,6 @@ type TCPOptions struct {
 	// harness uses this to interpose a deterministic fault injector
 	// between real nodes; empty (the default) dials peers directly.
 	DialVia string
-	// Breaker configures the per-peer dial circuit breaker. The zero
-	// value disables it entirely (every Send to an unconnected peer
-	// redials), preserving the pre-breaker behavior.
-	Breaker BreakerOptions
 }
 
 const (
@@ -52,10 +48,12 @@ type TCPStats struct {
 	// transport keeps for its sends, and DialFailures the failed ones.
 	Dials, DialFailures int64
 	// Suppressed counts sends dropped without a dial because the peer's
-	// circuit breaker was open.
+	// address was open: its last 3 dials failed and the cooldown since the
+	// last of them is not over.
 	Suppressed int64
-	// BreakerOpens counts open transitions (including re-opens after a
-	// failed half-open probe).
+	// BreakerOpens counts how often an address opened: at its third
+	// consecutive failed dial, and at each failed dial after that (the
+	// first use after a cooldown).
 	BreakerOpens int64
 	// QueueDrops counts sends dropped because the peer's send queue was
 	// full: its dial was pending, or its socket pushed back for too long.
@@ -83,27 +81,27 @@ type TCPStats struct {
 // a frame the socket does not take whole is finished by a flusher
 // goroutine, and meanwhile sends wait in a bounded queue whose overflow
 // drops (UDP-like semantics, matching the simulator). A watcher goroutine
-// per outbound connection notices the peer hanging up. The RTT of the dial
-// that opened a peer's connection is its proximity.
+// per outbound connection notices the peer hanging up. Beyond a
+// connection the transport keeps one record per peer address (see
+// addrRecord): the RTT of the dial that opened the connection, which is
+// the peer's proximity, and the dial circuit breaker's state.
 type TCP struct {
 	addr        string
 	ln          net.Listener
 	dialTimeout time.Duration
 	maxFrame    int
 	dialVia     string
-	breaker     *breaker
 	handler     Handler
 	handlerM    sync.RWMutex
 
 	mu      sync.Mutex
 	peers   map[string]*tcpPeer
 	inbound map[net.Conn]bool
-	probes  map[string]*time.Timer
 	closed  atomic.Bool // set under mu; read bare by the readers' deliver
 
-	prox sync.Map // address → float64: connect's last dial RTT, or far if it failed
+	records sync.Map // address → *addrRecord; stored under mu, never deleted
 
-	dials, dialFailures, suppressed, queueDrops, decodeErrors, oversize atomic.Int64
+	dials, dialFailures, suppressed, opens, queueDrops, decodeErrors, oversize atomic.Int64
 
 	wg sync.WaitGroup
 }
@@ -165,10 +163,8 @@ func ListenTCPOpts(listen string, opts TCPOptions) (*TCP, error) {
 		dialTimeout: opts.DialTimeout,
 		maxFrame:    opts.MaxFrame,
 		dialVia:     opts.DialVia,
-		breaker:     newBreaker(opts.Breaker),
 		peers:       make(map[string]*tcpPeer),
 		inbound:     make(map[net.Conn]bool),
-		probes:      make(map[string]*time.Timer),
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -185,14 +181,38 @@ func (t *TCP) SetHandler(h Handler) {
 	t.handlerM.Unlock()
 }
 
-// Reachable reports whether the dial circuit breaker would currently
-// admit traffic to addr. With the breaker disabled it is always true.
-// Installed as the overlay's reachability probe (pastry.Node.SetProbe),
-// it turns transport-level failure knowledge into routing decisions: a
-// peer whose breaker is open is routed around instead of timed out
-// against.
+// Reachable reports false while addr is open: from its third consecutive
+// failed dial until a dial to it succeeds. Installed as the overlay's
+// reachability probe (pastry.Node.SetProbe), it turns transport-level
+// failure knowledge into routing decisions: a peer whose dials fail is
+// routed around instead of timed out against. The first call after the
+// cooldown is a use of the address: it starts the connection a Send
+// would, which reinstates the peer if it succeeds, and still reports
+// false (a cooldown that ran out is no evidence of life). Otherwise it
+// reads the address's record and takes no lock.
 func (t *TCP) Reachable(addr string) bool {
-	return t.breaker.Reachable(addr)
+	r := t.record(addr)
+	if r == nil {
+		return true
+	}
+	until := r.openUntil.Load()
+	if until == 0 {
+		return true
+	}
+	if time.Now().UnixNano() >= until {
+		t.mu.Lock()
+		t.peerLocked(addr)
+		t.mu.Unlock()
+	}
+	return false
+}
+
+// record returns addr's record, or nil before anything dialled it.
+func (t *TCP) record(addr string) *addrRecord {
+	if v, ok := t.records.Load(addr); ok {
+		return v.(*addrRecord)
+	}
+	return nil
 }
 
 // Stats returns transport counters. The snapshot is approximate under
@@ -202,7 +222,7 @@ func (t *TCP) Stats() TCPStats {
 		Dials:        t.dials.Load(),
 		DialFailures: t.dialFailures.Load(),
 		Suppressed:   t.suppressed.Load(),
-		BreakerOpens: t.breaker.Opens(),
+		BreakerOpens: t.opens.Load(),
 		QueueDrops:   t.queueDrops.Load(),
 		DecodeErrors: t.decodeErrors.Load(),
 		Oversize:     t.oversize.Load(),
@@ -342,22 +362,15 @@ func ReadViaPreamble(r io.Reader) (from, to string, err error) {
 // returned nil error means the destination (not just the proxy) accepted
 // the connection within DialTimeout. connect is its one caller.
 func (t *TCP) dial(addr string) (net.Conn, error) {
-	t.dials.Add(1)
 	if t.dialVia == "" {
-		conn, err := net.DialTimeout("tcp", addr, t.dialTimeout)
-		if err != nil {
-			t.dialFailures.Add(1)
-		}
-		return conn, err
+		return net.DialTimeout("tcp", addr, t.dialTimeout)
 	}
 	conn, err := net.DialTimeout("tcp", t.dialVia, t.dialTimeout)
 	if err != nil {
-		t.dialFailures.Add(1)
 		return nil, err
 	}
 	if err := conn.SetDeadline(time.Now().Add(t.dialTimeout)); err != nil {
 		conn.Close()
-		t.dialFailures.Add(1)
 		return nil, err
 	}
 	var ack [1]byte
@@ -366,12 +379,10 @@ func (t *TCP) dial(addr string) (net.Conn, error) {
 	}
 	if err != nil || ack[0] != ViaAck {
 		conn.Close()
-		t.dialFailures.Add(1)
 		return nil, fmt.Errorf("transport: via %s: %s unreachable", t.dialVia, addr)
 	}
 	if err := conn.SetDeadline(time.Time{}); err != nil {
 		conn.Close()
-		t.dialFailures.Add(1)
 		return nil, err
 	}
 	return conn, nil
@@ -547,7 +558,7 @@ func (t *TCP) Send(to string, m wire.Msg) error {
 	t.mu.Unlock()
 	if p == nil {
 		t.suppressed.Add(1)
-		return nil // breaker open: drop without hammering the dead peer
+		return nil // the address is open: drop without hammering the dead peer
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -584,40 +595,57 @@ func (t *TCP) Send(to string, m wire.Msg) error {
 
 // peerLocked returns the outbound entry for to, first installing one and
 // starting its connection if there is none, or nil once the transport is
-// closed or while the breaker holds to open. t.mu held.
+// closed or while to is open. t.mu held.
 func (t *TCP) peerLocked(to string) *tcpPeer {
 	if p := t.peers[to]; p != nil {
 		return p
 	}
-	if t.closed.Load() || !t.breaker.Allow(to, time.Now()) {
+	if t.closed.Load() {
+		return nil
+	}
+	r := t.record(to)
+	if r == nil {
+		r = new(addrRecord)
+		t.records.Store(to, r)
+	} else if !r.admit(time.Now()) {
 		return nil
 	}
 	p := &tcpPeer{}
 	p.write = p.writeFd
 	t.peers[to] = p
 	t.wg.Add(1)
-	go t.connect(to, p)
+	go t.connect(to, p, r)
 	return p
 }
 
-// connect is the transport's one dial: it records the dial's RTT as the
-// peer's proximity and starts the peer's watcher, and a flusher for what
-// queued meanwhile. On failure it marks the peer far, forgets it so
-// queued frames are lost (silent-loss semantics) and a later Send
-// retries, and informs the breaker.
-func (t *TCP) connect(to string, p *tcpPeer) {
+// connect is the transport's one dial. It records the outcome in to's
+// record r: the dial's RTT, which is the peer's proximity, or a failure,
+// which leaves the peer far and may open the address. A failed dial also
+// forgets p, in the same critical section, so queued frames are lost
+// (silent-loss semantics) and the next use sees the record as it now is.
+// A successful one starts the peer's watcher, and a flusher for what
+// queued meanwhile. The failure's counters move last, so whoever sees
+// them also sees the record and the peer map as the failure left them.
+func (t *TCP) connect(to string, p *tcpPeer, r *addrRecord) {
 	defer t.wg.Done()
+	t.dials.Add(1)
 	start := time.Now()
 	conn, err := t.dial(to)
+	rtt := time.Since(start)
+	t.mu.Lock()
 	if err != nil {
-		t.prox.Store(to, far) // before forget, so Proximity never redials a refused address
-		t.forget(to, p)
-		t.breaker.Fail(to, time.Now())
-		t.scheduleProbe(to)
+		if t.peers[to] == p {
+			delete(t.peers, to)
+		}
+		if r.failed(time.Now()) {
+			t.opens.Add(1)
+		}
+		t.dialFailures.Add(1)
+		t.mu.Unlock()
 		return
 	}
-	t.prox.Store(to, max(float64(time.Since(start))/float64(time.Millisecond), 0.01))
-	t.breaker.Success(to)
+	r.dialled(rtt)
+	t.mu.Unlock()
 	rc, err := conn.(*net.TCPConn).SyscallConn()
 	p.mu.Lock()
 	if t.closed.Load() || err != nil {
@@ -711,42 +739,11 @@ func (t *TCP) watch(to string, p *tcpPeer, conn net.Conn) {
 	}
 }
 
-// scheduleProbe arms the peer's half-open probe: when the breaker holds
-// the peer open, a timer fires at cooldown expiry and starts the
-// connection a Send would. Routing treats an open peer as unreachable, so
-// no user traffic would otherwise ever test it — the probe is what
-// reinstates a healed peer ("probe before reinstating"), and its
-// connection stays for the traffic that follows; a failed one re-opens
-// the breaker with a doubled cooldown and re-arms the probe. One pending
-// probe per peer.
-func (t *TCP) scheduleProbe(to string) {
-	delay, open := t.breaker.NextProbe(to, time.Now())
-	if !open {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed.Load() {
-		return
-	}
-	if _, pending := t.probes[to]; pending {
-		return
-	}
-	t.wg.Add(1)
-	t.probes[to] = time.AfterFunc(delay, func() {
-		defer t.wg.Done()
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		delete(t.probes, to)
-		t.peerLocked(to)
-	})
-}
-
 // forget removes p from the peer map if it is still the current entry for
 // to (a replacement dialed meanwhile must not be evicted).
 func (t *TCP) forget(to string, p *tcpPeer) {
 	t.mu.Lock()
-	if cur, ok := t.peers[to]; ok && cur == p {
+	if t.peers[to] == p {
 		delete(t.peers, to)
 	}
 	t.mu.Unlock()
@@ -755,17 +752,18 @@ func (t *TCP) forget(to string, p *tcpPeer) {
 // Proximity implements Transport: the RTT of connect's last dial to the
 // peer (the paper's scalar proximity metric, "such as the number of IP
 // hops, geographic distance...", is RTT in a real deployment), or far if
-// it failed. It never waits on the network: for an address never dialled
-// it starts the connection a Send would and answers far. With DialVia set
-// the RTT includes the proxy's connect-time faults, so injected gray
-// failures show up in the metric exactly as real ones would.
+// it failed or is still pending. It reads the address's record and takes
+// no lock; for an address never dialled it starts the connection a Send
+// would and answers far. With DialVia set the RTT includes the proxy's
+// connect-time faults, so injected gray failures show up in the metric
+// exactly as real ones would.
 func (t *TCP) Proximity(to string) float64 {
-	if v, ok := t.prox.Load(to); ok {
-		return v.(float64)
+	if r := t.record(to); r != nil {
+		return r.proximity()
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.prox.Load(to); !ok { // else a connect ended meanwhile
+	if t.record(to) == nil { // else another use started the connection meanwhile
 		t.peerLocked(to)
 	}
 	return far
@@ -782,12 +780,6 @@ func (t *TCP) Close() error {
 	t.closed.Store(true)
 	peers, inbound := t.peers, t.inbound
 	t.peers, t.inbound = nil, nil
-	for to, timer := range t.probes {
-		if timer.Stop() {
-			t.wg.Done() // probe never ran; release its wg slot
-		}
-		delete(t.probes, to)
-	}
 	t.mu.Unlock()
 	for _, p := range peers {
 		p.mu.Lock() // a dial still pending sees t.closed and closes its own

@@ -16,10 +16,6 @@ import (
 	"past/internal/wire"
 )
 
-// BreakerOptions configure the transport's per-peer dial circuit
-// breaker; the zero value disables it.
-type BreakerOptions = transport.BreakerOptions
-
 // TransportStats are the TCP transport's event counters.
 type TransportStats = transport.TCPStats
 
@@ -60,12 +56,6 @@ type PeerConfig struct {
 	// The chaos harness interposes its deterministic fault injector this
 	// way; empty dials peers directly.
 	DialVia string
-	// Breaker configures the per-peer dial circuit breaker: after
-	// Breaker.Threshold consecutive dial failures to one peer, sends to
-	// it are suppressed for a growing cooldown and a single probe dial
-	// must succeed before the peer is reinstated. The zero value
-	// disables it (the default).
-	Breaker BreakerOptions
 	// Seed, when non-zero, fixes the node's internal randomness (protocol
 	// timers, route tie-breaks). Zero mixes wall-clock time so concurrent
 	// deployments differ; the conformance harness sets it to align the
@@ -99,7 +89,7 @@ func ListenPeer(cfg PeerConfig) (*Peer, error) {
 	if cfg.JoinTimeout <= 0 {
 		cfg.JoinTimeout = cfg.OpTimeout
 	}
-	tr, err := transport.ListenTCPOpts(cfg.Listen, transport.TCPOptions{DialVia: cfg.DialVia, Breaker: cfg.Breaker})
+	tr, err := transport.ListenTCPOpts(cfg.Listen, transport.TCPOptions{DialVia: cfg.DialVia})
 	if err != nil {
 		return nil, err
 	}
@@ -136,10 +126,9 @@ func ListenPeer(cfg PeerConfig) (*Peer, error) {
 	clock := transport.NewRealClock()
 	scfg.Epoch = time.Now().Unix()
 	node := pastry.New(pcfg, cfg.Card.NodeID(), tr, clock, nil)
-	// Feed transport-level failure knowledge back into routing: with the
-	// breaker enabled, peers it holds open are unreachable to nextHop,
-	// route diversity, and diversion-pointer chases. Disabled breaker =
-	// always-true probe, identical to not installing one.
+	// Feed transport-level failure knowledge back into routing: a peer
+	// whose last 3 dials failed is unreachable to nextHop, route
+	// diversity, and diversion-pointer chases until a dial to it succeeds.
 	node.SetProbe(tr.Reachable)
 	pn := pastcore.NewNode(scfg, node, cfg.Card, cfg.BrokerPub)
 	p := &Peer{cfg: cfg, tr: tr, node: node, past: pn}
@@ -274,7 +263,7 @@ func (p *Peer) StoredFiles() int {
 
 // TransportStats returns the TCP transport's counters: dials (one per
 // connection the node opens and keeps for its sends), dial failures,
-// breaker opens, sends suppressed by an open breaker, sends dropped on a
+// breaker opens, sends suppressed at an open address, sends dropped on a
 // full peer queue, inbound frames that did not decode, and outbound
 // messages dropped for a frame past MaxFrame.
 func (p *Peer) TransportStats() TransportStats { return p.tr.Stats() }
