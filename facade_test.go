@@ -947,11 +947,12 @@ func ExampleListenPeer() {
 
 // TestPeerWholeFileOverOneFrame drives the frame cliff on real sockets: a
 // file plus its certificate travel in one frame, so the workload's largest
-// file (8 MiB) cannot be inserted over TCP. The inserting peer's writer
-// refuses the frame (counted in Oversize, never sent) and the insert times
-// out; a file that leaves room for the certificate is stored. Whole files
-// of any size, in bounded chunk frames (ROADMAP, "whole files of any
-// size"), are meant to turn the first case into a success.
+// file (8 MiB) cannot be inserted over TCP. The insert is refused with
+// ErrTooLarge at once, before the card signs or debits anything and
+// before any frame is built; a file that leaves room for the certificate
+// is stored. Whole files of any size, in bounded chunk frames (ROADMAP,
+// "whole files of any size"), are meant to turn the first case into a
+// success.
 func TestPeerWholeFileOverOneFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -964,8 +965,9 @@ func TestPeerWholeFileOverOneFrame(t *testing.T) {
 	scfg.K = 2
 	scfg.Capacity = 1 << 30
 	var peers []*past.Peer
+	var card *past.Smartcard
 	for i := 0; i < 2; i++ {
-		card, err := broker.IssueCard(1<<40, scfg.Capacity, 0, nil)
+		card, err = broker.IssueCard(1<<40, scfg.Capacity, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -980,11 +982,19 @@ func TestPeerWholeFileOverOneFrame(t *testing.T) {
 	if err := admit(peers[:1], peers[1]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := peers[1].Insert(nil, "8MiB", make([]byte, 8<<20), 2); !errors.Is(err, past.ErrTimeout) {
-		t.Fatalf("8 MiB insert: %v, want ErrTimeout", err)
+	quota := card.RemainingQuota()
+	start := time.Now()
+	if _, err := peers[1].Insert(nil, "8MiB", make([]byte, 8<<20), 2); !errors.Is(err, past.ErrTooLarge) {
+		t.Fatalf("8 MiB insert: %v, want ErrTooLarge", err)
 	}
-	if sender, receiver := peers[1].TransportStats().Oversize, peers[0].TransportStats().Oversize; sender != 1 || receiver != 0 {
-		t.Fatalf("Oversize: sender %d, receiver %d; want 1 and 0", sender, receiver)
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("the refusal took %v, want under 100ms", took)
+	}
+	if sender, receiver := peers[1].TransportStats().Oversize, peers[0].TransportStats().Oversize; sender != 0 || receiver != 0 {
+		t.Fatalf("Oversize: sender %d, receiver %d; want 0 and 0", sender, receiver)
+	}
+	if q := card.RemainingQuota(); q != quota {
+		t.Fatalf("the refused insert moved the card's quota %d → %d", quota, q)
 	}
 	if _, err := peers[1].Insert(nil, "8MiB-4KiB", make([]byte, 8<<20-4<<10), 2); err != nil {
 		t.Fatalf("8 MiB - 4 KiB insert: %v", err)

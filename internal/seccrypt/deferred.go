@@ -73,7 +73,7 @@ func (d *Deferred) Flush() bool {
 	for i := range d.items {
 		it := &d.items[i]
 		it.ok = len(it.pub) == ed25519.PublicKeySize && len(it.sig) == ed25519.SignatureSize &&
-			memoVerify(it.pub, d.buf[it.start:it.end], it.sig)
+			memo.verify(it.pub, d.buf[it.start:it.end], it.sig)
 		all = all && it.ok
 	}
 	return all

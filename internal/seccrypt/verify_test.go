@@ -67,7 +67,7 @@ func TestPubKeyCacheCeiling(t *testing.T) {
 
 // TestDeferredMemoFeedback asserts a flush finds the forged member
 // exactly, resolves truncated inputs to false, and leaves its verdicts in
-// the memo: a later memoVerify of the same triple must hit, with the
+// the memo: a later memo.verify of the same triple must hit, with the
 // verdict the flush produced.
 func TestDeferredMemoFeedback(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -95,11 +95,11 @@ func TestDeferredMemoFeedback(t *testing.T) {
 	d.Release()
 
 	h0, _ := MemoStats()
-	if !memoVerify(pub, msg, sig) {
-		t.Fatal("memoVerify rejected a signature the flush verified")
+	if !memo.verify(pub, msg, sig) {
+		t.Fatal("memo.verify rejected a signature the flush verified")
 	}
-	if memoVerify(pub, msg, forged) {
-		t.Fatal("memoVerify accepted the forged signature")
+	if memo.verify(pub, msg, forged) {
+		t.Fatal("memo.verify accepted the forged signature")
 	}
 	h1, _ := MemoStats()
 	if h1 != h0+2 {

@@ -29,14 +29,14 @@
 // anyone embedding this package:
 //
 // Verification memoization. Signature checks are memoized process-wide
-// in a lock-striped LRU keyed by a SHA-256 digest of (public key,
-// signature, body), so the k replica holders of one insert — and every
-// retry, recovery transfer or cached copy of the same certificate —
-// perform the ed25519 scalar math once rather than k times. The memo
-// caches only the pure signature relation: expiry and ownership checks
-// re-run on every verification, and any mutation of a signed byte
-// changes the key and misses the cache, so a stale positive would
-// require a SHA-256 collision.
+// in a fixed table (second-chance replacement) keyed by a SHA-256 digest
+// of (public key, signature, body), so the k replica holders of one
+// insert — and every retry, recovery transfer, cached copy or lookup of
+// the same certificate — perform the ed25519 scalar math once rather
+// than k times. The memo caches only the pure signature relation: expiry
+// and ownership checks re-run on every verification, and any mutation of
+// a signed byte changes the key and misses the cache, so a stale positive
+// would require a SHA-256 collision.
 //
 // Zero-copy replication. Message payloads and stored content share one
 // immutable backing array: a 4 KiB insert materializes one buffer, not
@@ -51,6 +51,7 @@
 package past
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -153,4 +154,7 @@ var (
 	ErrNotFound = pastcore.ErrNotFound
 	// ErrQuotaExceeded reports an insert beyond the card's storage quota.
 	ErrQuotaExceeded = seccrypt.ErrQuotaExceeded
+	// ErrTooLarge reports a Peer insert whose file and certificate cannot
+	// travel in one transport frame; nothing was signed or debited.
+	ErrTooLarge = errors.New("past: file does not fit one frame")
 )

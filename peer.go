@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/ed25519"
 	"fmt"
+	"strings"
 	"time"
 
 	pastcore "past/internal/past"
@@ -89,7 +90,7 @@ func ListenPeer(cfg PeerConfig) (*Peer, error) {
 	if cfg.JoinTimeout <= 0 {
 		cfg.JoinTimeout = cfg.OpTimeout
 	}
-	tr, err := transport.ListenTCPOpts(cfg.Listen, transport.TCPOptions{DialVia: cfg.DialVia})
+	tr, err := transport.ListenTCPOpts(cfg.Listen, transport.TCPOptions{DialVia: cfg.DialVia, MaxFrame: maxFrame})
 	if err != nil {
 		return nil, err
 	}
@@ -228,8 +229,38 @@ func (p *Peer) Insert(card *Smartcard, name string, data []byte, k int) (InsertR
 // the simulator and a real cluster and compare placement per fileId. An
 // empty salt draws one from the node's rng.
 func (p *Peer) InsertSalted(card *Smartcard, name string, data []byte, k int, salt []byte) (InsertResult, error) {
+	if n := insertFrameLen(p.own(card), data, salt); n > maxFrame {
+		return InsertResult{}, fmt.Errorf("%w: %d-byte frame, limit %d", ErrTooLarge, n, maxFrame)
+	}
 	r, err := wait(context.Background(), 4*p.cfg.OpTimeout, func(cb func(InsertResult)) { p.past.InsertSalted(p.own(card), name, data, k, salt, cb) })
 	return r, cmp.Or(err, r.Err)
+}
+
+// maxFrame is the largest frame a peer's transport sends or accepts.
+const maxFrame = 8 << 20
+
+// frameRef stands for every node an insert's frames name, its address
+// counted at 64 bytes (an IPv6 literal with its port takes 47), and
+// frameZeros for a signature and a drawn salt.
+var (
+	frameRef   = wire.NodeRef{Addr: strings.Repeat("a", 64)}
+	frameZeros [ed25519.SignatureSize]byte
+)
+
+// insertFrameLen returns the size of the largest frame a file travels in
+// — the routed InsertRequest, a ReplicaStore, a LookupReply — without a
+// certificate: every field of one but the salt (drawn at 8 bytes when
+// none is given) has a fixed width, and a frame's size reads no bytes.
+func insertFrameLen(card *Smartcard, data, salt []byte) int {
+	if len(salt) < 8 {
+		salt = frameZeros[:8]
+	}
+	cert := wire.FileCertificate{Salt: salt, OwnerPub: card.PublicKey(), CardCert: card.CardCert(), Sig: frameZeros[:]}
+	return max(
+		wire.FrameLen(frameRef.Addr, wire.Routed{Payload: wire.InsertRequest{Cert: cert, Data: data, Client: frameRef}, Origin: frameRef}),
+		wire.FrameLen(frameRef.Addr, wire.ReplicaStore{Cert: cert, Data: data, Client: frameRef, Primary: frameRef}),
+		wire.FrameLen(frameRef.Addr, wire.LookupReply{Cert: cert, Data: data, From: frameRef}),
+	)
 }
 
 // Lookup retrieves a file, blocking until the reply arrives.
